@@ -4,7 +4,8 @@ A unital *-closed product-closed operator space acting on C^d is
 unitarily equivalent to a direct sum of factors, each acting as
 (full matrix algebra on C^n) tensor (identity on C^k). This module
 computes that structure numerically: the algebra generated by a set of
-operators, its commutant, and the block isometries exhibiting the
+operators, its commutant (solved from the generators), its center
+(solved inside the commutant), and the block isometries exhibiting the
 (n, k) factorization.
 """
 
@@ -22,13 +23,20 @@ PROBE_RETRIES = 8
 
 @dataclass(frozen=True)
 class OperatorBasis:
-    """HS-orthonormal basis of an operator space, with structural flags."""
+    """HS-orthonormal basis of an operator space, with a generating set.
+
+    `generators` spans a set whose commutant equals the commutant of the
+    space: `generate_algebra` stores its orthonormalized seed span
+    {I, g_i, g_i^dagger}; any other basis uses its own elements.
+    """
 
     dim: int
     mats: np.ndarray  # (size, dim, dim)
-    closed_under_product: bool = True
-    closed_under_adjoint: bool = True
-    contains_identity: bool = True
+    generators: np.ndarray | None = None  # (count, dim, dim)
+
+    def __post_init__(self):
+        if self.generators is None:
+            object.__setattr__(self, "generators", self.mats)
 
     @property
     def size(self) -> int:
@@ -45,7 +53,7 @@ class OperatorBasis:
         return float(np.linalg.norm(resid)) <= tol * max(1.0, float(np.linalg.norm(w)))
 
     def verify_flags(self, tol: float = 1e-8) -> dict[str, bool]:
-        """Recompute the structural flags numerically (test hook)."""
+        """Check numerically that the span is an orthonormal unital *-algebra (test hook)."""
         gram_ok = np.allclose(self.vecs().conj() @ self.vecs().T, np.eye(self.size), atol=tol)
         ident = self.contains(np.eye(self.dim, dtype=complex), tol)
         adj = all(self.contains(m.conj().T, tol) for m in self.mats)
@@ -66,7 +74,8 @@ def generate_algebra(generators, dim: int, tol: float = DEFAULT_TOL) -> Operator
     Breadth-first closure: each round multiplies all current basis pairs
     and re-orthonormalizes; the loop ends when a round adds no new
     direction, which is exactly the product-closure condition at the
-    rank threshold. Bounded by dim^2 basis elements.
+    rank threshold. Bounded by dim^2 basis elements. The orthonormalized
+    seed span {I, g_i, g_i^dagger} is kept as the result's `generators`.
     """
     gens = [as_complex_matrix(g) for g in generators]
     if any(g.shape[0] != dim for g in gens):
@@ -76,6 +85,7 @@ def generate_algebra(generators, dim: int, tol: float = DEFAULT_TOL) -> Operator
         seed.append(g)
         seed.append(g.conj().T)
     basis = orthonormalize_hs(seed, tol)
+    gen_span = np.stack(basis)
     while True:
         cur = np.stack(basis)
         prods = np.einsum("aij,bjk->abik", cur, cur).reshape(-1, dim, dim)
@@ -85,38 +95,42 @@ def generate_algebra(generators, dim: int, tol: float = DEFAULT_TOL) -> Operator
                 f"closure produced {len(grown)} > dim^2 = {dim * dim} elements; tolerance too loose"
             )
         if len(grown) == len(basis):
-            return OperatorBasis(dim=dim, mats=np.stack(grown))
+            return OperatorBasis(dim=dim, mats=np.stack(grown), generators=gen_span)
         basis = grown
 
 
 def commutant(a: OperatorBasis, tol: float = DEFAULT_TOL) -> OperatorBasis:
     """Basis of all X with X B = B X for every B in the algebra.
 
-    Solved as the joint nullspace of the stacked maps
-    X -> X B_j - B_j X over the vectorized matrix space.
+    Solved from `a.generators`, not the full basis: X commutes with an
+    algebra iff it commutes with a generating set closed under adjoint,
+    so the stacked maps X -> X G_j - G_j X over the vectorized matrix
+    space have the same joint nullspace with far fewer rows.
     """
     d = a.dim
     eye = np.eye(d, dtype=complex)
-    rows = [np.kron(eye, b.T) - np.kron(b, eye) for b in a.mats]
+    rows = [np.kron(eye, g.T) - np.kron(g, eye) for g in a.generators]
     stack = np.concatenate(rows, axis=0)
     null = nullspace(stack, tol, floor=1.0)
     mats = [null[:, i].reshape(d, d) for i in range(null.shape[1])]
     return OperatorBasis(dim=d, mats=np.stack(orthonormalize_hs(mats, tol)))
 
 
-def center_basis(a: OperatorBasis, comm: OperatorBasis, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
-    """Basis of the center, as elements of `a` commuting with all of `a`.
+def center_basis(comm: OperatorBasis, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
+    """Basis of the center of an algebra A, solved from its commutant.
 
-    Works in coefficient space over a's basis, which keeps the nullspace
-    problem small and well scaled.
+    A'' = A for a unital *-algebra, so Z(A) = A ∩ A' = Z(A'): the center
+    is the set of commutant elements commuting with the whole commutant.
+    Solving in coefficient space over `comm`'s basis makes the stack
+    (c * dim^2) x c with c = dim A', usually far smaller than dim A.
     """
-    b = a.size
-    bracket = np.einsum("aij,cjk->caik", a.mats, a.mats) - np.einsum(
-        "cij,ajk->caik", a.mats, a.mats
-    )  # bracket[c, a] = [A_a, B_c]
-    stack = bracket.reshape(b, b, -1).transpose(0, 2, 1).reshape(-1, b)
+    c = comm.size
+    bracket = np.einsum("aij,cjk->caik", comm.mats, comm.mats) - np.einsum(
+        "cij,ajk->caik", comm.mats, comm.mats
+    )  # bracket[c, a] = [C_a, C_c]
+    stack = bracket.reshape(c, c, -1).transpose(0, 2, 1).reshape(-1, c)
     coeffs = nullspace(stack, tol, floor=1.0)
-    elems = [np.einsum("i,ijk->jk", coeffs[:, z], a.mats) for z in range(coeffs.shape[1])]
+    elems = [np.einsum("i,ijk->jk", coeffs[:, z], comm.mats) for z in range(coeffs.shape[1])]
     return orthonormalize_hs(elems, tol)
 
 
@@ -268,7 +282,7 @@ def irrep_decompose(a: OperatorBasis, seed: int, tol: float = DEFAULT_TOL) -> li
     misconfigured and DegenerateSample is raised.
     """
     comm = commutant(a, tol)
-    centers = center_basis(a, comm, tol)
+    centers = center_basis(comm, tol)
     if not centers:
         raise DegenerateSample("algebra has an empty center; input basis is inconsistent")
     rng = np.random.default_rng(seed)

@@ -78,6 +78,14 @@ def psd_sqrt(m, tol: float = DEFAULT_TOL) -> np.ndarray:
     return hermitize((v * np.sqrt(lam)) @ v.conj().T)
 
 
+def _svd(a: np.ndarray, full_matrices: bool):
+    """`np.linalg.svd`, raising ConvergenceFailure where LAPACK gives up."""
+    try:
+        return np.linalg.svd(a, full_matrices=full_matrices)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(str(exc)) from exc
+
+
 def orthonormalize_hs(mats, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
     """HS-orthonormal basis of the span of `mats`.
 
@@ -92,7 +100,7 @@ def orthonormalize_hs(mats, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
     if any(m.shape[0] != d for m in mats):
         raise ValueError("matrices must share one dimension")
     stack = np.stack([m.reshape(-1) for m in mats])
-    _, s, vh = np.linalg.svd(stack, full_matrices=False)
+    _, s, vh = _svd(stack, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return []
     keep = s > tol * s[0]
@@ -102,13 +110,17 @@ def orthonormalize_hs(mats, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
 def nullspace(a: np.ndarray, tol: float = DEFAULT_TOL, floor: float = 0.0) -> np.ndarray:
     """Orthonormal columns spanning the right nullspace of `a`.
 
-    The rank cut is tol relative to the top singular value; `floor`
-    guards stacks whose top singular value is itself round-off (rows
-    built from normalized operators pass floor=1).
+    Solved from the right singular vectors of a thin SVD: for a tall
+    stack (rows >= cols) `vh` is already square, so the rows x rows U
+    factor is never formed; only a wide stack needs the full `vh` to
+    reach its null rows, and there U is the small side. The rank cut is
+    tol relative to the top singular value; `floor` guards stacks whose
+    top singular value is itself round-off (rows built from normalized
+    operators pass floor=1).
     """
     if a.size == 0:
         return np.eye(a.shape[1], dtype=complex)
-    _, s, vh = np.linalg.svd(a, full_matrices=True)
+    _, s, vh = _svd(a, full_matrices=a.shape[0] < a.shape[1])
     n = a.shape[1]
     smax = float(s[0]) if s.size else 0.0
     scale = max(smax, floor)

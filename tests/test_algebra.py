@@ -1,14 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kidecomp.algebra import (
+    OperatorBasis,
     block_form_split,
+    center_basis,
     commutant,
     compress_to_block,
     generate_algebra,
     irrep_decompose,
 )
-from kidecomp.oracles import haar_unitary
+from kidecomp.ensemble import support_restrict
+from kidecomp.oracles import PlantSpec, haar_unitary, planted_ensemble
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -123,3 +128,40 @@ def test_irrep_determinism():
     for x, y in zip(b1, b2):
         assert (x.n, x.k) == (y.n, y.k)
         assert np.array_equal(x.isometry, y.isometry)
+
+
+def _projector(basis: OperatorBasis) -> np.ndarray:
+    return basis.vecs().T @ basis.vecs().conj()
+
+
+def test_generators_default_to_the_basis():
+    a = generate_algebra([np.kron(PAULI_X, I2)], 4)
+    assert a.generators.shape == (2, 4, 4)  # span of I and the generator
+    assert a.size == 2
+    plain = OperatorBasis(dim=4, mats=a.mats)
+    assert plain.generators is plain.mats
+
+
+PLANT_SHAPES = [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (3, 1), (3, 2), (4, 1)]
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(
+    blocks=st.lists(st.sampled_from(PLANT_SHAPES), min_size=1, max_size=3).filter(
+        lambda bs: sum(n * k for n, k in bs) <= 8
+    ),
+    num_states=st.integers(2, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_generator_commutant_matches_full_basis(blocks, num_states, seed):
+    e, truth = planted_ensemble(PlantSpec(blocks=tuple(blocks), num_states=num_states, seed=seed))
+    _, er = support_restrict(e)
+    a = generate_algebra(list(er.states), er.dim)
+    comm = commutant(a)
+    reference = commutant(OperatorBasis(dim=a.dim, mats=a.mats))
+    assert comm.size == reference.size
+    assert np.linalg.norm(_projector(comm) - _projector(reference)) <= 1e-8
+    # each planted block splits into k inequivalent irreducible blocks
+    # (its K state has distinct eigenvalues) before the merge joins them
+    irreps = irrep_decompose(a, seed=0)
+    assert len(center_basis(comm)) == len(irreps) == sum(b.k for b in truth.blocks)

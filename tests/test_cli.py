@@ -133,6 +133,15 @@ def test_exit_code_parse_error(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_exit_code_svd_failure(two_pure_file, monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", fail)
+    assert main(["decompose", two_pure_file]) == 3
+    assert "numerical failure: SVD did not converge" in capsys.readouterr().err
+
+
 def test_exit_code_validation_error(tmp_path):
     bad = tmp_path / "sum.json"
     bad.write_text('{"dim": 1, "states": [{"p": 0.7, "matrix": [[[1.0, 0.0]]]}]}')

@@ -13,6 +13,7 @@ from kidecomp.decompose import (
     write_decomposition,
 )
 from kidecomp.ensemble import Ensemble, validate
+from kidecomp.errors import KidecompError
 from kidecomp.measures import info_measures
 from kidecomp.oracles import PlantSpec, haar_unitary, planted_ensemble
 
@@ -107,6 +108,31 @@ def test_planted_recovery():
         assert np.allclose(
             np.linalg.eigvalsh(br.rho_K), np.linalg.eigvalsh(bt.rho_K), atol=1e-7
         )
+
+
+def test_planted_recovery_d16():
+    e, truth = planted_ensemble(PlantSpec(blocks=((4, 3), (2, 2)), num_states=3, seed=1))
+    d = ki_decompose(e, seed=0)
+    assert [(b.n, b.k) for b in d.blocks] == [(b.n, b.k) for b in truth.blocks]
+    m, mt = info_measures(d, e), info_measures(truth, e)
+    assert m.info_classical == pytest.approx(mt.info_classical, abs=1e-9)
+    assert m.info_nonclassical == pytest.approx(mt.info_nonclassical, abs=1e-9)
+    assert m.info_redundant == pytest.approx(mt.info_redundant, abs=1e-9)
+
+
+def test_overshooting_closure_never_gives_wrong_shapes():
+    # The closure of this plant overshoots to dim A = 121 = d^2. Solved over
+    # the full basis, the commutant followed the overshoot and the result was
+    # one 11x1 block with I_NC 2.93 bits instead of 1.59. The generator
+    # commutant keeps the true structure, so the block-square check rejects
+    # the closure (DegenerateSample); with 2 BLAS threads the closure's SVD
+    # fails first (ConvergenceFailure).
+    e, truth = planted_ensemble(PlantSpec(blocks=((4, 2), (3, 1)), num_states=3, seed=1041457616003))
+    try:
+        d = ki_decompose(e, seed=0)
+    except KidecompError:
+        return
+    assert [(b.n, b.k) for b in d.blocks] == [(b.n, b.k) for b in truth.blocks]
 
 
 def test_planted_multiplicity_block():

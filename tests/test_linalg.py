@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from kidecomp.errors import NotHermitian, NotPSD
-from kidecomp.linalg import eig_hermitian, orthonormalize_hs, psd_sqrt
+from kidecomp.errors import ConvergenceFailure, NotHermitian, NotPSD
+from kidecomp.linalg import eig_hermitian, nullspace, orthonormalize_hs, psd_sqrt
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -109,3 +111,45 @@ def test_orthonormalize_gram_identity_random():
     vecs = np.stack([m.reshape(-1) for m in out])
     gram = vecs.conj() @ vecs.T
     assert np.linalg.norm(gram - np.eye(len(out))) <= 1e-10
+
+
+@pytest.mark.parametrize("shape, null_dim", [((6, 3), 1), ((1, 3), 2)])
+def test_nullspace_tall_and_wide(shape, null_dim):
+    # rank-2 tall stack, and a wide row whose null rows exist only in the full vh
+    rng = np.random.default_rng(4)
+    a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    if shape[0] > shape[1]:
+        a[:, 2] = a[:, 0] - 2j * a[:, 1]
+    null = nullspace(a)
+    assert null.shape == (shape[1], null_dim)
+    assert np.linalg.norm(a @ null) <= 1e-12
+    assert np.allclose(null.conj().T @ null, np.eye(null_dim), atol=1e-12)
+
+
+def test_nullspace_tall_stack_forms_no_square_u():
+    # the shape of the old center stack at d=11 with a 41-dim algebra: a
+    # rows x rows U factor would take 394 MB, the thin one takes 9.6 MB
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((4961, 121)) + 1j * rng.standard_normal((4961, 121))
+    tracemalloc.start()
+    try:
+        null = nullspace(a, floor=1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert null.shape == (121, 0)
+    assert peak < 32 * 2**20
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda: nullspace(np.ones((4, 2), dtype=complex)), lambda: orthonormalize_hs([PAULI_X, PAULI_Z])],
+    ids=["nullspace", "orthonormalize_hs"],
+)
+def test_svd_failure_is_typed(monkeypatch, call):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", fail)
+    with pytest.raises(ConvergenceFailure, match="did not converge"):
+        call()
