@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSample, DimensionOverflow
-from .linalg import DEFAULT_TOL, as_complex_matrix, hermitize, nullspace, orthonormalize_hs, polar_unitary
+from .linalg import DEFAULT_TOL, as_complex_matrix, eigh, hermitize, nullspace, orthonormalize_hs, polar_unitary, svd
 
 PROBE_RETRIES = 8
 
@@ -187,7 +187,7 @@ def _solve_intertwiner(b1: np.ndarray, bj: np.ndarray, tol: float) -> np.ndarray
     eye = np.eye(n, dtype=complex)
     rows = [np.kron(eye, b1[c].T) - np.kron(bj[c], eye) for c in range(len(b1))]
     stack = np.concatenate(rows, axis=0)
-    _, s, vh = np.linalg.svd(stack)
+    _, s, vh = svd(stack)
     if s[0] <= 0 or s[-1] > np.sqrt(tol) * s[0]:
         raise _ProbeRetry("no intertwiner direction found")
     if len(s) >= 2 and s[-2] <= np.sqrt(tol) * s[0]:
@@ -216,7 +216,7 @@ def _attempt_blocks(
 ) -> list[IrrepBlock]:
     d = a.dim
     c_probe = _random_hermitian_from(centers, rng)
-    lam, vec = np.linalg.eigh(c_probe)
+    lam, vec = eigh(c_probe)
     blocks: list[IrrepBlock] = []
     for idx in _cluster_ascending(lam, tol):
         frame = vec[:, idx]  # (d, d_l)
@@ -229,7 +229,7 @@ def _attempt_blocks(
             raise _ProbeRetry("restricted commutant dimension is not a square")
         n = d_l // k
         r_probe = _random_hermitian_from(comm_r, rng)
-        mu, w = np.linalg.eigh(r_probe)
+        mu, w = eigh(r_probe)
         clusters = _cluster_ascending(mu, tol)
         if len(clusters) != k or any(len(c) != n for c in clusters):
             raise _ProbeRetry("multiplicity probe spectrum did not split k x n")

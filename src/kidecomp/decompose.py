@@ -31,7 +31,7 @@ from .ensemble import (
     _pairs_to_matrix,
 )
 from .errors import FormViolation, ParseError
-from .linalg import DEFAULT_TOL, frob, hermitize, polar_unitary
+from .linalg import DEFAULT_TOL, eigh, frob, hermitize, polar_unitary, svd
 
 __all__ = [
     "KIBlock",
@@ -132,7 +132,7 @@ def _intertwiner_candidate(sig_a: list, sig_b: list, support: tuple[int, ...], t
     for i in support:
         rows.append(np.kron(eye, sig_a[i].T) - np.kron(sig_b[i], eye))
     stack = np.concatenate(rows, axis=0)
-    _, s, vh = np.linalg.svd(stack)
+    _, s, vh = svd(stack)
     scale = max(float(s[0]), 1.0)
     if s[-1] > np.sqrt(tol) * scale:
         return None
@@ -193,7 +193,7 @@ def _merge(a: KIBlock, b: KIBlock, v: np.ndarray, c: float) -> KIBlock:
 
 def _canonicalize_redundant_factor(block: KIBlock) -> KIBlock:
     """Rotate the K basis so rho_K is diagonal with descending eigenvalues."""
-    lam, vec = np.linalg.eigh(hermitize(block.rho_K))
+    lam, vec = eigh(hermitize(block.rho_K))
     order = np.argsort(lam)[::-1]
     lam, vec = lam[order], vec[:, order]
     for j in range(vec.shape[1]):  # deterministic column phases

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .linalg import DEFAULT_TOL, as_complex_matrix, eig_hermitian, frob, hermitize
+from .linalg import DEFAULT_TOL, as_complex_matrix, eig_hermitian, eigvalsh, frob, hermitize
 
 
 @dataclass(frozen=True)
@@ -77,7 +77,7 @@ def density_matrix_violations(rho: np.ndarray, tol: float, locus: str) -> list[V
     if herm_res > tol:
         out.append(Violation(locus, "not Hermitian", herm_res))
         return out  # eigenvalue checks are meaningless past this point
-    lam = np.linalg.eigvalsh(hermitize(rho))
+    lam = eigvalsh(hermitize(rho))
     window = tol * max(1.0, float(lam[-1]))
     if lam[0] < -window:
         out.append(Violation(locus, "not positive semidefinite", float(-lam[0])))

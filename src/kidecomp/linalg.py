@@ -36,6 +36,34 @@ def frob(m: np.ndarray) -> float:
     return float(np.linalg.norm(m))
 
 
+# LAPACK entry points for the whole package: each re-raises numpy's
+# LinAlgError as ConvergenceFailure, which the CLI maps to exit code 3.
+
+
+def svd(a: np.ndarray, full_matrices: bool = True):
+    """`np.linalg.svd`, raising ConvergenceFailure where LAPACK gives up."""
+    try:
+        return np.linalg.svd(a, full_matrices=full_matrices)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(str(exc)) from exc
+
+
+def eigh(a: np.ndarray):
+    """`np.linalg.eigh`, raising ConvergenceFailure where LAPACK gives up."""
+    try:
+        return np.linalg.eigh(a)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(str(exc)) from exc
+
+
+def eigvalsh(a: np.ndarray) -> np.ndarray:
+    """`np.linalg.eigvalsh`, raising ConvergenceFailure where LAPACK gives up."""
+    try:
+        return np.linalg.eigvalsh(a)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(str(exc)) from exc
+
+
 @dataclass(frozen=True)
 class HermitianEigen:
     """Spectral factorization: ascending real eigenvalues, orthonormal column eigenvectors."""
@@ -54,10 +82,7 @@ def eig_hermitian(m, tol: float = DEFAULT_TOL) -> HermitianEigen:
     scale = frob(a)
     if frob(a - a.conj().T) > tol * max(scale, 1.0):
         raise NotHermitian(f"anti-Hermitian part {frob(a - a.conj().T):.3e} exceeds tolerance")
-    try:
-        values, vectors = np.linalg.eigh(hermitize(a))
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(str(exc)) from exc
+    values, vectors = eigh(hermitize(a))
     return HermitianEigen(values=values, vectors=vectors)
 
 
@@ -78,14 +103,6 @@ def psd_sqrt(m, tol: float = DEFAULT_TOL) -> np.ndarray:
     return hermitize((v * np.sqrt(lam)) @ v.conj().T)
 
 
-def _svd(a: np.ndarray, full_matrices: bool):
-    """`np.linalg.svd`, raising ConvergenceFailure where LAPACK gives up."""
-    try:
-        return np.linalg.svd(a, full_matrices=full_matrices)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(str(exc)) from exc
-
-
 def orthonormalize_hs(mats, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
     """HS-orthonormal basis of the span of `mats`.
 
@@ -100,7 +117,7 @@ def orthonormalize_hs(mats, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
     if any(m.shape[0] != d for m in mats):
         raise ValueError("matrices must share one dimension")
     stack = np.stack([m.reshape(-1) for m in mats])
-    _, s, vh = _svd(stack, full_matrices=False)
+    _, s, vh = svd(stack, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return []
     keep = s > tol * s[0]
@@ -120,7 +137,7 @@ def nullspace(a: np.ndarray, tol: float = DEFAULT_TOL, floor: float = 0.0) -> np
     """
     if a.size == 0:
         return np.eye(a.shape[1], dtype=complex)
-    _, s, vh = _svd(a, full_matrices=a.shape[0] < a.shape[1])
+    _, s, vh = svd(a, full_matrices=a.shape[0] < a.shape[1])
     n = a.shape[1]
     smax = float(s[0]) if s.size else 0.0
     scale = max(smax, floor)
@@ -130,5 +147,5 @@ def nullspace(a: np.ndarray, tol: float = DEFAULT_TOL, floor: float = 0.0) -> np
 
 def polar_unitary(t: np.ndarray) -> np.ndarray:
     """Unitary factor of the polar decomposition t = U P."""
-    w, _, vh = np.linalg.svd(t)
+    w, _, vh = svd(t)
     return w @ vh

@@ -11,13 +11,13 @@ import numpy as np
 
 from .decompose import KIDecomposition
 from .ensemble import Ensemble, average_state
-from .linalg import DEFAULT_TOL, as_complex_matrix, hermitize, psd_sqrt
+from .linalg import DEFAULT_TOL, as_complex_matrix, eigvalsh, hermitize, psd_sqrt
 
 
 def von_neumann_entropy(rho, tol: float = DEFAULT_TOL) -> float:
     """-Tr(rho log2 rho) in bits; eigenvalues at or below the relative floor are dropped."""
     rho = as_complex_matrix(rho)
-    lam = np.linalg.eigvalsh(hermitize(rho))
+    lam = eigvalsh(hermitize(rho))
     top = float(lam[-1]) if lam.size else 0.0
     keep = lam[lam > tol * max(top, 0.0)]
     if keep.size == 0:
@@ -42,7 +42,7 @@ def fidelity(rho, sigma, tol: float = DEFAULT_TOL) -> float:
         raise ValueError("fidelity needs states of equal dimension")
     sq = psd_sqrt(rho, tol)
     inner = hermitize(sq @ sigma @ sq)
-    lam = np.clip(np.linalg.eigvalsh(inner), 0.0, None)
+    lam = np.clip(eigvalsh(inner), 0.0, None)
     val = float(np.sum(np.sqrt(lam)) ** 2)
     return min(max(val, 0.0), 1.0)
 

@@ -17,7 +17,7 @@ from .algebra import commutant, generate_algebra
 from .decompose import KIBlock, KIDecomposition
 from .ensemble import Ensemble, SupportFrame
 from .errors import RejectionExhausted
-from .linalg import DEFAULT_TOL, frob, hermitize
+from .linalg import DEFAULT_TOL, eigh, frob, hermitize
 
 MAX_RESAMPLES = 64
 Q_RATIO_SPREAD = 1e-3
@@ -236,7 +236,7 @@ def random_form2_channel(d: KIDecomposition, env_dim: int = 2, seed: int = 0) ->
     rng = np.random.default_rng(seed)
     block_kraus = []
     for b in d.blocks:
-        _, vec = np.linalg.eigh(hermitize(b.rho_K))
+        _, vec = eigh(hermitize(b.rho_K))
         phases = np.exp(2j * np.pi * rng.random(b.k))
         commuting = vec @ (phases[:, None] * vec.conj().T)
         g = rng.standard_normal((b.k, env_dim)) + 1j * rng.standard_normal((b.k, env_dim))

@@ -16,23 +16,27 @@ exactly on the occupied group spaces, never materializing dim^N
 operators outside the chosen subspace.
 
 Randomness contract: one master seed; trial t draws from
-numpy.random.default_rng([seed, t]). Within a trial the draw order is
-messages, labels, then one uniform per occupied group in ascending
-label order, which is independent of delta so runs at different rates
-with one seed are paired.
+numpy.random.default_rng([seed, t]). A per-message trial draws
+random(2): the state, then its block label. A block trial draws
+random(2N): the N messages, then one label per message; then random(g):
+one uniform per occupied group in ascending label order. Each pick is
+searchsorted(cdf, u, side="right") on the CDF that Generator.choice(p=...)
+builds, so it equals choice's draw. The stream does not depend on delta:
+rate_sweep draws each trial once and scores every delta on it, so runs
+at different rates with one seed are paired.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .decompose import KIDecomposition
 from .ensemble import Ensemble
 from .errors import ConfigTooLarge, EmptyTypicalSet
-from .linalg import DEFAULT_TOL, hermitize
+from .linalg import DEFAULT_TOL, eigh, eigvalsh, hermitize
 from .measures import fidelity, shannon_entropy, von_neumann_entropy
 
 DESK_SCALE_QUBITS = 20
@@ -66,17 +70,21 @@ class IndividualSummary:
     mixture_residual: float
 
     def to_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "seed": self.seed,
-            "mean_ebits": self.mean_ebits,
-            "stderr_ebits": self.stderr_ebits,
-            "max_ebits": self.max_ebits,
-            "ebits_consumed_expected": self.ebits_consumed_expected,
-            "ebits_prepared_bound": self.ebits_prepared_bound,
-            "min_conditional_fidelity": self.min_conditional_fidelity,
-            "mixture_residual": self.mixture_residual,
-        }
+        return asdict(self)
+
+
+def _choice_cdf(p: np.ndarray) -> np.ndarray:
+    """Row-wise CDF of `p` as `Generator.choice(p=...)` builds it, so that
+    `searchsorted(cdf, u, side="right")` picks what `choice` picks from u."""
+    c = np.cumsum(p, axis=-1)
+    c /= c[..., -1:]
+    return c
+
+
+def _pick_cdfs(e: Ensemble, d: KIDecomposition) -> tuple[np.ndarray, np.ndarray]:
+    """CDF of the state pick, and one row per state of its block-label pick."""
+    qmat = np.clip(np.stack([b.q for b in d.blocks], axis=1), 0.0, None)
+    return _choice_cdf(e.probs / e.probs.sum()), _choice_cdf(qmat / qmat.sum(axis=1, keepdims=True))
 
 
 def simulate_individual(
@@ -98,11 +106,6 @@ def simulate_individual(
     if trials < 1:
         raise ValueError("trials must be at least 1")
     num_states = len(e)
-    num_blocks = len(d.blocks)
-    qmat = np.stack([b.q for b in d.blocks], axis=1)  # (num_states, num_blocks)
-    qmat = np.clip(qmat, 0.0, None)
-    qmat = qmat / qmat.sum(axis=1, keepdims=True)
-
     embedded: dict[tuple[int, int], np.ndarray] = {}
     cond_fid: dict[tuple[int, int], float] = {}
     for l, b in enumerate(d.blocks):
@@ -125,22 +128,24 @@ def simulate_individual(
         mixture = max(mixture, float(np.linalg.norm(acc - e.states[i])))
 
     log_n = np.array([math.log2(b.n) for b in d.blocks])
-    records: list[TrialRecord] = []
+    cdf_p, cdf_q = _pick_cdfs(e, d)
+    u = np.empty((trials, 2))
     for t in range(trials):
-        rng = np.random.default_rng([seed, t])
-        i = int(rng.choice(num_states, p=e.probs / e.probs.sum()))
-        l = int(rng.choice(num_blocks, p=qmat[i]))
-        records.append(
-            TrialRecord(
-                trial=t,
-                state=i,
-                block=l,
-                ebits=float(log_n[l]),
-                conditional_fidelity=cond_fid[(i, l)],
-            )
+        np.random.default_rng([seed, t]).random(out=u[t])
+    states = np.searchsorted(cdf_p, u[:, 0], side="right")
+    blocks = (cdf_q[states] <= u[:, 1:]).sum(axis=1)
+    records = [
+        TrialRecord(
+            trial=t,
+            state=i,
+            block=l,
+            ebits=float(log_n[l]),
+            conditional_fidelity=cond_fid[(i, l)],
         )
+        for t, (i, l) in enumerate(zip(states.tolist(), blocks.tolist()))
+    ]
 
-    ebits = np.array([r.ebits for r in records])
+    ebits = log_n[blocks]
     expected = float(np.dot(d.p_block, log_n))
     summary = IndividualSummary(
         trials=trials,
@@ -287,7 +292,7 @@ def _lex_sequences(counts: tuple[int, ...], limit: int) -> np.ndarray:
 
 @dataclass
 class _CompressionPlan:
-    """Receiver-side plan for one (block, group size) pair."""
+    """Receiver-side plan for one (block, group size, rate slack)."""
 
     alphabet: int
     length: int
@@ -296,19 +301,18 @@ class _CompressionPlan:
     full: bool
     full_classes: list[tuple[int, ...]] = field(default_factory=list)
     partial: tuple[tuple[int, ...], np.ndarray] | None = None
-    _all_seqs: np.ndarray | None = None
 
     def all_sequences(self) -> np.ndarray:
-        if self._all_seqs is None:
-            parts = [_lex_sequences(c, _multinomial(c)) for c in self.full_classes]
-            if self.partial is not None:
-                parts.append(self.partial[1])
-            self._all_seqs = (
-                np.concatenate(parts, axis=0)
-                if parts
-                else np.empty((0, self.length), dtype=np.int64)
-            )
-        return self._all_seqs
+        """The subspace's sequences, rebuilt on each call rather than cached:
+        a sweep keeps the plans of all its deltas alive at once, so cached
+        sequences would add to its peak memory, while a rebuild costs
+        little next to the eigvalsh that follows it."""
+        parts = [_lex_sequences(c, _multinomial(c)) for c in self.full_classes]
+        if self.partial is not None:
+            parts.append(self.partial[1])
+        if not parts:
+            return np.empty((0, self.length), dtype=np.int64)
+        return np.concatenate(parts, axis=0)
 
 
 def _compression_plan(spectrum: np.ndarray, length: int, delta: float) -> _CompressionPlan:
@@ -360,11 +364,13 @@ def _class_sums(diag_rows: np.ndarray) -> dict[tuple[int, ...], float]:
     return acc
 
 
-def _overlap_weight(plan: _CompressionPlan, diag_rows: np.ndarray) -> float:
-    """Probability weight of the group state inside the compression subspace."""
-    if plan.full:
-        return 1.0
-    sums = _class_sums(diag_rows)
+def _overlap_weight(
+    plan: _CompressionPlan, diag_rows: np.ndarray, sums: dict[tuple[int, ...], float]
+) -> float:
+    """Probability weight of the group state inside the compression subspace.
+
+    `sums` is `_class_sums(diag_rows)`, which does not depend on the plan.
+    """
     w = sum(sums.get(c, 0.0) for c in plan.full_classes)
     if plan.partial is not None:
         _, seqs = plan.partial
@@ -386,7 +392,7 @@ class _BlockData:
 def _block_data(d: KIDecomposition, tol: float) -> list[_BlockData]:
     out = []
     for b, avg in zip(d.blocks, d.rho_J_avg):
-        lam, vec = np.linalg.eigh(hermitize(avg))
+        lam, vec = eigh(hermitize(avg))
         order = np.argsort(lam)[::-1]
         lam, vec = np.clip(lam[order], 1e-300, None), vec[:, order]
         diag, rotated, pure = {}, {}, True
@@ -423,7 +429,7 @@ def _failure_fidelity(plan: _CompressionPlan, data: _BlockData, members: list[in
     for j, i in enumerate(members):
         s = seqs[:, j]
         compressed *= data.rotated[i][s[:, None], s[None, :]]
-    lam = np.clip(np.linalg.eigvalsh(hermitize(compressed)), 0.0, None)
+    lam = np.clip(eigvalsh(hermitize(compressed)), 0.0, None)
     return float(np.sum(np.sqrt(lam)) ** 2) / plan.dim
 
 
@@ -450,16 +456,19 @@ class AsymptoticRun:
     fidelities: np.ndarray
 
     def to_dict(self) -> dict:
-        return {
-            "n_messages": self.n_messages,
-            "delta": self.delta,
-            "trials": self.trials,
-            "seed": self.seed,
-            "qubit_rate_used": self.qubit_rate_used,
-            "bit_rate_used": self.bit_rate_used,
-            "f_bar": self.f_bar,
-            "f_stderr": self.f_stderr,
-        }
+        out = asdict(self)
+        del out["fidelities"]
+        return out
+
+
+def _draw_block_trial(rng: np.random.Generator, n: int, cdf_p: np.ndarray, cdf_q: np.ndarray):
+    """One block-protocol trial's stream: n messages, their labels, the
+    occupied labels ascending, and one branch uniform per occupied label."""
+    u = rng.random(2 * n)
+    drawn = np.searchsorted(cdf_p, u[:n], side="right")
+    labels = (cdf_q[drawn] <= u[n:, None]).sum(axis=1)
+    occupied = np.flatnonzero(np.bincount(labels))
+    return drawn, labels, occupied, rng.random(len(occupied))
 
 
 def simulate_asymptotic(
@@ -474,70 +483,11 @@ def simulate_asymptotic(
     fidelities; the K factors and the label-conditioned embedding are
     exact on both sides and drop out. Reported rates: mean qubits per
     message actually charged, and the Shannon bound on the label
-    sequence (no entropy coder is run).
+    sequence (no entropy coder is run). This is `rate_sweep` at the
+    one delta `cfg.delta`.
     """
-    if cfg.trials < 1 or cfg.n_messages < 1:
-        raise ValueError("trials and n_messages must be at least 1")
-    max_n = max(b.n for b in d.blocks)
-    if cfg.n_messages * math.log2(max_n) > DESK_SCALE_QUBITS:
-        raise ConfigTooLarge(
-            f"n_messages * log2(max block dim) = "
-            f"{cfg.n_messages * math.log2(max_n):.1f} exceeds {DESK_SCALE_QUBITS}"
-        )
-    num_states, num_blocks = len(e), len(d.blocks)
-    probs = e.probs / e.probs.sum()
-    qmat = np.clip(np.stack([b.q for b in d.blocks], axis=1), 0.0, None)
-    qmat = qmat / qmat.sum(axis=1, keepdims=True)
-    data = _block_data(d, tol)
-    plans: dict[tuple[int, int], _CompressionPlan] = {}
-
-    def plan_for(l: int, size: int) -> _CompressionPlan:
-        key = (l, size)
-        if key not in plans:
-            plans[key] = _compression_plan(data[l].spectrum, size, cfg.delta)
-        return plans[key]
-
-    fidelities = np.empty(cfg.trials)
-    qubit_rates = np.empty(cfg.trials)
-    for t in range(cfg.trials):
-        rng = np.random.default_rng([cfg.seed, t])
-        drawn = rng.choice(num_states, size=cfg.n_messages, p=probs)
-        labels = np.array(
-            [rng.choice(num_blocks, p=qmat[i]) for i in drawn], dtype=np.int64
-        )
-        f_trial, qubits = 1.0, 0
-        for l in range(num_blocks):
-            members = [int(drawn[j]) for j in np.nonzero(labels == l)[0]]
-            if not members:
-                continue
-            plan = plan_for(l, len(members))
-            u = rng.random()  # always drawn: keeps streams paired across deltas
-            if plan.full:
-                f_group = 1.0
-            else:
-                diag_rows = np.stack([data[l].diag[i] for i in members])
-                w = _overlap_weight(plan, diag_rows)
-                if u <= w:
-                    f_group = w
-                else:
-                    f_group = _failure_fidelity(plan, data[l], members, w)
-            qubits += plan.qubits
-            f_trial *= f_group
-        fidelities[t] = f_trial
-        qubit_rates[t] = qubits / cfg.n_messages
-
-    stderr = float(fidelities.std(ddof=1) / np.sqrt(cfg.trials)) if cfg.trials > 1 else 0.0
-    return AsymptoticRun(
-        n_messages=cfg.n_messages,
-        delta=cfg.delta,
-        trials=cfg.trials,
-        seed=cfg.seed,
-        qubit_rate_used=float(qubit_rates.mean()),
-        bit_rate_used=shannon_entropy(d.p_block, tol),
-        f_bar=float(fidelities.mean()),
-        f_stderr=stderr,
-        fidelities=fidelities,
-    )
+    (run,) = rate_sweep(e, d, cfg.n_messages, [cfg.delta], cfg.trials, cfg.seed, tol)
+    return run
 
 
 def rate_sweep(
@@ -551,14 +501,59 @@ def rate_sweep(
 ) -> list[AsymptoticRun]:
     """One block-protocol run per slack value, sharing the master seed.
 
-    Sharing the seed pairs the runs: every delta sees the same drawn
-    messages, labels and branch uniforms, so rate comparisons are
-    low-variance. Results come back sorted by delta.
+    Each trial is drawn once and scored at every delta, so all runs see
+    the same messages, labels and branch uniforms, and rate comparisons
+    are low-variance. Results come back sorted by delta.
     """
-    runs = [
-        simulate_asymptotic(
-            e, d, AsymptoticConfig(n_messages=n_messages, delta=float(dv), trials=trials, seed=seed), tol
+    deltas = sorted(float(dv) for dv in deltas)
+    if not deltas:
+        return []
+    if trials < 1 or n_messages < 1:
+        raise ValueError("trials and n_messages must be at least 1")
+    n, max_n = n_messages, max(b.n for b in d.blocks)
+    if n * math.log2(max_n) > DESK_SCALE_QUBITS:
+        raise ConfigTooLarge(
+            f"n_messages * log2(max block dim) = "
+            f"{n * math.log2(max_n):.1f} exceeds {DESK_SCALE_QUBITS}"
         )
-        for dv in deltas
+    cdf_p, cdf_q = _pick_cdfs(e, d)
+    data = _block_data(d, tol)
+    plans: dict[tuple[int, int, float], _CompressionPlan] = {}
+    fidelities = np.ones((len(deltas), trials))
+    qubits = np.zeros((len(deltas), trials), dtype=np.int64)
+    for t in range(trials):
+        drawn, labels, occupied, branch = _draw_block_trial(
+            np.random.default_rng([seed, t]), n, cdf_p, cdf_q
+        )
+        for l, u_group in zip(occupied.tolist(), branch):
+            members = drawn[labels == l].tolist()
+            diag_rows = sums = None
+            for k, delta in enumerate(deltas):
+                key = (l, len(members), delta)
+                if key not in plans:
+                    plans[key] = _compression_plan(data[l].spectrum, len(members), delta)
+                plan = plans[key]
+                qubits[k, t] += plan.qubits
+                if plan.full:
+                    continue  # group fidelity 1
+                if sums is None:
+                    diag_rows = np.stack([data[l].diag[i] for i in members])
+                    sums = _class_sums(diag_rows)
+                w = _overlap_weight(plan, diag_rows, sums)
+                fidelities[k, t] *= w if u_group <= w else _failure_fidelity(plan, data[l], members, w)
+
+    bit_rate = shannon_entropy(d.p_block, tol)
+    return [
+        AsymptoticRun(
+            n_messages=n,
+            delta=delta,
+            trials=trials,
+            seed=seed,
+            qubit_rate_used=float((q / n).mean()),
+            bit_rate_used=bit_rate,
+            f_bar=float(f.mean()),
+            f_stderr=float(f.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0,
+            fidelities=f,
+        )
+        for delta, f, q in zip(deltas, fidelities, qubits)
     ]
-    return sorted(runs, key=lambda r: r.delta)

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from kidecomp import cli
 from kidecomp.cli import main
 from kidecomp.ensemble import Ensemble, load_ensemble, save_ensemble
 
@@ -140,6 +141,24 @@ def test_exit_code_svd_failure(two_pure_file, monkeypatch, capsys):
     monkeypatch.setattr(np.linalg, "svd", fail)
     assert main(["decompose", two_pure_file]) == 3
     assert "numerical failure: SVD did not converge" in capsys.readouterr().err
+
+
+def test_exit_code_rate_sweep_lapack_failure(two_pure_file, monkeypatch, capsys):
+    # the decomposition succeeds; LAPACK fails only inside the simulator
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    def sweep_without_lapack(*args, **kwargs):
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        return real_sweep(*args, **kwargs)
+
+    real_sweep = cli.rate_sweep
+    monkeypatch.setattr(cli, "rate_sweep", sweep_without_lapack)
+    assert main(["rate-sweep", two_pure_file, "--trials", "5", "-N", "4"]) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure: Eigenvalues did not converge" in err
+    assert "Traceback" not in err
 
 
 def test_exit_code_validation_error(tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from kidecomp.errors import ConvergenceFailure, NotHermitian, NotPSD
-from kidecomp.linalg import eig_hermitian, nullspace, orthonormalize_hs, psd_sqrt
+from kidecomp.linalg import eig_hermitian, eigh, eigvalsh, nullspace, orthonormalize_hs, polar_unitary, psd_sqrt, svd
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -151,5 +151,25 @@ def test_svd_failure_is_typed(monkeypatch, call):
         raise np.linalg.LinAlgError("SVD did not converge")
 
     monkeypatch.setattr(np.linalg, "svd", fail)
+    with pytest.raises(ConvergenceFailure, match="did not converge"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "routine, call",
+    [
+        ("svd", lambda: svd(PAULI_X)),
+        ("svd", lambda: polar_unitary(PAULI_X)),
+        ("eigh", lambda: eigh(PAULI_X)),
+        ("eigh", lambda: eig_hermitian(PAULI_X)),
+        ("eigvalsh", lambda: eigvalsh(PAULI_X)),
+    ],
+    ids=["svd", "polar_unitary", "eigh", "eig_hermitian", "eigvalsh"],
+)
+def test_lapack_failure_is_typed(monkeypatch, routine, call):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("did not converge")
+
+    monkeypatch.setattr(np.linalg, routine, fail)
     with pytest.raises(ConvergenceFailure, match="did not converge"):
         call()

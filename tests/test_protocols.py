@@ -10,6 +10,13 @@ from kidecomp.measures import info_measures
 from kidecomp.oracles import PlantSpec, planted_ensemble
 from kidecomp.protocols import (
     AsymptoticConfig,
+    _block_data,
+    _class_sums,
+    _compression_plan,
+    _draw_block_trial,
+    _failure_fidelity,
+    _overlap_weight,
+    _pick_cdfs,
     rate_sweep,
     simulate_asymptotic,
     simulate_individual,
@@ -68,6 +75,20 @@ def test_individual_reproducible():
     r2, s2 = simulate_individual(e, d, trials=100, seed=5)
     assert r1 == r2
     assert s1 == s2
+
+
+def test_report_key_order():
+    # the CLI reports serialize to_dict() in order
+    e, d = two_pure()
+    _, summary = simulate_individual(e, d, trials=10, seed=0)
+    assert list(summary.to_dict()) == [
+        "trials", "seed", "mean_ebits", "stderr_ebits", "max_ebits", "ebits_consumed_expected",
+        "ebits_prepared_bound", "min_conditional_fidelity", "mixture_residual",
+    ]
+    run = simulate_asymptotic(e, d, AsymptoticConfig(n_messages=4, delta=0.0, trials=5, seed=0))
+    assert list(run.to_dict()) == [
+        "n_messages", "delta", "trials", "seed", "qubit_rate_used", "bit_rate_used", "f_bar", "f_stderr",
+    ]
 
 
 # -- typicality --------------------------------------------------------------
@@ -208,3 +229,96 @@ def test_mixed_block_states_exact_fidelity_path():
     assert 0.0 < run.f_bar < 1.0
     run_hi = simulate_asymptotic(e, d, AsymptoticConfig(n_messages=6, delta=0.6, trials=150, seed=7))
     assert run_hi.f_bar >= run.f_bar
+
+
+# -- paired streams against the one-choice-per-draw reference ---------------
+#
+# The simulators draw each trial's uniforms in bulk and pick by searchsorted.
+# The reference below is the loop they replaced: one Generator.choice per
+# state and per label, one random() per occupied group, and every delta run
+# as its own pass over the trials. Results must match it bit for bit.
+
+BENCH_PLANTS = {"2x1,1x2": ((2, 1), (1, 2)), "3x1,2x2": ((3, 1), (2, 2))}
+
+
+@pytest.fixture(scope="module", params=sorted(BENCH_PLANTS))
+def bench_plant(request):
+    e, _ = planted_ensemble(PlantSpec(blocks=BENCH_PLANTS[request.param], num_states=3, seed=1))
+    return e, ki_decompose(e)
+
+
+def reference_weights(e, d):
+    qmat = np.clip(np.stack([b.q for b in d.blocks], axis=1), 0.0, None)
+    return e.probs / e.probs.sum(), qmat / qmat.sum(axis=1, keepdims=True)
+
+
+def reference_block_trial(e, d, n, rng):
+    probs, qmat = reference_weights(e, d)
+    drawn = rng.choice(len(e), size=n, p=probs)
+    labels = np.array([rng.choice(len(d.blocks), p=qmat[i]) for i in drawn], dtype=np.int64)
+    occupied = [l for l in range(len(d.blocks)) if np.any(labels == l)]
+    return drawn, labels, occupied, [rng.random() for _ in occupied]
+
+
+def reference_fidelities(e, d, n, delta, trials, seed):
+    data = _block_data(d, 1e-9)
+    fids, rates = np.empty(trials), np.empty(trials)
+    for t in range(trials):
+        drawn, labels, occupied, uniforms = reference_block_trial(
+            e, d, n, np.random.default_rng([seed, t])
+        )
+        f_trial, qubits = 1.0, 0
+        for l, u in zip(occupied, uniforms):
+            members = [int(i) for i in drawn[labels == l]]
+            plan = _compression_plan(data[l].spectrum, len(members), delta)
+            f_group = 1.0
+            if not plan.full:
+                rows = np.stack([data[l].diag[i] for i in members])
+                w = _overlap_weight(plan, rows, _class_sums(rows))
+                f_group = w if u <= w else _failure_fidelity(plan, data[l], members, w)
+            qubits += plan.qubits
+            f_trial *= f_group
+        fids[t], rates[t] = f_trial, qubits / n
+    return fids, float(rates.mean())
+
+
+def test_individual_stream_matches_choice_reference(bench_plant):
+    e, d = bench_plant
+    probs, qmat = reference_weights(e, d)
+    for seed in (0, 5, 7919):
+        records, _ = simulate_individual(e, d, trials=400, seed=seed)
+        ref_states, ref_blocks = [], []
+        for t in range(400):
+            rng = np.random.default_rng([seed, t])
+            i = int(rng.choice(len(e), p=probs))
+            ref_states.append(i)
+            ref_blocks.append(int(rng.choice(len(d.blocks), p=qmat[i])))
+        assert np.array_equal([r.state for r in records], ref_states)
+        assert np.array_equal([r.block for r in records], ref_blocks)
+
+
+def test_block_stream_matches_choice_reference(bench_plant):
+    e, d = bench_plant
+    cdf_p, cdf_q = _pick_cdfs(e, d)
+    for seed in (0, 5, 7919):
+        for t in range(60):
+            drawn, labels, occupied, uniforms = _draw_block_trial(
+                np.random.default_rng([seed, t]), 12, cdf_p, cdf_q
+            )
+            ref = reference_block_trial(e, d, 12, np.random.default_rng([seed, t]))
+            for got, want in zip((drawn, labels, occupied, uniforms), ref):
+                assert np.array_equal(got, want)
+
+
+def test_rate_sweep_matches_per_delta_reference(bench_plant):
+    e, d = bench_plant
+    deltas = [0.25, -0.25, 0.0, 0.25]  # unsorted, with a duplicate
+    runs = rate_sweep(e, d, 8, deltas, trials=40, seed=3)
+    assert [r.delta for r in runs] == sorted(deltas)
+    for run in runs:
+        fids, rate = reference_fidelities(e, d, 8, run.delta, 40, 3)
+        assert np.array_equal(run.fidelities, fids)
+        assert run.qubit_rate_used == rate
+        single = simulate_asymptotic(e, d, AsymptoticConfig(n_messages=8, delta=run.delta, trials=40, seed=3))
+        assert np.array_equal(single.fidelities, run.fidelities)
+        assert single.to_dict() == run.to_dict()
