@@ -1,12 +1,14 @@
-"""Finite-dimensional operator algebras: closure, commutants, irreducible blocks.
+"""Finite-dimensional operator algebras: commutants, centers, irreducible blocks.
 
 A unital *-closed product-closed operator space acting on C^d is
 unitarily equivalent to a direct sum of factors, each acting as
 (full matrix algebra on C^n) tensor (identity on C^k). This module
-computes that structure numerically: the algebra generated by a set of
-operators, its commutant (solved from the generators), its center
-(solved inside the commutant), and the block isometries exhibiting the
-(n, k) factorization.
+computes that structure numerically from a generating set alone: the
+span of the identity, the generators and their adjoints, its commutant
+(equal to the commutant of the generated algebra), the center (solved
+inside the commutant), and the block isometries exhibiting the (n, k)
+factorization. The closure `generate_algebra`, which builds the whole
+algebra basis, is kept as a reference for tests.
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ class OperatorBasis:
     """HS-orthonormal basis of an operator space, with a generating set.
 
     `generators` spans a set whose commutant equals the commutant of the
-    space: `generate_algebra` stores its orthonormalized seed span
-    {I, g_i, g_i^dagger}; any other basis uses its own elements.
+    space: `generate_algebra` stores the `generator_span` of its
+    generators; any other basis uses its own elements.
     """
 
     dim: int
@@ -68,14 +70,14 @@ class OperatorBasis:
         }
 
 
-def generate_algebra(generators, dim: int, tol: float = DEFAULT_TOL) -> OperatorBasis:
-    """Smallest unital *-closed algebra containing the generators.
+def generator_span(generators, dim: int, tol: float = DEFAULT_TOL) -> OperatorBasis:
+    """HS-orthonormal basis of span{I, g_i, g_i^dagger}.
 
-    Breadth-first closure: each round multiplies all current basis pairs
-    and re-orthonormalizes; the loop ends when a round adds no new
-    direction, which is exactly the product-closure condition at the
-    rank threshold. Bounded by dim^2 basis elements. The orthonormalized
-    seed span {I, g_i, g_i^dagger} is kept as the result's `generators`.
+    The span is closed under adjoint and contains the identity, so its
+    commutant, its intertwiners between irreducible blocks and its
+    block-form residuals are those of the algebra the generators
+    generate; `irrep_decompose` factors that algebra from this span
+    without building the algebra's own basis.
     """
     gens = [as_complex_matrix(g) for g in generators]
     if any(g.shape[0] != dim for g in gens):
@@ -84,8 +86,22 @@ def generate_algebra(generators, dim: int, tol: float = DEFAULT_TOL) -> Operator
     for g in gens:
         seed.append(g)
         seed.append(g.conj().T)
-    basis = orthonormalize_hs(seed, tol)
-    gen_span = np.stack(basis)
+    return OperatorBasis(dim=dim, mats=np.stack(orthonormalize_hs(seed, tol)))
+
+
+def generate_algebra(generators, dim: int, tol: float = DEFAULT_TOL) -> OperatorBasis:
+    """Smallest unital *-closed algebra containing the generators.
+
+    Breadth-first closure: each round multiplies all current basis pairs
+    and re-orthonormalizes; the loop ends when a round adds no new
+    direction, which is exactly the product-closure condition at the
+    rank threshold. Bounded by dim^2 basis elements. The `generator_span`
+    it starts from is kept as the result's `generators`. Nothing in the
+    package calls it; it is the reference that tests compare the
+    generator-only pipeline against.
+    """
+    gen_span = generator_span(generators, dim, tol).mats
+    basis = list(gen_span)
     while True:
         cur = np.stack(basis)
         prods = np.einsum("aij,bjk->abik", cur, cur).reshape(-1, dim, dim)
@@ -257,8 +273,8 @@ def _attempt_blocks(
         blocks.append(block)
     if sum(b.n * b.k for b in blocks) != d:
         raise _ProbeRetry("block dimensions do not add up to dim")
-    if sum(b.n * b.n for b in blocks) != a.size:
-        raise _ProbeRetry("block squares do not add up to the algebra dimension")
+    if sum(b.k * b.k for b in blocks) != comm.size:
+        raise _ProbeRetry("multiplicity squares do not add up to the commutant dimension")
     return blocks
 
 
@@ -272,14 +288,20 @@ def canonical_block_order(blocks: list[IrrepBlock], first_generator: np.ndarray)
 
 
 def irrep_decompose(a: OperatorBasis, seed: int, tol: float = DEFAULT_TOL) -> list[IrrepBlock]:
-    """Factor the representation of `a` into irreducible blocks with multiplicity.
+    """Factor the algebra generated by `a` into irreducible blocks with multiplicity.
 
-    Random self-adjoint probes from the center split C^dim into the
-    central blocks; probes from the commutant split each block into k
-    equivalent copies of the n-dimensional irreducible subspace, glued
-    by Schur intertwiners. Probes are drawn from the passed seed only;
-    after PROBE_RETRIES failed draws the input tolerance is presumed
-    misconfigured and DegenerateSample is raised.
+    `a` is a `generator_span` (or any adjoint-closed span containing the
+    identity, the whole algebra included); no closure is built. Random
+    self-adjoint probes from the center split C^dim into the central
+    blocks; probes from the commutant split each block into k equivalent
+    copies of the n-dimensional irreducible subspace, glued by Schur
+    intertwiners solved from the elements of `a`, which intertwine the
+    generated algebra exactly when they intertwine `a`. A split is
+    accepted when every element of `a` takes the block form and the
+    squares of the multiplicities add up to the commutant dimension.
+    Probes are drawn from the passed seed only; after PROBE_RETRIES
+    failed draws the input tolerance is presumed misconfigured and
+    DegenerateSample is raised.
     """
     comm = commutant(a, tol)
     centers = center_basis(comm, tol)
@@ -293,5 +315,5 @@ def irrep_decompose(a: OperatorBasis, seed: int, tol: float = DEFAULT_TOL) -> li
         except _ProbeRetry as exc:
             last = str(exc)
             continue
-        return canonical_block_order(blocks, a.mats[0])
+        return canonical_block_order(blocks, a.generators[0])
     raise DegenerateSample(f"probes failed {PROBE_RETRIES} times; last failure: {last}")

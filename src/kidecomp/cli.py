@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 parse/validation failure, 3 numerical failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -263,7 +264,9 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The parser, built once per process: `parse_args` leaves it unchanged."""
     p = _Parser(prog="kidecomp", description=__doc__)
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)

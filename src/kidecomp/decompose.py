@@ -5,7 +5,9 @@ The pipeline restricts the ensemble onto the support of its average
 state, factors the operator algebra generated by the restricted states
 into irreducible blocks, reads off per-state weights and block states,
 and finally merges blocks that carry proportional weights and unitarily
-equal irreducible states. The merged structure is the coarsest one in
+equal irreducible states. The block structure is solved from the
+states alone (their span with the identity and adjoints); the algebra
+they generate is never built. The merged structure is the coarsest one in
 which every state takes the form
 
     rho_i = directsum_l  q[i,l] * (rho_J[i,l] tensor rho_K[l])
@@ -21,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import block_form_split, commutant, generate_algebra, irrep_decompose
+from .algebra import block_form_split, commutant, generator_span, irrep_decompose
 from .ensemble import (
     Ensemble,
     SupportFrame,
@@ -239,17 +241,17 @@ def _merge_to_fixpoint(blocks: list[KIBlock], tol: float) -> list[KIBlock]:
 def ki_decompose(e: Ensemble, seed: int = 0, tol: float = DEFAULT_TOL) -> KIDecomposition:
     """Compute the canonical block decomposition of a valid ensemble.
 
-    Pipeline: restrict onto the support of the average state, generate
-    the operator algebra of the restricted states, split it into
-    irreducible blocks, extract per-state weights and J states, then
+    Pipeline: restrict onto the support of the average state, split the
+    algebra generated by the restricted states into irreducible blocks
+    (solved from the span of the states, their adjoints and the
+    identity; no closure runs), extract per-state weights and J states, then
     greedily merge weight-proportional unitarily-equal blocks to a
     fixpoint. Output block order and phases are canonical, so identical
     (input, seed, tol) gives identical output.
     """
     require_valid(e, tol)
     frame, er = support_restrict(e, tol)
-    alg = generate_algebra(list(er.states), er.dim, tol)
-    irreps = irrep_decompose(alg, seed, tol)
+    irreps = irrep_decompose(generator_span(list(er.states), er.dim, tol), seed, tol)
     blocks: list[KIBlock] = []
     for ib in irreps:
         q, sigmas = _extract_block_data(ib.isometry, ib.n, ib.k, er.states, tol)
@@ -325,7 +327,9 @@ def verify(
     """Check a decomposition against its ensemble; reports, never raises.
 
     Covered: per-state reconstruction, weight normalization, per-block
-    irreducibility of the J states, pairwise non-mergeability, and
+    irreducibility of the J states (the commutant of their span is the
+    scalars, so by the double commutant theorem they generate the full
+    n x n matrix algebra), pairwise non-mergeability, and
     preservation of every state under random structure-respecting
     channels (identity on J, unitary on K plus environment, environment
     traced out).
@@ -356,8 +360,7 @@ def verify(
             gens = [b.rho_J[i] for i in _support_set(b.q) if b.rho_J[i] is not None]
             if not gens:
                 return CheckResult(f"irreducible_block_{l}", False, float("inf"), "no states")
-            alg = generate_algebra(gens, b.n, tol)
-            comm_dim = commutant(alg, tol).size
+            comm_dim = commutant(generator_span(gens, b.n, tol), tol).size
             return CheckResult(
                 f"irreducible_block_{l}",
                 comm_dim == 1,

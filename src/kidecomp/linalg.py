@@ -64,6 +64,14 @@ def eigvalsh(a: np.ndarray) -> np.ndarray:
         raise ConvergenceFailure(str(exc)) from exc
 
 
+def qr(a: np.ndarray):
+    """`np.linalg.qr`, raising ConvergenceFailure where LAPACK gives up."""
+    try:
+        return np.linalg.qr(a)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(str(exc)) from exc
+
+
 @dataclass(frozen=True)
 class HermitianEigen:
     """Spectral factorization: ascending real eigenvalues, orthonormal column eigenvectors."""

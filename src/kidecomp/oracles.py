@@ -13,11 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import commutant, generate_algebra
+from .algebra import commutant, generator_span
 from .decompose import KIBlock, KIDecomposition
 from .ensemble import Ensemble, SupportFrame
 from .errors import RejectionExhausted
-from .linalg import DEFAULT_TOL, eigh, frob, hermitize
+from .linalg import DEFAULT_TOL, eigh, frob, hermitize, qr
 
 MAX_RESAMPLES = 64
 Q_RATIO_SPREAD = 1e-3
@@ -33,7 +33,7 @@ def haar_unitary(dim: int, seed=0) -> np.ndarray:
         raise ValueError("dim must be at least 1")
     rng = np.random.default_rng(seed)
     z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2)
-    q, r = np.linalg.qr(z)
+    q, r = qr(z)
     d = np.diag(r)
     return q * (d / np.abs(d))
 
@@ -90,13 +90,16 @@ def _draw_weights(spec: PlantSpec, rng: np.random.Generator) -> np.ndarray:
 
 
 def _draw_block_states(n: int, num_states: int, rng: np.random.Generator, tol: float) -> list[np.ndarray]:
-    """J states whose generated algebra is the full n x n matrix algebra."""
+    """J states whose generated algebra is the full n x n matrix algebra.
+
+    Accepted when the commutant of their span is the scalars: by the
+    double commutant theorem that is the full matrix algebra.
+    """
     if n == 1:
         return [np.ones((1, 1), dtype=complex) for _ in range(num_states)]
     for _ in range(MAX_RESAMPLES):
         sigmas = [random_density(n, rng) for _ in range(num_states)]
-        alg = generate_algebra(sigmas, n, tol)
-        if alg.size == n * n and commutant(alg, tol).size == 1:
+        if commutant(generator_span(sigmas, n, tol), tol).size == 1:
             return sigmas
     raise RejectionExhausted(
         f"could not realize an irreducible {n}-dimensional block with "

@@ -10,10 +10,11 @@ from kidecomp.algebra import (
     commutant,
     compress_to_block,
     generate_algebra,
+    generator_span,
     irrep_decompose,
 )
 from kidecomp.ensemble import support_restrict
-from kidecomp.oracles import PlantSpec, haar_unitary, planted_ensemble
+from kidecomp.oracles import PlantSpec, haar_unitary, planted_ensemble, random_density
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -165,3 +166,77 @@ def test_generator_commutant_matches_full_basis(blocks, num_states, seed):
     # (its K state has distinct eigenvalues) before the merge joins them
     irreps = irrep_decompose(a, seed=0)
     assert len(center_basis(comm)) == len(irreps) == sum(b.k for b in truth.blocks)
+
+
+def test_generator_span_is_the_closure_seed():
+    gens = [np.kron(PAULI_X, I2), np.kron(PAULI_Z, I2)]
+    span = generator_span(gens, 4)
+    assert span.size == 3  # I, X (x) 1, Z (x) 1
+    assert span.generators is span.mats
+    assert np.array_equal(generate_algebra(gens, 4).generators, span.mats)
+    with pytest.raises(ValueError):
+        generator_span([PAULI_X], 4)
+
+
+def _hidden_multiplicity_generators(blocks, num_states, seed):
+    """States (+) h_il (x) 1_k behind a Haar rotation: irreps of multiplicity k before any merge."""
+    rng = np.random.default_rng(seed)
+    d = sum(n * k for n, k in blocks)
+    u = haar_unitary(d, rng)
+    gens = []
+    for _ in range(num_states):
+        m = np.zeros((d, d), dtype=complex)
+        o = 0
+        for n, k in blocks:
+            m[o : o + n * k, o : o + n * k] = np.kron(random_density(n, rng), np.eye(k))
+            o += n * k
+        gens.append(u @ m @ u.conj().T)
+    return gens
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(
+    blocks=st.lists(st.sampled_from(PLANT_SHAPES), min_size=1, max_size=3).filter(
+        lambda bs: sum(n * k for n, k in bs) <= 8
+    ),
+    num_states=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_generator_span_factors_like_the_closure(blocks, num_states, seed):
+    gens = _hidden_multiplicity_generators(blocks, num_states, seed)
+    d = gens[0].shape[0]
+    from_span = irrep_decompose(generator_span(gens, d), seed=0)
+    from_closure = irrep_decompose(generate_algebra(gens, d), seed=0)
+    assert [(b.n, b.k) for b in from_span] == [(b.n, b.k) for b in from_closure]
+    for x, y in zip(from_span, from_closure):
+        px = x.isometry @ x.isometry.conj().T
+        py = y.isometry @ y.isometry.conj().T
+        assert np.linalg.norm(px - py) <= 1e-8
+        # same Schur intertwiners: the (a, j) columns agree, not only their span
+        assert np.linalg.norm(x.isometry - y.isometry) <= 1e-8
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(2, 5),
+    num_states=st.integers(1, 3),
+    split=st.integers(0, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_scalar_commutant_iff_closure_is_full_matrix_algebra(n, num_states, split, seed):
+    # split > 0 (and < n) hides a two-block direct sum, so the set is reducible
+    rng = np.random.default_rng(seed)
+    cut = split if 0 < split < n else 0
+    u = haar_unitary(n, rng)
+    states = []
+    for _ in range(num_states):
+        if cut:
+            m = np.zeros((n, n), dtype=complex)
+            m[:cut, :cut] = random_density(cut, rng) * rng.random()
+            m[cut:, cut:] = random_density(n - cut, rng)
+            states.append(u @ m @ u.conj().T / np.trace(m).real)
+        else:
+            states.append(random_density(n, rng))
+    irreducible = commutant(generator_span(states, n)).size == 1
+    assert irreducible == (generate_algebra(states, n).size == n * n)
+    assert irreducible == (not cut and num_states >= 2)

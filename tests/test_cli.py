@@ -161,6 +161,33 @@ def test_exit_code_rate_sweep_lapack_failure(two_pure_file, monkeypatch, capsys)
     assert "Traceback" not in err
 
 
+def test_exit_code_qr_failure(tmp_path, monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("QR did not converge")
+
+    monkeypatch.setattr(np.linalg, "qr", fail)
+    assert main(["gen", "-o", str(tmp_path / "x.json"), "--blocks", "2x1,1x2"]) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure: QR did not converge" in err
+    assert "Traceback" not in err
+
+
+def test_repeated_main_calls_share_no_state(two_pure_file, tmp_path):
+    # the parser is built once per process; no option may carry over
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    assert main(["verify", two_pure_file, "--channels", "3", "--seed", "4", "-o", str(a)]) == 0
+    assert main(["verify", two_pure_file, "-o", str(b)]) == 0
+    first, second = _report(a)["config"], _report(b)["config"]
+    assert (first["channels"], first["seed"]) == (3, 4)
+    assert (second["channels"], second["seed"], second["env_dim"]) == (20, 0, 2)
+    assert second["decomposition"] is None
+    assert main(["verify", two_pure_file, "--channels", "many"]) == 4
+    assert main(["rate-sweep"]) == 4
+    assert main(["measures", two_pure_file, "--format", "text", "-o", str(a)]) == 0
+    assert main(["measures", two_pure_file, "-o", str(b)]) == 0
+    assert _report(b)["config"]["format"] == "json"
+
+
 def test_exit_code_validation_error(tmp_path):
     bad = tmp_path / "sum.json"
     bad.write_text('{"dim": 1, "states": [{"p": 0.7, "matrix": [[[1.0, 0.0]]]}]}')

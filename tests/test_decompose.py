@@ -13,7 +13,6 @@ from kidecomp.decompose import (
     write_decomposition,
 )
 from kidecomp.ensemble import Ensemble, validate
-from kidecomp.errors import KidecompError
 from kidecomp.measures import info_measures
 from kidecomp.oracles import PlantSpec, haar_unitary, planted_ensemble
 
@@ -110,29 +109,36 @@ def test_planted_recovery():
         )
 
 
-def test_planted_recovery_d16():
-    e, truth = planted_ensemble(PlantSpec(blocks=((4, 3), (2, 2)), num_states=3, seed=1))
-    d = ki_decompose(e, seed=0)
+def _assert_recovers_plant(e, truth, seed=0):
+    d = ki_decompose(e, seed=seed)
     assert [(b.n, b.k) for b in d.blocks] == [(b.n, b.k) for b in truth.blocks]
     m, mt = info_measures(d, e), info_measures(truth, e)
     assert m.info_classical == pytest.approx(mt.info_classical, abs=1e-9)
     assert m.info_nonclassical == pytest.approx(mt.info_nonclassical, abs=1e-9)
     assert m.info_redundant == pytest.approx(mt.info_redundant, abs=1e-9)
+    return d
+
+
+def test_planted_recovery_d16():
+    e, truth = planted_ensemble(PlantSpec(blocks=((4, 3), (2, 2)), num_states=3, seed=1))
+    _assert_recovers_plant(e, truth)
+
+
+def test_planted_recovery_d26():
+    e, truth = planted_ensemble(PlantSpec(blocks=((5, 3), (4, 2), (3, 1)), num_states=3, seed=1))
+    d = _assert_recovers_plant(e, truth)
+    assert verify(d, e).ok
 
 
 def test_overshooting_closure_never_gives_wrong_shapes():
-    # The closure of this plant overshoots to dim A = 121 = d^2. Solved over
-    # the full basis, the commutant followed the overshoot and the result was
-    # one 11x1 block with I_NC 2.93 bits instead of 1.59. The generator
-    # commutant keeps the true structure, so the block-square check rejects
-    # the closure (DegenerateSample); with 2 BLAS threads the closure's SVD
-    # fails first (ConvergenceFailure).
-    e, truth = planted_ensemble(PlantSpec(blocks=((4, 2), (3, 1)), num_states=3, seed=1041457616003))
-    try:
-        d = ki_decompose(e, seed=0)
-    except KidecompError:
-        return
-    assert [(b.n, b.k) for b in d.blocks] == [(b.n, b.k) for b in truth.blocks]
+    # The algebra closure broke on these plants: its SVD did not converge for
+    # 7003 and 1041457616003 with 2 BLAS threads and for 31003 with 1, and
+    # for 1041457616003 it overshot to dim A = 121 = d^2 (one 11x1 block,
+    # I_NC 2.93 bits instead of 1.59). Solved from the states alone, each
+    # must recover its plant exactly. Pairs are (plant seed, probe seed).
+    for plant_seed, probe_seed in ((1041457616003, 0), (7003, 7), (31003, 31)):
+        e, truth = planted_ensemble(PlantSpec(blocks=((4, 2), (3, 1)), num_states=3, seed=plant_seed))
+        _assert_recovers_plant(e, truth, seed=probe_seed)
 
 
 def test_planted_multiplicity_block():
