@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSample, DimensionOverflow
-from .linalg import DEFAULT_TOL, as_complex_matrix, eigh, hermitize, nullspace, orthonormalize_hs, polar_unitary, svd
+from .linalg import DEFAULT_TOL, as_complex_matrix, eigh, hermitize, nullspace, orthonormalize_hs, pivot_phase, polar_unitary
 
 PROBE_RETRIES = 8
 
@@ -186,30 +186,22 @@ def _cluster_ascending(values: np.ndarray, tol: float) -> list[np.ndarray]:
     return groups
 
 
-def _fix_phase(t: np.ndarray) -> np.ndarray:
-    """Scale so the largest-magnitude entry of the first column is real positive."""
-    col = t[:, 0]
-    pivot = col[int(np.argmax(np.abs(col)))]
-    if abs(pivot) == 0.0:
-        return t
-    return t * (abs(pivot) / pivot)
+def intertwiner_space(a_mats, b_mats, tol: float, floor: float) -> np.ndarray:
+    """Basis (m, n, n) of the matrices T with T a_c = b_c T for every pair (a_c, b_c).
 
-
-def _solve_intertwiner(b1: np.ndarray, bj: np.ndarray, tol: float) -> np.ndarray:
-    """Unitary T with T b1_c = bj_c T for all c; Schur gives a 1-dim solution space."""
-    n = b1.shape[1]
+    The stacked maps T -> T a_c - b_c T are cut at sqrt(tol) relative to
+    max(top singular value, floor), as in `nullspace`. By Schur's lemma
+    two irreducible sets give one direction when they are unitarily
+    equivalent and none otherwise. For n = 1 the identity is returned
+    unchecked; callers test the result against their own residuals.
+    """
+    n = a_mats[0].shape[0]
     if n == 1:
-        return np.eye(1, dtype=complex)
+        return np.ones((1, 1, 1), dtype=complex)
     eye = np.eye(n, dtype=complex)
-    rows = [np.kron(eye, b1[c].T) - np.kron(bj[c], eye) for c in range(len(b1))]
-    stack = np.concatenate(rows, axis=0)
-    _, s, vh = svd(stack)
-    if s[0] <= 0 or s[-1] > np.sqrt(tol) * s[0]:
-        raise _ProbeRetry("no intertwiner direction found")
-    if len(s) >= 2 and s[-2] <= np.sqrt(tol) * s[0]:
-        raise _ProbeRetry("intertwiner space not one-dimensional")
-    t = vh[-1].conj().reshape(n, n)
-    return _fix_phase(polar_unitary(t))
+    rows = [np.kron(eye, a.T) - np.kron(b, eye) for a, b in zip(a_mats, b_mats)]
+    null = nullspace(np.concatenate(rows, axis=0), np.sqrt(tol), floor)
+    return null.T.reshape(-1, n, n)
 
 
 def compress_to_block(block: IrrepBlock, m: np.ndarray) -> np.ndarray:
@@ -258,7 +250,13 @@ def _attempt_blocks(
                 t_j = np.eye(n, dtype=complex)
             else:
                 b_j = np.einsum("pi,cpq,qj->cij", s_j.conj(), alg_r, s_j)
-                t_j = _solve_intertwiner(b_first, b_j, tol)
+                ts = intertwiner_space(b_first, b_j, tol, floor=0.0)
+                if len(ts) == 0:
+                    raise _ProbeRetry("no intertwiner direction found")
+                if len(ts) > 1:
+                    raise _ProbeRetry("intertwiner space not one-dimensional")
+                t_j = polar_unitary(ts[0])
+                t_j = t_j * pivot_phase(t_j[:, 0])
             carried = frame @ (s_j @ t_j)  # (d, n)
             for a_idx in range(n):
                 cols[:, a_idx * k + j] = carried[:, a_idx]

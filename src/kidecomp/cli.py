@@ -16,7 +16,6 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,52 +49,6 @@ _NUMERICAL = (DegenerateSample, FormViolation, ConvergenceFailure, DimensionOver
 _CONFIG = (ConfigTooLarge, RejectionExhausted)
 
 
-@dataclass
-class CliConfig:
-    command: str
-    input_path: str | None = None
-    output_path: str | None = None
-    tol: float = 1e-9
-    seed: int = 0
-    trials: int = 10_000
-    n_messages: int = 8
-    delta: float = 0.25
-    deltas: tuple[float, ...] = (-0.25, 0.0, 0.25)
-    fmt: str = "json"
-    decomposition_path: str | None = None
-    channels: int = 20
-    env_dim: int = 2
-    blocks: tuple[tuple[int, int], ...] = ()
-    num_states: int = 3
-
-    def echo(self) -> dict:
-        # output path excluded: it does not affect the computation and
-        # would break byte-level comparison of otherwise identical runs
-        out = {
-            "command": self.command,
-            "input": self.input_path,
-            "tol": self.tol,
-            "seed": self.seed,
-            "format": self.fmt,
-        }
-        if self.command in ("simulate-individual", "simulate-asymptotic", "rate-sweep"):
-            out["trials"] = self.trials
-        if self.command in ("simulate-asymptotic", "rate-sweep"):
-            out["n_messages"] = self.n_messages
-        if self.command == "simulate-asymptotic":
-            out["delta"] = self.delta
-        if self.command == "rate-sweep":
-            out["deltas"] = list(self.deltas)
-        if self.command == "verify":
-            out["decomposition"] = self.decomposition_path
-            out["channels"] = self.channels
-            out["env_dim"] = self.env_dim
-        if self.command == "gen":
-            out["blocks"] = [f"{n}x{k}" for n, k in self.blocks]
-            out["num_states"] = self.num_states
-        return out
-
-
 def _round12(obj):
     if isinstance(obj, float):
         if obj != obj or obj in (float("inf"), float("-inf")):
@@ -121,33 +74,33 @@ def _flatten(prefix: str, obj, lines: list[str]) -> None:
         lines.append(f"{prefix} = {obj}")
 
 
-def _emit_report(cfg: CliConfig, result, residuals) -> None:
+def _emit_report(cfg: argparse.Namespace, result, residuals) -> None:
     report = {
         "version": __version__,
-        "config": cfg.echo(),
+        "config": _echo(cfg),
         "result": result,
         "residuals": residuals,
     }
     report = _round12(report)
-    if cfg.fmt == "json":
+    if cfg.format == "json":
         text = json.dumps(report, indent=1) + "\n"
     else:
         lines: list[str] = []
         _flatten("", report, lines)
         text = "\n".join(lines) + "\n"
-    if cfg.output_path:
-        with open(cfg.output_path, "w", encoding="utf-8") as fh:
+    if cfg.output:
+        with open(cfg.output, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
-def _decompose_input(cfg: CliConfig):
-    e = load_ensemble(cfg.input_path, cfg.tol)
+def _decompose_input(cfg: argparse.Namespace):
+    e = load_ensemble(cfg.input, cfg.tol)
     return e, ki_decompose(e, seed=cfg.seed, tol=cfg.tol)
 
 
-def run(cfg: CliConfig) -> int:
+def run(cfg: argparse.Namespace) -> int:
     """Execute one command; raises package errors for main() to map."""
     if cfg.command == "decompose":
         e, d = _decompose_input(cfg)
@@ -198,16 +151,16 @@ def run(cfg: CliConfig) -> int:
     if cfg.command == "remove-redundancy":
         e, d = _decompose_input(cfg)
         reduced = remove_redundancy(d, e)
-        if cfg.output_path:
-            save_ensemble(cfg.output_path, reduced)
+        if cfg.output:
+            save_ensemble(cfg.output, reduced)
         else:
             sys.stdout.write(write_ensemble(reduced).decode("utf-8"))
         return 0
 
     if cfg.command == "verify":
-        e = load_ensemble(cfg.input_path, cfg.tol)
-        if cfg.decomposition_path:
-            with open(cfg.decomposition_path, "rb") as fh:
+        e = load_ensemble(cfg.input, cfg.tol)
+        if cfg.decomposition:
+            with open(cfg.decomposition, "rb") as fh:
                 d = read_decomposition(fh.read())
         else:
             d = ki_decompose(e, seed=cfg.seed, tol=cfg.tol)
@@ -219,17 +172,17 @@ def run(cfg: CliConfig) -> int:
         return 0  # failing checks are data, not an error
 
     if cfg.command == "gen":
-        if not cfg.output_path:
+        if not cfg.output:
             raise ValueError("gen requires -o/--output for the ensemble file")
         spec = PlantSpec(blocks=cfg.blocks, num_states=cfg.num_states, seed=cfg.seed)
         e, truth = planted_ensemble(spec, cfg.tol)
         report_ok = validate(e, cfg.tol).ok
-        save_ensemble(cfg.output_path, e)
-        sidecar = _truth_path(cfg.output_path)
+        save_ensemble(cfg.output, e)
+        sidecar = _truth_path(cfg.output)
         truth_report = _round12(
             {
                 "version": __version__,
-                "config": cfg.echo(),
+                "config": _echo(cfg),
                 "result": decomposition_to_doc(truth),
                 "residuals": {"ensemble_valid": report_ok},
             }
@@ -254,9 +207,73 @@ def _parse_blocks(text: str) -> tuple[tuple[int, int], ...]:
         try:
             n, k = part.split("x")
             out.append((int(n), int(k)))
-        except ValueError as exc:
-            raise ValueError(f"bad block spec {part!r}; expected like 2x1") from exc
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"bad block spec {part!r}; expected like 2x1") from None
     return tuple(out)
+
+
+def _floats(text: str) -> tuple[float, ...]:
+    return tuple(float(x) for x in text.split(","))
+
+
+def _positive(text: str) -> float:
+    value = float(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
+
+
+def _count(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+# Every option once: config key -> (flags, add_argument keywords). The key
+# is the parsed attribute and the report's config key; reports echo the
+# options of their command in this order.
+_OPTIONS = {
+    "input": (("input",), {"help": "ensemble file"}),
+    "output": (("-o", "--output"), {"default": None, "help": "output path (default stdout)"}),
+    "tol": (("--tol",), {"type": _positive, "default": 1e-9}),
+    "seed": (("--seed",), {"type": int, "default": 0}),
+    "format": (("--format",), {"choices": ("json", "text"), "default": "json"}),
+    "trials": (("--trials",), {"type": _count, "default": 10_000}),
+    "n_messages": (("-N", "--messages"), {"type": _count, "default": 8}),
+    "delta": (("--delta",), {"type": float, "default": 0.25}),
+    "deltas": (("--deltas",), {"type": _floats, "default": "-0.25,0,0.25", "help": "comma-separated slack values"}),
+    "decomposition": (("--decomposition",), {"default": None, "help": "decomposition file (else recompute)"}),
+    "channels": (("--channels",), {"type": _count, "default": 20}),
+    "env_dim": (("--env-dim",), {"type": _count, "default": 2}),
+    "blocks": (("--blocks",), {"type": _parse_blocks, "required": True, "help": "block shapes, e.g. 2x1,1x2"}),
+    "num_states": (("--num-states",), {"type": int, "default": 3}),
+}
+_COMMON = ("input", "output", "tol", "seed", "format")
+# command -> (help, its options)
+_COMMANDS = {
+    "decompose": ("canonical block decomposition", _COMMON),
+    "measures": ("information split and entanglement costs", _COMMON),
+    "simulate-individual": ("per-message protocol with ebit ledger", _COMMON + ("trials",)),
+    "simulate-asymptotic": ("block compression protocol", _COMMON + ("trials", "n_messages", "delta")),
+    "rate-sweep": ("block protocol over a list of rate slacks", _COMMON + ("trials", "n_messages", "deltas")),
+    "remove-redundancy": ("drop the shared redundant factors", _COMMON),
+    "verify": ("check a decomposition against its ensemble", _COMMON + ("decomposition", "channels", "env_dim")),
+    "gen": ("planted ensemble with ground-truth sidecar", _COMMON[1:] + ("blocks", "num_states")),
+}
+
+
+def _echo(cfg: argparse.Namespace) -> dict:
+    """The report's config block: the command, then its options in `_OPTIONS` order."""
+    shown = {"command": cfg.command}
+    for key in _OPTIONS:
+        # the output path is never echoed: it does not affect the computation
+        # and would break byte-level comparison of otherwise identical runs
+        if key != "output" and key in vars(cfg):
+            shown[key] = getattr(cfg, key)
+    if "blocks" in shown:
+        shown["blocks"] = [f"{n}x{k}" for n, k in shown["blocks"]]
+    return shown
 
 
 class _Parser(argparse.ArgumentParser):
@@ -270,87 +287,20 @@ def _build_parser() -> _Parser:
     p = _Parser(prog="kidecomp", description=__doc__)
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
-
-    def common(sp, needs_input=True):
-        if needs_input:
-            sp.add_argument("input", help="ensemble file")
-        sp.add_argument("-o", "--output", default=None, help="output path (default stdout)")
-        sp.add_argument("--tol", type=float, default=1e-9)
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--format", choices=("json", "text"), default="json")
-
-    common(sub.add_parser("decompose", help="canonical block decomposition"))
-    common(sub.add_parser("measures", help="information split and entanglement costs"))
-
-    sp = sub.add_parser("simulate-individual", help="per-message protocol with ebit ledger")
-    common(sp)
-    sp.add_argument("--trials", type=int, default=10_000)
-
-    sp = sub.add_parser("simulate-asymptotic", help="block compression protocol")
-    common(sp)
-    sp.add_argument("--trials", type=int, default=10_000)
-    sp.add_argument("-N", "--messages", type=int, default=8, dest="messages")
-    sp.add_argument("--delta", type=float, default=0.25)
-
-    sp = sub.add_parser("rate-sweep", help="block protocol over a list of rate slacks")
-    common(sp)
-    sp.add_argument("--trials", type=int, default=10_000)
-    sp.add_argument("-N", "--messages", type=int, default=8, dest="messages")
-    sp.add_argument("--deltas", default="-0.25,0,0.25", help="comma-separated slack values")
-
-    sp = sub.add_parser("remove-redundancy", help="drop the shared redundant factors")
-    common(sp)
-
-    sp = sub.add_parser("verify", help="check a decomposition against its ensemble")
-    common(sp)
-    sp.add_argument("--decomposition", default=None, help="decomposition file (else recompute)")
-    sp.add_argument("--channels", type=int, default=20)
-    sp.add_argument("--env-dim", type=int, default=2, dest="env_dim")
-
-    sp = sub.add_parser("gen", help="planted ensemble with ground-truth sidecar")
-    common(sp, needs_input=False)
-    sp.add_argument("--blocks", required=True, help="block shapes, e.g. 2x1,1x2")
-    sp.add_argument("--num-states", type=int, default=3, dest="num_states")
+    for command, (text, keys) in _COMMANDS.items():
+        sp = sub.add_parser(command, help=text)
+        sp.set_defaults(input=None)  # gen reads no ensemble; its reports echo input null
+        for key in keys:
+            flags, kwargs = _OPTIONS[key]
+            if flags[0].startswith("-"):
+                kwargs = dict(kwargs, dest=key)
+            sp.add_argument(*flags, **kwargs)
     return p
-
-
-def _config_from_args(args) -> CliConfig:
-    cfg = CliConfig(command=args.command)
-    cfg.input_path = getattr(args, "input", None)
-    cfg.output_path = args.output
-    cfg.tol = args.tol
-    cfg.seed = args.seed
-    cfg.fmt = args.format
-    if hasattr(args, "trials"):
-        cfg.trials = args.trials
-    if hasattr(args, "messages"):
-        cfg.n_messages = args.messages
-    if hasattr(args, "delta"):
-        cfg.delta = args.delta
-    if hasattr(args, "deltas"):
-        cfg.deltas = tuple(float(x) for x in str(args.deltas).split(","))
-    if hasattr(args, "decomposition"):
-        cfg.decomposition_path = args.decomposition
-    if hasattr(args, "channels"):
-        cfg.channels = args.channels
-    if hasattr(args, "env_dim"):
-        cfg.env_dim = args.env_dim
-    if hasattr(args, "blocks"):
-        cfg.blocks = _parse_blocks(args.blocks)
-    if hasattr(args, "num_states"):
-        cfg.num_states = args.num_states
-    if cfg.tol <= 0:
-        raise ValueError("tol must be positive")
-    if cfg.trials < 1 or cfg.n_messages < 1:
-        raise ValueError("trials and messages must be at least 1")
-    return cfg
 
 
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
-        cfg = _config_from_args(args)
-        return run(cfg)
+        return run(_build_parser().parse_args(argv))
     except (ParseError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

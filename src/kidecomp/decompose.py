@@ -19,21 +19,14 @@ finer block split.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .algebra import block_form_split, commutant, generator_span, irrep_decompose
-from .ensemble import (
-    Ensemble,
-    SupportFrame,
-    require_valid,
-    support_restrict,
-    _matrix_to_pairs,
-    _pairs_to_matrix,
-)
+from .algebra import block_form_split, commutant, generator_span, intertwiner_space, irrep_decompose
+from .ensemble import Ensemble, SupportFrame, require_valid, support_restrict, _matrix_to_pairs, _number, _pairs_to_matrix
 from .errors import FormViolation, ParseError
-from .linalg import DEFAULT_TOL, eigh, frob, hermitize, polar_unitary, svd
+from .linalg import DEFAULT_TOL, direct_sum, eigh, frob, hermitize, pivot_phase, polar_unitary
 
 __all__ = [
     "KIBlock",
@@ -68,9 +61,6 @@ class KIBlock:
     q: np.ndarray
     rho_J: list[np.ndarray | None]
 
-    def compress(self, m: np.ndarray) -> np.ndarray:
-        return self.isometry.conj().T @ m @ self.isometry
-
     def embed(self, m: np.ndarray) -> np.ndarray:
         return self.isometry @ m @ self.isometry.conj().T
 
@@ -81,6 +71,20 @@ class KIDecomposition:
     blocks: list[KIBlock]
     p_block: np.ndarray
     rho_J_avg: list[np.ndarray]
+
+    @classmethod
+    def from_blocks(cls, frame: SupportFrame, blocks: list[KIBlock], probs: np.ndarray) -> KIDecomposition:
+        """Blocks in canonical order, with p_block[l] = sum_i p_i q[i] and the averaged J states."""
+        blocks = sorted(blocks, key=_block_key)
+        p_block = np.array([float(np.dot(probs, b.q)) for b in blocks])
+        rho_j_avg = []
+        for b in blocks:
+            acc = np.zeros((b.n, b.n), dtype=complex)
+            for i, p in enumerate(probs):
+                if b.q[i] > 0 and b.rho_J[i] is not None:
+                    acc += p * b.q[i] * b.rho_J[i]
+            rho_j_avg.append(hermitize(acc / np.dot(probs, b.q)))
+        return cls(frame=frame, blocks=blocks, p_block=p_block, rho_J_avg=rho_j_avg)
 
     @property
     def num_states(self) -> int:
@@ -124,23 +128,6 @@ def _support_set(q: np.ndarray) -> tuple[int, ...]:
     return tuple(int(i) for i in np.nonzero(q > 0)[0])
 
 
-def _intertwiner_candidate(sig_a: list, sig_b: list, support: tuple[int, ...], tol: float):
-    """Solve V sigma_a[i] = sigma_b[i] V over the support; None if no direction exists."""
-    n = sig_a[support[0]].shape[0]
-    if n == 1:
-        return np.eye(1, dtype=complex)
-    eye = np.eye(n, dtype=complex)
-    rows = []
-    for i in support:
-        rows.append(np.kron(eye, sig_a[i].T) - np.kron(sig_b[i], eye))
-    stack = np.concatenate(rows, axis=0)
-    _, s, vh = svd(stack)
-    scale = max(float(s[0]), 1.0)
-    if s[-1] > np.sqrt(tol) * scale:
-        return None
-    return polar_unitary(vh[-1].conj().reshape(n, n))
-
-
 def mergeable(a: KIBlock, b: KIBlock, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, float] | None:
     """Merge witness (V, c) for two blocks of one decomposition, or None.
 
@@ -161,9 +148,11 @@ def mergeable(a: KIBlock, b: KIBlock, tol: float = DEFAULT_TOL) -> tuple[np.ndar
         return None
     if np.max(np.abs(qb - c * qa) / qb) > tol:
         return None
-    v = _intertwiner_candidate(a.rho_J, b.rho_J, support, tol)
-    if v is None:
+    # the candidate is the last null direction; the residual test below decides
+    vs = intertwiner_space([a.rho_J[i] for i in support], [b.rho_J[i] for i in support], tol, floor=1.0)
+    if len(vs) == 0:
         return None
+    v = polar_unitary(vs[-1])
     for i in support:
         resid = frob(v @ a.rho_J[i] @ v.conj().T - b.rho_J[i])
         if resid > tol * max(1.0, frob(b.rho_J[i])):
@@ -199,9 +188,7 @@ def _canonicalize_redundant_factor(block: KIBlock) -> KIBlock:
     order = np.argsort(lam)[::-1]
     lam, vec = lam[order], vec[:, order]
     for j in range(vec.shape[1]):  # deterministic column phases
-        pivot = vec[np.argmax(np.abs(vec[:, j])), j]
-        if abs(pivot) > 0:
-            vec[:, j] *= abs(pivot) / pivot
+        vec[:, j] *= pivot_phase(vec[:, j])
     iso = block.isometry @ np.kron(np.eye(block.n, dtype=complex), vec)
     return KIBlock(
         n=block.n,
@@ -267,17 +254,7 @@ def ki_decompose(e: Ensemble, seed: int = 0, tol: float = DEFAULT_TOL) -> KIDeco
         )
     blocks = _merge_to_fixpoint(blocks, tol)
     blocks = [_canonicalize_redundant_factor(b) for b in blocks]
-    blocks.sort(key=_block_key)
-
-    p_block = np.array([float(np.dot(e.probs, b.q)) for b in blocks])
-    rho_j_avg = []
-    for b in blocks:
-        acc = np.zeros((b.n, b.n), dtype=complex)
-        for i, p in enumerate(e.probs):
-            if b.q[i] > 0 and b.rho_J[i] is not None:
-                acc += p * b.q[i] * b.rho_J[i]
-        rho_j_avg.append(hermitize(acc / np.dot(e.probs, b.q)))
-    d = KIDecomposition(frame=frame, blocks=blocks, p_block=p_block, rho_J_avg=rho_j_avg)
+    d = KIDecomposition.from_blocks(frame, blocks, e.probs)
 
     worst = max(frob(d.reconstruct(i) - e.states[i]) for i in range(len(e)))
     if worst > max(tol, 1e4 * np.finfo(float).eps) * max(1.0, max(frob(s) for s in e.states)):
@@ -306,13 +283,7 @@ class VerificationReport:
         return all(c.ok for c in self.checks)
 
     def to_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "checks": [
-                {"name": c.name, "ok": c.ok, "residual": c.residual, "detail": c.detail}
-                for c in self.checks
-            ],
-        }
+        return {"ok": self.ok, **asdict(self)}
 
 
 def verify(
@@ -409,17 +380,13 @@ def remove_redundancy(d: KIDecomposition, e: Ensemble) -> Ensemble:
     result gives k = 1 on every block and zero redundant information,
     while the classical and nonclassical parts are unchanged.
     """
-    dims = [b.n for b in d.blocks]
-    total = int(sum(dims))
-    offsets = np.concatenate([[0], np.cumsum(dims)]).astype(int)
     states = []
     for i in range(len(e)):
-        acc = np.zeros((total, total), dtype=complex)
-        for l, b in enumerate(d.blocks):
-            if b.q[i] > 0 and b.rho_J[i] is not None:
-                s = offsets[l]
-                acc[s : s + b.n, s : s + b.n] = b.q[i] * b.rho_J[i]
-        states.append(hermitize(acc))
+        parts = [
+            b.q[i] * b.rho_J[i] if b.q[i] > 0 and b.rho_J[i] is not None else np.zeros((b.n, b.n))
+            for b in d.blocks
+        ]
+        states.append(hermitize(direct_sum(parts)))
     return Ensemble(probs=e.probs.copy(), states=np.stack(states))
 
 
@@ -450,20 +417,6 @@ def decomposition_to_doc(d: KIDecomposition) -> dict:
     }
 
 
-def _rect_pairs_to_matrix(rows, nrows: int, ncols: int, locus: str) -> np.ndarray:
-    if not isinstance(rows, list) or len(rows) != nrows:
-        raise ParseError(f"{locus}: expected {nrows} rows")
-    out = np.empty((nrows, ncols), dtype=complex)
-    for r, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != ncols:
-            raise ParseError(f"{locus}[{r}]: expected {ncols} columns")
-        for c, entry in enumerate(row):
-            if not isinstance(entry, list) or len(entry) != 2:
-                raise ParseError(f"{locus}[{r}][{c}]: expected a [re, im] pair")
-            out[r, c] = complex(entry[0], entry[1])
-    return out
-
-
 def decomposition_from_doc(doc: dict) -> KIDecomposition:
     """Rebuild a decomposition from its JSON document.
 
@@ -476,21 +429,21 @@ def decomposition_from_doc(doc: dict) -> KIDecomposition:
     try:
         ambient = int(doc["ambient_dim"])
         rank = int(doc["support_rank"])
-        frame_mat = _rect_pairs_to_matrix(doc["frame"], ambient, rank, "frame")
+        frame_mat = _pairs_to_matrix(doc["frame"], ambient, rank, "frame")
         frame = SupportFrame(ambient_dim=ambient, rank=rank, isometry=frame_mat)
         blocks, p_block, avgs = [], [], []
         for bi, bdoc in enumerate(doc["blocks"]):
             n, k = int(bdoc["n"]), int(bdoc["k"])
-            iso = _rect_pairs_to_matrix(bdoc["isometry"], rank, n * k, f"blocks[{bi}].isometry")
-            rho_k = _pairs_to_matrix(bdoc["rho_K"], k, f"blocks[{bi}].rho_K")
-            q = np.asarray([float(x) for x in bdoc["q"]])
+            iso = _pairs_to_matrix(bdoc["isometry"], rank, n * k, f"blocks[{bi}].isometry")
+            rho_k = _pairs_to_matrix(bdoc["rho_K"], k, k, f"blocks[{bi}].rho_K")
+            q = np.asarray([_number(x, f"blocks[{bi}].q[{qi}]") for qi, x in enumerate(bdoc["q"])])
             rho_j = [
-                None if s is None else _pairs_to_matrix(s, n, f"blocks[{bi}].rho_J[{si}]")
+                None if s is None else _pairs_to_matrix(s, n, n, f"blocks[{bi}].rho_J[{si}]")
                 for si, s in enumerate(bdoc["rho_J"])
             ]
             blocks.append(KIBlock(n=n, k=k, isometry=iso, rho_K=rho_k, q=q, rho_J=rho_j))
-            p_block.append(float(bdoc["p"]))
-            avgs.append(_pairs_to_matrix(bdoc["rho_J_avg"], n, f"blocks[{bi}].rho_J_avg"))
+            p_block.append(_number(bdoc["p"], f"blocks[{bi}].p"))
+            avgs.append(_pairs_to_matrix(bdoc["rho_J_avg"], n, n, f"blocks[{bi}].rho_J_avg"))
         return KIDecomposition(
             frame=frame, blocks=blocks, p_block=np.asarray(p_block), rho_J_avg=avgs
         )

@@ -8,7 +8,7 @@ pairs (human-inspectable, bit-stable round trips).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -32,13 +32,7 @@ class ValidationReport:
         return not self.violations
 
     def to_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "violations": [
-                {"locus": v.locus, "message": v.message, "residual": v.residual}
-                for v in self.violations
-            ],
-        }
+        return {"ok": self.ok, **asdict(self)}
 
 
 @dataclass(frozen=True)
@@ -160,27 +154,32 @@ def support_restrict(e: Ensemble, tol: float = DEFAULT_TOL) -> tuple[SupportFram
 # file format
 
 
-def _complex_to_pair(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _number(x, locus: str) -> float:
+    """A JSON number as a float; booleans and strings raise ParseError at `locus`."""
+    if not _is_number(x):
+        raise ParseError(f"{locus}: expected a number")
+    return float(x)
 
 
 def _matrix_to_pairs(m: np.ndarray) -> list:
-    return [[_complex_to_pair(z) for z in row] for row in m]
+    """Rows of [re, im] pairs at full float precision."""
+    return np.stack((m.real, m.imag), -1).tolist()
 
 
-def _pairs_to_matrix(rows, dim: int, locus: str) -> np.ndarray:
-    if not isinstance(rows, list) or len(rows) != dim:
-        raise ParseError(f"{locus}: expected {dim} rows")
-    out = np.empty((dim, dim), dtype=complex)
+def _pairs_to_matrix(rows, nrows: int, ncols: int, locus: str) -> np.ndarray:
+    """Parse rows of [re, im] number pairs; a ParseError names the first bad locus."""
+    if not isinstance(rows, list) or len(rows) != nrows:
+        raise ParseError(f"{locus}: expected {nrows} rows")
+    out = np.empty((nrows, ncols), dtype=complex)
     for r, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != dim:
-            raise ParseError(f"{locus}[{r}]: expected {dim} columns")
+        if not isinstance(row, list) or len(row) != ncols:
+            raise ParseError(f"{locus}[{r}]: expected {ncols} columns")
         for c, entry in enumerate(row):
-            if (
-                not isinstance(entry, list)
-                or len(entry) != 2
-                or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in entry)
-            ):
+            if not isinstance(entry, list) or len(entry) != 2 or not all(map(_is_number, entry)):
                 raise ParseError(f"{locus}[{r}][{c}]: expected a [re, im] pair")
             out[r, c] = complex(entry[0], entry[1])
     return out
@@ -231,11 +230,8 @@ def read_ensemble(data: bytes, tol: float = DEFAULT_TOL) -> Ensemble:
             raise ParseError(f"{locus}: unknown key {sorted(unknown)[0]!r}")
         if "p" not in entry or "matrix" not in entry:
             raise ParseError(f"{locus}: keys 'p' and 'matrix' are required")
-        p = entry["p"]
-        if not isinstance(p, (int, float)) or isinstance(p, bool):
-            raise ParseError(f"{locus}.p: expected a number")
-        probs.append(float(p))
-        states.append(_pairs_to_matrix(entry["matrix"], dim, f"{locus}.matrix"))
+        probs.append(_number(entry["p"], f"{locus}.p"))
+        states.append(_pairs_to_matrix(entry["matrix"], dim, dim, f"{locus}.matrix"))
     e = Ensemble(probs=np.asarray(probs), states=np.stack(states))
     require_valid(e, tol)
     return e

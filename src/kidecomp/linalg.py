@@ -157,3 +157,20 @@ def polar_unitary(t: np.ndarray) -> np.ndarray:
     """Unitary factor of the polar decomposition t = U P."""
     w, _, vh = svd(t)
     return w @ vh
+
+
+def pivot_phase(col: np.ndarray) -> complex:
+    """Unit scalar making the largest-magnitude entry of `col` real positive (1 for a zero column)."""
+    pivot = col[int(np.argmax(np.abs(col)))]
+    return abs(pivot) / pivot if abs(pivot) > 0 else 1.0
+
+
+def direct_sum(mats) -> np.ndarray:
+    """Block-diagonal complex matrix with the square `mats` along the diagonal."""
+    total = sum(m.shape[0] for m in mats)
+    out = np.zeros((total, total), dtype=complex)
+    s = 0
+    for m in mats:
+        out[s : s + m.shape[0], s : s + m.shape[0]] = m
+        s += m.shape[0]
+    return out

@@ -17,7 +17,7 @@ from .algebra import commutant, generator_span
 from .decompose import KIBlock, KIDecomposition
 from .ensemble import Ensemble, SupportFrame
 from .errors import RejectionExhausted
-from .linalg import DEFAULT_TOL, eigh, frob, hermitize, qr
+from .linalg import DEFAULT_TOL, direct_sum, eigh, frob, hermitize, qr
 
 MAX_RESAMPLES = 64
 Q_RATIO_SPREAD = 1e-3
@@ -136,45 +136,21 @@ def planted_ensemble(spec: PlantSpec, tol: float = DEFAULT_TOL) -> tuple[Ensembl
 
     dims = [n * k for n, k in spec.blocks]
     total = int(sum(dims))
-    offsets = np.concatenate([[0], np.cumsum(dims)]).astype(int)
     u = haar_unitary(total, rng)
 
     states = []
     for i in range(spec.num_states):
-        acc = np.zeros((total, total), dtype=complex)
-        for l, (n, k) in enumerate(spec.blocks):
-            s = offsets[l]
-            acc[s : s + dims[l], s : s + dims[l]] = q[i, l] * np.kron(sigmas[l][i], rho_ks[l])
+        acc = direct_sum([q[i, l] * np.kron(sigmas[l][i], rho_ks[l]) for l in range(len(spec.blocks))])
         states.append(hermitize(u @ acc @ u.conj().T))
     e = Ensemble(probs=probs, states=np.stack(states))
 
-    blocks = []
-    for l, (n, k) in enumerate(spec.blocks):
-        sel = np.zeros((total, n * k), dtype=complex)
-        sel[offsets[l] : offsets[l] + dims[l], :] = np.eye(dims[l])
-        blocks.append(
-            KIBlock(
-                n=n,
-                k=k,
-                isometry=u @ sel,
-                rho_K=rho_ks[l],
-                q=q[:, l].copy(),
-                rho_J=[sigmas[l][i] for i in range(spec.num_states)],
-            )
-        )
-    order = sorted(range(len(blocks)), key=lambda l: (-blocks[l].n, -blocks[l].k, blocks[l].q[0]))
-    blocks = [blocks[l] for l in order]
-    p_block = np.array([float(np.dot(probs, b.q)) for b in blocks])
-    rho_j_avg = [
-        hermitize(
-            sum(probs[i] * b.q[i] * b.rho_J[i] for i in range(spec.num_states))
-            / np.dot(probs, b.q)
-        )
-        for b in blocks
+    isometries = np.split(u, np.cumsum(dims)[:-1], axis=1)
+    blocks = [
+        KIBlock(n=n, k=k, isometry=iso, rho_K=rho_k, q=q[:, l].copy(), rho_J=sigmas[l])
+        for l, ((n, k), iso, rho_k) in enumerate(zip(spec.blocks, isometries, rho_ks))
     ]
     frame = SupportFrame(ambient_dim=total, rank=total, isometry=np.eye(total, dtype=complex))
-    truth = KIDecomposition(frame=frame, blocks=blocks, p_block=p_block, rho_J_avg=rho_j_avg)
-    return e, truth
+    return e, KIDecomposition.from_blocks(frame, blocks, probs)
 
 
 # ---------------------------------------------------------------------------

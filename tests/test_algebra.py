@@ -11,9 +11,11 @@ from kidecomp.algebra import (
     compress_to_block,
     generate_algebra,
     generator_span,
+    intertwiner_space,
     irrep_decompose,
 )
 from kidecomp.ensemble import support_restrict
+from kidecomp.linalg import DEFAULT_TOL, polar_unitary
 from kidecomp.oracles import PlantSpec, haar_unitary, planted_ensemble, random_density
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -240,3 +242,31 @@ def test_scalar_commutant_iff_closure_is_full_matrix_algebra(n, num_states, spli
     irreducible = commutant(generator_span(states, n)).size == 1
     assert irreducible == (generate_algebra(states, n).size == n * n)
     assert irreducible == (not cut and num_states >= 2)
+
+
+def test_intertwiner_space_split_and_merge_rules():
+    # the irreducible split accepts exactly one direction (floor 0); the
+    # merge takes the last direction as its candidate (floor 1)
+    rng = np.random.default_rng(3)
+    sigmas = [random_density(3, rng) for _ in range(3)]
+    u = haar_unitary(3, rng)
+    rotated = [u @ s @ u.conj().T for s in sigmas]
+    for floor in (0.0, 1.0):
+        ts = intertwiner_space(sigmas, rotated, DEFAULT_TOL, floor)
+        assert ts.shape == (1, 3, 3)
+        v = polar_unitary(ts[0])
+        for s, r in zip(sigmas, rotated):
+            assert np.allclose(v @ s @ v.conj().T, r, atol=1e-8)
+        phase = np.trace(u.conj().T @ v) / 3
+        assert np.allclose(v, phase * u, atol=1e-8) and abs(abs(phase) - 1) < 1e-8
+
+        others = [random_density(3, rng) for _ in range(3)]
+        assert len(intertwiner_space(sigmas, others, DEFAULT_TOL, floor)) == 0
+
+    reducible = [np.diag([0.7, 0.3]).astype(complex), np.diag([0.2, 0.8]).astype(complex)]
+    assert len(intertwiner_space(reducible, reducible, DEFAULT_TOL, 0.0)) == 2  # the split refuses
+    ts = intertwiner_space(reducible, reducible, DEFAULT_TOL, 1.0)
+    v = polar_unitary(ts[-1])
+    assert np.allclose(v.conj().T @ v, I2)
+    for s in reducible:
+        assert np.allclose(v @ s @ v.conj().T, s, atol=1e-8)

@@ -211,3 +211,22 @@ def test_exit_code_bad_blocks(tmp_path):
 def test_exit_code_infeasible_plant(tmp_path):
     code = main(["gen", "-o", str(tmp_path / "x.json"), "--blocks", "2x1", "--num-states", "1"])
     assert code == 4
+
+
+@pytest.mark.parametrize(
+    "option", [["--channels", "0"], ["--channels", "-1"], ["--env-dim", "0"], ["--tol", "0"], ["--trials", "0"]]
+)
+def test_out_of_range_options_are_config_errors(two_pure_file, option, capsys):
+    command = "simulate-individual" if option[0] == "--trials" else "verify"
+    assert main([command, two_pure_file, *option]) == 4
+    assert "configuration error" in capsys.readouterr().err
+
+
+def test_verify_rejects_non_numeric_decomposition_entries(two_pure_file, tmp_path, capsys):
+    dec = tmp_path / "dec.json"
+    assert main(["decompose", two_pure_file, "-o", str(dec)]) == 0
+    doc = json.loads(dec.read_text())
+    doc["result"]["blocks"][0]["isometry"][0][0] = [True, False]
+    dec.write_text(json.dumps(doc))
+    assert main(["verify", two_pure_file, "--decomposition", str(dec)]) == 2
+    assert "blocks[0].isometry[0][0]" in capsys.readouterr().err

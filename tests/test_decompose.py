@@ -13,6 +13,7 @@ from kidecomp.decompose import (
     write_decomposition,
 )
 from kidecomp.ensemble import Ensemble, validate
+from kidecomp.errors import ParseError
 from kidecomp.measures import info_measures
 from kidecomp.oracles import PlantSpec, haar_unitary, planted_ensemble
 
@@ -289,3 +290,22 @@ def test_serialization_keeps_zero_weight_entries():
         for s, s2 in zip(b.rho_J, b2.rho_J):
             assert (s is None) == (s2 is None)
     assert verify(d2, e, channels=3, seed=0).ok
+
+
+@pytest.mark.parametrize(
+    "field, value, locus",
+    [
+        ("isometry", [True, False], r"blocks\[0\]\.isometry\[0\]\[0\]"),
+        ("isometry", ["1", "0"], r"blocks\[0\]\.isometry\[0\]\[0\]"),
+        ("q", "0.5", r"blocks\[0\]\.q\[0\]"),
+        ("q", True, r"blocks\[0\]\.q\[0\]"),
+    ],
+)
+def test_decomposition_entries_must_be_numbers(field, value, locus):
+    doc = decomposition_to_doc(ki_decompose(two_pure(), seed=0))
+    if field == "isometry":
+        doc["blocks"][0]["isometry"][0][0] = value
+    else:
+        doc["blocks"][0]["q"][0] = value
+    with pytest.raises(ParseError, match=locus):
+        decomposition_from_doc(doc)
