@@ -1,14 +1,15 @@
-"""Finite-dimensional operator algebras: commutants, centers, irreducible blocks.
+"""Finite-dimensional operator algebras: commutants and irreducible blocks.
 
 A unital *-closed product-closed operator space acting on C^d is
 unitarily equivalent to a direct sum of factors, each acting as
 (full matrix algebra on C^n) tensor (identity on C^k). This module
 computes that structure numerically from a generating set alone: the
 span of the identity, the generators and their adjoints, its commutant
-(equal to the commutant of the generated algebra), the center (solved
-inside the commutant), and the block isometries exhibiting the (n, k)
-factorization. The closure `generate_algebra`, which builds the whole
-algebra basis, is kept as a reference for tests.
+(equal to the commutant of the generated algebra), and the block
+isometries exhibiting the (n, k) factorization, split off from the
+eigenspaces of one random Hermitian element of the commutant. The
+closure `generate_algebra` and the center `center_basis` are kept as
+references for tests; the main path calls neither.
 """
 
 from __future__ import annotations
@@ -53,21 +54,6 @@ class OperatorBasis:
         v = self.vecs()
         resid = w - (v.conj() @ w) @ v
         return float(np.linalg.norm(resid)) <= tol * max(1.0, float(np.linalg.norm(w)))
-
-    def verify_flags(self, tol: float = 1e-8) -> dict[str, bool]:
-        """Check numerically that the span is an orthonormal unital *-algebra (test hook)."""
-        gram_ok = np.allclose(self.vecs().conj() @ self.vecs().T, np.eye(self.size), atol=tol)
-        ident = self.contains(np.eye(self.dim, dtype=complex), tol)
-        adj = all(self.contains(m.conj().T, tol) for m in self.mats)
-        prod = all(
-            self.contains(a @ b, tol) for a in self.mats for b in self.mats
-        )
-        return {
-            "orthonormal": gram_ok,
-            "contains_identity": ident,
-            "closed_under_adjoint": adj,
-            "closed_under_product": prod,
-        }
 
 
 def generator_span(generators, dim: int, tol: float = DEFAULT_TOL) -> OperatorBasis:
@@ -133,12 +119,13 @@ def commutant(a: OperatorBasis, tol: float = DEFAULT_TOL) -> OperatorBasis:
 
 
 def center_basis(comm: OperatorBasis, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
-    """Basis of the center of an algebra A, solved from its commutant.
+    """Basis of the center of an algebra A, solved from its commutant (test reference).
 
     A'' = A for a unital *-algebra, so Z(A) = A ∩ A' = Z(A'): the center
     is the set of commutant elements commuting with the whole commutant.
     Solving in coefficient space over `comm`'s basis makes the stack
-    (c * dim^2) x c with c = dim A', usually far smaller than dim A.
+    (c * dim^2) x c with c = dim A'. Its dimension is the number of
+    blocks `irrep_decompose` returns, which never solves it.
     """
     c = comm.size
     bracket = np.einsum("aij,cjk->caik", comm.mats, comm.mats) - np.einsum(
@@ -168,10 +155,9 @@ class _ProbeRetry(Exception):
     """Internal: the random probe failed to separate spectra cleanly."""
 
 
-def _random_hermitian_from(mats: list[np.ndarray], rng: np.random.Generator) -> np.ndarray:
+def _random_hermitian_from(mats: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     coeff = rng.standard_normal(len(mats)) + 1j * rng.standard_normal(len(mats))
-    s = sum(c * m for c, m in zip(coeff, mats))
-    return hermitize(s)
+    return hermitize(np.tensordot(coeff, mats, axes=1))
 
 
 def _cluster_ascending(values: np.ndarray, tol: float) -> list[np.ndarray]:
@@ -219,99 +205,68 @@ def block_form_split(compressed: np.ndarray, n: int, k: int) -> tuple[np.ndarray
     return factor, resid
 
 
-def _attempt_blocks(
-    a: OperatorBasis, comm: OperatorBasis, centers: list[np.ndarray], rng: np.random.Generator, tol: float
-) -> list[IrrepBlock]:
+def _attempt_blocks(a: OperatorBasis, comm: OperatorBasis, rng: np.random.Generator, tol: float) -> list[IrrepBlock]:
     d = a.dim
-    c_probe = _random_hermitian_from(centers, rng)
-    lam, vec = eigh(c_probe)
+    lam, vec = eigh(_random_hermitian_from(comm.mats, rng))
+    copies = _cluster_ascending(lam, tol)
+    # z[c] is commutant element c in the probe's eigenbasis; its (i, j)
+    # block is a scalar times the unitary intertwiner from copy j to copy i
+    z = vec.conj().T @ comm.mats @ vec
+    member = np.zeros((len(copies), d))
+    for i, idx in enumerate(copies):
+        member[i, idx] = 1.0
+    link = member @ np.sum(np.abs(z) ** 2, axis=0) @ member.T
+    links = np.rint(link)
+    if np.max(np.abs(link - links)) > np.sqrt(tol) or links.max() > 1:
+        raise _ProbeRetry("copy links are not 0 or 1")
+    label = np.argmax(links, axis=0)  # first copy linked to each copy
     blocks: list[IrrepBlock] = []
-    for idx in _cluster_ascending(lam, tol):
-        frame = vec[:, idx]  # (d, d_l)
-        d_l = frame.shape[1]
-        comm_r = orthonormalize_hs(
-            [frame.conj().T @ x @ frame for x in comm.mats], tol
-        )
-        k = int(round(np.sqrt(len(comm_r))))
-        if k * k != len(comm_r) or d_l % k != 0:
-            raise _ProbeRetry("restricted commutant dimension is not a square")
-        n = d_l // k
-        r_probe = _random_hermitian_from(comm_r, rng)
-        mu, w = eigh(r_probe)
-        clusters = _cluster_ascending(mu, tol)
-        if len(clusters) != k or any(len(c) != n for c in clusters):
-            raise _ProbeRetry("multiplicity probe spectrum did not split k x n")
-        s_frames = [w[:, c] for c in clusters]  # each (d_l, n)
-        alg_r = np.einsum("pi,cpq,qj->cij", frame.conj(), a.mats, frame)
-        b_first = np.einsum("pi,cpq,qj->cij", s_frames[0].conj(), alg_r, s_frames[0])
-        cols = np.empty((d, n * k), dtype=complex)
-        for j, s_j in enumerate(s_frames):
-            if j == 0:
-                t_j = np.eye(n, dtype=complex)
-            else:
-                b_j = np.einsum("pi,cpq,qj->cij", s_j.conj(), alg_r, s_j)
-                ts = intertwiner_space(b_first, b_j, tol, floor=0.0)
-                if len(ts) == 0:
-                    raise _ProbeRetry("no intertwiner direction found")
-                if len(ts) > 1:
-                    raise _ProbeRetry("intertwiner space not one-dimensional")
-                t_j = polar_unitary(ts[0])
-                t_j = t_j * pivot_phase(t_j[:, 0])
-            carried = frame @ (s_j @ t_j)  # (d, n)
-            for a_idx in range(n):
-                cols[:, a_idx * k + j] = carried[:, a_idx]
-        block = IrrepBlock(n=n, k=k, isometry=cols)
-        gram_resid = float(np.linalg.norm(cols.conj().T @ cols - np.eye(n * k)))
-        if gram_resid > np.sqrt(tol):
-            raise _ProbeRetry("block isometry not orthonormal")
-        for c in range(a.size):
-            _, resid = block_form_split(compress_to_block(block, a.mats[c]), n, k)
-            if resid > np.sqrt(tol) * max(1.0, float(np.linalg.norm(a.mats[c]))):
+    for first in sorted(set(label)):
+        group = [copies[i] for i in np.flatnonzero(label == first)]
+        n, k = len(group[0]), len(group)
+        if any(len(idx) != n for idx in group):
+            raise _ProbeRetry("linked copies differ in dimension")
+        cols = [vec[:, group[0]]]
+        for idx in group[1:]:
+            ties = z[:, idx[:, None], group[0]]  # (c, n, n)
+            t = polar_unitary(ties[np.argmax(np.linalg.norm(ties, axis=(1, 2)))])
+            cols.append(vec[:, idx] @ (t * pivot_phase(t[:, 0])))
+        block = IrrepBlock(n=n, k=k, isometry=np.stack(cols, axis=2).reshape(d, n * k))
+        for m in a.mats:
+            _, resid = block_form_split(compress_to_block(block, m), n, k)
+            if resid > np.sqrt(tol) * max(1.0, float(np.linalg.norm(m))):
                 raise _ProbeRetry("transport residual too large")
         blocks.append(block)
-    if sum(b.n * b.k for b in blocks) != d:
-        raise _ProbeRetry("block dimensions do not add up to dim")
     if sum(b.k * b.k for b in blocks) != comm.size:
         raise _ProbeRetry("multiplicity squares do not add up to the commutant dimension")
     return blocks
-
-
-def canonical_block_order(blocks: list[IrrepBlock], first_generator: np.ndarray) -> list[IrrepBlock]:
-    """Descending n, then descending k, then ascending compressed trace of the first generator."""
-    def key(b: IrrepBlock):
-        tr = np.trace(compress_to_block(b, first_generator))
-        return (-b.n, -b.k, float(tr.real))
-
-    return sorted(blocks, key=key)
 
 
 def irrep_decompose(a: OperatorBasis, seed: int, tol: float = DEFAULT_TOL) -> list[IrrepBlock]:
     """Factor the algebra generated by `a` into irreducible blocks with multiplicity.
 
     `a` is a `generator_span` (or any adjoint-closed span containing the
-    identity, the whole algebra included); no closure is built. Random
-    self-adjoint probes from the center split C^dim into the central
-    blocks; probes from the commutant split each block into k equivalent
-    copies of the n-dimensional irreducible subspace, glued by Schur
-    intertwiners solved from the elements of `a`, which intertwine the
-    generated algebra exactly when they intertwine `a`. A split is
-    accepted when every element of `a` takes the block form and the
-    squares of the multiplicities add up to the commutant dimension.
-    Probes are drawn from the passed seed only; after PROBE_RETRIES
-    failed draws the input tolerance is presumed misconfigured and
-    DegenerateSample is raised.
+    identity, the whole algebra included); no closure is built. One
+    random Hermitian element Y of the commutant A' = 1_n (x) M_k per
+    block has generic eigenvalues, so each eigenspace of Y is one
+    irreducible copy. Over an HS-orthonormal basis C_c of A', the link
+    L_ij = sum_c |F_i^dagger C_c F_j|^2 of copies F_i, F_j is the
+    dimension of the intertwiners between them: 1 for equivalent copies,
+    0 otherwise. The linked copies form one block with k = their number;
+    each is glued to the first by the unitary polar factor of its
+    largest commutant block F_j^dagger C_c F_0. A split is accepted when
+    every element of `a` takes the block form and the squares of the
+    multiplicities add up to dim A'. Blocks come in ascending order of
+    their first copy's eigenvalue. Probes are drawn from the passed seed
+    only; after PROBE_RETRIES failed draws the input tolerance is
+    presumed misconfigured and DegenerateSample is raised.
     """
     comm = commutant(a, tol)
-    centers = center_basis(comm, tol)
-    if not centers:
-        raise DegenerateSample("algebra has an empty center; input basis is inconsistent")
     rng = np.random.default_rng(seed)
     last = "no attempt"
     for _ in range(PROBE_RETRIES):
         try:
-            blocks = _attempt_blocks(a, comm, centers, rng, tol)
+            return _attempt_blocks(a, comm, rng, tol)
         except _ProbeRetry as exc:
             last = str(exc)
-            continue
-        return canonical_block_order(blocks, a.generators[0])
     raise DegenerateSample(f"probes failed {PROBE_RETRIES} times; last failure: {last}")

@@ -154,15 +154,14 @@ def support_restrict(e: Ensemble, tol: float = DEFAULT_TOL) -> tuple[SupportFram
 # file format
 
 
-def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
-
-
 def _number(x, locus: str) -> float:
-    """A JSON number as a float; booleans and strings raise ParseError at `locus`."""
-    if not _is_number(x):
+    """A JSON number as a float; booleans, strings and out-of-range integers raise ParseError at `locus`."""
+    if not isinstance(x, (int, float)) or isinstance(x, bool):
         raise ParseError(f"{locus}: expected a number")
-    return float(x)
+    try:
+        return float(x)
+    except OverflowError:
+        raise ParseError(f"{locus}: number out of float range") from None
 
 
 def _matrix_to_pairs(m: np.ndarray) -> list:
@@ -179,9 +178,9 @@ def _pairs_to_matrix(rows, nrows: int, ncols: int, locus: str) -> np.ndarray:
         if not isinstance(row, list) or len(row) != ncols:
             raise ParseError(f"{locus}[{r}]: expected {ncols} columns")
         for c, entry in enumerate(row):
-            if not isinstance(entry, list) or len(entry) != 2 or not all(map(_is_number, entry)):
+            if not isinstance(entry, list) or len(entry) != 2:
                 raise ParseError(f"{locus}[{r}][{c}]: expected a [re, im] pair")
-            out[r, c] = complex(entry[0], entry[1])
+            out[r, c] = complex(*(_number(x, f"{locus}[{r}][{c}]") for x in entry))
     return out
 
 

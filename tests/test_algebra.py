@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kidecomp import algebra
 from kidecomp.algebra import (
     OperatorBasis,
     block_form_split,
@@ -15,6 +16,7 @@ from kidecomp.algebra import (
     irrep_decompose,
 )
 from kidecomp.ensemble import support_restrict
+from kidecomp.errors import DegenerateSample
 from kidecomp.linalg import DEFAULT_TOL, polar_unitary
 from kidecomp.oracles import PlantSpec, haar_unitary, planted_ensemble, random_density
 
@@ -42,9 +44,19 @@ def test_generate_single_diagonal_is_polynomials():
         assert a.contains(proj, 1e-8)
 
 
+def _algebra_flags(a: OperatorBasis, tol: float = 1e-8) -> dict[str, bool]:
+    """Check numerically that the span is an orthonormal unital *-algebra."""
+    return {
+        "orthonormal": np.allclose(a.vecs().conj() @ a.vecs().T, np.eye(a.size), atol=tol),
+        "contains_identity": a.contains(np.eye(a.dim, dtype=complex), tol),
+        "closed_under_adjoint": all(a.contains(m.conj().T, tol) for m in a.mats),
+        "closed_under_product": all(a.contains(x @ y, tol) for x in a.mats for y in a.mats),
+    }
+
+
 def test_generated_algebra_flags():
     a = generate_algebra([PAULI_X, PAULI_Z], 2)
-    flags = a.verify_flags()
+    flags = _algebra_flags(a)
     assert all(flags.values())
 
 
@@ -207,9 +219,14 @@ def _hidden_multiplicity_generators(blocks, num_states, seed):
 def test_generator_span_factors_like_the_closure(blocks, num_states, seed):
     gens = _hidden_multiplicity_generators(blocks, num_states, seed)
     d = gens[0].shape[0]
-    from_span = irrep_decompose(generator_span(gens, d), seed=0)
+    span = generator_span(gens, d)
+    from_span = irrep_decompose(span, seed=0)
     from_closure = irrep_decompose(generate_algebra(gens, d), seed=0)
     assert [(b.n, b.k) for b in from_span] == [(b.n, b.k) for b in from_closure]
+    # one block per central projection: the center stays the reference
+    assert len(from_span) == len(center_basis(commutant(span)))
+    for b in from_span:
+        assert np.linalg.norm(b.isometry.conj().T @ b.isometry - np.eye(b.n * b.k)) <= 1e-10
     for x, y in zip(from_span, from_closure):
         px = x.isometry @ x.isometry.conj().T
         py = y.isometry @ y.isometry.conj().T
@@ -245,8 +262,8 @@ def test_scalar_commutant_iff_closure_is_full_matrix_algebra(n, num_states, spli
 
 
 def test_intertwiner_space_split_and_merge_rules():
-    # the irreducible split accepts exactly one direction (floor 0); the
-    # merge takes the last direction as its candidate (floor 1)
+    # irreducible sets give one direction when equivalent and none
+    # otherwise; the merge takes the last direction as its candidate
     rng = np.random.default_rng(3)
     sigmas = [random_density(3, rng) for _ in range(3)]
     u = haar_unitary(3, rng)
@@ -264,9 +281,39 @@ def test_intertwiner_space_split_and_merge_rules():
         assert len(intertwiner_space(sigmas, others, DEFAULT_TOL, floor)) == 0
 
     reducible = [np.diag([0.7, 0.3]).astype(complex), np.diag([0.2, 0.8]).astype(complex)]
-    assert len(intertwiner_space(reducible, reducible, DEFAULT_TOL, 0.0)) == 2  # the split refuses
+    assert len(intertwiner_space(reducible, reducible, DEFAULT_TOL, 0.0)) == 2
     ts = intertwiner_space(reducible, reducible, DEFAULT_TOL, 1.0)
     v = polar_unitary(ts[-1])
     assert np.allclose(v.conj().T @ v, I2)
     for s in reducible:
         assert np.allclose(v @ s @ v.conj().T, s, atol=1e-8)
+
+
+def _identity_probe(mats, rng):
+    # a multiple of the identity has one eigenspace: every copy in one cluster
+    return np.eye(mats[0].shape[0], dtype=complex)
+
+
+def test_degenerate_probe_is_retried(monkeypatch):
+    span = generator_span(_hidden_multiplicity_generators([(2, 1), (1, 2)], 3, 5), 4)
+    want = irrep_decompose(span, seed=0)
+    real = algebra._random_hermitian_from
+    draws = []
+
+    def once_degenerate(mats, rng):
+        draws.append(rng)
+        return _identity_probe(mats, rng) if len(draws) == 1 else real(mats, rng)
+
+    monkeypatch.setattr(algebra, "_random_hermitian_from", once_degenerate)
+    got = irrep_decompose(span, seed=0)
+    assert len(draws) == 2
+    assert [(b.n, b.k) for b in got] == [(b.n, b.k) for b in want]
+    for x, y in zip(got, want):  # the rejected draw took nothing from the stream
+        assert np.array_equal(x.isometry, y.isometry)
+
+
+def test_always_degenerate_probe_raises(monkeypatch):
+    span = generator_span(_hidden_multiplicity_generators([(2, 1), (1, 2)], 3, 5), 4)
+    monkeypatch.setattr(algebra, "_random_hermitian_from", _identity_probe)
+    with pytest.raises(DegenerateSample, match=f"failed {algebra.PROBE_RETRIES} times; last failure: copy links are not 0 or 1"):
+        irrep_decompose(span, seed=0)

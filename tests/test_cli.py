@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from kidecomp import cli
+from kidecomp import algebra, cli
 from kidecomp.cli import main
 from kidecomp.ensemble import Ensemble, load_ensemble, save_ensemble
 
@@ -132,6 +132,24 @@ def test_exit_code_parse_error(tmp_path, capsys):
     bad.write_text('{"dim": 2')
     assert main(["measures", str(bad)]) == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_exit_code_integer_beyond_float_range(tmp_path, capsys):
+    big = tmp_path / "big.json"
+    big.write_text('{"dim": 1, "states": [{"p": 1.0, "matrix": [[[%s, 0]]]}]}' % ("9" * 400))
+    assert main(["measures", str(big)]) == 2
+    err = capsys.readouterr().err
+    assert "states[0].matrix[0][0]" in err
+    assert "Traceback" not in err
+
+
+def test_exit_code_degenerate_probes(single_state_file, monkeypatch, capsys):
+    # two inequivalent 1-dim copies; an identity probe never separates them
+    monkeypatch.setattr(algebra, "_random_hermitian_from", lambda mats, rng: np.eye(mats[0].shape[0], dtype=complex))
+    assert main(["decompose", single_state_file]) == 3
+    err = capsys.readouterr().err
+    assert "copy links are not 0 or 1" in err
+    assert "Traceback" not in err
 
 
 def test_exit_code_svd_failure(two_pure_file, monkeypatch, capsys):

@@ -299,6 +299,8 @@ def test_serialization_keeps_zero_weight_entries():
         ("isometry", ["1", "0"], r"blocks\[0\]\.isometry\[0\]\[0\]"),
         ("q", "0.5", r"blocks\[0\]\.q\[0\]"),
         ("q", True, r"blocks\[0\]\.q\[0\]"),
+        pytest.param("isometry", [10**400, 0], r"blocks\[0\]\.isometry\[0\]\[0\]", id="isometry-huge-int"),
+        pytest.param("q", 10**400, r"blocks\[0\]\.q\[0\]: number out of float range", id="q-huge-int"),
     ],
 )
 def test_decomposition_entries_must_be_numbers(field, value, locus):

@@ -119,6 +119,16 @@ def test_read_parse_error_names_locus():
         read_ensemble(raw)
 
 
+def test_read_rejects_integers_beyond_float_range():
+    huge = "9" * 400
+    raw = f'{{"dim": 1, "states": [{{"p": 1.0, "matrix": [[[{huge}, 0]]]}}]}}'.encode()
+    with pytest.raises(ParseError, match=r"states\[0\]\.matrix\[0\]\[0\]: number out of float range"):
+        read_ensemble(raw)
+    raw = f'{{"dim": 1, "states": [{{"p": {huge}, "matrix": [[[1.0, 0.0]]]}}]}}'.encode()
+    with pytest.raises(ParseError, match=r"states\[0\]\.p: number out of float range"):
+        read_ensemble(raw)
+
+
 def test_read_accepts_whitespace():
     raw = b'\n{\t "dim": 1 ,\n "states": [ { "p":  1.0, "matrix": [[[1.0,0.0]]] } ] }\n'
     assert read_ensemble(raw).dim == 1

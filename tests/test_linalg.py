@@ -1,8 +1,11 @@
+import ast
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kidecomp
 from kidecomp.errors import ConvergenceFailure, NotHermitian, NotPSD
 from kidecomp.linalg import eig_hermitian, eigh, eigvalsh, nullspace, orthonormalize_hs, polar_unitary, psd_sqrt, svd
 
@@ -173,3 +176,31 @@ def test_lapack_failure_is_typed(monkeypatch, routine, call):
     monkeypatch.setattr(np.linalg, routine, fail)
     with pytest.raises(ConvergenceFailure, match="did not converge"):
         call()
+
+
+def test_lapack_is_called_only_through_the_typed_wrappers():
+    # outside linalg.py, np.linalg serves only `norm`; any other routine
+    # would let a LinAlgError past the ConvergenceFailure (exit 3) mapping
+    offenders = []
+    for path in sorted(Path(kidecomp.__file__).parent.glob("*.py")):
+        if path.name == "linalg.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        parent = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                names = []
+            offenders += [f"{path.name}:{node.lineno} imports {m}" for m in names if m.startswith("numpy.linalg")]
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr == "linalg"
+                and isinstance(node.value, ast.Name)
+                and node.value.id in ("np", "numpy")
+                and getattr(parent[node], "attr", None) != "norm"
+            ):
+                offenders.append(f"{path.name}:{node.lineno} uses np.linalg.{getattr(parent[node], 'attr', '')}")
+    assert offenders == []
