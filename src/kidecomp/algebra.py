@@ -5,7 +5,8 @@ unitarily equivalent to a direct sum of factors, each acting as
 (full matrix algebra on C^n) tensor (identity on C^k). This module
 computes that structure numerically from a generating set alone: the
 span of the identity, the generators and their adjoints, its commutant
-(equal to the commutant of the generated algebra), and the block
+(equal to the commutant of the generated algebra, solved inside the
+eigenspaces of one generic element of the span), and the block
 isometries exhibiting the (n, k) factorization, split off from the
 eigenspaces of one random Hermitian element of the commutant. The
 closure `generate_algebra` and the center `center_basis` are kept as
@@ -18,10 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSample, DimensionOverflow
-from .linalg import DEFAULT_TOL, as_complex_matrix, eigh, hermitize, nullspace, orthonormalize_hs, pivot_phase, polar_unitary
+from .errors import ConfigTooLarge, DegenerateSample, DimensionOverflow
+from .linalg import DEFAULT_TOL, as_complex_matrix, eigh, hermitize, kron, nullspace, orthonormalize_hs, pivot_phase, polar_unitary
 
 PROBE_RETRIES = 8
+MAX_STACK_BYTES = 1 << 30  # largest complex128 commutant stack built before ConfigTooLarge
 
 
 @dataclass(frozen=True)
@@ -44,16 +46,6 @@ class OperatorBasis:
     @property
     def size(self) -> int:
         return len(self.mats)
-
-    def vecs(self) -> np.ndarray:
-        return self.mats.reshape(self.size, -1)
-
-    def contains(self, m: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-        """Membership of `m` in the span, relative to its norm."""
-        w = m.reshape(-1)
-        v = self.vecs()
-        resid = w - (v.conj() @ w) @ v
-        return float(np.linalg.norm(resid)) <= tol * max(1.0, float(np.linalg.norm(w)))
 
 
 def generator_span(generators, dim: int, tol: float = DEFAULT_TOL) -> OperatorBasis:
@@ -104,18 +96,31 @@ def generate_algebra(generators, dim: int, tol: float = DEFAULT_TOL) -> Operator
 def commutant(a: OperatorBasis, tol: float = DEFAULT_TOL) -> OperatorBasis:
     """Basis of all X with X B = B X for every B in the algebra.
 
-    Solved from `a.generators`, not the full basis: X commutes with an
-    algebra iff it commutes with a generating set closed under adjoint,
-    so the stacked maps X -> X G_j - G_j X over the vectorized matrix
-    space have the same joint nullspace with far fewer rows.
+    Solved inside the eigenspaces of one generic element of the span: such
+    X commute with `a.generators` (closed under adjoint), hence with
+    H = hermitize(sum_g c_g G_g) = V diag(lam) V^dagger for fixed c, so
+    X = V Y V^dagger with Y block-diagonal over the eigenvalue clusters of
+    H (merged clusters only enlarge the search). The maps Y -> G~Y - YG~
+    (G~ = V^dagger G V) are stacked over those sum_g dim_g^2 unknowns, not
+    dim^2; a stack above MAX_STACK_BYTES raises ConfigTooLarge unbuilt.
     """
-    d = a.dim
-    eye = np.eye(d, dtype=complex)
-    rows = [np.kron(eye, g.T) - np.kron(g, eye) for g in a.generators]
-    stack = np.concatenate(rows, axis=0)
-    null = nullspace(stack, tol, floor=1.0)
-    mats = [null[:, i].reshape(d, d) for i in range(null.shape[1])]
-    return OperatorBasis(dim=d, mats=np.stack(orthonormalize_hs(mats, tol)))
+    d, gens = a.dim, a.generators
+    coeff = np.random.default_rng(0).standard_normal((2, len(gens)))
+    lam, vec = eigh(hermitize(np.tensordot(coeff[0] + 1j * coeff[1], gens, axes=1)))
+    label = np.concatenate([np.full(len(idx), c) for c, idx in enumerate(_cluster_ascending(lam, tol))])
+    rows, cols = np.nonzero(label[:, None] == label)  # unknown u is entry (rows[u], cols[u]) of Y
+    u = np.arange(len(rows))
+    if 16 * len(gens) * d * d * len(u) > MAX_STACK_BYTES:
+        raise ConfigTooLarge(f"commutant stack of {len(gens) * d * d} x {len(u)} exceeds {MAX_STACK_BYTES} bytes")
+    gt = vec.conj().T @ gens @ vec
+    # column u is G~ E_ab - E_ab G~ for E_ab = e_a e_b^T, (a, b) = (rows[u], cols[u])
+    stack = np.zeros((len(gens), d, d, len(u)), dtype=complex)
+    stack[:, :, cols, u] = gt[:, :, rows]
+    stack[:, rows, :, u] -= gt[:, cols, :].transpose(1, 0, 2)
+    null = nullspace(stack.reshape(-1, len(u)), tol, floor=1.0)
+    y = np.zeros((null.shape[1], d, d), dtype=complex)
+    y[:, rows, cols] = null.T
+    return OperatorBasis(dim=d, mats=vec @ y @ vec.conj().T)
 
 
 def center_basis(comm: OperatorBasis, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
@@ -172,24 +177,6 @@ def _cluster_ascending(values: np.ndarray, tol: float) -> list[np.ndarray]:
     return groups
 
 
-def intertwiner_space(a_mats, b_mats, tol: float, floor: float) -> np.ndarray:
-    """Basis (m, n, n) of the matrices T with T a_c = b_c T for every pair (a_c, b_c).
-
-    The stacked maps T -> T a_c - b_c T are cut at sqrt(tol) relative to
-    max(top singular value, floor), as in `nullspace`. By Schur's lemma
-    two irreducible sets give one direction when they are unitarily
-    equivalent and none otherwise. For n = 1 the identity is returned
-    unchecked; callers test the result against their own residuals.
-    """
-    n = a_mats[0].shape[0]
-    if n == 1:
-        return np.ones((1, 1, 1), dtype=complex)
-    eye = np.eye(n, dtype=complex)
-    rows = [np.kron(eye, a.T) - np.kron(b, eye) for a, b in zip(a_mats, b_mats)]
-    null = nullspace(np.concatenate(rows, axis=0), np.sqrt(tol), floor)
-    return null.T.reshape(-1, n, n)
-
-
 def compress_to_block(block: IrrepBlock, m: np.ndarray) -> np.ndarray:
     return block.isometry.conj().T @ m @ block.isometry
 
@@ -201,7 +188,7 @@ def block_form_split(compressed: np.ndarray, n: int, k: int) -> tuple[np.ndarray
     """
     four = compressed.reshape(n, k, n, k)
     factor = np.einsum("ajbj->ab", four) / k
-    resid = float(np.linalg.norm(compressed - np.kron(factor, np.eye(k))))
+    resid = float(np.linalg.norm(compressed - kron(factor, np.eye(k))))
     return factor, resid
 
 

@@ -23,10 +23,10 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .algebra import block_form_split, commutant, generator_span, intertwiner_space, irrep_decompose
+from .algebra import block_form_split, commutant, generator_span, irrep_decompose
 from .ensemble import Ensemble, SupportFrame, require_valid, support_restrict, _matrix_to_pairs, _number, _pairs_to_matrix
 from .errors import FormViolation, ParseError
-from .linalg import DEFAULT_TOL, direct_sum, eigh, frob, hermitize, pivot_phase, polar_unitary
+from .linalg import DEFAULT_TOL, direct_sum, eigh, frob, hermitize, kron, nullspace, pivot_phase, polar_unitary
 
 __all__ = [
     "KIBlock",
@@ -96,7 +96,7 @@ class KIDecomposition:
         acc = np.zeros((r, r), dtype=complex)
         for b in self.blocks:
             if b.q[i] > 0 and b.rho_J[i] is not None:
-                acc += b.embed(b.q[i] * np.kron(b.rho_J[i], b.rho_K))
+                acc += b.embed(b.q[i] * kron(b.rho_J[i], b.rho_K))
         return self.frame.embed(acc)
 
 
@@ -128,6 +128,24 @@ def _support_set(q: np.ndarray) -> tuple[int, ...]:
     return tuple(int(i) for i in np.nonzero(q > 0)[0])
 
 
+def intertwiner_space(a_mats, b_mats, tol: float) -> np.ndarray:
+    """Basis (m, n, n) of the matrices T with T a_c = b_c T for every pair (a_c, b_c).
+
+    The stacked maps T -> T a_c - b_c T are cut at sqrt(tol) relative to
+    max(top singular value, 1), as in `nullspace`. By Schur's lemma two
+    irreducible sets give one direction when they are unitarily
+    equivalent and none otherwise. For n = 1 the identity is returned
+    unchecked; the caller tests the result against its own residuals.
+    """
+    n = a_mats[0].shape[0]
+    if n == 1:
+        return np.ones((1, 1, 1), dtype=complex)
+    eye = np.eye(n, dtype=complex)
+    rows = [kron(eye, a.T) - kron(b, eye) for a, b in zip(a_mats, b_mats)]
+    null = nullspace(np.concatenate(rows, axis=0), np.sqrt(tol), floor=1.0)
+    return null.T.reshape(-1, n, n)
+
+
 def mergeable(a: KIBlock, b: KIBlock, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, float] | None:
     """Merge witness (V, c) for two blocks of one decomposition, or None.
 
@@ -149,7 +167,7 @@ def mergeable(a: KIBlock, b: KIBlock, tol: float = DEFAULT_TOL) -> tuple[np.ndar
     if np.max(np.abs(qb - c * qa) / qb) > tol:
         return None
     # the candidate is the last null direction; the residual test below decides
-    vs = intertwiner_space([a.rho_J[i] for i in support], [b.rho_J[i] for i in support], tol, floor=1.0)
+    vs = intertwiner_space([a.rho_J[i] for i in support], [b.rho_J[i] for i in support], tol)
     if len(vs) == 0:
         return None
     v = polar_unitary(vs[-1])
@@ -163,7 +181,7 @@ def mergeable(a: KIBlock, b: KIBlock, tol: float = DEFAULT_TOL) -> tuple[np.ndar
 def _merge(a: KIBlock, b: KIBlock, v: np.ndarray, c: float) -> KIBlock:
     """Fold block b into block a after rotating b's J factor by v."""
     r = a.isometry.shape[0]
-    rotated = b.isometry @ np.kron(v, np.eye(b.k, dtype=complex))
+    rotated = b.isometry @ kron(v, np.eye(b.k, dtype=complex))
     cols_a = a.isometry.reshape(r, a.n, a.k)
     cols_b = rotated.reshape(r, b.n, b.k)
     iso = np.concatenate([cols_a, cols_b], axis=2).reshape(r, a.n * (a.k + b.k))
@@ -189,7 +207,7 @@ def _canonicalize_redundant_factor(block: KIBlock) -> KIBlock:
     lam, vec = lam[order], vec[:, order]
     for j in range(vec.shape[1]):  # deterministic column phases
         vec[:, j] *= pivot_phase(vec[:, j])
-    iso = block.isometry @ np.kron(np.eye(block.n, dtype=complex), vec)
+    iso = block.isometry @ kron(np.eye(block.n, dtype=complex), vec)
     return KIBlock(
         n=block.n,
         k=block.k,

@@ -42,7 +42,7 @@ class EmptyTypicalSet(KidecompError):
 
 
 class ConfigTooLarge(KidecompError):
-    """Requested simulation exceeds the desk-scale guard."""
+    """Requested simulation or commutant solve exceeds the desk-scale guard."""
 
 
 class RejectionExhausted(KidecompError):

@@ -165,6 +165,11 @@ def pivot_phase(col: np.ndarray) -> complex:
     return abs(pivot) / pivot if abs(pivot) > 0 else 1.0
 
 
+def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker product of two 2-D arrays: the same products as `np.kron`, as one broadcast multiply."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
+
+
 def direct_sum(mats) -> np.ndarray:
     """Block-diagonal complex matrix with the square `mats` along the diagonal."""
     total = sum(m.shape[0] for m in mats)

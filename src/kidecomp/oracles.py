@@ -17,7 +17,7 @@ from .algebra import commutant, generator_span
 from .decompose import KIBlock, KIDecomposition
 from .ensemble import Ensemble, SupportFrame
 from .errors import RejectionExhausted
-from .linalg import DEFAULT_TOL, direct_sum, eigh, frob, hermitize, qr
+from .linalg import DEFAULT_TOL, direct_sum, eigh, hermitize, kron, qr
 
 MAX_RESAMPLES = 64
 Q_RATIO_SPREAD = 1e-3
@@ -140,7 +140,7 @@ def planted_ensemble(spec: PlantSpec, tol: float = DEFAULT_TOL) -> tuple[Ensembl
 
     states = []
     for i in range(spec.num_states):
-        acc = direct_sum([q[i, l] * np.kron(sigmas[l][i], rho_ks[l]) for l in range(len(spec.blocks))])
+        acc = direct_sum([q[i, l] * kron(sigmas[l][i], rho_ks[l]) for l in range(len(spec.blocks))])
         states.append(hermitize(u @ acc @ u.conj().T))
     e = Ensemble(probs=probs, states=np.stack(states))
 
@@ -169,11 +169,6 @@ class Channel:
             out += k @ rho @ k.conj().T
         return out
 
-    def trace_preservation_residual(self) -> float:
-        d = self.kraus[0].shape[1]
-        acc = sum(k.conj().T @ k for k in self.kraus)
-        return frob(acc - np.eye(d))
-
 
 def form2_channel(d: KIDecomposition, block_kraus: list[np.ndarray]) -> Channel:
     """Assemble the channel acting as identity on every J factor.
@@ -192,7 +187,7 @@ def form2_channel(d: KIDecomposition, block_kraus: list[np.ndarray]) -> Channel:
     for e_idx in range(env):
         acc = np.zeros((frame.rank, frame.rank), dtype=complex)
         for b, bk in zip(d.blocks, block_kraus):
-            acc += b.embed(np.kron(np.eye(b.n, dtype=complex), bk[e_idx]))
+            acc += b.embed(kron(np.eye(b.n, dtype=complex), bk[e_idx]))
         kraus.append(frame.isometry @ acc @ frame.isometry.conj().T)
     if frame.rank < ambient:
         kraus[0] = kraus[0] + (

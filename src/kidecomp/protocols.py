@@ -36,7 +36,7 @@ import numpy as np
 from .decompose import KIDecomposition
 from .ensemble import Ensemble
 from .errors import ConfigTooLarge, EmptyTypicalSet
-from .linalg import DEFAULT_TOL, eigh, eigvalsh, hermitize
+from .linalg import DEFAULT_TOL, eigh, eigvalsh, hermitize, kron
 from .measures import fidelity, shannon_entropy, von_neumann_entropy
 
 DESK_SCALE_QUBITS = 20
@@ -113,7 +113,7 @@ def simulate_individual(
         for i in range(num_states):
             if b.q[i] <= 0 or b.rho_J[i] is None:
                 continue
-            delivered = d.frame.embed(b.embed(np.kron(b.rho_J[i], b.rho_K)))
+            delivered = d.frame.embed(b.embed(kron(b.rho_J[i], b.rho_K)))
             embedded[(i, l)] = delivered
             comp = proj @ e.states[i] @ proj
             comp = hermitize(comp / np.trace(comp).real)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,17 +14,40 @@ from kidecomp.algebra import (
     compress_to_block,
     generate_algebra,
     generator_span,
-    intertwiner_space,
     irrep_decompose,
 )
+from kidecomp.decompose import intertwiner_space
 from kidecomp.ensemble import support_restrict
-from kidecomp.errors import DegenerateSample
-from kidecomp.linalg import DEFAULT_TOL, polar_unitary
+from kidecomp.errors import ConfigTooLarge, DegenerateSample
+from kidecomp.linalg import DEFAULT_TOL, nullspace, orthonormalize_hs, polar_unitary
 from kidecomp.oracles import PlantSpec, haar_unitary, planted_ensemble, random_density
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
+PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 I2 = np.eye(2, dtype=complex)
+
+
+def _vecs(a: OperatorBasis) -> np.ndarray:
+    return a.mats.reshape(a.size, -1)
+
+
+def _contains(a: OperatorBasis, m: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
+    """Membership of `m` in the span of `a`, relative to its norm."""
+    w = m.reshape(-1)
+    v = _vecs(a)
+    resid = w - (v.conj() @ w) @ v
+    return float(np.linalg.norm(resid)) <= tol * max(1.0, float(np.linalg.norm(w)))
+
+
+def _reference_commutant(a: OperatorBasis, tol: float = DEFAULT_TOL) -> OperatorBasis:
+    """The commutant over all dim^2 unknowns: the nullspace of the stacked kron maps X -> X G - G X."""
+    d = a.dim
+    eye = np.eye(d, dtype=complex)
+    rows = [np.kron(eye, g.T) - np.kron(g, eye) for g in a.generators]
+    null = nullspace(np.concatenate(rows, axis=0), tol, floor=1.0)
+    mats = [null[:, i].reshape(d, d) for i in range(null.shape[1])]
+    return OperatorBasis(dim=d, mats=np.stack(orthonormalize_hs(mats, tol)))
 
 
 def test_generate_identity_only():
@@ -41,16 +66,16 @@ def test_generate_single_diagonal_is_polynomials():
     for i in range(3):
         proj = np.zeros((3, 3), dtype=complex)
         proj[i, i] = 1.0
-        assert a.contains(proj, 1e-8)
+        assert _contains(a, proj, 1e-8)
 
 
 def _algebra_flags(a: OperatorBasis, tol: float = 1e-8) -> dict[str, bool]:
     """Check numerically that the span is an orthonormal unital *-algebra."""
     return {
-        "orthonormal": np.allclose(a.vecs().conj() @ a.vecs().T, np.eye(a.size), atol=tol),
-        "contains_identity": a.contains(np.eye(a.dim, dtype=complex), tol),
-        "closed_under_adjoint": all(a.contains(m.conj().T, tol) for m in a.mats),
-        "closed_under_product": all(a.contains(x @ y, tol) for x in a.mats for y in a.mats),
+        "orthonormal": np.allclose(_vecs(a).conj() @ _vecs(a).T, np.eye(a.size), atol=tol),
+        "contains_identity": _contains(a, np.eye(a.dim, dtype=complex), tol),
+        "closed_under_adjoint": all(_contains(a, m.conj().T, tol) for m in a.mats),
+        "closed_under_product": all(_contains(a, x @ y, tol) for x in a.mats for y in a.mats),
     }
 
 
@@ -63,11 +88,15 @@ def test_generated_algebra_flags():
 def test_commutant_of_full_matrix_algebra_is_scalars():
     a = generate_algebra([PAULI_X, PAULI_Z], 2)
     assert commutant(a).size == 1
+    # four anticommuting involutions generate M_4, though no element of their span is generic
+    assert commutant(generator_span(_clifford_generators(4, 0), 4)).size == 1
 
 
 def test_commutant_of_scalars_is_everything():
     a = generate_algebra([I2], 2)
     assert commutant(a).size == 4
+    for d in (1, 3, 5):  # one eigenspace: the solve runs over all d^2 unknowns
+        assert commutant(generator_span([np.eye(d, dtype=complex)], d)).size == d * d
 
 
 def test_commutant_of_x_tensor_identity():
@@ -130,8 +159,8 @@ def test_double_commutant_equals_algebra():
     g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     a = generate_algebra([(g + g.conj().T) / 2], 3)
     cc = commutant(commutant(a))
-    pa = a.vecs().conj().T @ a.vecs()
-    pc = cc.vecs().conj().T @ cc.vecs()
+    pa = _vecs(a).conj().T @ _vecs(a)
+    pc = _vecs(cc).conj().T @ _vecs(cc)
     assert np.linalg.norm(pa - pc) <= 1e-8
 
 
@@ -146,7 +175,7 @@ def test_irrep_determinism():
 
 
 def _projector(basis: OperatorBasis) -> np.ndarray:
-    return basis.vecs().T @ basis.vecs().conj()
+    return _vecs(basis).T @ _vecs(basis).conj()
 
 
 def test_generators_default_to_the_basis():
@@ -268,21 +297,19 @@ def test_intertwiner_space_split_and_merge_rules():
     sigmas = [random_density(3, rng) for _ in range(3)]
     u = haar_unitary(3, rng)
     rotated = [u @ s @ u.conj().T for s in sigmas]
-    for floor in (0.0, 1.0):
-        ts = intertwiner_space(sigmas, rotated, DEFAULT_TOL, floor)
-        assert ts.shape == (1, 3, 3)
-        v = polar_unitary(ts[0])
-        for s, r in zip(sigmas, rotated):
-            assert np.allclose(v @ s @ v.conj().T, r, atol=1e-8)
-        phase = np.trace(u.conj().T @ v) / 3
-        assert np.allclose(v, phase * u, atol=1e-8) and abs(abs(phase) - 1) < 1e-8
+    ts = intertwiner_space(sigmas, rotated, DEFAULT_TOL)
+    assert ts.shape == (1, 3, 3)
+    v = polar_unitary(ts[0])
+    for s, r in zip(sigmas, rotated):
+        assert np.allclose(v @ s @ v.conj().T, r, atol=1e-8)
+    phase = np.trace(u.conj().T @ v) / 3
+    assert np.allclose(v, phase * u, atol=1e-8) and abs(abs(phase) - 1) < 1e-8
 
-        others = [random_density(3, rng) for _ in range(3)]
-        assert len(intertwiner_space(sigmas, others, DEFAULT_TOL, floor)) == 0
+    others = [random_density(3, rng) for _ in range(3)]
+    assert len(intertwiner_space(sigmas, others, DEFAULT_TOL)) == 0
 
     reducible = [np.diag([0.7, 0.3]).astype(complex), np.diag([0.2, 0.8]).astype(complex)]
-    assert len(intertwiner_space(reducible, reducible, DEFAULT_TOL, 0.0)) == 2
-    ts = intertwiner_space(reducible, reducible, DEFAULT_TOL, 1.0)
+    ts = intertwiner_space(reducible, reducible, DEFAULT_TOL)
     v = polar_unitary(ts[-1])
     assert np.allclose(v.conj().T @ v, I2)
     for s in reducible:
@@ -317,3 +344,87 @@ def test_always_degenerate_probe_raises(monkeypatch):
     monkeypatch.setattr(algebra, "_random_hermitian_from", _identity_probe)
     with pytest.raises(DegenerateSample, match=f"failed {algebra.PROBE_RETRIES} times; last failure: copy links are not 0 or 1"):
         irrep_decompose(span, seed=0)
+
+
+def _clifford_generators(count, seed):
+    """`count` of four anticommuting Hermitian involutions on C^4, behind a Haar rotation.
+
+    Every Hermitian element c_0 I + sum_j c_j g_j has eigenvalues
+    c_0 +- |c|, each two-fold, so no element of the span is generic.
+    """
+    gammas = [np.kron(PAULI_X, PAULI_X), np.kron(PAULI_Y, PAULI_X), np.kron(PAULI_Z, PAULI_X), np.kron(I2, PAULI_Y)]
+    u = haar_unitary(4, np.random.default_rng(seed))
+    return [u @ g @ u.conj().T for g in gammas[:count]]
+
+
+def _planted_span(blocks, num_states, seed):
+    e, _ = planted_ensemble(PlantSpec(blocks=tuple(blocks), num_states=num_states, seed=seed))
+    _, er = support_restrict(e)
+    return generator_span(list(er.states), er.dim)
+
+
+def _hidden_span(blocks, num_states, seed):
+    gens = _hidden_multiplicity_generators(blocks, num_states, seed)
+    return generator_span(gens, gens[0].shape[0])
+
+
+_PLANT_BLOCKS = st.lists(st.sampled_from(PLANT_SHAPES), min_size=1, max_size=3).filter(
+    lambda bs: sum(n * k for n, k in bs) <= 8
+)
+_SEEDS = st.integers(0, 2**32 - 1)
+_SPANS = st.one_of(
+    st.builds(_planted_span, _PLANT_BLOCKS, st.integers(2, 4), _SEEDS),
+    st.builds(_hidden_span, _PLANT_BLOCKS, st.integers(1, 4), _SEEDS),
+    st.builds(lambda count, seed: generator_span(_clifford_generators(count, seed), 4), st.integers(1, 4), _SEEDS),
+    st.builds(lambda d: generator_span([np.eye(d, dtype=complex)], d), st.integers(1, 6)),
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(span=_SPANS)
+def test_commutant_matches_the_kron_stack_reference(span):
+    comm = commutant(span)
+    assert np.allclose(_vecs(comm).conj() @ _vecs(comm).T, np.eye(comm.size), atol=1e-12)
+    assert np.linalg.norm(_projector(comm) - _projector(_reference_commutant(span))) <= 1e-10
+    # the double commutant: the full commutant basis as generators
+    double = commutant(comm)
+    assert np.linalg.norm(_projector(double) - _projector(_reference_commutant(comm))) <= 1e-10
+
+
+def test_commutant_reads_only_the_generators():
+    # the span element is drawn from `generators`, which the closure keeps from its seed span
+    gens = _hidden_multiplicity_generators([(2, 2), (1, 1), (2, 1)], 3, 4)
+    d = gens[0].shape[0]
+    assert np.array_equal(commutant(generator_span(gens, d)).mats, commutant(generate_algebra(gens, d)).mats)
+
+
+def test_commutant_memory_at_d26():
+    # over all d^2 unknowns the stack of this span took 91 MB; the eigenspace stack takes about 2 MB
+    span = _planted_span(((5, 3), (4, 2), (3, 1)), 3, 1)
+    tracemalloc.start()
+    try:
+        comm = commutant(span)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert comm.size == 6  # one inequivalent copy per redundant eigenvalue
+    assert peak < 8 * 2**20
+
+
+def test_commutant_stack_cap_is_checked_before_allocating(monkeypatch):
+    # span {I} at d=91: one cluster of 91 indices, an 8281 x 8281 stack of 1.1 GB
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigTooLarge, match="commutant stack of 8281 x 8281"):
+            commutant(generator_span([np.eye(91, dtype=complex)], 91))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    # the cap is inclusive: span {I} at d=2 stacks 1 x 4 x 4 complex unknowns, 256 bytes
+    span = generator_span([I2], 2)
+    monkeypatch.setattr(algebra, "MAX_STACK_BYTES", 256)
+    assert commutant(span).size == 4
+    monkeypatch.setattr(algebra, "MAX_STACK_BYTES", 255)
+    with pytest.raises(ConfigTooLarge):
+        commutant(span)

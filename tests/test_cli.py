@@ -152,6 +152,16 @@ def test_exit_code_degenerate_probes(single_state_file, monkeypatch, capsys):
     assert "Traceback" not in err
 
 
+def test_exit_code_commutant_too_large(tmp_path, capsys):
+    # the maximally mixed state spans {I}: its commutant stack at d=91 is past the cap
+    path = tmp_path / "mixed.json"
+    save_ensemble(path, Ensemble(probs=[1.0], states=[np.eye(91, dtype=complex) / 91]))
+    assert main(["decompose", str(path)]) == 4
+    err = capsys.readouterr().err
+    assert "configuration error: commutant stack of 8281 x 8281" in err
+    assert "Traceback" not in err
+
+
 def test_exit_code_svd_failure(two_pure_file, monkeypatch, capsys):
     def fail(*args, **kwargs):
         raise np.linalg.LinAlgError("SVD did not converge")

@@ -131,6 +131,12 @@ def test_planted_recovery_d26():
     assert verify(d, e).ok
 
 
+def test_planted_recovery_d52():
+    e, truth = planted_ensemble(PlantSpec(blocks=((8, 4), (6, 2), (4, 2)), num_states=3, seed=1))
+    d = _assert_recovers_plant(e, truth)
+    assert verify(d, e).ok
+
+
 def test_overshooting_closure_never_gives_wrong_shapes():
     # The algebra closure broke on these plants: its SVD did not converge for
     # 7003 and 1041457616003 with 2 BLAS threads and for 31003 with 1, and

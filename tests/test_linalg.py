@@ -7,7 +7,7 @@ import pytest
 
 import kidecomp
 from kidecomp.errors import ConvergenceFailure, NotHermitian, NotPSD
-from kidecomp.linalg import eig_hermitian, eigh, eigvalsh, nullspace, orthonormalize_hs, polar_unitary, psd_sqrt, svd
+from kidecomp.linalg import eig_hermitian, eigh, eigvalsh, kron, nullspace, orthonormalize_hs, polar_unitary, psd_sqrt, svd
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -204,3 +204,12 @@ def test_lapack_is_called_only_through_the_typed_wrappers():
             ):
                 offenders.append(f"{path.name}:{node.lineno} uses np.linalg.{getattr(parent[node], 'attr', '')}")
     assert offenders == []
+
+
+@pytest.mark.parametrize("shape_a, shape_b", [((3, 3), (2, 2)), ((2, 5), (4, 1)), ((1, 3), (3, 2)), ((4, 2), (1, 1))])
+def test_kron_equals_numpy_kron(shape_a, shape_b):
+    rng = np.random.default_rng(11)
+    a = rng.standard_normal(shape_a) + 1j * rng.standard_normal(shape_a)
+    b = rng.standard_normal(shape_b) + 1j * rng.standard_normal(shape_b)
+    assert np.array_equal(kron(a, b), np.kron(a, b))
+    assert np.array_equal(kron(a, np.eye(3)), np.kron(a, np.eye(3)))  # complex by real, as in the block form
