@@ -24,10 +24,16 @@ searchsorted(cdf, u, side="right") on the CDF that Generator.choice(p=...)
 builds, so it equals choice's draw. The stream does not depend on delta:
 rate_sweep draws each trial once and scores every delta on it, so runs
 at different rates with one seed are paired.
+
+The streams are drawn in bulk, a block of trials at a time, by
+`streams._trial_uniforms`: a bit-exact numpy port of SeedSequence, PCG64
+and Generator.random(), vectorised over t. The tests check it against
+default_rng([seed, t]) itself.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import asdict, dataclass, field
 
@@ -38,6 +44,7 @@ from .ensemble import Ensemble
 from .errors import ConfigTooLarge, EmptyTypicalSet
 from .linalg import DEFAULT_TOL, eigh, eigvalsh, hermitize, kron
 from .measures import fidelity, shannon_entropy, von_neumann_entropy
+from .streams import _trial_stream
 
 DESK_SCALE_QUBITS = 20
 MIXED_SUBSPACE_CAP = 4096
@@ -129,9 +136,7 @@ def simulate_individual(
 
     log_n = np.array([math.log2(b.n) for b in d.blocks])
     cdf_p, cdf_q = _pick_cdfs(e, d)
-    u = np.empty((trials, 2))
-    for t in range(trials):
-        np.random.default_rng([seed, t]).random(out=u[t])
+    u = np.concatenate(list(_trial_stream(seed, trials, 2)))
     states = np.searchsorted(cdf_p, u[:, 0], side="right")
     blocks = (cdf_q[states] <= u[:, 1:]).sum(axis=1)
     records = [
@@ -209,19 +214,8 @@ class TypicalSet:
         return sum(c.sequences for c in self.classes)
 
     @property
-    def log2_size(self) -> float:
-        return math.log2(self.size)
-
-    @property
     def weight(self) -> float:
         return float(sum(c.sequences * 2.0 ** c.log2_prob for c in self.classes))
-
-    def contains(self, seq) -> bool:
-        counts = [0] * len(self.spectrum)
-        for s in seq:
-            counts[int(s)] += 1
-        counts = tuple(counts)
-        return any(c.counts == counts for c in self.classes)
 
 
 def typical_projector(
@@ -385,7 +379,7 @@ class _BlockData:
     basis: np.ndarray  # matching eigenvectors
     entropy_rate: float
     diag: dict[int, np.ndarray]  # state index -> diag of rotated J state
-    rotated: dict[int, np.ndarray]  # state index -> full rotated J state
+    rotated: dict[int, np.ndarray]  # state index -> full rotated J state, exactly Hermitian
     all_pure: bool
 
 
@@ -399,7 +393,7 @@ def _block_data(d: KIDecomposition, tol: float) -> list[_BlockData]:
         for i in range(len(b.q)):
             if b.q[i] <= 0 or b.rho_J[i] is None:
                 continue
-            st = vec.conj().T @ b.rho_J[i] @ vec
+            st = hermitize(vec.conj().T @ b.rho_J[i] @ vec)
             rotated[i] = st
             diag[i] = np.clip(np.real(np.diag(st)), 0.0, None)
             pure = pure and float(np.trace(st @ st).real) >= 1.0 - 1e-9
@@ -417,7 +411,16 @@ def _block_data(d: KIDecomposition, tol: float) -> list[_BlockData]:
 
 
 def _failure_fidelity(plan: _CompressionPlan, data: _BlockData, members: list[int], w: float) -> float:
-    """Fidelity of the group state against the maximally mixed junk state."""
+    """Fidelity of the group state against the maximally mixed junk state.
+
+    The group state on the compression subspace has the entries
+    prod_j rho_j[s_j, s'_j] over pairs of the subspace's sequences s, s'.
+    It is built per half of the sequence positions: each half-sequence
+    is coded as one integer, the half's product is taken over its
+    distinct codes only, and one gather per half spreads it over the
+    subspace. Every factor is exactly Hermitian (see `_block_data`), so
+    the product is too.
+    """
     if data.all_pure:
         return w / plan.dim
     if plan.dim > MIXED_SUBSPACE_CAP:
@@ -425,11 +428,21 @@ def _failure_fidelity(plan: _CompressionPlan, data: _BlockData, members: list[in
             f"exact mixed-state fidelity needs subspace dimension <= {MIXED_SUBSPACE_CAP}"
         )
     seqs = plan.all_sequences()
-    compressed = np.ones((len(seqs), len(seqs)), dtype=complex)
-    for j, i in enumerate(members):
-        s = seqs[:, j]
-        compressed *= data.rotated[i][s[:, None], s[None, :]]
-    lam = np.clip(eigvalsh(hermitize(compressed)), 0.0, None)
+
+    def half_state(cols: range) -> np.ndarray:
+        codes = seqs[:, cols] @ plan.alphabet ** np.arange(len(cols))
+        _, first, inv = np.unique(codes, return_index=True, return_inverse=True)
+        heads = seqs[first]
+        part = np.ones((len(first), len(first)), dtype=complex)
+        for j in cols:
+            s = heads[:, j]
+            part *= data.rotated[members[j]][s[:, None], s[None, :]]
+        return part[inv[:, None], inv[None, :]]
+
+    half = len(members) // 2
+    compressed = half_state(range(half))
+    compressed *= half_state(range(half, len(members)))
+    lam = np.clip(eigvalsh(compressed), 0.0, None)
     return float(np.sum(np.sqrt(lam)) ** 2) / plan.dim
 
 
@@ -461,14 +474,15 @@ class AsymptoticRun:
         return out
 
 
-def _draw_block_trial(rng: np.random.Generator, n: int, cdf_p: np.ndarray, cdf_q: np.ndarray):
-    """One block-protocol trial's stream: n messages, their labels, the
-    occupied labels ascending, and one branch uniform per occupied label."""
-    u = rng.random(2 * n)
+def _draw_block_trial(u: np.ndarray, n: int, cdf_p: np.ndarray, cdf_q: np.ndarray):
+    """One block-protocol trial from its stream row `u`: n messages, their
+    labels, the occupied labels ascending, and one branch uniform per
+    occupied label. The row holds 2n + (number of blocks) uniforms, of
+    which the trial reads 2n + (number of occupied labels)."""
     drawn = np.searchsorted(cdf_p, u[:n], side="right")
-    labels = (cdf_q[drawn] <= u[n:, None]).sum(axis=1)
+    labels = (cdf_q[drawn] <= u[n : 2 * n, None]).sum(axis=1)
     occupied = np.flatnonzero(np.bincount(labels))
-    return drawn, labels, occupied, rng.random(len(occupied))
+    return drawn, labels, occupied, u[2 * n : 2 * n + len(occupied)]
 
 
 def simulate_asymptotic(
@@ -521,10 +535,9 @@ def rate_sweep(
     plans: dict[tuple[int, int, float], _CompressionPlan] = {}
     fidelities = np.ones((len(deltas), trials))
     qubits = np.zeros((len(deltas), trials), dtype=np.int64)
-    for t in range(trials):
-        drawn, labels, occupied, branch = _draw_block_trial(
-            np.random.default_rng([seed, t]), n, cdf_p, cdf_q
-        )
+    stream = itertools.chain.from_iterable(_trial_stream(seed, trials, 2 * n + len(d.blocks)))
+    for t, u in enumerate(stream):
+        drawn, labels, occupied, branch = _draw_block_trial(u, n, cdf_p, cdf_q)
         for l, u_group in zip(occupied.tolist(), branch):
             members = drawn[labels == l].tolist()
             diag_rows = sums = None

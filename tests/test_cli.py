@@ -250,6 +250,14 @@ def test_out_of_range_options_are_config_errors(two_pure_file, option, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["simulate-individual", "simulate-asymptotic", "rate-sweep"])
+def test_negative_seed_is_a_config_error(two_pure_file, command, capsys):
+    assert main([command, two_pure_file, "--seed", "-1", "--trials", "5"]) == 4
+    err = capsys.readouterr().err
+    assert "expected non-negative integer" in err
+    assert "Traceback" not in err
+
+
 def test_verify_rejects_non_numeric_decomposition_entries(two_pure_file, tmp_path, capsys):
     dec = tmp_path / "dec.json"
     assert main(["decompose", two_pure_file, "-o", str(dec)]) == 0

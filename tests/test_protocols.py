@@ -1,11 +1,16 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from kidecomp import streams
 from kidecomp.decompose import ki_decompose
 from kidecomp.ensemble import Ensemble
 from kidecomp.errors import ConfigTooLarge, EmptyTypicalSet
+from kidecomp.linalg import eigvalsh, hermitize
 from kidecomp.measures import info_measures
 from kidecomp.oracles import PlantSpec, planted_ensemble
 from kidecomp.protocols import (
@@ -22,6 +27,7 @@ from kidecomp.protocols import (
     simulate_individual,
     typical_projector,
 )
+from kidecomp.streams import _trial_stream, _trial_uniforms
 
 KET0 = np.array([[1, 0], [0, 0]], dtype=complex)
 KET1 = np.array([[0, 0], [0, 1]], dtype=complex)
@@ -94,11 +100,22 @@ def test_report_key_order():
 # -- typicality --------------------------------------------------------------
 
 
+def _log2_size(ts):
+    return math.log2(ts.size)
+
+
+def _contains(ts, seq):
+    counts = [0] * len(ts.spectrum)
+    for s in seq:
+        counts[int(s)] += 1
+    return any(c.counts == tuple(counts) for c in ts.classes)
+
+
 def test_typical_pure_spectrum():
     ts = typical_projector([1.0], 7, 0.1)
     assert ts.size == 1
     assert ts.weight == pytest.approx(1.0)
-    assert ts.log2_size == 0.0
+    assert _log2_size(ts) == 0.0
 
 
 def test_typical_flat_spectrum_all_sequences():
@@ -126,7 +143,7 @@ def test_typical_binomial_against_enumeration():
     assert ts.weight == pytest.approx(weight, abs=1e-12)
     for code in (0, 1, 3, 7, 2**n - 1):
         seq = tuple((code >> j) & 1 for j in range(n))
-        assert ts.contains(seq) == (seq in member)
+        assert _contains(ts, seq) == (seq in member)
 
 
 def test_typical_empty_window_raises():
@@ -301,10 +318,8 @@ def test_block_stream_matches_choice_reference(bench_plant):
     e, d = bench_plant
     cdf_p, cdf_q = _pick_cdfs(e, d)
     for seed in (0, 5, 7919):
-        for t in range(60):
-            drawn, labels, occupied, uniforms = _draw_block_trial(
-                np.random.default_rng([seed, t]), 12, cdf_p, cdf_q
-            )
+        for t, u in enumerate(_trial_uniforms(seed, 0, 60, 2 * 12 + len(d.blocks))):
+            drawn, labels, occupied, uniforms = _draw_block_trial(u, 12, cdf_p, cdf_q)
             ref = reference_block_trial(e, d, 12, np.random.default_rng([seed, t]))
             for got, want in zip((drawn, labels, occupied, uniforms), ref):
                 assert np.array_equal(got, want)
@@ -322,3 +337,128 @@ def test_rate_sweep_matches_per_delta_reference(bench_plant):
         single = simulate_asymptotic(e, d, AsymptoticConfig(n_messages=8, delta=run.delta, trials=40, seed=3))
         assert np.array_equal(single.fidelities, run.fidelities)
         assert single.to_dict() == run.to_dict()
+
+
+# -- the bulk stream kernel against default_rng --------------------------------
+
+
+def reference_uniforms(seed, start, stop, count):
+    rows = [np.random.default_rng([seed, t]).random(count) for t in range(start, stop)]
+    return np.array(rows).reshape(stop - start, count)
+
+
+# seeds of 1 to 6 uint32 words; with t appended, 4 or more seed words reach
+# SeedSequence's second mixing loop
+_SEED_WORDS = st.integers(1, 6).flatmap(
+    lambda k: st.integers(0 if k == 1 else 2 ** (32 * (k - 1)), 2 ** (32 * k) - 1)
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    seed=_SEED_WORDS,
+    start=st.one_of(st.integers(0, 50), st.integers(0, 2**32 - 40)),
+    length=st.integers(0, 30),
+    count=st.sampled_from([1, 2, 2 * 12 + 2, 2 * 12 + 3]),
+)
+@example(seed=0, start=0, length=5, count=1)
+@example(seed=2**32, start=2**32 - 7, length=7, count=2)  # the last index one word holds
+@example(seed=3**150, start=11, length=3, count=27)
+def test_trial_uniforms_match_default_rng(seed, start, length, count):
+    got = _trial_uniforms(seed, start, start + length, count)
+    assert got.shape == (length, count) and got.flags.c_contiguous
+    assert np.array_equal(got, reference_uniforms(seed, start, start + length, count))
+
+
+@pytest.mark.parametrize("block", [1, 7, streams._STREAM_BLOCK])
+def test_trial_stream_blocks_join_into_one_stream(block, monkeypatch):
+    monkeypatch.setattr(streams, "_STREAM_BLOCK", block)
+    trials = 2 * block + 3
+    rows = list(_trial_stream(7919, trials, 2))
+    assert [len(r) for r in rows] == [min(block, trials - start) for start in range(0, trials, block)]
+    assert np.array_equal(np.concatenate(rows), reference_uniforms(7919, 0, trials, 2))
+
+
+def test_trial_uniforms_guards():
+    # the same errors SeedSequence raises for these seeds
+    for seed, error in ((-1, ValueError), (-(2**40), ValueError), (1.5, TypeError)):
+        with pytest.raises(error):
+            np.random.default_rng([seed, 0])
+        with pytest.raises(error):
+            _trial_uniforms(seed, 0, 3, 2)
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        _trial_uniforms(-1, 0, 3, 2)
+    e, d = two_pure()
+    for run in (lambda: simulate_individual(e, d, trials=3, seed=-1), lambda: rate_sweep(e, d, 4, [0.0], 3, seed=-1)):
+        with pytest.raises(ValueError, match="expected non-negative integer"):
+            run()
+    # t = 2**32 needs a second entropy word: refused, not wrapped to t = 0
+    with pytest.raises(ValueError, match="below 2\\*\\*32"):
+        _trial_uniforms(0, 2**32 - 1, 2**32 + 1, 1)
+
+
+def test_simulators_build_no_per_trial_generator(bench_plant, monkeypatch):
+    e, d = bench_plant
+    want_records, want_summary = simulate_individual(e, d, trials=300, seed=4)
+    want_runs = rate_sweep(e, d, 8, [-0.25, 0.25], trials=30, seed=4)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a simulator built a Generator")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    records, summary = simulate_individual(e, d, trials=300, seed=4)
+    runs = rate_sweep(e, d, 8, [-0.25, 0.25], trials=30, seed=4)
+    assert records == want_records and summary == want_summary
+    assert all(np.array_equal(a.fidelities, b.fidelities) for a, b in zip(runs, want_runs))
+
+
+def test_block_stream_memory_is_bounded_by_the_block():
+    # 10^5 rows of 26 uniforms: 21 MB as one array, about 46 MB at peak in one kernel call
+    tracemalloc.start()
+    try:
+        for rows in _trial_stream(3, 100_000, 26):
+            assert rows.shape[1] == 26
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
+# -- the failure branch against the per-member gather --------------------------
+
+
+def _reference_failure_fidelity(plan, data, members):
+    """The group state built with one full-size gather per member, hermitized."""
+    seqs = plan.all_sequences()
+    compressed = np.ones((len(seqs), len(seqs)), dtype=complex)
+    for j, i in enumerate(members):
+        s = seqs[:, j]
+        compressed *= data.rotated[i][s[:, None], s[None, :]]
+    lam = np.clip(eigvalsh(hermitize(compressed)), 0.0, None)
+    return float(np.sum(np.sqrt(lam)) ** 2) / plan.dim
+
+
+@pytest.mark.parametrize(
+    "blocks,lengths",
+    [(((2, 1),), (1, 2, 5, 7)), (((3, 1), (2, 2)), (1, 2, 3, 6, 9))],
+    ids=["2x1", "3x1,2x2"],
+)
+def test_failure_fidelity_matches_per_member_gather(blocks, lengths):
+    # the 3x1,2x2 plant is the bench's; a 9-member group at delta 0 has 1024 sequences
+    e, _ = planted_ensemble(PlantSpec(blocks=blocks, num_states=3, seed=1))
+    data = next(b for b in _block_data(ki_decompose(e), 1e-9) if not b.all_pure)
+    states = sorted(data.diag)
+    rng = np.random.default_rng(0)
+    seen = set()
+    for length in lengths:
+        for delta in (-0.6, -0.3, -0.1, 0.0, 0.2) if length < 9 else (-0.25, 0.0):
+            plan = _compression_plan(data.spectrum, length, delta)
+            if plan.full:
+                continue
+            members = [int(i) for i in rng.choice(states, size=length)]
+            got = _failure_fidelity(plan, data, members, 0.5)
+            want = _reference_failure_fidelity(plan, data, members)
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+            seen.add((length, plan.partial is not None))
+    # a one-member group (empty first half), N=2 and a partial class all ran
+    assert {1, 2} <= {n for n, _ in seen} and any(partial for _, partial in seen)
