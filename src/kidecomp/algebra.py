@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigTooLarge, DegenerateSample, DimensionOverflow
+from .errors import ConfigTooLarge, DegenerateSample
 from .linalg import DEFAULT_TOL, as_complex_matrix, eigh, hermitize, kron, nullspace, orthonormalize_hs, pivot_phase, polar_unitary
 
 PROBE_RETRIES = 8
@@ -84,10 +84,6 @@ def generate_algebra(generators, dim: int, tol: float = DEFAULT_TOL) -> Operator
         cur = np.stack(basis)
         prods = np.einsum("aij,bjk->abik", cur, cur).reshape(-1, dim, dim)
         grown = orthonormalize_hs(list(cur) + list(prods), tol)
-        if len(grown) > dim * dim:
-            raise DimensionOverflow(
-                f"closure produced {len(grown)} > dim^2 = {dim * dim} elements; tolerance too loose"
-            )
         if len(grown) == len(basis):
             return OperatorBasis(dim=dim, mats=np.stack(grown), generators=gen_span)
         basis = grown

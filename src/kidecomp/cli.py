@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 
 import numpy as np
@@ -32,7 +33,6 @@ from .errors import (
     ConfigTooLarge,
     ConvergenceFailure,
     DegenerateSample,
-    DimensionOverflow,
     FormViolation,
     KidecompError,
     NotHermitian,
@@ -45,7 +45,7 @@ from .measures import info_measures
 from .oracles import PlantSpec, planted_ensemble
 from .protocols import AsymptoticConfig, rate_sweep, simulate_asymptotic, simulate_individual
 
-_NUMERICAL = (DegenerateSample, FormViolation, ConvergenceFailure, DimensionOverflow, NotHermitian, NotPSD)
+_NUMERICAL = (DegenerateSample, FormViolation, ConvergenceFailure, NotHermitian, NotPSD)
 _CONFIG = (ConfigTooLarge, RejectionExhausted)
 
 
@@ -212,12 +212,19 @@ def _parse_blocks(text: str) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {value}")
+    return value
+
+
 def _floats(text: str) -> tuple[float, ...]:
-    return tuple(float(x) for x in text.split(","))
+    return tuple(_finite(x) for x in text.split(","))
 
 
 def _positive(text: str) -> float:
-    value = float(text)
+    value = _finite(text)
     if value <= 0:
         raise argparse.ArgumentTypeError(f"must be positive, got {value}")
     return value
@@ -241,7 +248,7 @@ _OPTIONS = {
     "format": (("--format",), {"choices": ("json", "text"), "default": "json"}),
     "trials": (("--trials",), {"type": _count, "default": 10_000}),
     "n_messages": (("-N", "--messages"), {"type": _count, "default": 8}),
-    "delta": (("--delta",), {"type": float, "default": 0.25}),
+    "delta": (("--delta",), {"type": _finite, "default": 0.25}),
     "deltas": (("--deltas",), {"type": _floats, "default": "-0.25,0,0.25", "help": "comma-separated slack values"}),
     "decomposition": (("--decomposition",), {"default": None, "help": "decomposition file (else recompute)"}),
     "channels": (("--channels",), {"type": _count, "default": 20}),

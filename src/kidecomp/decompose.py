@@ -86,10 +86,6 @@ class KIDecomposition:
             rho_j_avg.append(hermitize(acc / np.dot(probs, b.q)))
         return cls(frame=frame, blocks=blocks, p_block=p_block, rho_J_avg=rho_j_avg)
 
-    @property
-    def num_states(self) -> int:
-        return len(self.blocks[0].q)
-
     def reconstruct(self, i: int) -> np.ndarray:
         """Ambient-space state assembled from the block data of state i."""
         r = self.frame.rank

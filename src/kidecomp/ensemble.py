@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .linalg import DEFAULT_TOL, as_complex_matrix, eig_hermitian, eigvalsh, frob, hermitize
+from .linalg import DEFAULT_TOL, as_complex_matrix, eig_hermitian, eigvalsh, frob, hermitize, rank_cut
 
 
 @dataclass(frozen=True)
@@ -134,7 +134,7 @@ def support_restrict(e: Ensemble, tol: float = DEFAULT_TOL) -> tuple[SupportFram
     d = e.dim
     eig = eig_hermitian(rho, tol)
     lam, vec = eig.values, eig.vectors
-    keep = lam > tol * float(lam[-1])
+    keep = rank_cut(lam, tol)
     rank = int(np.sum(keep))
     if rank == d:
         frame = SupportFrame(ambient_dim=d, rank=d, isometry=np.eye(d, dtype=complex))

@@ -17,10 +17,6 @@ class ConvergenceFailure(KidecompError):
     """An eigen/singular value factorization failed to converge."""
 
 
-class DimensionOverflow(KidecompError):
-    """Algebra closure exceeded dim^2 basis elements (tolerance runaway)."""
-
-
 class DegenerateSample(KidecompError):
     """Random probes failed to separate spectra after the retry budget."""
 

@@ -3,7 +3,8 @@
 Everything here works on plain complex ndarrays. Rank and clamping
 decisions are relative to the largest singular value / eigenvalue, never
 absolute, so the routines are insensitive to the overall scale of their
-inputs.
+inputs. `rank_cut` is the one relative rank cut of the package, and every
+LAPACK call goes through the typed wrappers built by `_lapack`.
 """
 
 from __future__ import annotations
@@ -36,40 +37,40 @@ def frob(m: np.ndarray) -> float:
     return float(np.linalg.norm(m))
 
 
-# LAPACK entry points for the whole package: each re-raises numpy's
-# LinAlgError as ConvergenceFailure, which the CLI maps to exit code 3.
+def _lapack(name: str):
+    """`np.linalg.<name>`, raising ConvergenceFailure where LAPACK gives up.
+
+    The routine is looked up on each call, so a replacement installed on
+    `np.linalg` (as the tests do) reaches every caller.
+    """
+
+    def call(*args, **kwargs):
+        try:
+            return getattr(np.linalg, name)(*args, **kwargs)
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceFailure(str(exc)) from exc
+
+    call.__name__ = call.__qualname__ = name
+    return call
 
 
-def svd(a: np.ndarray, full_matrices: bool = True):
-    """`np.linalg.svd`, raising ConvergenceFailure where LAPACK gives up."""
-    try:
-        return np.linalg.svd(a, full_matrices=full_matrices)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(str(exc)) from exc
+# LAPACK entry points for the whole package; the CLI maps ConvergenceFailure to exit code 3
+svd = _lapack("svd")
+eigh = _lapack("eigh")
+eigvalsh = _lapack("eigvalsh")
+qr = _lapack("qr")
 
 
-def eigh(a: np.ndarray):
-    """`np.linalg.eigh`, raising ConvergenceFailure where LAPACK gives up."""
-    try:
-        return np.linalg.eigh(a)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(str(exc)) from exc
+def rank_cut(values: np.ndarray, tol: float, floor: float = 0.0) -> np.ndarray:
+    """Mask of the `values` above tol * max(largest value, floor).
 
-
-def eigvalsh(a: np.ndarray) -> np.ndarray:
-    """`np.linalg.eigvalsh`, raising ConvergenceFailure where LAPACK gives up."""
-    try:
-        return np.linalg.eigvalsh(a)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(str(exc)) from exc
-
-
-def qr(a: np.ndarray):
-    """`np.linalg.qr`, raising ConvergenceFailure where LAPACK gives up."""
-    try:
-        return np.linalg.qr(a)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(str(exc)) from exc
+    The package's one relative rank cut: spans, nullspaces, supports and
+    entropies all keep what it keeps. For 0 < tol < 1 nothing is kept
+    when the scale is not positive, as every value then lies at or below
+    tol * scale.
+    """
+    scale = max(float(values.max()) if values.size else 0.0, floor)
+    return values > tol * scale
 
 
 @dataclass(frozen=True)
@@ -126,10 +127,7 @@ def orthonormalize_hs(mats, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
         raise ValueError("matrices must share one dimension")
     stack = np.stack([m.reshape(-1) for m in mats])
     _, s, vh = svd(stack, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return []
-    keep = s > tol * s[0]
-    return [vh[i].reshape(d, d) for i in range(len(s)) if keep[i]]
+    return [vh[i].reshape(d, d) for i in np.flatnonzero(rank_cut(s, tol))]
 
 
 def nullspace(a: np.ndarray, tol: float = DEFAULT_TOL, floor: float = 0.0) -> np.ndarray:
@@ -147,9 +145,7 @@ def nullspace(a: np.ndarray, tol: float = DEFAULT_TOL, floor: float = 0.0) -> np
         return np.eye(a.shape[1], dtype=complex)
     _, s, vh = svd(a, full_matrices=a.shape[0] < a.shape[1])
     n = a.shape[1]
-    smax = float(s[0]) if s.size else 0.0
-    scale = max(smax, floor)
-    rank = int(np.sum(s > tol * scale)) if scale > 0 else 0
+    rank = int(np.count_nonzero(rank_cut(s, tol, floor)))
     return vh[rank:].conj().T.reshape(n, n - rank)
 
 

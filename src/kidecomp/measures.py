@@ -11,15 +11,14 @@ import numpy as np
 
 from .decompose import KIDecomposition
 from .ensemble import Ensemble, average_state
-from .linalg import DEFAULT_TOL, as_complex_matrix, eigvalsh, hermitize, psd_sqrt
+from .linalg import DEFAULT_TOL, as_complex_matrix, eigvalsh, hermitize, psd_sqrt, rank_cut
 
 
 def von_neumann_entropy(rho, tol: float = DEFAULT_TOL) -> float:
     """-Tr(rho log2 rho) in bits; eigenvalues at or below the relative floor are dropped."""
     rho = as_complex_matrix(rho)
     lam = eigvalsh(hermitize(rho))
-    top = float(lam[-1]) if lam.size else 0.0
-    keep = lam[lam > tol * max(top, 0.0)]
+    keep = lam[rank_cut(lam, tol)]
     if keep.size == 0:
         return 0.0
     s = float(-np.sum(keep * np.log2(keep)))

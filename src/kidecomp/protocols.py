@@ -42,8 +42,8 @@ import numpy as np
 from .decompose import KIDecomposition
 from .ensemble import Ensemble
 from .errors import ConfigTooLarge, EmptyTypicalSet
-from .linalg import DEFAULT_TOL, eigh, eigvalsh, hermitize, kron
-from .measures import fidelity, shannon_entropy, von_neumann_entropy
+from .linalg import DEFAULT_TOL, eigh, eigvalsh, hermitize, kron, rank_cut
+from .measures import fidelity, shannon_entropy
 from .streams import _trial_stream
 
 DESK_SCALE_QUBITS = 20
@@ -170,15 +170,6 @@ def simulate_individual(
 # typicality bookkeeping
 
 
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 def _multinomial(counts: tuple[int, ...]) -> int:
     total = sum(counts)
     out = 1
@@ -186,6 +177,23 @@ def _multinomial(counts: tuple[int, ...]) -> int:
         out *= math.comb(total, c)
         total -= c
     return out
+
+
+def _type_classes(log2lam: np.ndarray, length: int):
+    """Every type class of length-`length` sequences over len(log2lam) letters.
+
+    Drawn as stars and bars, which lists the count vectors in ascending
+    lexicographic order. Returns the counts (one row per class), the
+    class sizes and the log2 probability of one member sequence. Each
+    log2 probability is its own `np.dot`: a matrix-vector product may
+    differ in the last bit and reorder ties.
+    """
+    r = len(log2lam)
+    bars = np.array(list(itertools.combinations(range(length + r - 1), r - 1)), dtype=np.int64)
+    counts = np.diff(bars, axis=1, prepend=-1, append=length + r - 1) - 1
+    sizes = [_multinomial(c) for c in counts.tolist()]
+    log2p = [float(np.dot(c, log2lam)) for c in counts]
+    return counts, sizes, log2p
 
 
 @dataclass(frozen=True)
@@ -231,19 +239,19 @@ def typical_projector(
     lam = np.asarray(spectrum, dtype=float)
     if length < 1:
         raise ValueError("length must be at least 1")
+    if not np.all(np.isfinite(lam)):
+        raise ValueError("spectrum must be finite")
     if abs(float(lam.sum()) - 1.0) > 1e-6:
         raise ValueError("spectrum must sum to 1")
-    lam = lam[lam > tol * max(float(lam.max()), 0.0)]
+    lam = lam[rank_cut(lam, tol)]
     lam = np.sort(lam)[::-1]
     s_rate = float(-np.sum(lam * np.log2(lam)))
-    log2lam = np.log2(lam)
-    classes = []
-    for counts in _compositions(length, len(lam)):
-        log2p = float(np.dot(counts, log2lam))
-        if abs(-log2p / length - s_rate) <= delta + _BOUNDARY_GUARD:
-            classes.append(
-                TypeClass(counts=counts, sequences=_multinomial(counts), log2_prob=log2p)
-            )
+    counts, sizes, log2p = _type_classes(np.log2(lam), length)
+    classes = [
+        TypeClass(counts=tuple(c), sequences=size, log2_prob=lp)
+        for c, size, lp in zip(counts.tolist(), sizes, log2p)
+        if abs(-lp / length - s_rate) <= delta + _BOUNDARY_GUARD
+    ]
     if not classes:
         raise EmptyTypicalSet(
             f"no length-{length} sequence is within {delta} of rate {s_rate:.6f}"
@@ -314,34 +322,28 @@ def _compression_plan(spectrum: np.ndarray, length: int, delta: float) -> _Compr
     r = len(spectrum)
     full_qubits = math.ceil(length * math.log2(r)) if r > 1 else 0
     full_dim = r**length
-    s_rate = float(-np.sum(spectrum * np.log2(np.clip(spectrum, 1e-300, None))))
+    log2lam = np.log2(np.clip(spectrum, 1e-300, None))
+    s_rate = float(-np.sum(spectrum * log2lam))
     budget = max(math.floor(length * (s_rate + delta) + _BOUNDARY_GUARD), 0)
     if 2**budget >= full_dim:
         return _CompressionPlan(
             alphabet=r, length=length, dim=full_dim, qubits=full_qubits, full=True
         )
     dim = 2**budget
-    log2lam = np.log2(np.clip(spectrum, 1e-300, None))
-    ranked = sorted(
-        _compositions(length, r),
-        key=lambda c: (-float(np.dot(c, log2lam)), c),
+    counts, sizes, log2p = _type_classes(log2lam, length)
+    # most probable class first; the classes come in lexicographic order
+    # of their counts, so the stable sort breaks ties in that order
+    order = np.argsort(-np.array(log2p), kind="stable")
+    ranked = counts[order].tolist()
+    filled = np.cumsum(np.array(sizes, dtype=object)[order])  # Python ints: sizes may pass 2**63
+    n_full = int(np.searchsorted(filled, dim, side="right"))
+    room = dim - (filled[n_full - 1] if n_full else 0)
+    partial = tuple(ranked[n_full])
+    return _CompressionPlan(
+        alphabet=r, length=length, dim=dim, qubits=budget, full=False,
+        full_classes=[tuple(c) for c in ranked[:n_full]],
+        partial=(partial, _lex_sequences(partial, room)) if room > 0 else None,
     )
-    plan = _CompressionPlan(
-        alphabet=r, length=length, dim=dim, qubits=budget, full=False
-    )
-    room = dim
-    for counts in ranked:
-        size = _multinomial(counts)
-        if size <= room:
-            plan.full_classes.append(counts)
-            room -= size
-        else:
-            if room > 0:
-                plan.partial = (counts, _lex_sequences(counts, room))
-            room = 0
-        if room == 0:
-            break
-    return plan
 
 
 def _class_sums(diag_rows: np.ndarray) -> dict[tuple[int, ...], float]:
@@ -376,14 +378,12 @@ def _overlap_weight(
 @dataclass
 class _BlockData:
     spectrum: np.ndarray  # eigenvalues of the average J state, descending
-    basis: np.ndarray  # matching eigenvectors
-    entropy_rate: float
     diag: dict[int, np.ndarray]  # state index -> diag of rotated J state
     rotated: dict[int, np.ndarray]  # state index -> full rotated J state, exactly Hermitian
     all_pure: bool
 
 
-def _block_data(d: KIDecomposition, tol: float) -> list[_BlockData]:
+def _block_data(d: KIDecomposition) -> list[_BlockData]:
     out = []
     for b, avg in zip(d.blocks, d.rho_J_avg):
         lam, vec = eigh(hermitize(avg))
@@ -397,16 +397,7 @@ def _block_data(d: KIDecomposition, tol: float) -> list[_BlockData]:
             rotated[i] = st
             diag[i] = np.clip(np.real(np.diag(st)), 0.0, None)
             pure = pure and float(np.trace(st @ st).real) >= 1.0 - 1e-9
-        out.append(
-            _BlockData(
-                spectrum=lam,
-                basis=vec,
-                entropy_rate=von_neumann_entropy(avg, tol),
-                diag=diag,
-                rotated=rotated,
-                all_pure=pure,
-            )
-        )
+        out.append(_BlockData(spectrum=lam, diag=diag, rotated=rotated, all_pure=pure))
     return out
 
 
@@ -520,6 +511,8 @@ def rate_sweep(
     are low-variance. Results come back sorted by delta.
     """
     deltas = sorted(float(dv) for dv in deltas)
+    if not all(math.isfinite(dv) for dv in deltas):
+        raise ValueError(f"deltas must be finite, got {deltas}")
     if not deltas:
         return []
     if trials < 1 or n_messages < 1:
@@ -531,7 +524,7 @@ def rate_sweep(
             f"{n * math.log2(max_n):.1f} exceeds {DESK_SCALE_QUBITS}"
         )
     cdf_p, cdf_q = _pick_cdfs(e, d)
-    data = _block_data(d, tol)
+    data = _block_data(d)
     plans: dict[tuple[int, int, float], _CompressionPlan] = {}
     fidelities = np.ones((len(deltas), trials))
     qubits = np.zeros((len(deltas), trials), dtype=np.int64)

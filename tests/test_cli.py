@@ -250,6 +250,30 @@ def test_out_of_range_options_are_config_errors(two_pure_file, option, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, option",
+    [
+        ("simulate-asymptotic", ["--delta", "inf"]),
+        ("simulate-asymptotic", ["--delta=-inf"]),
+        ("simulate-asymptotic", ["--delta", "nan"]),
+        ("rate-sweep", ["--deltas=0,inf"]),
+        ("rate-sweep", ["--deltas=nan"]),
+        ("measures", ["--tol", "nan"]),
+        ("decompose", ["--tol", "inf"]),
+        ("rate-sweep", ["--tol", "nan"]),
+    ],
+)
+def test_non_finite_options_are_config_errors(two_pure_file, command, option, capsys):
+    args = [command, two_pure_file, *option]
+    if command in ("simulate-asymptotic", "rate-sweep"):
+        args += ["--trials", "5", "-N", "4"]
+    assert main(args) == 4
+    err = capsys.readouterr().err
+    flag = option[0].split("=")[0]
+    assert f"configuration error: argument {flag}: must be finite" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", ["simulate-individual", "simulate-asymptotic", "rate-sweep"])
 def test_negative_seed_is_a_config_error(two_pure_file, command, capsys):
     assert main([command, two_pure_file, "--seed", "-1", "--trials", "5"]) == 4

@@ -7,7 +7,7 @@ import pytest
 
 import kidecomp
 from kidecomp.errors import ConvergenceFailure, NotHermitian, NotPSD
-from kidecomp.linalg import eig_hermitian, eigh, eigvalsh, kron, nullspace, orthonormalize_hs, polar_unitary, psd_sqrt, svd
+from kidecomp.linalg import eig_hermitian, eigh, eigvalsh, kron, nullspace, orthonormalize_hs, polar_unitary, psd_sqrt, qr, rank_cut, svd
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -145,6 +145,25 @@ def test_nullspace_tall_stack_forms_no_square_u():
 
 
 @pytest.mark.parametrize(
+    "values, tol, floor, kept",
+    [
+        ([], 0.1, 0.0, []),
+        ([0.0, 0.0, 0.0], 0.1, 0.0, [False, False, False]),
+        ([0.0, 0.0], 0.1, 1.0, [False, False]),
+        ([2.0, 0.5, 1e-3], 0.1, 0.0, [True, True, False]),  # descending, as from an SVD
+        ([-1.0, 1e-3, 0.5, 2.0], 0.1, 0.0, [False, False, True, True]),  # ascending, as from eigh
+        ([2.0, 0.5, 1e-3], 0.1, 10.0, [True, False, False]),  # floor above the maximum sets the scale
+        ([0.3, 0.2], 0.5, 0.0, [True, True]),  # the cut is strict: 0.2 > 0.15
+        ([-2.0, -1.0], 0.1, 0.0, [False, False]),  # non-positive scale keeps nothing
+    ],
+)
+def test_rank_cut(values, tol, floor, kept):
+    got = rank_cut(np.array(values, dtype=float), tol, floor)
+    assert got.dtype == bool
+    assert got.tolist() == kept
+
+
+@pytest.mark.parametrize(
     "call",
     [lambda: nullspace(np.ones((4, 2), dtype=complex)), lambda: orthonormalize_hs([PAULI_X, PAULI_Z])],
     ids=["nullspace", "orthonormalize_hs"],
@@ -166,8 +185,9 @@ def test_svd_failure_is_typed(monkeypatch, call):
         ("eigh", lambda: eigh(PAULI_X)),
         ("eigh", lambda: eig_hermitian(PAULI_X)),
         ("eigvalsh", lambda: eigvalsh(PAULI_X)),
+        ("qr", lambda: qr(PAULI_X)),
     ],
-    ids=["svd", "polar_unitary", "eigh", "eig_hermitian", "eigvalsh"],
+    ids=["svd", "polar_unitary", "eigh", "eig_hermitian", "eigvalsh", "qr"],
 )
 def test_lapack_failure_is_typed(monkeypatch, routine, call):
     def fail(*args, **kwargs):
@@ -178,14 +198,25 @@ def test_lapack_failure_is_typed(monkeypatch, routine, call):
         call()
 
 
+LAPACK_ROUTINES = {"svd", "eigh", "eigvalsh", "qr", "eig", "eigvals", "solve", "lstsq", "inv", "pinv", "cholesky"}
+
+
 def test_lapack_is_called_only_through_the_typed_wrappers():
     # outside linalg.py, np.linalg serves only `norm`; any other routine
-    # would let a LinAlgError past the ConvergenceFailure (exit 3) mapping
+    # would let a LinAlgError past the ConvergenceFailure (exit 3) mapping.
+    # Inside linalg.py no routine is named either: `_lapack` looks each up
+    # by name, so every LAPACK call of the package goes through it.
     offenders = []
     for path in sorted(Path(kidecomp.__file__).parent.glob("*.py")):
-        if path.name == "linalg.py":
-            continue
         tree = ast.parse(path.read_text(encoding="utf-8"))
+        if path.name == "linalg.py":
+            offenders += [
+                f"linalg.py:{node.lineno} names np.linalg.{node.attr}"
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and node.attr in LAPACK_ROUTINES
+                and isinstance(node.value, ast.Attribute) and node.value.attr == "linalg"
+            ]
+            continue
         parent = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom):

@@ -14,12 +14,15 @@ from kidecomp.linalg import eigvalsh, hermitize
 from kidecomp.measures import info_measures
 from kidecomp.oracles import PlantSpec, planted_ensemble
 from kidecomp.protocols import (
+    _BOUNDARY_GUARD,
     AsymptoticConfig,
     _block_data,
     _class_sums,
     _compression_plan,
     _draw_block_trial,
     _failure_fidelity,
+    _lex_sequences,
+    _multinomial,
     _overlap_weight,
     _pick_cdfs,
     rate_sweep,
@@ -152,6 +155,12 @@ def test_typical_empty_window_raises():
         typical_projector(lam, 2, 0.25)
 
 
+@pytest.mark.parametrize("spectrum", [[np.nan, 1.0], [np.inf, 1.0], [0.5, 0.5, -np.inf]])
+def test_typical_rejects_non_finite_spectrum(spectrum):
+    with pytest.raises(ValueError, match="finite"):
+        typical_projector(spectrum, 3, 0.1)
+
+
 def test_typical_weight_grows_with_length():
     # spot checks of the weight -> 1 trend on the benchmark spectrum;
     # empty windows (legal at small lengths) count as weight zero
@@ -223,6 +232,13 @@ def test_rate_sweep_empty():
     assert rate_sweep(e, d, 4, [], trials=10, seed=0) == []
 
 
+@pytest.mark.parametrize("deltas", [[math.inf], [0.0, -math.inf], [math.nan]])
+def test_rate_sweep_rejects_non_finite_delta(deltas):
+    e, d = classical_pair()
+    with pytest.raises(ValueError, match="finite"):
+        rate_sweep(e, d, 4, deltas, trials=5)
+
+
 def test_rate_sweep_classical_delta_zero():
     e, d = classical_pair()
     runs = rate_sweep(e, d, 6, [0.0], trials=40, seed=0)
@@ -278,7 +294,7 @@ def reference_block_trial(e, d, n, rng):
 
 
 def reference_fidelities(e, d, n, delta, trials, seed):
-    data = _block_data(d, 1e-9)
+    data = _block_data(d)
     fids, rates = np.empty(trials), np.empty(trials)
     for t in range(trials):
         drawn, labels, occupied, uniforms = reference_block_trial(
@@ -446,7 +462,7 @@ def _reference_failure_fidelity(plan, data, members):
 def test_failure_fidelity_matches_per_member_gather(blocks, lengths):
     # the 3x1,2x2 plant is the bench's; a 9-member group at delta 0 has 1024 sequences
     e, _ = planted_ensemble(PlantSpec(blocks=blocks, num_states=3, seed=1))
-    data = next(b for b in _block_data(ki_decompose(e), 1e-9) if not b.all_pure)
+    data = next(b for b in _block_data(ki_decompose(e)) if not b.all_pure)
     states = sorted(data.diag)
     rng = np.random.default_rng(0)
     seen = set()
@@ -462,3 +478,67 @@ def test_failure_fidelity_matches_per_member_gather(blocks, lengths):
             seen.add((length, plan.partial is not None))
     # a one-member group (empty first half), N=2 and a partial class all ran
     assert {1, 2} <= {n for n, _ in seen} and any(partial for _, partial in seen)
+
+
+def _reference_compositions(total, parts):
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _reference_compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def _reference_compression_plan(spectrum, length, delta):
+    """The class-by-class plan construction that the table-driven one replaced."""
+    r = len(spectrum)
+    full_dim = r**length
+    s_rate = float(-np.sum(spectrum * np.log2(np.clip(spectrum, 1e-300, None))))
+    budget = max(math.floor(length * (s_rate + delta) + _BOUNDARY_GUARD), 0)
+    if 2**budget >= full_dim:
+        return True, full_dim, [], None
+    log2lam = np.log2(np.clip(spectrum, 1e-300, None))
+    ranked = sorted(_reference_compositions(length, r), key=lambda c: (-float(np.dot(c, log2lam)), c))
+    full_classes, partial, room = [], None, 2**budget
+    for counts in ranked:
+        size = _multinomial(counts)
+        if size <= room:
+            full_classes.append(counts)
+            room -= size
+        else:
+            if room > 0:
+                partial = (counts, _lex_sequences(counts, room))
+            room = 0
+        if room == 0:
+            break
+    return False, 2**budget, full_classes, partial
+
+
+def _test_spectra():
+    rng = np.random.default_rng(3)
+    for r in range(1, 6):
+        yield np.full(r, 1.0 / r)  # every class ties with its permutations
+        yield np.array([0.5] + [0.5 / (r - 1)] * (r - 1)) if r > 1 else np.ones(1)
+        yield np.sort(rng.integers(1, 4, r).astype(float))[::-1]  # repeated eigenvalues
+        for _ in range(2):
+            yield np.sort(rng.random(r) ** 3)[::-1]
+
+
+def test_compression_plan_matches_class_by_class_reference():
+    cases = 0
+    for spectrum in _test_spectra():
+        spectrum = spectrum / spectrum.sum()
+        r = len(spectrum)
+        for length in range(1, 13):
+            if r**length > 2**14:
+                break
+            for delta in (-0.3, 0.0, 0.2):
+                full, dim, full_classes, partial = _reference_compression_plan(spectrum, length, delta)
+                plan = _compression_plan(spectrum, length, delta)
+                assert (plan.full, plan.dim, plan.full_classes) == (full, dim, full_classes)
+                assert (plan.partial is None) == (partial is None)
+                if partial is not None:
+                    assert plan.partial[0] == partial[0]
+                    assert np.array_equal(plan.partial[1], partial[1])
+                cases += not full
+    assert cases > 100
