@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .algebra import block_form_split, commutant, generator_span, irrep_decompose
-from .ensemble import Ensemble, SupportFrame, require_valid, support_restrict, _matrix_to_pairs, _number, _pairs_to_matrix
+from .ensemble import Ensemble, SupportFrame, require_valid, support_restrict, _integer, _matrix_to_pairs, _number, _pairs_to_matrix
 from .errors import FormViolation, ParseError
 from .linalg import DEFAULT_TOL, direct_sum, eigh, frob, hermitize, kron, nullspace, pivot_phase, polar_unitary
 
@@ -220,23 +220,18 @@ def _block_key(block: KIBlock):
 
 
 def _merge_to_fixpoint(blocks: list[KIBlock], tol: float) -> list[KIBlock]:
-    blocks = sorted(blocks, key=_block_key)
-    changed = True
-    while changed:
-        changed = False
-        for ia in range(len(blocks)):
-            for ib in range(ia + 1, len(blocks)):
-                witness = mergeable(blocks[ia], blocks[ib], tol)
-                if witness is not None:
-                    merged = _merge(blocks[ia], blocks[ib], *witness)
-                    del blocks[ib]
-                    blocks[ia] = merged
-                    blocks.sort(key=_block_key)
-                    changed = True
-                    break
-            if changed:
+    """One pass in `_block_key` order: each block folds into the first kept block it is
+    `mergeable` with, or is kept. Mergeability is transitive and a merged block keeps its
+    first block's J states (q scaled by 1 + c), so this is the fixpoint. `from_blocks` sorts."""
+    kept: list[KIBlock] = []
+    for b in sorted(blocks, key=_block_key):
+        for ia, a in enumerate(kept):
+            if (witness := mergeable(a, b, tol)) is not None:
+                kept[ia] = _merge(a, b, *witness)
                 break
-    return blocks
+        else:
+            kept.append(b)
+    return kept
 
 
 def ki_decompose(e: Ensemble, seed: int = 0, tol: float = DEFAULT_TOL) -> KIDecomposition:
@@ -246,8 +241,8 @@ def ki_decompose(e: Ensemble, seed: int = 0, tol: float = DEFAULT_TOL) -> KIDeco
     algebra generated by the restricted states into irreducible blocks
     (solved from the span of the states, their adjoints and the
     identity; no closure runs), extract per-state weights and J states, then
-    greedily merge weight-proportional unitarily-equal blocks to a
-    fixpoint. Output block order and phases are canonical, so identical
+    merge weight-proportional unitarily-equal blocks in one pass in
+    canonical order. Output block order and phases are canonical, so identical
     (input, seed, tol) gives identical output.
     """
     require_valid(e, tol)
@@ -266,8 +261,7 @@ def ki_decompose(e: Ensemble, seed: int = 0, tol: float = DEFAULT_TOL) -> KIDeco
                 rho_J=sigmas,
             )
         )
-    blocks = _merge_to_fixpoint(blocks, tol)
-    blocks = [_canonicalize_redundant_factor(b) for b in blocks]
+    blocks = [_canonicalize_redundant_factor(b) for b in _merge_to_fixpoint(blocks, tol)]
     d = KIDecomposition.from_blocks(frame, blocks, e.probs)
 
     worst = max(frob(d.reconstruct(i) - e.states[i]) for i in range(len(e)))
@@ -441,13 +435,13 @@ def decomposition_from_doc(doc: dict) -> KIDecomposition:
     if isinstance(doc, dict) and "result" in doc and "blocks" not in doc:
         doc = doc["result"]  # accept a whole report wrapper
     try:
-        ambient = int(doc["ambient_dim"])
-        rank = int(doc["support_rank"])
+        ambient = _integer(doc["ambient_dim"], "ambient_dim", 1)
+        rank = _integer(doc["support_rank"], "support_rank", 0)
         frame_mat = _pairs_to_matrix(doc["frame"], ambient, rank, "frame")
         frame = SupportFrame(ambient_dim=ambient, rank=rank, isometry=frame_mat)
         blocks, p_block, avgs = [], [], []
         for bi, bdoc in enumerate(doc["blocks"]):
-            n, k = int(bdoc["n"]), int(bdoc["k"])
+            n, k = (_integer(bdoc[key], f"blocks[{bi}].{key}", 1) for key in ("n", "k"))
             iso = _pairs_to_matrix(bdoc["isometry"], rank, n * k, f"blocks[{bi}].isometry")
             rho_k = _pairs_to_matrix(bdoc["rho_K"], k, k, f"blocks[{bi}].rho_K")
             q = np.asarray([_number(x, f"blocks[{bi}].q[{qi}]") for qi, x in enumerate(bdoc["q"])])

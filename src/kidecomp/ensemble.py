@@ -164,6 +164,13 @@ def _number(x, locus: str) -> float:
         raise ParseError(f"{locus}: number out of float range") from None
 
 
+def _integer(x, locus: str, minimum: int) -> int:
+    """A JSON integer of at least `minimum` (0 or 1); booleans, floats and strings raise ParseError at `locus`."""
+    if not isinstance(x, int) or isinstance(x, bool) or x < minimum:
+        raise ParseError(f"{locus}: expected a {'positive' if minimum else 'non-negative'} integer")
+    return x
+
+
 def _matrix_to_pairs(m: np.ndarray) -> list:
     """Rows of [re, im] pairs at full float precision."""
     return np.stack((m.real, m.imag), -1).tolist()
@@ -214,9 +221,7 @@ def read_ensemble(data: bytes, tol: float = DEFAULT_TOL) -> Ensemble:
         raise ParseError(f"top level: unknown key {sorted(unknown)[0]!r}")
     if "dim" not in doc or "states" not in doc:
         raise ParseError("top level: keys 'dim' and 'states' are required")
-    dim = doc["dim"]
-    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
-        raise ParseError("dim: expected a positive integer")
+    dim = _integer(doc["dim"], "dim", 1)
     if not isinstance(doc["states"], list) or not doc["states"]:
         raise ParseError("states: expected a non-empty list")
     probs, states = [], []

@@ -233,14 +233,17 @@ def typical_projector(
 
     A sequence s is typical when |-(1/N) sum log2 lam_{s_j} - S| <= delta
     (plus a 1e-12 float boundary guard). Enumerated by type class, so
-    the cost is polynomial in `length`. Raises EmptyTypicalSet when no
-    sequence qualifies, which is legal for small lengths.
+    the cost is polynomial in `length`. Raises ValueError on an entry
+    below -tol, and EmptyTypicalSet when no sequence qualifies, which is
+    legal for small lengths.
     """
     lam = np.asarray(spectrum, dtype=float)
     if length < 1:
         raise ValueError("length must be at least 1")
     if not np.all(np.isfinite(lam)):
         raise ValueError("spectrum must be finite")
+    if np.any(lam < -tol):
+        raise ValueError("spectrum must be non-negative")
     if abs(float(lam.sum()) - 1.0) > 1e-6:
         raise ValueError("spectrum must sum to 1")
     lam = lam[rank_cut(lam, tol)]
@@ -266,30 +269,21 @@ def typical_projector(
 
 
 def _lex_sequences(counts: tuple[int, ...], limit: int) -> np.ndarray:
-    """First `limit` sequences of a type class in lexicographic order."""
-    length = sum(counts)
-    out: list[tuple[int, ...]] = []
-    prefix: list[int] = []
-    remaining = list(counts)
-
-    def rec():
-        if len(out) >= limit:
-            return
-        if len(prefix) == length:
-            out.append(tuple(prefix))
-            return
-        for a in range(len(remaining)):
-            if remaining[a] > 0:
-                remaining[a] -= 1
-                prefix.append(a)
-                rec()
-                prefix.pop()
-                remaining[a] += 1
-                if len(out) >= limit:
-                    return
-
-    rec()
-    return np.array(out, dtype=np.int64).reshape(len(out), length)
+    """First `limit` sequences of a type class in lexicographic order, for 1 <= limit <= class size:
+    the sorted sequence, then `limit - 1` of Narayana's next-permutation steps."""
+    seq = [a for a, c in enumerate(counts) for _ in range(c)]
+    out = [seq.copy()]
+    for _ in range(limit - 1):
+        i = len(seq) - 2  # the last ascent
+        while seq[i] >= seq[i + 1]:
+            i -= 1
+        j = len(seq) - 1  # the last entry above it
+        while seq[j] <= seq[i]:
+            j -= 1
+        seq[i], seq[j] = seq[j], seq[i]
+        seq[i + 1 :] = seq[:i:-1]
+        out.append(seq.copy())
+    return np.array(out, dtype=np.int64)
 
 
 @dataclass

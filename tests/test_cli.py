@@ -290,3 +290,39 @@ def test_verify_rejects_non_numeric_decomposition_entries(two_pure_file, tmp_pat
     dec.write_text(json.dumps(doc))
     assert main(["verify", two_pure_file, "--decomposition", str(dec)]) == 2
     assert "blocks[0].isometry[0][0]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, option",
+    [
+        ("measures", ["--tol", "x"]),
+        ("simulate-asymptotic", ["--delta", "x"]),
+        ("rate-sweep", ["--deltas", "0,x"]),
+        ("simulate-individual", ["--trials", "x"]),
+    ],
+)
+def test_non_numeric_options_name_the_value(two_pure_file, command, option, capsys):
+    assert main([command, two_pure_file, *option]) == 4
+    err = capsys.readouterr().err
+    kind = "an integer" if option[0] == "--trials" else "a number"
+    assert f"configuration error: argument {option[0]}: expected {kind}, got 'x'" in err
+    assert "_" not in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("n", 2.7), ("n", "2"), ("k", 1.0), ("ambient_dim", "4"), ("support_rank", 4.9)],
+)
+def test_verify_rejects_non_integer_decomposition_fields(two_pure_file, tmp_path, field, value, capsys):
+    dec = tmp_path / "dec.json"
+    assert main(["decompose", two_pure_file, "-o", str(dec)]) == 0
+    doc = json.loads(dec.read_text())
+    if field in ("n", "k"):
+        doc["result"]["blocks"][0][field] = value
+        locus = f"blocks[0].{field}"
+    else:
+        doc["result"][field] = value
+        locus = field
+    dec.write_text(json.dumps(doc))
+    assert main(["verify", two_pure_file, "--decomposition", str(dec)]) == 2
+    assert f"error: {locus}: expected" in capsys.readouterr().err

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from kidecomp import decompose
 from kidecomp.decompose import (
     KIBlock,
     decomposition_from_doc,
@@ -146,6 +147,53 @@ def test_overshooting_closure_never_gives_wrong_shapes():
     for plant_seed, probe_seed in ((1041457616003, 0), (7003, 7), (31003, 31)):
         e, truth = planted_ensemble(PlantSpec(blocks=((4, 2), (3, 1)), num_states=3, seed=plant_seed))
         _assert_recovers_plant(e, truth, seed=probe_seed)
+
+
+def _reference_merge_to_fixpoint(blocks, tol):
+    """The merge loop that one pass replaced: restart and re-sort after every merge."""
+    blocks = sorted(blocks, key=decompose._block_key)
+    changed = True
+    while changed:
+        changed = False
+        for ia in range(len(blocks)):
+            for ib in range(ia + 1, len(blocks)):
+                witness = mergeable(blocks[ia], blocks[ib], tol)
+                if witness is not None:
+                    blocks[ia] = decompose._merge(blocks[ia], blocks.pop(ib), *witness)
+                    blocks.sort(key=decompose._block_key)
+                    changed = True
+                    break
+            if changed:
+                break
+    return blocks
+
+
+@pytest.mark.parametrize("shape", [((2, 4),), ((2, 2), (1, 3)), ((3, 1), (2, 3))], ids=["2x4", "2x2,1x3", "3x1,2x3"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_one_pass_merge_recovers_multiplicities(shape, seed, monkeypatch):
+    # each planted k splits into k pre-merge blocks of multiplicity 1, which
+    # must fold back into one block per class
+    one_pass, seen = decompose._merge_to_fixpoint, []
+
+    def recording(blocks, tol):
+        seen.append(blocks)
+        return one_pass(blocks, tol)
+
+    monkeypatch.setattr(decompose, "_merge_to_fixpoint", recording)
+    e, truth = planted_ensemble(PlantSpec(blocks=shape, num_states=3, seed=seed))
+    d = ki_decompose(e, seed=0)
+    (pre_merge,) = seen
+    assert sorted(b.n for b in pre_merge) == sorted(n for n, k in shape for _ in range(k))
+    assert [(b.n, b.k) for b in d.blocks] == [(b.n, b.k) for b in truth.blocks]
+    report = verify(d, e, channels=3)
+    assert report.ok
+    assert next(c for c in report.checks if c.name == "pairwise_non_mergeable").ok
+    # the restart loop gives the same blocks, bit for bit, once sorted
+    want = _reference_merge_to_fixpoint(list(pre_merge), 1e-9)
+    got = sorted(one_pass(list(pre_merge), 1e-9), key=decompose._block_key)
+    for a, b in zip(got, want, strict=True):
+        assert np.array_equal(a.isometry, b.isometry) and np.array_equal(a.q, b.q)
+        assert np.array_equal(a.rho_K, b.rho_K)
 
 
 def test_planted_multiplicity_block():
@@ -315,5 +363,21 @@ def test_decomposition_entries_must_be_numbers(field, value, locus):
         doc["blocks"][0]["isometry"][0][0] = value
     else:
         doc["blocks"][0]["q"][0] = value
+    with pytest.raises(ParseError, match=locus):
+        decomposition_from_doc(doc)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("n", 2.7), ("n", "2"), ("n", True), ("n", 0), ("k", 1.0), ("ambient_dim", "4"), ("support_rank", 4.9), ("support_rank", -1)],
+)
+def test_decomposition_integers_are_strict(field, value):
+    doc = decomposition_to_doc(ki_decompose(two_pure(), seed=0))
+    if field in ("n", "k"):
+        doc["blocks"][0][field] = value
+        locus = rf"blocks\[0\]\.{field}: expected"
+    else:
+        doc[field] = value
+        locus = f"^{field}: expected"
     with pytest.raises(ParseError, match=locus):
         decomposition_from_doc(doc)

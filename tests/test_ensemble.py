@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -110,6 +112,13 @@ def test_read_rejects_unknown_keys():
         read_ensemble(raw)
     raw = b'{"dim": 1, "states": [{"p": 1.0, "matrix": [[[1.0, 0.0]]], "note": "x"}]}'
     with pytest.raises(ParseError, match="note"):
+        read_ensemble(raw)
+
+
+@pytest.mark.parametrize("dim", ["1", 1.0, True, 0, -2, None])
+def test_read_rejects_non_integer_dim(dim):
+    raw = b'{"dim": %s, "states": [{"p": 1.0, "matrix": [[[1.0, 0.0]]]}]}' % json.dumps(dim).encode()
+    with pytest.raises(ParseError, match="^dim: expected a positive integer$"):
         read_ensemble(raw)
 
 

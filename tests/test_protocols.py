@@ -1,3 +1,5 @@
+import functools
+import itertools
 import math
 import tracemalloc
 
@@ -11,7 +13,7 @@ from kidecomp.decompose import ki_decompose
 from kidecomp.ensemble import Ensemble
 from kidecomp.errors import ConfigTooLarge, EmptyTypicalSet
 from kidecomp.linalg import eigvalsh, hermitize
-from kidecomp.measures import info_measures
+from kidecomp.measures import fidelity, info_measures
 from kidecomp.oracles import PlantSpec, planted_ensemble
 from kidecomp.protocols import (
     _BOUNDARY_GUARD,
@@ -159,6 +161,18 @@ def test_typical_empty_window_raises():
 def test_typical_rejects_non_finite_spectrum(spectrum):
     with pytest.raises(ValueError, match="finite"):
         typical_projector(spectrum, 3, 0.1)
+
+
+def test_typical_rejects_negative_spectrum():
+    # sums to 1, and the rank cut would keep only 1.5: weight 3.375, rate -0.877
+    with pytest.raises(ValueError, match="non-negative"):
+        typical_projector([1.5, -0.5], 3, 0.5)
+
+
+def test_typical_drops_round_off_negatives():
+    ts = typical_projector([0.5, 0.5, -1e-12], 4, 0.0)
+    assert np.array_equal(ts.spectrum, [0.5, 0.5])
+    assert ts.size == 2**4 and ts.weight == pytest.approx(1.0)
 
 
 def test_typical_weight_grows_with_length():
@@ -542,3 +556,84 @@ def test_compression_plan_matches_class_by_class_reference():
                     assert np.array_equal(plan.partial[1], partial[1])
                 cases += not full
     assert cases > 100
+
+
+# -- type-class enumeration against the recursive enumerator --------------------
+
+
+def _reference_lex_sequences(counts, limit):
+    """The backtracking enumerator that the successor step replaced."""
+    length = sum(counts)
+    out, prefix, remaining = [], [], list(counts)
+
+    def rec():
+        if len(out) >= limit:
+            return
+        if len(prefix) == length:
+            out.append(tuple(prefix))
+            return
+        for a in range(len(remaining)):
+            if remaining[a] > 0:
+                remaining[a] -= 1
+                prefix.append(a)
+                rec()
+                prefix.pop()
+                remaining[a] += 1
+                if len(out) >= limit:
+                    return
+
+    rec()
+    return np.array(out, dtype=np.int64).reshape(len(out), length)
+
+
+def test_lex_sequences_match_recursive_enumeration():
+    cases = 0
+    for r in range(1, 5):
+        for length in range(1, 13):
+            for counts in _reference_compositions(length, r):
+                size = _multinomial(counts)
+                want = _reference_lex_sequences(counts, min(size, 64))
+                for limit in sorted({1, min(size, 2), min(size, 64)}):
+                    got = _lex_sequences(counts, limit)
+                    assert got.dtype == np.int64 and np.array_equal(got, want[:limit])
+                    cases += 1
+    # the last limit of a small class is the whole class: every row, in order
+    assert np.array_equal(_lex_sequences((1, 2), 3), [[0, 1, 1], [1, 0, 1], [1, 1, 0]])
+    assert cases > 6000
+
+
+# -- the plan formulas against a brute-force subspace and kron group state -----
+
+
+@pytest.mark.parametrize("blocks", sorted(BENCH_PLANTS.values()), ids=sorted(BENCH_PLANTS))
+def test_plan_formulas_match_brute_force_subspace(blocks):
+    e, _ = planted_ensemble(PlantSpec(blocks=blocks, num_states=3, seed=1))
+    partial = 0
+    for data in _block_data(ki_decompose(e)):
+        r = len(data.spectrum)
+        log2lam = np.log2(data.spectrum)
+        for length in (1, 2, 3):
+
+            def rank(seq):
+                counts = tuple(np.bincount(seq, minlength=r).tolist())
+                return (-float(np.dot(counts, log2lam)), counts, seq)
+
+            ranked = sorted(itertools.product(range(r), repeat=length), key=rank)
+            for delta in (-0.6, -0.4, -0.2, -0.1, 0.0, 0.1):
+                plan = _compression_plan(data.spectrum, length, delta)
+                if plan.full:
+                    continue
+                partial += plan.partial is not None
+                # the subspace as indices of the kron product basis
+                idx = [int(np.ravel_multi_index(s, (r,) * length)) for s in ranked[: plan.dim]]
+                for members in itertools.product(sorted(data.diag), repeat=length):
+                    sigma = functools.reduce(np.kron, [data.rotated[i] for i in members])
+                    rows = np.stack([data.diag[i] for i in members])
+                    w = _overlap_weight(plan, rows, _class_sums(rows))
+                    assert w == pytest.approx(float(np.trace(sigma[np.ix_(idx, idx)]).real), abs=1e-12)
+                    # P sigma P and P / dim written on the range of P; in the full
+                    # r^N space the round-off of the null eigenvalues passes through
+                    # the square roots and moves the fidelity by about 4e-9
+                    want = fidelity(sigma[np.ix_(idx, idx)], np.eye(plan.dim) / plan.dim)
+                    assert _failure_fidelity(plan, data, list(members), w) == pytest.approx(want, abs=1e-12)
+    assert partial > 0
