@@ -26,8 +26,8 @@ from .ensemble import (
 from .measures import InfoMeasures, fidelity, info_measures, von_neumann_entropy
 from .oracles import Channel, PlantSpec, haar_unitary, planted_ensemble, random_form2_channel
 from .protocols import (
-    AsymptoticConfig,
     AsymptoticRun,
+    Trials,
     TypicalSet,
     rate_sweep,
     simulate_asymptotic,
@@ -61,8 +61,8 @@ __all__ = [
     "haar_unitary",
     "planted_ensemble",
     "random_form2_channel",
-    "AsymptoticConfig",
     "AsymptoticRun",
+    "Trials",
     "TypicalSet",
     "rate_sweep",
     "simulate_asymptotic",

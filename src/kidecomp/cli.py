@@ -16,6 +16,7 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -43,7 +44,7 @@ from .errors import (
 )
 from .measures import info_measures
 from .oracles import PlantSpec, planted_ensemble
-from .protocols import AsymptoticConfig, rate_sweep, simulate_asymptotic, simulate_individual
+from .protocols import rate_sweep, simulate_asymptotic, simulate_individual
 
 _NUMERICAL = (DegenerateSample, FormViolation, ConvergenceFailure, NotHermitian, NotPSD)
 _CONFIG = (ConfigTooLarge, RejectionExhausted)
@@ -130,12 +131,7 @@ def run(cfg: argparse.Namespace) -> int:
     if cfg.command == "simulate-asymptotic":
         e, d = _decompose_input(cfg)
         run_ = simulate_asymptotic(
-            e,
-            d,
-            AsymptoticConfig(
-                n_messages=cfg.n_messages, delta=cfg.delta, trials=cfg.trials, seed=cfg.seed
-            ),
-            cfg.tol,
+            e, d, cfg.n_messages, cfg.delta, trials=cfg.trials, seed=cfg.seed, tol=cfg.tol
         )
         _emit_report(cfg, run_.to_dict(), {})
         return 0
@@ -290,6 +286,15 @@ def _echo(cfg: argparse.Namespace) -> dict:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse takes only plain decimals such as -1 or -0.5 for negative
+        # numbers, so "--deltas -0.4,0.1" or "--delta -1e-3" would read as a
+        # missing value. No flag here looks like a number, so every token that
+        # starts "-digit" or "-.digit" is a value. Subparsers are built from
+        # this class and read tokens the same way.
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
     def error(self, message):  # argparse default exits 2; config errors are exit 4
         raise ValueError(message)
 

@@ -28,7 +28,8 @@ at different rates with one seed are paired.
 The streams are drawn in bulk, a block of trials at a time, by
 `streams._trial_uniforms`: a bit-exact numpy port of SeedSequence, PCG64
 and Generator.random(), vectorised over t. The tests check it against
-default_rng([seed, t]) itself.
+default_rng([seed, t]) itself. Both simulators pick every state and
+label of a whole stream block at once with `_pick`.
 """
 
 from __future__ import annotations
@@ -56,12 +57,13 @@ _BOUNDARY_GUARD = 1e-12
 
 
 @dataclass(frozen=True)
-class TrialRecord:
-    trial: int
-    state: int
-    block: int
-    ebits: float
-    conditional_fidelity: float
+class Trials:
+    """Per-trial outcomes of `simulate_individual`, entry t for trial t."""
+
+    state: np.ndarray
+    block: np.ndarray
+    ebits: np.ndarray
+    conditional_fidelity: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -94,13 +96,20 @@ def _pick_cdfs(e: Ensemble, d: KIDecomposition) -> tuple[np.ndarray, np.ndarray]
     return _choice_cdf(e.probs / e.probs.sum()), _choice_cdf(qmat / qmat.sum(axis=1, keepdims=True))
 
 
+def _pick(u: np.ndarray, n: int, cdf_p: np.ndarray, cdf_q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The n states of each stream row, from its first n uniforms, and one
+    block label per state, from the next n: two (rows, n) arrays."""
+    states = np.searchsorted(cdf_p, u[:, :n], side="right")
+    return states, (cdf_q[states] <= u[:, n : 2 * n, None]).sum(axis=-1)
+
+
 def simulate_individual(
     e: Ensemble,
     d: KIDecomposition,
     trials: int = 10_000,
     seed: int = 0,
     tol: float = DEFAULT_TOL,
-) -> tuple[list[TrialRecord], IndividualSummary]:
+) -> tuple[Trials, IndividualSummary]:
     """Run the exactly-faithful per-message protocol with an entanglement ledger.
 
     Each trial draws a state index from the source probabilities and a
@@ -112,58 +121,38 @@ def simulate_individual(
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    num_states = len(e)
-    embedded: dict[tuple[int, int], np.ndarray] = {}
-    cond_fid: dict[tuple[int, int], float] = {}
+    cond_fid = np.full((len(e), len(d.blocks)), np.nan)  # NaN: no delivered state
+    mixture = np.zeros((len(e), e.dim, e.dim), dtype=complex)
     for l, b in enumerate(d.blocks):
         proj = d.frame.embed(b.embed(np.eye(b.n * b.k, dtype=complex)))
-        for i in range(num_states):
+        for i in range(len(e)):
             if b.q[i] <= 0 or b.rho_J[i] is None:
                 continue
             delivered = d.frame.embed(b.embed(kron(b.rho_J[i], b.rho_K)))
-            embedded[(i, l)] = delivered
+            mixture[i] += b.q[i] * delivered
             comp = proj @ e.states[i] @ proj
             comp = hermitize(comp / np.trace(comp).real)
-            cond_fid[(i, l)] = fidelity(delivered, comp, tol)
-
-    mixture = 0.0
-    for i in range(num_states):
-        acc = np.zeros((e.dim, e.dim), dtype=complex)
-        for l, b in enumerate(d.blocks):
-            if (i, l) in embedded:
-                acc += b.q[i] * embedded[(i, l)]
-        mixture = max(mixture, float(np.linalg.norm(acc - e.states[i])))
+            cond_fid[i, l] = fidelity(delivered, comp, tol)
 
     log_n = np.array([math.log2(b.n) for b in d.blocks])
-    cdf_p, cdf_q = _pick_cdfs(e, d)
     u = np.concatenate(list(_trial_stream(seed, trials, 2)))
-    states = np.searchsorted(cdf_p, u[:, 0], side="right")
-    blocks = (cdf_q[states] <= u[:, 1:]).sum(axis=1)
-    records = [
-        TrialRecord(
-            trial=t,
-            state=i,
-            block=l,
-            ebits=float(log_n[l]),
-            conditional_fidelity=cond_fid[(i, l)],
-        )
-        for t, (i, l) in enumerate(zip(states.tolist(), blocks.tolist()))
-    ]
-
+    states, blocks = (a[:, 0] for a in _pick(u, 1, *_pick_cdfs(e, d)))
+    fid = cond_fid[states, blocks]
+    if np.isnan(fid).any():
+        raise KeyError("a trial picked a state and block with no delivered state")
     ebits = log_n[blocks]
-    expected = float(np.dot(d.p_block, log_n))
     summary = IndividualSummary(
         trials=trials,
         seed=seed,
         mean_ebits=float(ebits.mean()),
         stderr_ebits=float(ebits.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0,
         max_ebits=float(ebits.max()),
-        ebits_consumed_expected=expected,
+        ebits_consumed_expected=float(np.dot(d.p_block, log_n)),
         ebits_prepared_bound=float(np.max(log_n)),
-        min_conditional_fidelity=float(min(r.conditional_fidelity for r in records)),
-        mixture_residual=mixture,
+        min_conditional_fidelity=float(fid.min()),
+        mixture_residual=max(float(np.linalg.norm(m - s)) for m, s in zip(mixture, e.states)),
     )
-    return records, summary
+    return Trials(state=states, block=blocks, ebits=ebits, conditional_fidelity=fid), summary
 
 
 # ---------------------------------------------------------------------------
@@ -372,8 +361,7 @@ def _overlap_weight(
 @dataclass
 class _BlockData:
     spectrum: np.ndarray  # eigenvalues of the average J state, descending
-    diag: dict[int, np.ndarray]  # state index -> diag of rotated J state
-    rotated: dict[int, np.ndarray]  # state index -> full rotated J state, exactly Hermitian
+    rotated: dict[int, np.ndarray]  # state index -> rotated J state, exactly Hermitian
     all_pure: bool
 
 
@@ -383,15 +371,14 @@ def _block_data(d: KIDecomposition) -> list[_BlockData]:
         lam, vec = eigh(hermitize(avg))
         order = np.argsort(lam)[::-1]
         lam, vec = np.clip(lam[order], 1e-300, None), vec[:, order]
-        diag, rotated, pure = {}, {}, True
+        rotated, pure = {}, True
         for i in range(len(b.q)):
             if b.q[i] <= 0 or b.rho_J[i] is None:
                 continue
             st = hermitize(vec.conj().T @ b.rho_J[i] @ vec)
             rotated[i] = st
-            diag[i] = np.clip(np.real(np.diag(st)), 0.0, None)
             pure = pure and float(np.trace(st @ st).real) >= 1.0 - 1e-9
-        out.append(_BlockData(spectrum=lam, diag=diag, rotated=rotated, all_pure=pure))
+        out.append(_BlockData(spectrum=lam, rotated=rotated, all_pure=pure))
     return out
 
 
@@ -432,14 +419,6 @@ def _failure_fidelity(plan: _CompressionPlan, data: _BlockData, members: list[in
 
 
 @dataclass(frozen=True)
-class AsymptoticConfig:
-    n_messages: int = 8
-    delta: float = 0.25
-    trials: int = 200
-    seed: int = 0
-
-
-@dataclass(frozen=True)
 class AsymptoticRun:
     """Outcome of one block-protocol run at a fixed rate slack."""
 
@@ -459,19 +438,14 @@ class AsymptoticRun:
         return out
 
 
-def _draw_block_trial(u: np.ndarray, n: int, cdf_p: np.ndarray, cdf_q: np.ndarray):
-    """One block-protocol trial from its stream row `u`: n messages, their
-    labels, the occupied labels ascending, and one branch uniform per
-    occupied label. The row holds 2n + (number of blocks) uniforms, of
-    which the trial reads 2n + (number of occupied labels)."""
-    drawn = np.searchsorted(cdf_p, u[:n], side="right")
-    labels = (cdf_q[drawn] <= u[n : 2 * n, None]).sum(axis=1)
-    occupied = np.flatnonzero(np.bincount(labels))
-    return drawn, labels, occupied, u[2 * n : 2 * n + len(occupied)]
-
-
 def simulate_asymptotic(
-    e: Ensemble, d: KIDecomposition, cfg: AsymptoticConfig, tol: float = DEFAULT_TOL
+    e: Ensemble,
+    d: KIDecomposition,
+    n_messages: int = 8,
+    delta: float = 0.25,
+    trials: int = 200,
+    seed: int = 0,
+    tol: float = DEFAULT_TOL,
 ) -> AsymptoticRun:
     """Monte Carlo run of the block compression-and-teleport protocol.
 
@@ -483,9 +457,9 @@ def simulate_asymptotic(
     exact on both sides and drop out. Reported rates: mean qubits per
     message actually charged, and the Shannon bound on the label
     sequence (no entropy coder is run). This is `rate_sweep` at the
-    one delta `cfg.delta`.
+    one slack `delta`.
     """
-    (run,) = rate_sweep(e, d, cfg.n_messages, [cfg.delta], cfg.trials, cfg.seed, tol)
+    (run,) = rate_sweep(e, d, n_messages, [delta], trials, seed, tol)
     return run
 
 
@@ -507,8 +481,6 @@ def rate_sweep(
     deltas = sorted(float(dv) for dv in deltas)
     if not all(math.isfinite(dv) for dv in deltas):
         raise ValueError(f"deltas must be finite, got {deltas}")
-    if not deltas:
-        return []
     if trials < 1 or n_messages < 1:
         raise ValueError("trials and n_messages must be at least 1")
     n, max_n = n_messages, max(b.n for b in d.blocks)
@@ -517,14 +489,21 @@ def rate_sweep(
             f"n_messages * log2(max block dim) = "
             f"{n * math.log2(max_n):.1f} exceeds {DESK_SCALE_QUBITS}"
         )
+    if not deltas:
+        return []
     cdf_p, cdf_q = _pick_cdfs(e, d)
     data = _block_data(d)
     plans: dict[tuple[int, int, float], _CompressionPlan] = {}
     fidelities = np.ones((len(deltas), trials))
     qubits = np.zeros((len(deltas), trials), dtype=np.int64)
-    stream = itertools.chain.from_iterable(_trial_stream(seed, trials, 2 * n + len(d.blocks)))
-    for t, u in enumerate(stream):
-        drawn, labels, occupied, branch = _draw_block_trial(u, n, cdf_p, cdf_q)
+    # a row holds 2n + (number of blocks) uniforms: the picks, then one branch
+    # uniform per occupied label, of which a trial reads as many as it occupies
+    rows = itertools.chain.from_iterable(
+        zip(u[:, 2 * n :], *_pick(u, n, cdf_p, cdf_q))
+        for u in _trial_stream(seed, trials, 2 * n + len(d.blocks))
+    )
+    for t, (branch, drawn, labels) in enumerate(rows):
+        occupied = np.flatnonzero(np.bincount(labels))
         for l, u_group in zip(occupied.tolist(), branch):
             members = drawn[labels == l].tolist()
             diag_rows = sums = None
@@ -537,7 +516,7 @@ def rate_sweep(
                 if plan.full:
                     continue  # group fidelity 1
                 if sums is None:
-                    diag_rows = np.stack([data[l].diag[i] for i in members])
+                    diag_rows = np.stack([data[l].rotated[i].diagonal().real for i in members]).clip(0.0)
                     sums = _class_sums(diag_rows)
                 w = _overlap_weight(plan, diag_rows, sums)
                 fidelities[k, t] *= w if u_group <= w else _failure_fidelity(plan, data[l], members, w)

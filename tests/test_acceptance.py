@@ -21,7 +21,7 @@ from kidecomp.oracles import (
     random_density,
     random_form2_channel,
 )
-from kidecomp.protocols import AsymptoticConfig, simulate_asymptotic, simulate_individual
+from kidecomp.protocols import simulate_asymptotic, simulate_individual
 
 KET0 = np.array([[1, 0], [0, 0]], dtype=complex)
 PLUS = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
@@ -157,13 +157,13 @@ def test_criterion_5_perfect_protocol(batch):
 def test_criterion_6_rate_threshold():
     e = Ensemble(probs=[0.5, 0.5], states=[KET0, PLUS])
     d = ki_decompose(e, seed=0)
-    hi = simulate_asymptotic(e, d, AsymptoticConfig(n_messages=12, delta=0.25, trials=200, seed=5))
-    lo = simulate_asymptotic(e, d, AsymptoticConfig(n_messages=12, delta=-0.25, trials=200, seed=5))
+    hi = simulate_asymptotic(e, d, n_messages=12, delta=0.25, trials=200, seed=5)
+    lo = simulate_asymptotic(e, d, n_messages=12, delta=-0.25, trials=200, seed=5)
     gap = hi.f_bar - lo.f_bar
     gap_ok = gap > 3 * math.hypot(hi.f_stderr, lo.f_stderr)
 
     curve = [
-        simulate_asymptotic(e, d, AsymptoticConfig(n_messages=n, delta=0.25, trials=200, seed=5))
+        simulate_asymptotic(e, d, n_messages=n, delta=0.25, trials=200, seed=5)
         for n in (2, 4, 8, 12)
     ]
     mono_ok = all(

@@ -1,4 +1,6 @@
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -108,6 +110,31 @@ def test_rate_sweep_table(two_pure_file, tmp_path):
     table = _report(out)["result"]["table"]
     assert [row["delta"] for row in table] == [-0.25, 0.25]
     assert table[1]["f_bar"] >= table[0]["f_bar"]
+
+
+def test_negative_slacks_parse_as_separate_tokens(two_pure_file, tmp_path):
+    spaced, joined = tmp_path / "spaced.json", tmp_path / "joined.json"
+    common = ["rate-sweep", two_pure_file, "-N", "4", "--trials", "20"]
+    assert main(common + ["--deltas", "-0.4,-0.1,0.1", "-o", str(spaced)]) == 0
+    assert main(common + ["--deltas=-0.4,-0.1,0.1", "-o", str(joined)]) == 0
+    assert spaced.read_bytes() == joined.read_bytes()
+    cfg = cli._build_parser().parse_args(["simulate-asymptotic", two_pure_file, "--delta", "-1e-3"])
+    assert cfg.delta == -1e-3
+    cfg = cli._build_parser().parse_args(["rate-sweep", two_pure_file, "--deltas", "-.5,.5"])
+    assert cfg.deltas == (-0.5, 0.5)
+
+
+def test_negative_infinity_is_still_refused(two_pure_file, capsys):
+    assert main(["simulate-asymptotic", two_pure_file, "--delta", "-inf"]) == 4
+    assert "configuration error: argument --delta" in capsys.readouterr().err
+
+
+def test_every_readme_command_parses():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    lines = [line for line in readme.read_text().splitlines() if line.startswith("kidecomp ")]
+    assert len(lines) >= 8
+    for line in lines:
+        cli._build_parser().parse_args(shlex.split(line)[1:])
 
 
 def test_text_format(two_pure_file, tmp_path, capsys):

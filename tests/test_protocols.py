@@ -17,15 +17,14 @@ from kidecomp.measures import fidelity, info_measures
 from kidecomp.oracles import PlantSpec, planted_ensemble
 from kidecomp.protocols import (
     _BOUNDARY_GUARD,
-    AsymptoticConfig,
     _block_data,
     _class_sums,
     _compression_plan,
-    _draw_block_trial,
     _failure_fidelity,
     _lex_sequences,
     _multinomial,
     _overlap_weight,
+    _pick,
     _pick_cdfs,
     rate_sweep,
     simulate_asymptotic,
@@ -54,16 +53,16 @@ def two_pure():
 
 def test_individual_classical_source_costs_nothing():
     e, d = classical_pair()
-    records, summary = simulate_individual(e, d, trials=300, seed=2)
-    assert all(r.ebits == 0.0 for r in records)
+    trials, summary = simulate_individual(e, d, trials=300, seed=2)
+    assert trials.ebits.shape == (300,) and np.all(trials.ebits == 0.0)
     assert summary.mean_ebits == 0.0
     assert summary.min_conditional_fidelity >= 1 - 1e-8
 
 
 def test_individual_two_pure_full_ebit():
     e, d = two_pure()
-    records, summary = simulate_individual(e, d, trials=300, seed=2)
-    assert all(r.ebits == 1.0 for r in records)
+    trials, summary = simulate_individual(e, d, trials=300, seed=2)
+    assert trials.ebits.shape == (300,) and np.all(trials.ebits == 1.0)
     assert summary.mean_ebits == 1.0
     assert summary.mixture_residual <= 1e-8
 
@@ -72,7 +71,7 @@ def test_individual_planted_matches_closed_form():
     e, truth = planted_ensemble(PlantSpec(blocks=((2, 1), (1, 2)), num_states=3, seed=4))
     d = ki_decompose(e, seed=0)
     m = info_measures(d, e)
-    records, summary = simulate_individual(e, d, trials=4000, seed=9)
+    _, summary = simulate_individual(e, d, trials=4000, seed=9)
     assert summary.min_conditional_fidelity >= 1 - 1e-8
     assert summary.max_ebits <= m.ebits_prepared + 1e-12
     spread = 3 * max(summary.stderr_ebits, 1e-12)
@@ -80,12 +79,26 @@ def test_individual_planted_matches_closed_form():
     assert summary.mixture_residual <= 1e-8
 
 
+def assert_same_trials(got, want):
+    for field in ("state", "block", "ebits", "conditional_fidelity"):
+        assert np.array_equal(getattr(got, field), getattr(want, field)), field
+
+
 def test_individual_reproducible():
     e, d = two_pure()
-    r1, s1 = simulate_individual(e, d, trials=100, seed=5)
-    r2, s2 = simulate_individual(e, d, trials=100, seed=5)
-    assert r1 == r2
+    t1, s1 = simulate_individual(e, d, trials=100, seed=5)
+    t2, s2 = simulate_individual(e, d, trials=100, seed=5)
+    assert_same_trials(t1, t2)
     assert s1 == s2
+
+
+def test_individual_trial_without_a_delivered_state_raises():
+    # a decomposition read from a file may give a state weight on a block
+    # but no J state there; a trial that picks that pair cannot be scored
+    e, d = two_pure()
+    d.blocks[0].rho_J[0] = None
+    with pytest.raises(KeyError, match="no delivered state"):
+        simulate_individual(e, d, trials=50, seed=0)
 
 
 def test_report_key_order():
@@ -96,7 +109,7 @@ def test_report_key_order():
         "trials", "seed", "mean_ebits", "stderr_ebits", "max_ebits", "ebits_consumed_expected",
         "ebits_prepared_bound", "min_conditional_fidelity", "mixture_residual",
     ]
-    run = simulate_asymptotic(e, d, AsymptoticConfig(n_messages=4, delta=0.0, trials=5, seed=0))
+    run = simulate_asymptotic(e, d, n_messages=4, delta=0.0, trials=5, seed=0)
     assert list(run.to_dict()) == [
         "n_messages", "delta", "trials", "seed", "qubit_rate_used", "bit_rate_used", "f_bar", "f_stderr",
     ]
@@ -197,19 +210,17 @@ def test_typical_weight_grows_with_length():
 def test_asymptotic_orthogonal_source_is_free():
     e, d = classical_pair()
     for n in (2, 6):
-        run = simulate_asymptotic(e, d, AsymptoticConfig(n_messages=n, delta=0.25, trials=60, seed=1))
+        run = simulate_asymptotic(e, d, n_messages=n, delta=0.25, trials=60, seed=1)
         assert run.f_bar == pytest.approx(1.0)
         assert run.qubit_rate_used == 0.0
-        run_low = simulate_asymptotic(
-            e, d, AsymptoticConfig(n_messages=n, delta=-0.25, trials=60, seed=1)
-        )
+        run_low = simulate_asymptotic(e, d, n_messages=n, delta=-0.25, trials=60, seed=1)
         assert run_low.f_bar == pytest.approx(1.0)  # nothing quantum to send
 
 
 def test_asymptotic_rate_gap_two_pure():
     e, d = two_pure()
-    hi = simulate_asymptotic(e, d, AsymptoticConfig(n_messages=12, delta=0.25, trials=200, seed=3))
-    lo = simulate_asymptotic(e, d, AsymptoticConfig(n_messages=12, delta=-0.25, trials=200, seed=3))
+    hi = simulate_asymptotic(e, d, n_messages=12, delta=0.25, trials=200, seed=3)
+    lo = simulate_asymptotic(e, d, n_messages=12, delta=-0.25, trials=200, seed=3)
     gap = hi.f_bar - lo.f_bar
     assert gap > 3 * math.hypot(hi.f_stderr, lo.f_stderr)
     m = info_measures(d, e)
@@ -220,7 +231,7 @@ def test_asymptotic_rate_gap_two_pure():
 def test_asymptotic_budget_invariant_planted():
     e, _ = planted_ensemble(PlantSpec(blocks=((2, 1), (1, 2)), num_states=3, seed=6))
     d = ki_decompose(e, seed=0)
-    run = simulate_asymptotic(e, d, AsymptoticConfig(n_messages=6, delta=0.25, trials=100, seed=2))
+    run = simulate_asymptotic(e, d, n_messages=6, delta=0.25, trials=100, seed=2)
     assert 0.0 <= run.f_bar <= 1.0
     m = info_measures(d, e)
     assert run.bit_rate_used == pytest.approx(m.info_classical, abs=1e-9)
@@ -228,9 +239,8 @@ def test_asymptotic_budget_invariant_planted():
 
 def test_asymptotic_reproducible_bit_for_bit():
     e, d = two_pure()
-    cfg = AsymptoticConfig(n_messages=8, delta=0.25, trials=80, seed=12)
-    a = simulate_asymptotic(e, d, cfg)
-    b = simulate_asymptotic(e, d, cfg)
+    a = simulate_asymptotic(e, d, n_messages=8, delta=0.25, trials=80, seed=12)
+    b = simulate_asymptotic(e, d, n_messages=8, delta=0.25, trials=80, seed=12)
     assert np.array_equal(a.fidelities, b.fidelities)
     assert a.f_bar == b.f_bar and a.qubit_rate_used == b.qubit_rate_used
 
@@ -238,12 +248,18 @@ def test_asymptotic_reproducible_bit_for_bit():
 def test_asymptotic_guard():
     e, d = two_pure()
     with pytest.raises(ConfigTooLarge):
-        simulate_asymptotic(e, d, AsymptoticConfig(n_messages=21, delta=0.25, trials=1, seed=0))
+        simulate_asymptotic(e, d, n_messages=21, delta=0.25, trials=1, seed=0)
 
 
 def test_rate_sweep_empty():
     e, d = two_pure()
     assert rate_sweep(e, d, 4, [], trials=10, seed=0) == []
+    # an empty delta list is refused for the same arguments as a one-delta list
+    for deltas in ([], [0.0]):
+        with pytest.raises(ValueError, match="at least 1"):
+            rate_sweep(e, d, 0, deltas, trials=0)
+        with pytest.raises(ConfigTooLarge):
+            rate_sweep(e, d, 10**6, deltas)
 
 
 @pytest.mark.parametrize("deltas", [[math.inf], [0.0, -math.inf], [math.nan]])
@@ -272,9 +288,9 @@ def test_mixed_block_states_exact_fidelity_path():
     # subspace fidelity on both branches
     e, _ = planted_ensemble(PlantSpec(blocks=((2, 1),), num_states=2, seed=9))
     d = ki_decompose(e, seed=0)
-    run = simulate_asymptotic(e, d, AsymptoticConfig(n_messages=6, delta=-0.4, trials=150, seed=7))
+    run = simulate_asymptotic(e, d, n_messages=6, delta=-0.4, trials=150, seed=7)
     assert 0.0 < run.f_bar < 1.0
-    run_hi = simulate_asymptotic(e, d, AsymptoticConfig(n_messages=6, delta=0.6, trials=150, seed=7))
+    run_hi = simulate_asymptotic(e, d, n_messages=6, delta=0.6, trials=150, seed=7)
     assert run_hi.f_bar >= run.f_bar
 
 
@@ -299,6 +315,11 @@ def reference_weights(e, d):
     return e.probs / e.probs.sum(), qmat / qmat.sum(axis=1, keepdims=True)
 
 
+def reference_diag_rows(data, members):
+    """Per member, the clipped diagonal of its rotated J state."""
+    return np.stack([np.clip(np.real(np.diag(data.rotated[i])), 0.0, None) for i in members])
+
+
 def reference_block_trial(e, d, n, rng):
     probs, qmat = reference_weights(e, d)
     drawn = rng.choice(len(e), size=n, p=probs)
@@ -320,7 +341,7 @@ def reference_fidelities(e, d, n, delta, trials, seed):
             plan = _compression_plan(data[l].spectrum, len(members), delta)
             f_group = 1.0
             if not plan.full:
-                rows = np.stack([data[l].diag[i] for i in members])
+                rows = reference_diag_rows(data[l], members)
                 w = _overlap_weight(plan, rows, _class_sums(rows))
                 f_group = w if u <= w else _failure_fidelity(plan, data[l], members, w)
             qubits += plan.qubits
@@ -333,25 +354,30 @@ def test_individual_stream_matches_choice_reference(bench_plant):
     e, d = bench_plant
     probs, qmat = reference_weights(e, d)
     for seed in (0, 5, 7919):
-        records, _ = simulate_individual(e, d, trials=400, seed=seed)
+        trials, _ = simulate_individual(e, d, trials=400, seed=seed)
         ref_states, ref_blocks = [], []
         for t in range(400):
             rng = np.random.default_rng([seed, t])
             i = int(rng.choice(len(e), p=probs))
             ref_states.append(i)
             ref_blocks.append(int(rng.choice(len(d.blocks), p=qmat[i])))
-        assert np.array_equal([r.state for r in records], ref_states)
-        assert np.array_equal([r.block for r in records], ref_blocks)
+        assert np.array_equal(trials.state, ref_states)
+        assert np.array_equal(trials.block, ref_blocks)
 
 
 def test_block_stream_matches_choice_reference(bench_plant):
     e, d = bench_plant
     cdf_p, cdf_q = _pick_cdfs(e, d)
     for seed in (0, 5, 7919):
-        for t, u in enumerate(_trial_uniforms(seed, 0, 60, 2 * 12 + len(d.blocks))):
-            drawn, labels, occupied, uniforms = _draw_block_trial(u, 12, cdf_p, cdf_q)
+        u = _trial_uniforms(seed, 0, 60, 2 * 12 + len(d.blocks))
+        drawn, labels = _pick(u, 12, cdf_p, cdf_q)
+        assert drawn.shape == labels.shape == (60, 12)
+        for t in range(60):
+            # the occupied labels and branch uniforms as rate_sweep reads them from a row
+            occupied = np.flatnonzero(np.bincount(labels[t]))
+            uniforms = u[t, 2 * 12 : 2 * 12 + len(occupied)]
             ref = reference_block_trial(e, d, 12, np.random.default_rng([seed, t]))
-            for got, want in zip((drawn, labels, occupied, uniforms), ref):
+            for got, want in zip((drawn[t], labels[t], occupied, uniforms), ref):
                 assert np.array_equal(got, want)
 
 
@@ -364,9 +390,60 @@ def test_rate_sweep_matches_per_delta_reference(bench_plant):
         fids, rate = reference_fidelities(e, d, 8, run.delta, 40, 3)
         assert np.array_equal(run.fidelities, fids)
         assert run.qubit_rate_used == rate
-        single = simulate_asymptotic(e, d, AsymptoticConfig(n_messages=8, delta=run.delta, trials=40, seed=3))
+        single = simulate_asymptotic(e, d, n_messages=8, delta=run.delta, trials=40, seed=3)
         assert np.array_equal(single.fidelities, run.fidelities)
         assert single.to_dict() == run.to_dict()
+
+
+# -- the block protocol against its exact expectation --------------------------
+#
+# For small N the expected trial fidelity is a finite sum over every message
+# sequence and label sequence, each weighted by prod_j p_i q_il. A trial's
+# groups are scored independently: with its branch uniform u, a group keeps
+# its projected state when u <= w, so its expected fidelity is
+# w * w + (1 - w) * F_fail, and the trial's is the product over its groups.
+
+
+def exact_f_bar(e, d, n, delta):
+    probs, qmat = reference_weights(e, d)
+    data = _block_data(d)
+    groups = {}  # (label, members) -> expected group fidelity
+
+    def group_fidelity(l, members):
+        if (l, members) not in groups:
+            plan = _compression_plan(data[l].spectrum, len(members), delta)
+            f = 1.0
+            if not plan.full:
+                rows = reference_diag_rows(data[l], members)
+                w = _overlap_weight(plan, rows, _class_sums(rows))
+                f = w * w + (1 - w) * _failure_fidelity(plan, data[l], list(members), w)
+            groups[(l, members)] = f
+        return groups[(l, members)]
+
+    total = 0.0
+    for drawn in itertools.product(range(len(e)), repeat=n):
+        for labels in itertools.product(range(len(d.blocks)), repeat=n):
+            weight = np.prod(probs[list(drawn)]) * np.prod(qmat[list(drawn), list(labels)])
+            if weight == 0:
+                continue
+            f = 1.0
+            for l in sorted(set(labels)):
+                f *= group_fidelity(l, tuple(i for i, m in zip(drawn, labels) if m == l))
+            total += weight * f
+    return total
+
+
+def test_rate_sweep_matches_exact_expectation(bench_plant):
+    # N=4 gives groups of one to four members, full and non-full plans and
+    # both branches; at seed 0 the largest |z| over both plants is 2.44
+    e, d = bench_plant
+    runs = rate_sweep(e, d, 4, [-0.25, 0.0, 0.25], trials=4000, seed=0)
+    for run in runs:
+        want = exact_f_bar(e, d, 4, run.delta)
+        if run.f_stderr == 0.0:
+            assert run.f_bar == pytest.approx(want, abs=1e-12)
+        else:
+            assert abs(run.f_bar - want) <= 4 * run.f_stderr, (run.delta, run.f_bar, want)
 
 
 # -- the bulk stream kernel against default_rng --------------------------------
@@ -429,16 +506,17 @@ def test_trial_uniforms_guards():
 
 def test_simulators_build_no_per_trial_generator(bench_plant, monkeypatch):
     e, d = bench_plant
-    want_records, want_summary = simulate_individual(e, d, trials=300, seed=4)
+    want_trials, want_summary = simulate_individual(e, d, trials=300, seed=4)
     want_runs = rate_sweep(e, d, 8, [-0.25, 0.25], trials=30, seed=4)
 
     def refuse(*args, **kwargs):
         raise AssertionError("a simulator built a Generator")
 
     monkeypatch.setattr(np.random, "default_rng", refuse)
-    records, summary = simulate_individual(e, d, trials=300, seed=4)
+    trials, summary = simulate_individual(e, d, trials=300, seed=4)
     runs = rate_sweep(e, d, 8, [-0.25, 0.25], trials=30, seed=4)
-    assert records == want_records and summary == want_summary
+    assert_same_trials(trials, want_trials)
+    assert summary == want_summary
     assert all(np.array_equal(a.fidelities, b.fidelities) for a, b in zip(runs, want_runs))
 
 
@@ -477,7 +555,7 @@ def test_failure_fidelity_matches_per_member_gather(blocks, lengths):
     # the 3x1,2x2 plant is the bench's; a 9-member group at delta 0 has 1024 sequences
     e, _ = planted_ensemble(PlantSpec(blocks=blocks, num_states=3, seed=1))
     data = next(b for b in _block_data(ki_decompose(e)) if not b.all_pure)
-    states = sorted(data.diag)
+    states = sorted(data.rotated)
     rng = np.random.default_rng(0)
     seen = set()
     for length in lengths:
@@ -626,9 +704,9 @@ def test_plan_formulas_match_brute_force_subspace(blocks):
                 partial += plan.partial is not None
                 # the subspace as indices of the kron product basis
                 idx = [int(np.ravel_multi_index(s, (r,) * length)) for s in ranked[: plan.dim]]
-                for members in itertools.product(sorted(data.diag), repeat=length):
+                for members in itertools.product(sorted(data.rotated), repeat=length):
                     sigma = functools.reduce(np.kron, [data.rotated[i] for i in members])
-                    rows = np.stack([data.diag[i] for i in members])
+                    rows = reference_diag_rows(data, members)
                     w = _overlap_weight(plan, rows, _class_sums(rows))
                     assert w == pytest.approx(float(np.trace(sigma[np.ix_(idx, idx)]).real), abs=1e-12)
                     # P sigma P and P / dim written on the range of P; in the full
