@@ -18,6 +18,7 @@ finer block split.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import asdict, dataclass, field
 
@@ -94,6 +95,10 @@ class KIDecomposition:
             if b.q[i] > 0 and b.rho_J[i] is not None:
                 acc += b.embed(b.q[i] * kron(b.rho_J[i], b.rho_K))
         return self.frame.embed(acc)
+
+    def reconstruction_residual(self, e: Ensemble) -> float:
+        """Largest Frobenius distance between a state of `e` and its reconstruction."""
+        return max(frob(self.reconstruct(i) - e.states[i]) for i in range(len(e)))
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +269,7 @@ def ki_decompose(e: Ensemble, seed: int = 0, tol: float = DEFAULT_TOL) -> KIDeco
     blocks = [_canonicalize_redundant_factor(b) for b in _merge_to_fixpoint(blocks, tol)]
     d = KIDecomposition.from_blocks(frame, blocks, e.probs)
 
-    worst = max(frob(d.reconstruct(i) - e.states[i]) for i in range(len(e)))
+    worst = d.reconstruction_residual(e)
     if worst > max(tol, 1e4 * np.finfo(float).eps) * max(1.0, max(frob(s) for s in e.states)):
         raise FormViolation(f"reconstruction residual {worst:.3e} exceeds tolerance")
     return d
@@ -318,64 +323,44 @@ def verify(
     checks: list[CheckResult] = []
     thr = max(tol, 1e-8)
 
-    def guarded(name, fn):
+    def check(name, fn):
+        """Record check `name`; fn returns (ok, residual, detail)."""
         # a structurally broken document must surface as a failed check,
         # not as an exception out of a reporting operation
         try:
-            checks.append(fn())
+            ok, residual, detail = fn()
         except Exception as exc:  # noqa: BLE001
-            checks.append(CheckResult(name, False, float("inf"), f"check crashed: {exc}"))
+            ok, residual, detail = False, float("inf"), f"check crashed: {exc}"
+        checks.append(CheckResult(name, ok, residual, detail))
 
-    def check_reconstruction():
-        recon = max(frob(d.reconstruct(i) - e.states[i]) for i in range(len(e)))
-        return CheckResult("reconstruction", recon <= thr, recon)
+    def within_thr(residual):
+        return residual <= thr, residual, ""
 
-    def check_weight_rows():
-        qrows = max(abs(float(sum(b.q[i] for b in d.blocks)) - 1.0) for i in range(len(e)))
-        return CheckResult("weight_rows_sum_to_1", qrows <= thr, qrows)
+    def irreducible(b):
+        gens = [b.rho_J[i] for i in _support_set(b.q) if b.rho_J[i] is not None]
+        if not gens:
+            return False, float("inf"), "no states"
+        comm_dim = commutant(generator_span(gens, b.n, tol), tol).size
+        return comm_dim == 1, float(comm_dim - 1), f"commutant dimension {comm_dim}"
 
-    def check_irreducible(l, b):
-        def run():
-            gens = [b.rho_J[i] for i in _support_set(b.q) if b.rho_J[i] is not None]
-            if not gens:
-                return CheckResult(f"irreducible_block_{l}", False, float("inf"), "no states")
-            comm_dim = commutant(generator_span(gens, b.n, tol), tol).size
-            return CheckResult(
-                f"irreducible_block_{l}",
-                comm_dim == 1,
-                float(comm_dim - 1),
-                f"commutant dimension {comm_dim}",
-            )
+    def weight_rows():
+        return max(abs(float(sum(b.q[i] for b in d.blocks)) - 1.0) for i in range(len(e)))
 
-        return run
+    def non_mergeable():
+        pairs = itertools.combinations(range(len(d.blocks)), 2)
+        hits = [(ia, ib) for ia, ib in pairs if mergeable(d.blocks[ia], d.blocks[ib], tol) is not None]
+        return not hits, float(len(hits)), f"mergeable pairs: {hits}" if hits else ""
 
-    def check_mergeable():
-        hits = []
-        for ia in range(len(d.blocks)):
-            for ib in range(ia + 1, len(d.blocks)):
-                if mergeable(d.blocks[ia], d.blocks[ib], tol) is not None:
-                    hits.append((ia, ib))
-        return CheckResult(
-            "pairwise_non_mergeable",
-            not hits,
-            float(len(hits)),
-            f"mergeable pairs: {hits}" if hits else "",
-        )
+    def channel_drift():
+        chans = (oracles.random_form2_channel(d, env_dim=env_dim, seed=seed * 1000 + r) for r in range(channels))
+        return max([0.0, *(frob(chan.apply(rho) - rho) for chan in chans for rho in e.states)])
 
-    def check_channels():
-        worst = 0.0
-        for r in range(channels):
-            chan = oracles.random_form2_channel(d, env_dim=env_dim, seed=seed * 1000 + r)
-            for rho in e.states:
-                worst = max(worst, frob(chan.apply(rho) - rho))
-        return CheckResult("channel_preservation", worst <= thr, worst)
-
-    guarded("reconstruction", check_reconstruction)
-    guarded("weight_rows_sum_to_1", check_weight_rows)
+    check("reconstruction", lambda: within_thr(d.reconstruction_residual(e)))
+    check("weight_rows_sum_to_1", lambda: within_thr(weight_rows()))
     for l, b in enumerate(d.blocks):
-        guarded(f"irreducible_block_{l}", check_irreducible(l, b))
-    guarded("pairwise_non_mergeable", check_mergeable)
-    guarded("channel_preservation", check_channels)
+        check(f"irreducible_block_{l}", lambda: irreducible(b))
+    check("pairwise_non_mergeable", non_mergeable)
+    check("channel_preservation", lambda: within_thr(channel_drift()))
 
     return VerificationReport(checks)
 

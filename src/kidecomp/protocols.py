@@ -307,7 +307,9 @@ def _compression_plan(spectrum: np.ndarray, length: int, delta: float) -> _Compr
     full_dim = r**length
     log2lam = np.log2(np.clip(spectrum, 1e-300, None))
     s_rate = float(-np.sum(spectrum * log2lam))
-    budget = max(math.floor(length * (s_rate + delta) + _BOUNDARY_GUARD), 0)
+    # clamped as a float: a huge slack would overflow floor() or build a huge 2**budget,
+    # and every budget from full_dim.bit_length() on keeps the whole space
+    budget = math.floor(min(max(length * (s_rate + delta) + _BOUNDARY_GUARD, 0.0), full_dim.bit_length()))
     if 2**budget >= full_dim:
         return _CompressionPlan(
             alphabet=r, length=length, dim=full_dim, qubits=full_qubits, full=True

@@ -353,3 +353,85 @@ def test_verify_rejects_non_integer_decomposition_fields(two_pure_file, tmp_path
     dec.write_text(json.dumps(doc))
     assert main(["verify", two_pure_file, "--decomposition", str(dec)]) == 2
     assert f"error: {locus}: expected" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def plant_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("plant") / "plant.json"
+    assert main(["gen", "-o", str(path), "--blocks", "2x1,1x2", "--seed", "1"]) == 0
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["decompose"],
+        ["measures"],
+        ["simulate-individual", "--trials", "50"],
+        ["simulate-asymptotic", "-N", "4", "--trials", "10"],
+        ["rate-sweep", "-N", "4", "--trials", "10"],
+        ["remove-redundancy"],
+        ["verify", "--channels", "3"],
+    ],
+)
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_stdout_and_output_file_hold_the_same_bytes(plant_file, tmp_path, capsys, command, fmt):
+    argv = [command[0], plant_file, *command[1:], "--format", fmt]
+    out = tmp_path / "report"
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    assert main(argv + ["-o", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_bytes() == printed.encode("utf-8") and printed
+
+
+def test_gen_sidecar_is_json_under_text_format(tmp_path):
+    plant = tmp_path / "p.json"
+    assert main(["gen", "-o", str(plant), "--blocks", "2x1", "--format", "text"]) == 0
+    sidecar = _report(tmp_path / "p.truth.json")
+    assert sidecar["config"]["format"] == "text"
+    assert sidecar["result"]["blocks"][0]["n"] == 2
+    assert sidecar["residuals"] == {"ensemble_valid": True}
+
+
+def test_unknown_command_is_a_config_error(two_pure_file, capsys):
+    assert main(["frobnicate", two_pure_file]) == 4
+    assert "configuration error: argument command: invalid choice: 'frobnicate'" in capsys.readouterr().err
+
+
+def test_verify_reports_crashed_checks_and_runs_the_rest(tmp_path):
+    plant = tmp_path / "p.json"
+    assert main(["gen", "-o", str(plant), "--blocks", "2x1,1x1", "--num-states", "3", "--seed", "4"]) == 0
+    truth_path = tmp_path / "p.truth.json"
+    doc = json.loads(truth_path.read_text())
+    for block in doc["result"]["blocks"]:  # the blocks now describe one state of three
+        block["q"], block["rho_J"] = block["q"][:1], block["rho_J"][:1]
+    truth_path.write_text(json.dumps(doc))
+    out = tmp_path / "v.json"
+    assert main(["verify", str(plant), "--decomposition", str(truth_path), "-o", str(out)]) == 0
+    rep = _report(out)
+    assert rep["result"]["ok"] is False
+    checks = {c["name"]: c for c in rep["result"]["checks"]}
+    assert list(checks) == [
+        "reconstruction",
+        "weight_rows_sum_to_1",
+        "irreducible_block_0",
+        "irreducible_block_1",
+        "pairwise_non_mergeable",
+        "channel_preservation",
+    ]
+    for name in ("reconstruction", "weight_rows_sum_to_1"):
+        assert checks[name]["ok"] is False and checks[name]["residual"] == "inf"
+        assert checks[name]["detail"].startswith("check crashed: index 1 is out of bounds")
+    for name in ("irreducible_block_0", "irreducible_block_1", "pairwise_non_mergeable", "channel_preservation"):
+        assert "crashed" not in checks[name]["detail"] and checks[name]["residual"] != "inf"
+    assert rep["residuals"]["worst_residual"] == "inf"
+
+
+def test_huge_rate_slacks_run(plant_file, tmp_path):
+    out = tmp_path / "t.json"
+    common = ["-N", "4", "--trials", "5", "-o", str(out)]
+    assert main(["rate-sweep", plant_file, "--deltas=-1e308,0,1e308", *common]) == 0
+    assert [row["delta"] for row in _report(out)["result"]["table"]] == [-1e308, 0.0, 1e308]
+    assert main(["simulate-asymptotic", plant_file, "--delta", "1e307", *common]) == 0
+    assert _report(out)["result"]["f_bar"] == 1.0

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -281,6 +282,21 @@ def test_rate_sweep_sorted_and_increasing_endpoints():
     assert [r.delta for r in runs] == [-0.25, 0.0, 0.25]
     lo, _, hi = runs
     assert hi.f_bar - lo.f_bar > 2 * math.hypot(hi.f_stderr, lo.f_stderr)
+
+
+def test_huge_rate_slacks_keep_the_plans_of_modest_ones():
+    # a budget past the whole space is clamped before 2**budget is formed:
+    # no float overflow and no integer with ~delta bits
+    e, _ = planted_ensemble(PlantSpec(blocks=((3, 1), (2, 2)), num_states=3, seed=1))
+    d = ki_decompose(e, seed=0)
+    start = time.perf_counter()
+    runs = rate_sweep(e, d, 8, [-1e308, -50.0, 0.0, 50.0, 1e7, 1e307, 1e308], trials=20, seed=1)
+    assert time.perf_counter() - start < 1.0
+    by_delta = {r.delta: r for r in runs}
+    for huge, modest in ((-1e308, -50.0), (1e7, 50.0), (1e307, 50.0), (1e308, 50.0)):
+        a, b = by_delta[huge], by_delta[modest]
+        assert np.array_equal(a.fidelities, b.fidelities)
+        assert (a.qubit_rate_used, a.f_bar, a.f_stderr) == (b.qubit_rate_used, b.f_bar, b.f_stderr)
 
 
 def test_mixed_block_states_exact_fidelity_path():

@@ -1,0 +1,119 @@
+"""Write every CLI report for a fixed corpus of planted ensembles.
+
+    PYTHONPATH=<checkout>/src python3 tools/report_corpus.py OUTDIR
+
+For each planted shape and seed the script generates the ensemble with
+`gen`, then runs every report command on it in json and in text, to
+stdout and to an `-o` file, and `verify` against the recomputed, the
+stored and the ground-truth decomposition. A few error paths follow.
+OUTDIR/codes.txt lists each call's exit code and stderr.
+
+This is the byte-identity gate for refactors: run it once with the
+parent's `src/` and once with the change's on PYTHONPATH, into the same
+OUTDIR path both times (reports echo their input paths), and compare
+the two trees with `diff -r`. It runs in-process with one BLAS thread.
+"""
+
+import os
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import contextlib  # noqa: E402
+import io  # noqa: E402
+import json  # noqa: E402
+import sys  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+from kidecomp import cli  # noqa: E402
+
+SHAPES = ("1x2", "2x1", "1x1,1x1", "2x1,1x2", "1x2,1x1", "2x2,1x1", "4x1")
+SEEDS = (1, 2)
+# report command -> its options beyond input, format and output
+COMMANDS = {
+    "decompose": [],
+    "measures": [],
+    "simulate-individual": ["--trials", "200"],
+    "simulate-asymptotic": ["-N", "4", "--trials", "20"],  # at -N 6 the 4x1 plant takes seconds per call
+    "rate-sweep": ["-N", "4", "--trials", "20"],
+    "remove-redundancy": [],
+    "verify": [],
+}
+FORMATS = ("json", "text")
+
+
+def _call(out: Path, codes: list[str], name: str, argv: list[str]) -> None:
+    """Run one CLI call in-process; its stdout goes to OUT/NAME.stdout when non-empty."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = cli.main(argv)
+        except Exception as exc:  # noqa: BLE001 - an uncaught error is data here too; no
+            # traceback, since its line numbers differ between the two trees
+            code = f"uncaught {type(exc).__name__}: {exc}"
+    if stdout.getvalue():
+        (out / f"{name}.stdout").write_text(stdout.getvalue(), encoding="utf-8")
+    codes.append(f"{out.name}/{name}: exit {code}; stderr {stderr.getvalue()!r}")
+
+
+def _both_sinks(out: Path, codes: list[str], name: str, argv: list[str]) -> None:
+    """One call per format, each once to stdout and once to an -o file."""
+    for fmt in FORMATS:
+        _call(out, codes, f"{name}.{fmt}", argv + ["--format", fmt])
+        _call(out, codes, f"{name}.{fmt}.o", argv + ["--format", fmt, "-o", str(out / f"{name}.{fmt}.o.out")])
+
+
+def _plant_cases(out: Path, codes: list[str]) -> None:
+    for shape in SHAPES:
+        for seed in SEEDS:
+            case = out / f"{shape.replace(',', '_')}_s{seed}"
+            case.mkdir()
+            plant = str(case / "plant.json")
+            gen = ["gen", "--blocks", shape, "--seed", str(seed)]
+            _call(case, codes, "gen.text", gen + ["--format", "text", "-o", str(case / "plant_text.json")])
+            _call(case, codes, "gen.json", gen + ["-o", plant])
+            for command, options in COMMANDS.items():
+                _both_sinks(case, codes, command, [command, plant, "--seed", str(seed)] + options)
+            stored = str(case / "decompose.json.o.out")
+            for label, path in (("stored", stored), ("truth", str(case / "plant.truth.json"))):
+                _both_sinks(case, codes, f"verify_{label}", ["verify", plant, "--decomposition", path])
+
+
+def _error_cases(out: Path, codes: list[str]) -> None:
+    case = out / "errors"
+    case.mkdir()
+    plant = case / "plant.json"
+    _call(case, codes, "gen", ["gen", "--blocks", "2x1,1x1", "-o", str(plant)])
+    # a sidecar whose blocks describe one state of three: verify reports the crashed checks
+    truth = json.loads((case / "plant.truth.json").read_text(encoding="utf-8"))
+    for block in truth["result"]["blocks"]:
+        block["q"], block["rho_J"] = block["q"][:1], block["rho_J"][:1]
+    short = case / "short.truth.json"
+    short.write_text(json.dumps(truth), encoding="utf-8")
+    _call(case, codes, "verify_short", ["verify", str(plant), "--decomposition", str(short)])
+    broken = case / "broken.json"
+    broken.write_text('{"dim": 2, "states": [', encoding="utf-8")
+    _call(case, codes, "malformed_input", ["measures", str(broken)])
+    _call(case, codes, "missing_input", ["decompose", str(case / "absent.json")])
+    _call(case, codes, "gen_without_output", ["gen", "--blocks", "2x1"])
+    _call(case, codes, "unknown_command", ["frobnicate", str(plant)])
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print(__doc__, file=sys.stderr)
+        return 2
+    out = Path(argv[0])
+    out.mkdir(parents=True, exist_ok=True)
+    if any(out.iterdir()):  # a stale file would hide a report the run no longer writes
+        print(f"{out} is not empty", file=sys.stderr)
+        return 2
+    codes: list[str] = []
+    _plant_cases(out, codes)
+    _error_cases(out, codes)
+    (out / "codes.txt").write_text("\n".join(codes) + "\n", encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
