@@ -95,8 +95,8 @@ def eig_hermitian(m, tol: float = DEFAULT_TOL) -> HermitianEigen:
     return HermitianEigen(values=values, vectors=vectors)
 
 
-def psd_sqrt(m, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Principal square root of a PSD matrix.
+def psd_eigen(m, tol: float = DEFAULT_TOL) -> HermitianEigen:
+    """Eigen-factor a PSD matrix, with eigenvalues clamped at zero.
 
     Eigenvalues in [-tol_eff, 0) are clamped to zero so numerically-PSD
     inputs pass through; anything below that window raises NotPSD. The
@@ -107,9 +107,14 @@ def psd_sqrt(m, tol: float = DEFAULT_TOL) -> np.ndarray:
     window = tol * max(1.0, float(lam[-1]) if lam.size else 1.0)
     if lam.size and lam[0] < -window:
         raise NotPSD(f"eigenvalue {lam[0]:.3e} below -{window:.3e}")
-    lam = np.clip(lam, 0.0, None)
+    return HermitianEigen(values=np.clip(lam, 0.0, None), vectors=eig.vectors)
+
+
+def psd_sqrt(m, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Principal square root of a PSD matrix (NotPSD as in `psd_eigen`)."""
+    eig = psd_eigen(m, tol)
     v = eig.vectors
-    return hermitize((v * np.sqrt(lam)) @ v.conj().T)
+    return hermitize((v * np.sqrt(eig.values)) @ v.conj().T)
 
 
 def orthonormalize_hs(mats, tol: float = DEFAULT_TOL) -> list[np.ndarray]:

@@ -11,7 +11,7 @@ import numpy as np
 
 from .decompose import KIDecomposition
 from .ensemble import Ensemble, average_state
-from .linalg import DEFAULT_TOL, as_complex_matrix, eigvalsh, hermitize, psd_sqrt, rank_cut
+from .linalg import DEFAULT_TOL, as_complex_matrix, eigvalsh, hermitize, psd_eigen, rank_cut
 
 
 def von_neumann_entropy(rho, tol: float = DEFAULT_TOL) -> float:
@@ -34,15 +34,25 @@ def shannon_entropy(p, tol: float = DEFAULT_TOL) -> float:
 
 
 def fidelity(rho, sigma, tol: float = DEFAULT_TOL) -> float:
-    """[Tr sqrt(sqrt(rho) sigma sqrt(rho))]^2, clamped to [0, 1]."""
+    """[Tr sqrt(sqrt(rho) sigma sqrt(rho))]^2, clamped to [0, 1].
+
+    Evaluated on the support of rho: with rho = W W^dagger, W = V sqrt(lam)
+    over the eigenvalues kept by `rank_cut` at round-off level
+    (dim * eps * largest), sqrt(rho) sigma sqrt(rho) has the nonzero
+    spectrum of W^dagger sigma W. Round-off eigenvalues of a rank-deficient
+    rho thus never reach a square root, while a genuine eigenvalue well
+    below `tol` still counts. `tol` bounds the Hermiticity and negativity
+    of rho, as in `psd_eigen`.
+    """
     rho = as_complex_matrix(rho)
     sigma = as_complex_matrix(sigma)
     if rho.shape != sigma.shape:
         raise ValueError("fidelity needs states of equal dimension")
-    sq = psd_sqrt(rho, tol)
-    inner = hermitize(sq @ sigma @ sq)
-    lam = np.clip(eigvalsh(inner), 0.0, None)
-    val = float(np.sum(np.sqrt(lam)) ** 2)
+    eig = psd_eigen(rho, tol)
+    keep = rank_cut(eig.values, rho.shape[0] * np.finfo(float).eps)
+    w = eig.vectors[:, keep] * np.sqrt(eig.values[keep])
+    inner = hermitize(w.conj().T @ sigma @ w)
+    val = float(np.sum(np.sqrt(np.clip(eigvalsh(inner), 0.0, None))) ** 2)
     return min(max(val, 0.0), 1.0)
 
 

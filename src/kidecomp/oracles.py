@@ -9,6 +9,7 @@ decomposition pipeline and for every scalar derived from it.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -159,41 +160,87 @@ def planted_ensemble(spec: PlantSpec, tol: float = DEFAULT_TOL) -> tuple[Ensembl
 
 @dataclass(frozen=True)
 class Channel:
-    """CPTP map given by Kraus operators on the ambient space."""
+    """CPTP map given by an (env, D, D) stack of Kraus operators on the ambient space."""
 
-    kraus: list[np.ndarray]
+    kraus: np.ndarray
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(np.asarray(rho, dtype=complex))
+        """Sum of K rho K^dagger over the Kraus terms, for one (D, D) state or an (m, D, D) stack.
+
+        The loop runs over the Kraus terms only; each term is one stacked
+        product over all states, so the working memory is a few (m, D, D)
+        arrays however many Kraus terms the channel has.
+        """
+        rho = np.asarray(rho, dtype=complex)
+        out = np.zeros_like(rho)
         for k in self.kraus:
             out += k @ rho @ k.conj().T
         return out
 
 
-def form2_channel(d: KIDecomposition, block_kraus: list[np.ndarray]) -> Channel:
-    """Assemble the channel acting as identity on every J factor.
+def _ambient_frame(d: KIDecomposition) -> tuple[np.ndarray, list[np.ndarray], np.ndarray | None]:
+    """C = F [V_1 ... V_L], the frame times the block isometries; block l's rows of
+    C^dagger as an (n, k, D) array, one k x D slab per J index; and the
+    projector 1 - F F^dagger onto the complement of the support (None at full rank)."""
+    f = d.frame.isometry
+    cols = [f @ b.isometry for b in d.blocks]
+    rows = [col.conj().T.reshape(b.n, b.k, -1) for col, b in zip(cols, d.blocks)]
+    complement = None
+    if d.frame.rank < d.frame.ambient_dim:
+        complement = np.eye(d.frame.ambient_dim, dtype=complex) - f @ f.conj().T
+    return np.concatenate(cols, axis=1), rows, complement
 
-    block_kraus[l] has shape (env, k_l, k_l): the Kraus operators of the
-    map applied to block l's redundant factor. The ambient Kraus
-    operators are direct sums of 1_J tensor B_e over the blocks, padded
-    with the identity on the complement of the support.
-    """
+
+def _assemble(c: np.ndarray, rows: list[np.ndarray], complement: np.ndarray | None, block_kraus) -> Channel:
+    """K_e = C X_e C^dagger for every e as one (env, D, D) stack, plus the complement projector on e = 0."""
     env = len(block_kraus[0])
     if any(len(bk) != env for bk in block_kraus):
         raise ValueError("all blocks need the same number of Kraus terms")
-    frame = d.frame
-    ambient = frame.ambient_dim
-    kraus = []
-    for e_idx in range(env):
-        acc = np.zeros((frame.rank, frame.rank), dtype=complex)
-        for b, bk in zip(d.blocks, block_kraus):
-            acc += b.embed(kron(np.eye(b.n, dtype=complex), bk[e_idx]))
-        kraus.append(frame.isometry @ acc @ frame.isometry.conj().T)
-    if frame.rank < ambient:
-        kraus[0] = kraus[0] + (
-            np.eye(ambient, dtype=complex) - frame.isometry @ frame.isometry.conj().T
-        )
+    # X_e C^dagger: 1_n tensor B_le acts on each of block l's n slabs of k rows
+    xc = np.concatenate([(bk[:, None] @ r).reshape(env, -1, len(c)) for r, bk in zip(rows, block_kraus)], axis=1)
+    kraus = c @ xc
+    if complement is not None:
+        kraus[0] += complement
     return Channel(kraus=kraus)
+
+
+def form2_channel(d: KIDecomposition, block_kraus: list[np.ndarray]) -> Channel:
+    """Assemble the channel acting as identity on every J factor.
+
+    block_kraus[l] has shape (env, k_l, k_l): the Kraus operators B_le of
+    the map applied to block l's redundant factor. All env ambient Kraus
+    operators come out as one (env, D, D) stack K_e = C X_e C^dagger,
+    where C = F [V_1 ... V_L] is the support frame times the block
+    isometries and X_e is the direct sum of 1_n tensor B_le; the identity
+    on the complement of the support is added to K_0. That is one stacked
+    product per block for X_e C^dagger and one for C times it; the stack
+    takes env * D^2 entries.
+    """
+    return _assemble(*_ambient_frame(d), block_kraus)
+
+
+def random_form2_channels(d: KIDecomposition, env_dim: int, seeds: Iterable[int]) -> Iterator[Channel]:
+    """`random_form2_channel(d, env_dim, seed)` for each seed in turn.
+
+    C, the complement projector and the eigenbasis of each rho_K are
+    computed once for all the seeds; each channel then costs its draws
+    and the assembly `form2_channel` uses.
+    """
+    if env_dim < 1:
+        raise ValueError("env_dim must be at least 1")
+    frame = _ambient_frame(d)
+    bases = [eigh(hermitize(b.rho_K))[1] for b in d.blocks]
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        block_kraus = []
+        for vec in bases:
+            k = len(vec)
+            phases = np.exp(2j * np.pi * rng.random(k))
+            g = rng.standard_normal((k, env_dim)) + 1j * rng.standard_normal((k, env_dim))
+            env_states = g / np.linalg.norm(g, axis=1, keepdims=True)  # row kappa: |v_kappa>
+            # B_e = U diag(phases * <e|v_kappa>) U^dagger, U the eigenbasis of rho_K
+            block_kraus.append((vec * (phases * env_states.T)[:, None, :]) @ vec.conj().T)
+        yield _assemble(*frame, block_kraus)
 
 
 def random_form2_channel(d: KIDecomposition, env_dim: int = 2, seed: int = 0) -> Channel:
@@ -205,18 +252,4 @@ def random_form2_channel(d: KIDecomposition, env_dim: int = 2, seed: int = 0) ->
     composed with commuting phases. Tracing out the environment then
     preserves every state of the source ensemble by construction.
     """
-    if env_dim < 1:
-        raise ValueError("env_dim must be at least 1")
-    rng = np.random.default_rng(seed)
-    block_kraus = []
-    for b in d.blocks:
-        _, vec = eigh(hermitize(b.rho_K))
-        phases = np.exp(2j * np.pi * rng.random(b.k))
-        commuting = vec @ (phases[:, None] * vec.conj().T)
-        g = rng.standard_normal((b.k, env_dim)) + 1j * rng.standard_normal((b.k, env_dim))
-        env_states = g / np.linalg.norm(g, axis=1, keepdims=True)  # row kappa: |v_kappa>
-        ops = np.empty((env_dim, b.k, b.k), dtype=complex)
-        for e_idx in range(env_dim):
-            ops[e_idx] = commuting @ vec @ np.diag(env_states[:, e_idx]) @ vec.conj().T
-        block_kraus.append(ops)
-    return form2_channel(d, block_kraus)
+    return next(random_form2_channels(d, env_dim, (seed,)))

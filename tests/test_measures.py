@@ -49,6 +49,40 @@ def test_fidelity_symmetric_random():
         assert abs(fidelity(rho, sigma) - fidelity(sigma, rho)) <= 1e-9
 
 
+def _full_space_fidelity(rho, sigma):
+    """The formula evaluated in the full space, through sqrt(rho): the reference for full-rank inputs."""
+    lam, v = np.linalg.eigh(rho)
+    sq = (v * np.sqrt(np.clip(lam, 0.0, None))) @ v.conj().T
+    inner = sq @ sigma @ sq
+    return float(np.sum(np.sqrt(np.clip(np.linalg.eigvalsh((inner + inner.conj().T) / 2), 0.0, None))) ** 2)
+
+
+def test_fidelity_of_a_rank_deficient_state_equals_the_fidelity_on_its_range():
+    # the round-off eigenvalues (~1e-17) of rho's null space must not reach
+    # a square root: through one they move the result by up to 1e-8
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        p = haar_unitary(27, rng)[:, :3]
+        rho = p @ random_density(3, rng) @ p.conj().T
+        sigma = random_density(27, rng)
+        on_range = fidelity(p.conj().T @ rho @ p, p.conj().T @ sigma @ p)
+        assert abs(fidelity(rho, sigma) - on_range) <= 1e-12
+
+
+def test_fidelity_of_full_rank_states_is_unchanged():
+    rng = np.random.default_rng(6)
+    for dim in (2, 5, 9, 27):
+        rho, sigma = random_density(dim, rng), random_density(dim, rng)
+        assert abs(fidelity(rho, sigma) - _full_space_fidelity(rho, sigma)) <= 1e-14
+
+
+def test_fidelity_keeps_a_genuine_eigenvalue_below_tol():
+    # only round-off eigenvalues leave the support: a 1e-10 weight on |1>
+    # (below the default tol of 1e-9) still carries the overlap with KET1
+    rho = np.diag([1.0 - 1e-10, 1e-10]).astype(complex)
+    assert fidelity(rho, KET1) == pytest.approx(1e-10, rel=1e-6)
+
+
 def test_measures_classical_bit():
     e = Ensemble(probs=[0.5, 0.5], states=[KET0, KET1])
     m = info_measures(ki_decompose(e, seed=0), e)

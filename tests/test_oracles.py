@@ -1,14 +1,20 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kidecomp.decompose import ki_decompose, verify
-from kidecomp.ensemble import validate
+from kidecomp.ensemble import Ensemble, validate
 from kidecomp.errors import RejectionExhausted
 from kidecomp.oracles import (
     PlantSpec,
     form2_channel,
     haar_unitary,
     planted_ensemble,
+    random_density,
     random_form2_channel,
 )
 
@@ -121,3 +127,172 @@ def test_random_form2_channel_acts_on_padded_support():
     assert _trace_preservation_residual(chan) <= 1e-10
     for rho in padded.states:
         assert np.linalg.norm(chan.apply(rho) - rho) <= 1e-8
+
+
+# ---------------------------------------------------------------------------
+# the stacked channel assembly against the per-block construction it replaced
+
+
+def _legacy_kraus(d, env_dim: int, seed: int) -> np.ndarray:
+    """Kraus operators of `random_form2_channel(d, env_dim, seed)` built term by term:
+    per block, eigh(rho_K) and one kron per Kraus term, embedded through the block
+    isometry and then through the support frame. The reference for the stacked form."""
+    rng = np.random.default_rng(seed)
+    block_kraus = []
+    for b in d.blocks:
+        _, vec = np.linalg.eigh((b.rho_K + b.rho_K.conj().T) / 2)
+        phases = np.exp(2j * np.pi * rng.random(b.k))
+        commuting = vec @ (phases[:, None] * vec.conj().T)
+        g = rng.standard_normal((b.k, env_dim)) + 1j * rng.standard_normal((b.k, env_dim))
+        env_states = g / np.linalg.norm(g, axis=1, keepdims=True)
+        ops = [commuting @ vec @ np.diag(env_states[:, t]) @ vec.conj().T for t in range(env_dim)]
+        block_kraus.append(ops)
+    f = d.frame.isometry
+    kraus = []
+    for t in range(env_dim):
+        acc = np.zeros((d.frame.rank, d.frame.rank), dtype=complex)
+        for b, bk in zip(d.blocks, block_kraus):
+            acc += b.embed(np.kron(np.eye(b.n), bk[t]))
+        kraus.append(f @ acc @ f.conj().T)
+    if d.frame.rank < d.frame.ambient_dim:
+        kraus[0] = kraus[0] + np.eye(d.frame.ambient_dim) - f @ f.conj().T
+    return np.stack(kraus)
+
+
+def _legacy_drift(d, e, channels: int, env_dim: int, seed: int) -> float:
+    worst = 0.0
+    for r in range(channels):
+        kraus = _legacy_kraus(d, env_dim, seed * 1000 + r)
+        for rho in e.states:
+            out = sum(k @ rho @ k.conj().T for k in kraus)
+            worst = max(worst, float(np.linalg.norm(out - rho)))
+    return worst
+
+
+def _assert_same_channels(d, env_dim: int = 2):
+    for seed in range(20):
+        got = random_form2_channel(d, env_dim=env_dim, seed=seed).kraus
+        assert got.shape == (env_dim, d.frame.ambient_dim, d.frame.ambient_dim)
+        assert np.max(np.abs(got - _legacy_kraus(d, env_dim, seed))) <= 1e-13
+
+
+def _drift(report) -> float:
+    (check,) = [c for c in report.checks if c.name == "channel_preservation"]
+    return check.residual
+
+
+PLANT_SHAPES = [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (3, 1), (3, 2), (4, 1)]
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(
+    blocks=st.lists(st.sampled_from(PLANT_SHAPES), min_size=1, max_size=3).filter(
+        lambda bs: sum(n * k for n, k in bs) <= 8
+    ),
+    num_states=st.integers(2, 4),
+    env_dim=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_kraus_match_the_per_block_construction(blocks, num_states, env_dim, seed):
+    e, truth = planted_ensemble(PlantSpec(blocks=tuple(blocks), num_states=num_states, seed=seed))
+    _assert_same_channels(truth, env_dim)
+    # a K basis in which rho_K is not diagonal, so the eigenbasis is not a permutation
+    rng = np.random.default_rng(seed)
+    rotated = []
+    for b in truth.blocks:
+        w = haar_unitary(b.k, rng)
+        iso = b.isometry @ np.kron(np.eye(b.n), w)
+        rotated.append(dataclasses.replace(b, isometry=iso, rho_K=w.conj().T @ b.rho_K @ w))
+    d = dataclasses.replace(truth, blocks=rotated)
+    _assert_same_channels(d, env_dim)
+    report = verify(d, e, channels=5, env_dim=env_dim, seed=1)
+    assert abs(_drift(report) - _legacy_drift(d, e, 5, env_dim, 1)) <= 1e-13
+
+
+def test_stacked_kraus_match_on_a_padded_support():
+    e, _ = planted_ensemble(PlantSpec(blocks=((1, 2), (2, 1)), num_states=3, seed=5))
+    states = np.zeros((len(e), e.dim + 2, e.dim + 2), dtype=complex)
+    states[:, : e.dim, : e.dim] = e.states
+    padded = Ensemble(probs=e.probs.copy(), states=states)
+    d = ki_decompose(padded, seed=0)
+    assert d.frame.rank < d.frame.ambient_dim
+    _assert_same_channels(d)
+    assert abs(_drift(verify(d, padded, seed=2)) - _legacy_drift(d, padded, 20, 2, 2)) <= 1e-13
+
+
+def test_stacked_kraus_match_with_perturbed_j_states():
+    # the channels read only the frame, the isometries and rho_K, so they
+    # stay the same when a document's J states are off; verify reports the
+    # reconstruction and still measures the same drift
+    e, truth = planted_ensemble(PlantSpec(blocks=((2, 1), (1, 2)), num_states=3, seed=1))
+    rng = np.random.default_rng(0)
+    blocks = []
+    for b in truth.blocks:
+        blocks.append(dataclasses.replace(b, rho_J=[s + 1e-3 * random_density(b.n, rng) for s in b.rho_J]))
+    d = dataclasses.replace(truth, blocks=blocks)
+    _assert_same_channels(d)
+    report = verify(d, e, seed=3)
+    assert [c.name for c in report.checks if not c.ok] == ["reconstruction"]
+    assert abs(_drift(report) - _legacy_drift(d, e, 20, 2, 3)) <= 1e-13
+
+
+def test_channel_check_fails_on_off_block_coherence():
+    e, truth = planted_ensemble(PlantSpec(blocks=((2, 1), (1, 2)), num_states=3, seed=1))
+    a = truth.blocks[0].isometry[:, :1]
+    b = truth.blocks[1].isometry[:, :1]
+    coherent = Ensemble(probs=e.probs, states=e.states + 1e-3 * (a @ b.conj().T + b @ a.conj().T))
+    report = verify(truth, coherent, seed=0)
+    drift = _drift(report)
+    assert "channel_preservation" in [c.name for c in report.checks if not c.ok]
+    assert drift > 1e-4
+    assert abs(drift - _legacy_drift(truth, coherent, 20, 2, 0)) <= 1e-13
+
+
+def _ladder_plant():
+    # the d=11 `3x2,2x1,1x3` rung of the benchmark ladder
+    return planted_ensemble(PlantSpec(blocks=((3, 2), (2, 1), (1, 3)), num_states=3, seed=1002))
+
+
+@pytest.mark.parametrize("channels", [1, 20])
+def test_verify_factors_each_rho_k_once(monkeypatch, channels):
+    e, truth = _ladder_plant()
+    calls = []
+    real_eigh = np.linalg.eigh
+
+    def counting_eigh(a, *args, **kwargs):
+        calls.append(np.array(a))
+        return real_eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    assert verify(truth, e, channels=channels, seed=0).ok
+    for b in truth.blocks:
+        rho_k = (b.rho_K + b.rho_K.conj().T) / 2
+        assert sum(a.shape == rho_k.shape and np.array_equal(a, rho_k) for a in calls) == 1
+
+
+def test_channel_check_memory_does_not_grow_with_kraus_terms():
+    e, truth = _ladder_plant()
+    verify(truth, e, channels=3, env_dim=64, seed=0)  # warm caches and lazy imports
+    tracemalloc.start()
+    try:
+        report = verify(truth, e, channels=3, env_dim=64, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.ok
+    # measured 406 646 bytes (numpy 2.4): the Kraus stacks of two channels
+    # and one X C^dagger factor, 124 kB each at env 64, D 11. An apply that
+    # held every (channel, Kraus term, state) product would need
+    # channels * env * m * D^2 * 16 = 3 * 64 * 3 * 121 * 16 bytes = 1.1 MB.
+    assert peak <= 450_000
+
+
+def test_apply_on_a_stack_equals_per_state_application():
+    e, truth = _ladder_plant()
+    chan = random_form2_channel(truth, env_dim=5, seed=9)
+    rng = np.random.default_rng(1)
+    stack = np.stack([random_density(e.dim, rng) for _ in range(4)])
+    got = chan.apply(stack)
+    assert got.shape == stack.shape
+    for rho, out in zip(stack, got):
+        assert np.max(np.abs(out - chan.apply(rho))) <= 1e-15
