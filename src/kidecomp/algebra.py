@@ -164,13 +164,19 @@ def _random_hermitian_from(mats: np.ndarray, rng: np.random.Generator) -> np.nda
 def _cluster_ascending(values: np.ndarray, tol: float) -> list[np.ndarray]:
     """Index groups of an ascending eigenvalue array, split at relative gaps > sqrt(tol)."""
     gap = np.sqrt(tol) * max(float(values[-1] - values[0]), 1.0)
-    groups, start = [], 0
-    for i in range(1, len(values)):
-        if values[i] - values[i - 1] > gap:
-            groups.append(np.arange(start, i))
-            start = i
-    groups.append(np.arange(start, len(values)))
-    return groups
+    return np.split(np.arange(len(values)), np.flatnonzero(np.diff(values) > gap) + 1)
+
+
+def intertwiner(ties: np.ndarray) -> np.ndarray:
+    """Unitary intertwiner from a stack (c, n, n) of commutant blocks between two irreducible copies.
+
+    By Schur's lemma each block is a multiple of the intertwiner (zero
+    for inequivalent copies, which the caller's residual test rejects).
+    Returns the polar factor of the largest block, phased so the largest
+    entry of its first column is real positive.
+    """
+    t = polar_unitary(ties[np.argmax(np.linalg.norm(ties, axis=(1, 2)))])
+    return t * pivot_phase(t[:, 0])
 
 
 def compress_to_block(block: IrrepBlock, m: np.ndarray) -> np.ndarray:
@@ -211,9 +217,7 @@ def _attempt_blocks(a: OperatorBasis, comm: OperatorBasis, rng: np.random.Genera
             raise _ProbeRetry("linked copies differ in dimension")
         cols = [vec[:, group[0]]]
         for idx in group[1:]:
-            ties = z[:, idx[:, None], group[0]]  # (c, n, n)
-            t = polar_unitary(ties[np.argmax(np.linalg.norm(ties, axis=(1, 2)))])
-            cols.append(vec[:, idx] @ (t * pivot_phase(t[:, 0])))
+            cols.append(vec[:, idx] @ intertwiner(z[:, idx[:, None], group[0]]))
         block = IrrepBlock(n=n, k=k, isometry=np.stack(cols, axis=2).reshape(d, n * k))
         for m in a.mats:
             _, resid = block_form_split(compress_to_block(block, m), n, k)

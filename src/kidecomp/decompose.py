@@ -24,10 +24,10 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .algebra import block_form_split, commutant, generator_span, irrep_decompose
+from .algebra import block_form_split, commutant, generator_span, intertwiner, irrep_decompose
 from .ensemble import Ensemble, SupportFrame, require_valid, support_restrict, _integer, _matrix_to_pairs, _number, _pairs_to_matrix
 from .errors import FormViolation, ParseError
-from .linalg import DEFAULT_TOL, direct_sum, eigh, frob, hermitize, kron, nullspace, pivot_phase, polar_unitary
+from .linalg import DEFAULT_TOL, direct_sum, eigh, frob, hermitize, kron, pivot_phase
 
 __all__ = [
     "KIBlock",
@@ -129,24 +129,6 @@ def _support_set(q: np.ndarray) -> tuple[int, ...]:
     return tuple(int(i) for i in np.nonzero(q > 0)[0])
 
 
-def intertwiner_space(a_mats, b_mats, tol: float) -> np.ndarray:
-    """Basis (m, n, n) of the matrices T with T a_c = b_c T for every pair (a_c, b_c).
-
-    The stacked maps T -> T a_c - b_c T are cut at sqrt(tol) relative to
-    max(top singular value, 1), as in `nullspace`. By Schur's lemma two
-    irreducible sets give one direction when they are unitarily
-    equivalent and none otherwise. For n = 1 the identity is returned
-    unchecked; the caller tests the result against its own residuals.
-    """
-    n = a_mats[0].shape[0]
-    if n == 1:
-        return np.ones((1, 1, 1), dtype=complex)
-    eye = np.eye(n, dtype=complex)
-    rows = [kron(eye, a.T) - kron(b, eye) for a, b in zip(a_mats, b_mats)]
-    null = nullspace(np.concatenate(rows, axis=0), np.sqrt(tol), floor=1.0)
-    return null.T.reshape(-1, n, n)
-
-
 def mergeable(a: KIBlock, b: KIBlock, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, float] | None:
     """Merge witness (V, c) for two blocks of one decomposition, or None.
 
@@ -154,6 +136,9 @@ def mergeable(a: KIBlock, b: KIBlock, tol: float = DEFAULT_TOL) -> tuple[np.ndar
     of contributing states, weights related by one constant c > 0, and a
     single unitary V carrying every J state of `a` onto the matching J
     state of `b`. Near-threshold cases resolve toward not merging.
+    The candidate V is read off the commutant of the paired states
+    rho_J_a[i] (+) rho_J_b[i] by `intertwiner`, as the split glues its
+    copies; the residual test decides.
     """
     if a.n != b.n:
         return None
@@ -167,11 +152,12 @@ def mergeable(a: KIBlock, b: KIBlock, tol: float = DEFAULT_TOL) -> tuple[np.ndar
         return None
     if np.max(np.abs(qb - c * qa) / qb) > tol:
         return None
-    # the candidate is the last null direction; the residual test below decides
-    vs = intertwiner_space([a.rho_J[i] for i in support], [b.rho_J[i] for i in support], tol)
-    if len(vs) == 0:
-        return None
-    v = polar_unitary(vs[-1])
+    n = a.n
+    if n == 1:
+        v = np.ones((1, 1), dtype=complex)
+    else:
+        pair = generator_span([direct_sum([a.rho_J[i], b.rho_J[i]]) for i in support], 2 * n, tol)
+        v = intertwiner(commutant(pair, tol).mats[:, n:, :n])
     for i in support:
         resid = frob(v @ a.rho_J[i] @ v.conj().T - b.rho_J[i])
         if resid > tol * max(1.0, frob(b.rho_J[i])):

@@ -16,7 +16,7 @@ from kidecomp.algebra import (
     generator_span,
     irrep_decompose,
 )
-from kidecomp.decompose import intertwiner_space
+from kidecomp.decompose import KIBlock, mergeable
 from kidecomp.ensemble import support_restrict
 from kidecomp.errors import ConfigTooLarge, DegenerateSample
 from kidecomp.linalg import DEFAULT_TOL, nullspace, orthonormalize_hs, polar_unitary
@@ -290,9 +290,26 @@ def test_scalar_commutant_iff_closure_is_full_matrix_algebra(n, num_states, spli
     assert irreducible == (not cut and num_states >= 2)
 
 
+def intertwiner_space(a_mats, b_mats, tol: float) -> np.ndarray:
+    """Basis (m, n, n) of the matrices T with T a_c = b_c T for every pair (a_c, b_c).
+
+    The reference merge solve: the nullspace of the stacked kron maps
+    T -> T a_c - b_c T, cut at sqrt(tol). By Schur's lemma two irreducible
+    sets give one direction when they are unitarily equivalent and none
+    otherwise. For n = 1 the identity is returned unchecked.
+    """
+    n = a_mats[0].shape[0]
+    if n == 1:
+        return np.ones((1, 1, 1), dtype=complex)
+    eye = np.eye(n, dtype=complex)
+    rows = [np.kron(eye, a.T) - np.kron(b, eye) for a, b in zip(a_mats, b_mats)]
+    null = nullspace(np.concatenate(rows, axis=0), np.sqrt(tol), floor=1.0)
+    return null.T.reshape(-1, n, n)
+
+
 def test_intertwiner_space_split_and_merge_rules():
     # irreducible sets give one direction when equivalent and none
-    # otherwise; the merge takes the last direction as its candidate
+    # otherwise; the reference merge witness is its last direction
     rng = np.random.default_rng(3)
     sigmas = [random_density(3, rng) for _ in range(3)]
     u = haar_unitary(3, rng)
@@ -314,6 +331,52 @@ def test_intertwiner_space_split_and_merge_rules():
     assert np.allclose(v.conj().T @ v, I2)
     for s in reducible:
         assert np.allclose(v @ s @ v.conj().T, s, atol=1e-8)
+
+
+def _j_block(sigmas, q):
+    """A block carrying only what `mergeable` reads: J dimension, weights and J states."""
+    n = sigmas[0].shape[0]
+    return KIBlock(n=n, k=1, isometry=np.eye(n, dtype=complex), rho_K=np.eye(1, dtype=complex), q=np.asarray(q), rho_J=list(sigmas))
+
+
+def _assert_merge_witness(sigmas, rotated, q):
+    v, c = mergeable(_j_block(sigmas, q), _j_block(rotated, 2 * np.asarray(q)))
+    assert c == pytest.approx(2.0, rel=1e-12)
+    reference = polar_unitary(intertwiner_space(sigmas, rotated, DEFAULT_TOL)[-1])
+    phase = np.trace(reference.conj().T @ v) / len(v)
+    assert abs(abs(phase) - 1) < 1e-8 and np.allclose(v, phase * reference, atol=1e-8)
+    pivot = v[np.argmax(np.abs(v[:, 0])), 0]
+    assert abs(pivot.imag) <= 1e-12 and pivot.real > 0
+    for s, r in zip(sigmas, rotated):
+        assert np.allclose(v @ s @ v.conj().T, r, atol=1e-8)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 6), num_states=st.integers(2, 3), seed=st.integers(0, 2**32 - 1))
+def test_merge_witness_is_the_reference_intertwiner(n, num_states, seed):
+    # a Haar-rotated copy with doubled weights merges with c = 2 and the reference V up to one phase
+    rng = np.random.default_rng(seed)
+    sigmas = [random_density(n, rng) for _ in range(num_states)]
+    u = haar_unitary(n, rng)
+    q = rng.uniform(0.1, 0.4, num_states)
+    _assert_merge_witness(sigmas, [u @ s @ u.conj().T for s in sigmas], q)
+    # an inequivalent set (for n = 1, unequal weight ratios) does not merge
+    others = [random_density(n, rng) for _ in range(num_states)] if n > 1 else sigmas
+    ratios = 2 * q if n > 1 else 2 * q * np.linspace(1.0, 1.5, num_states)
+    assert mergeable(_j_block(sigmas, q), _j_block(others, ratios)) is None
+
+
+def test_merge_witness_on_clifford_states():
+    # every real combination of (1 + 0.3 g_i) / 4 is doubly degenerate, so no
+    # span element has a generic spectrum; the commutant still gives V
+    sigmas = [(np.eye(4) + 0.3 * g) / 4 for g in _clifford_generators(4, 11)]
+    assert commutant(generator_span(sigmas, 4)).size == 1
+    mix = np.tensordot(np.random.default_rng(13).standard_normal(4), sigmas, axes=1)
+    for s in [*sigmas, mix]:
+        lam = np.linalg.eigvalsh(s)
+        assert np.allclose(lam[0], lam[1]) and np.allclose(lam[2], lam[3])
+    u = haar_unitary(4, np.random.default_rng(12))
+    _assert_merge_witness(sigmas, [u @ s @ u.conj().T for s in sigmas], [0.1, 0.2, 0.3, 0.4])
 
 
 def _identity_probe(mats, rng):

@@ -44,6 +44,8 @@ def _edited(**changes):
 def test_field_classes():
     assert compare_corpus.field_class("residuals.worst_residual") == "residual"
     assert compare_corpus.field_class("result.checks[5].residual") == "residual"
+    assert compare_corpus.field_class("result.mixture_residual") == "residual"
+    assert compare_corpus.field_class("result.additivity_residual") == "residual"
     assert compare_corpus.field_class("result.blocks[0].isometry[1][2][0]") == "gauge"
     assert compare_corpus.field_class("result.blocks[1].rho_J_avg[0][0][1]") == "gauge"
     assert compare_corpus.field_class("result.states[0].matrix[0][1][0]") == "gauge"

@@ -9,7 +9,8 @@ prints how many files differ and the largest absolute difference of
 each field class, with the file and field where it occurs, then the
 largest difference of every field that moved. The classes are
 
-- residual: `residuals.*` and `checks[*].residual`;
+- residual: `residuals.*`, `checks[*].residual` and every field
+  ending in `_residual` (`mixture_residual`, `additivity_residual`);
 - gauge: block isometries, `rho_J`, `rho_J_avg`, the support frame and
   ensemble matrices (the plant and the reduced states of
   `remove-redundancy`), which a change of basis inside a block moves;
@@ -74,7 +75,7 @@ def _codes(text: str) -> dict:
 
 def field_class(path: str) -> str:
     names = _INDEX.sub("", path).split(".")
-    if names[0] == "residuals" or names[-1] == "residual":
+    if names[0] == "residuals" or names[-1] == "residual" or names[-1].endswith("_residual"):
         return "residual"
     if GAUGE.intersection(names):
         return "gauge"
