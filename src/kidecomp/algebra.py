@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigTooLarge, DegenerateSample
-from .linalg import DEFAULT_TOL, as_complex_matrix, eigh, hermitize, kron, nullspace, orthonormalize_hs, pivot_phase, polar_unitary
+from .linalg import DEFAULT_TOL, eigh, hermitize, kron, nullspace, orthonormalize_hs, pivot_phase, polar_unitary
 
 PROBE_RETRIES = 8
 MAX_STACK_BYTES = 1 << 30  # largest complex128 commutant stack built before ConfigTooLarge
@@ -28,20 +28,10 @@ MAX_STACK_BYTES = 1 << 30  # largest complex128 commutant stack built before Con
 
 @dataclass(frozen=True)
 class OperatorBasis:
-    """HS-orthonormal basis of an operator space, with a generating set.
-
-    `generators` spans a set whose commutant equals the commutant of the
-    space: `generate_algebra` stores the `generator_span` of its
-    generators; any other basis uses its own elements.
-    """
+    """HS-orthonormal basis of an operator space."""
 
     dim: int
     mats: np.ndarray  # (size, dim, dim)
-    generators: np.ndarray | None = None  # (count, dim, dim)
-
-    def __post_init__(self):
-        if self.generators is None:
-            object.__setattr__(self, "generators", self.mats)
 
     @property
     def size(self) -> int:
@@ -55,15 +45,17 @@ def generator_span(generators, dim: int, tol: float = DEFAULT_TOL) -> OperatorBa
     commutant, its intertwiners between irreducible blocks and its
     block-form residuals are those of the algebra the generators
     generate; `irrep_decompose` factors that algebra from this span
-    without building the algebra's own basis.
+    without building the algebra's own basis. `generators` is a
+    (count, dim, dim) stack or a sequence of dim x dim matrices; the seed
+    stack is checked once, by `orthonormalize_hs`.
     """
-    gens = [as_complex_matrix(g) for g in generators]
-    if any(g.shape[0] != dim for g in gens):
+    gens = np.asarray(generators, dtype=complex)
+    if gens.ndim != 3 or gens.shape[1:] != (dim, dim):
         raise ValueError("generators must be square with the stated dim")
-    seed = [np.eye(dim, dtype=complex)]
-    for g in gens:
-        seed.append(g)
-        seed.append(g.conj().T)
+    seed = np.empty((2 * len(gens) + 1, dim, dim), dtype=complex)  # I, g_1, g_1^dagger, g_2, ...
+    seed[0] = np.eye(dim)
+    seed[1::2] = gens
+    seed[2::2] = gens.conj().swapaxes(1, 2)
     return OperatorBasis(dim=dim, mats=np.stack(orthonormalize_hs(seed, tol)))
 
 
@@ -73,34 +65,31 @@ def generate_algebra(generators, dim: int, tol: float = DEFAULT_TOL) -> Operator
     Breadth-first closure: each round multiplies all current basis pairs
     and re-orthonormalizes; the loop ends when a round adds no new
     direction, which is exactly the product-closure condition at the
-    rank threshold. Bounded by dim^2 basis elements. The `generator_span`
-    it starts from is kept as the result's `generators`. Nothing in the
+    rank threshold. Bounded by dim^2 basis elements. Nothing in the
     package calls it; it is the reference that tests compare the
     generator-only pipeline against.
     """
-    gen_span = generator_span(generators, dim, tol).mats
-    basis = list(gen_span)
+    cur = generator_span(generators, dim, tol).mats
     while True:
-        cur = np.stack(basis)
         prods = np.einsum("aij,bjk->abik", cur, cur).reshape(-1, dim, dim)
-        grown = orthonormalize_hs(list(cur) + list(prods), tol)
-        if len(grown) == len(basis):
-            return OperatorBasis(dim=dim, mats=np.stack(grown), generators=gen_span)
-        basis = grown
+        grown = np.stack(orthonormalize_hs(np.concatenate([cur, prods]), tol))
+        if len(grown) == len(cur):
+            return OperatorBasis(dim=dim, mats=grown)
+        cur = grown
 
 
 def commutant(a: OperatorBasis, tol: float = DEFAULT_TOL) -> OperatorBasis:
     """Basis of all X with X B = B X for every B in the algebra.
 
     Solved inside the eigenspaces of one generic element of the span: such
-    X commute with `a.generators` (closed under adjoint), hence with
+    X commute with every element of `a.mats` (closed under adjoint), hence with
     H = hermitize(sum_g c_g G_g) = V diag(lam) V^dagger for fixed c, so
     X = V Y V^dagger with Y block-diagonal over the eigenvalue clusters of
     H (merged clusters only enlarge the search). The maps Y -> G~Y - YG~
     (G~ = V^dagger G V) are stacked over those sum_g dim_g^2 unknowns, not
     dim^2; a stack above MAX_STACK_BYTES raises ConfigTooLarge unbuilt.
     """
-    d, gens = a.dim, a.generators
+    d, gens = a.dim, a.mats
     coeff = np.random.default_rng(0).standard_normal((2, len(gens)))
     lam, vec = eigh(hermitize(np.tensordot(coeff[0] + 1j * coeff[1], gens, axes=1)))
     label = np.concatenate([np.full(len(idx), c) for c, idx in enumerate(_cluster_ascending(lam, tol))])
@@ -183,14 +172,15 @@ def compress_to_block(block: IrrepBlock, m: np.ndarray) -> np.ndarray:
     return block.isometry.conj().T @ m @ block.isometry
 
 
-def block_form_split(compressed: np.ndarray, n: int, k: int) -> tuple[np.ndarray, float]:
-    """Split a block compression as (n x n factor) tensor identity(k).
+def block_form_split(compressed: np.ndarray, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Split a block compression, or each of a (..., nk, nk) stack, as (n x n factor) tensor identity(k).
 
-    Returns the factor and the Frobenius residual of the form test.
+    Returns the factors and the Frobenius residuals of the form test
+    (a scalar residual for one matrix, one per matrix for a stack).
     """
-    four = compressed.reshape(n, k, n, k)
-    factor = np.einsum("ajbj->ab", four) / k
-    resid = float(np.linalg.norm(compressed - kron(factor, np.eye(k))))
+    four = compressed.reshape(*compressed.shape[:-2], n, k, n, k)
+    factor = np.einsum("...ajbj->...ab", four) / k
+    resid = np.linalg.norm(compressed - kron(factor, np.eye(k)), axis=(-2, -1))
     return factor, resid
 
 
@@ -219,10 +209,9 @@ def _attempt_blocks(a: OperatorBasis, comm: OperatorBasis, rng: np.random.Genera
         for idx in group[1:]:
             cols.append(vec[:, idx] @ intertwiner(z[:, idx[:, None], group[0]]))
         block = IrrepBlock(n=n, k=k, isometry=np.stack(cols, axis=2).reshape(d, n * k))
-        for m in a.mats:
-            _, resid = block_form_split(compress_to_block(block, m), n, k)
-            if resid > np.sqrt(tol) * max(1.0, float(np.linalg.norm(m))):
-                raise _ProbeRetry("transport residual too large")
+        _, resid = block_form_split(compress_to_block(block, a.mats), n, k)
+        if np.any(resid > np.sqrt(tol) * np.maximum(1.0, np.linalg.norm(a.mats, axis=(1, 2)))):
+            raise _ProbeRetry("transport residual too large")
         blocks.append(block)
     if sum(b.k * b.k for b in blocks) != comm.size:
         raise _ProbeRetry("multiplicity squares do not add up to the commutant dimension")

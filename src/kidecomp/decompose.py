@@ -48,8 +48,9 @@ __all__ = [
 class KIBlock:
     """One summand: C^n (nonclassical factor) tensor C^k (redundant factor).
 
-    q[i] is the probability weight of state i on this block; rho_J[i] is
-    the normalized n x n block state (None where q[i] = 0). rho_K is the
+    q[i] is the probability weight of state i on this block; rho_J is the
+    (m, n, n) stack of normalized block states, row i zero exactly where
+    q[i] = 0 (state i misses the block). rho_K is the
     shared k x k redundant state, stored once because it does not depend
     on i. The isometry maps C^n tensor C^k into the support space,
     columns ordered (a, j) -> a*k + j.
@@ -60,7 +61,7 @@ class KIBlock:
     isometry: np.ndarray
     rho_K: np.ndarray
     q: np.ndarray
-    rho_J: list[np.ndarray | None]
+    rho_J: np.ndarray  # (m, n, n)
 
     def embed(self, m: np.ndarray) -> np.ndarray:
         return self.isometry @ m @ self.isometry.conj().T
@@ -81,9 +82,8 @@ class KIDecomposition:
         rho_j_avg = []
         for b in blocks:
             acc = np.zeros((b.n, b.n), dtype=complex)
-            for i, p in enumerate(probs):
-                if b.q[i] > 0 and b.rho_J[i] is not None:
-                    acc += p * b.q[i] * b.rho_J[i]
+            for w, s in zip(probs * b.q, b.rho_J):  # in state order; a missed block adds zeros
+                acc += w * s
             rho_j_avg.append(hermitize(acc / np.dot(probs, b.q)))
         return cls(frame=frame, blocks=blocks, p_block=p_block, rho_J_avg=rho_j_avg)
 
@@ -92,7 +92,7 @@ class KIDecomposition:
         r = self.frame.rank
         acc = np.zeros((r, r), dtype=complex)
         for b in self.blocks:
-            if b.q[i] > 0 and b.rho_J[i] is not None:
+            if b.q[i] > 0:
                 acc += b.embed(b.q[i] * kron(b.rho_J[i], b.rho_K))
         return self.frame.embed(acc)
 
@@ -106,22 +106,19 @@ class KIDecomposition:
 
 
 def _extract_block_data(block_iso: np.ndarray, n: int, k: int, states: np.ndarray, tol: float):
-    """Per-state weights and normalized J states of one pre-merge block."""
-    q = np.zeros(len(states))
-    sigmas: list[np.ndarray | None] = []
-    for i, rho in enumerate(states):
-        comp = block_iso.conj().T @ rho @ block_iso
-        factor, resid = block_form_split(comp, n, k)
-        if resid > max(tol, 1e3 * np.finfo(float).eps) * max(1.0, frob(comp)):
-            raise FormViolation(
-                f"state {i} violates the (J factor) x (identity on K) form by {resid:.3e}"
-            )
-        weight = float(np.trace(factor).real) * k
-        if weight <= tol:
-            sigmas.append(None)
-            continue
-        q[i] = weight
-        sigmas.append(hermitize(factor * (k / weight)))
+    """Per-state weights and the (m, n, n) stack of normalized J states of one pre-merge block,
+    all states in one call; a weight at or below tol is 0 and its J state zero."""
+    comp = block_iso.conj().T @ states @ block_iso
+    factor, resid = block_form_split(comp, n, k)
+    scale = np.maximum(1.0, np.linalg.norm(comp, axis=(1, 2)))
+    bad = np.flatnonzero(resid > max(tol, 1e3 * np.finfo(float).eps) * scale)
+    if bad.size:
+        raise FormViolation(f"state {bad[0]} violates the (J factor) x (identity on K) form by {resid[bad[0]]:.3e}")
+    weight = np.trace(factor, axis1=1, axis2=2).real * k
+    q = np.where(weight > tol, weight, 0.0)
+    sigmas = np.zeros_like(factor)
+    for i in np.flatnonzero(q):
+        sigmas[i] = hermitize(factor[i] * (k / q[i]))
     return q, sigmas
 
 
@@ -330,7 +327,7 @@ def verify(
         return residual <= thr, residual, ""
 
     def irreducible(b):
-        gens = [b.rho_J[i] for i in _support_set(b.q) if b.rho_J[i] is not None]
+        gens = [b.rho_J[i] for i in _support_set(b.q)]
         if not gens:
             return False, float("inf"), "no states"
         comm_dim = commutant(generator_span(gens, b.n, tol), tol).size
@@ -366,14 +363,8 @@ def remove_redundancy(d: KIDecomposition, e: Ensemble) -> Ensemble:
     result gives k = 1 on every block and zero redundant information,
     while the classical and nonclassical parts are unchanged.
     """
-    states = []
-    for i in range(len(e)):
-        parts = [
-            b.q[i] * b.rho_J[i] if b.q[i] > 0 and b.rho_J[i] is not None else np.zeros((b.n, b.n))
-            for b in d.blocks
-        ]
-        states.append(hermitize(direct_sum(parts)))
-    return Ensemble(probs=e.probs.copy(), states=np.stack(states))
+    parts = [np.where(b.q > 0, b.q, 0.0)[:, None, None] * b.rho_J for b in d.blocks]
+    return Ensemble(probs=e.probs.copy(), states=hermitize(direct_sum(parts)))
 
 
 # ---------------------------------------------------------------------------
@@ -393,9 +384,7 @@ def decomposition_to_doc(d: KIDecomposition) -> dict:
                 "isometry": _matrix_to_pairs(b.isometry),
                 "rho_K": _matrix_to_pairs(b.rho_K),
                 "q": [float(x) for x in b.q],
-                "rho_J": [
-                    None if s is None else _matrix_to_pairs(s) for s in b.rho_J
-                ],
+                "rho_J": [None if qi <= 0 else _matrix_to_pairs(s) for qi, s in zip(b.q, b.rho_J)],
                 "rho_J_avg": _matrix_to_pairs(avg),
             }
             for b, p, avg in zip(d.blocks, d.p_block, d.rho_J_avg)
@@ -423,10 +412,10 @@ def decomposition_from_doc(doc: dict) -> KIDecomposition:
             iso = _pairs_to_matrix(bdoc["isometry"], rank, n * k, f"blocks[{bi}].isometry")
             rho_k = _pairs_to_matrix(bdoc["rho_K"], k, k, f"blocks[{bi}].rho_K")
             q = np.asarray([_number(x, f"blocks[{bi}].q[{qi}]") for qi, x in enumerate(bdoc["q"])])
-            rho_j = [
-                None if s is None else _pairs_to_matrix(s, n, n, f"blocks[{bi}].rho_J[{si}]")
+            rho_j = np.array([
+                np.zeros((n, n)) if s is None else _pairs_to_matrix(s, n, n, f"blocks[{bi}].rho_J[{si}]")
                 for si, s in enumerate(bdoc["rho_J"])
-            ]
+            ], dtype=complex).reshape(-1, n, n)  # a null J state reads as zero
             blocks.append(KIBlock(n=n, k=k, isometry=iso, rho_K=rho_k, q=q, rho_J=rho_j))
             p_block.append(_number(bdoc["p"], f"blocks[{bi}].p"))
             avgs.append(_pairs_to_matrix(bdoc["rho_J_avg"], n, n, f"blocks[{bi}].rho_J_avg"))

@@ -18,19 +18,20 @@ from .errors import ConvergenceFailure, NotHermitian, NotPSD
 DEFAULT_TOL = 1e-9
 
 
-def as_complex_matrix(m) -> np.ndarray:
-    """Coerce to a square complex128 array with finite entries."""
+def as_complex_matrix(m, ndim: int = 2) -> np.ndarray:
+    """Coerce to a square complex128 array with finite entries: one matrix, or a (count, d, d) stack at ndim=3."""
     a = np.asarray(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if a.ndim != ndim or a.shape[-1] != a.shape[-2]:
+        what = "stack of square matrices" if ndim == 3 else "square matrix"
+        raise ValueError(f"expected a {what}, got shape {a.shape}")
     if not (np.all(np.isfinite(a.real)) and np.all(np.isfinite(a.imag))):
         raise ValueError("matrix contains non-finite entries")
     return a
 
 
 def hermitize(m: np.ndarray) -> np.ndarray:
-    """Return the Hermitian part (m + m^dagger) / 2."""
-    return (m + m.conj().T) / 2
+    """Return the Hermitian part (m + m^dagger) / 2 of a matrix, or of each matrix of a (..., d, d) stack."""
+    return (m + m.conj().swapaxes(-1, -2)) / 2
 
 
 def frob(m: np.ndarray) -> float:
@@ -110,28 +111,20 @@ def psd_eigen(m, tol: float = DEFAULT_TOL) -> HermitianEigen:
     return HermitianEigen(values=np.clip(lam, 0.0, None), vectors=eig.vectors)
 
 
-def psd_sqrt(m, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Principal square root of a PSD matrix (NotPSD as in `psd_eigen`)."""
-    eig = psd_eigen(m, tol)
-    v = eig.vectors
-    return hermitize((v * np.sqrt(eig.values)) @ v.conj().T)
-
-
 def orthonormalize_hs(mats, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
-    """HS-orthonormal basis of the span of `mats`.
+    """HS-orthonormal basis of the span of a (count, d, d) stack (or a sequence of d x d matrices).
 
-    Vectorizes the stack, thresholds singular values at tol relative to
-    the largest, and reshapes the surviving right singular vectors back
-    into matrices. Empty input gives an empty list.
+    Checks the whole stack once (square, finite), vectorizes it,
+    thresholds singular values at tol relative to the largest, and
+    reshapes the surviving right singular vectors back into matrices.
+    Empty input gives an empty list.
     """
-    mats = [as_complex_matrix(m) for m in mats]
-    if not mats:
+    stack = np.asarray(mats, dtype=complex)
+    if stack.size == 0:
         return []
-    d = mats[0].shape[0]
-    if any(m.shape[0] != d for m in mats):
-        raise ValueError("matrices must share one dimension")
-    stack = np.stack([m.reshape(-1) for m in mats])
-    _, s, vh = svd(stack, full_matrices=False)
+    stack = as_complex_matrix(stack, ndim=3)
+    d = stack.shape[1]
+    _, s, vh = svd(stack.reshape(len(stack), -1), full_matrices=False)
     return [vh[i].reshape(d, d) for i in np.flatnonzero(rank_cut(s, tol))]
 
 
@@ -167,16 +160,21 @@ def pivot_phase(col: np.ndarray) -> complex:
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two 2-D arrays: the same products as `np.kron`, as one broadcast multiply."""
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
+    """Kronecker product of two matrices, or of each pair of a broadcast (..., r, c) stack.
+
+    The same products as `np.kron` on each pair, as one broadcast multiply.
+    """
+    prod = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return prod.reshape(*prod.shape[:-4], a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1])
 
 
 def direct_sum(mats) -> np.ndarray:
-    """Block-diagonal complex matrix with the square `mats` along the diagonal."""
-    total = sum(m.shape[0] for m in mats)
-    out = np.zeros((total, total), dtype=complex)
+    """Block-diagonal complex matrix with the square `mats` along the diagonal, or one such
+    matrix per entry of their broadcast leading axes for (..., d, d) stacks."""
+    total = sum(m.shape[-1] for m in mats)
+    out = np.zeros((*np.broadcast_shapes(*(m.shape[:-2] for m in mats)), total, total), dtype=complex)
     s = 0
     for m in mats:
-        out[s : s + m.shape[0], s : s + m.shape[0]] = m
-        s += m.shape[0]
+        out[..., s : s + m.shape[-1], s : s + m.shape[-1]] = m
+        s += m.shape[-1]
     return out

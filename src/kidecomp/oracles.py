@@ -90,16 +90,16 @@ def _draw_weights(spec: PlantSpec, rng: np.random.Generator) -> np.ndarray:
     )
 
 
-def _draw_block_states(n: int, num_states: int, rng: np.random.Generator, tol: float) -> list[np.ndarray]:
-    """J states whose generated algebra is the full n x n matrix algebra.
+def _draw_block_states(n: int, num_states: int, rng: np.random.Generator, tol: float) -> np.ndarray:
+    """A (num_states, n, n) stack of J states whose generated algebra is the full n x n matrix algebra.
 
     Accepted when the commutant of their span is the scalars: by the
     double commutant theorem that is the full matrix algebra.
     """
     if n == 1:
-        return [np.ones((1, 1), dtype=complex) for _ in range(num_states)]
+        return np.ones((num_states, 1, 1), dtype=complex)
     for _ in range(MAX_RESAMPLES):
-        sigmas = [random_density(n, rng) for _ in range(num_states)]
+        sigmas = np.stack([random_density(n, rng) for _ in range(num_states)])
         if commutant(generator_span(sigmas, n, tol), tol).size == 1:
             return sigmas
     raise RejectionExhausted(
@@ -139,11 +139,8 @@ def planted_ensemble(spec: PlantSpec, tol: float = DEFAULT_TOL) -> tuple[Ensembl
     total = int(sum(dims))
     u = haar_unitary(total, rng)
 
-    states = []
-    for i in range(spec.num_states):
-        acc = direct_sum([q[i, l] * kron(sigmas[l][i], rho_ks[l]) for l in range(len(spec.blocks))])
-        states.append(hermitize(u @ acc @ u.conj().T))
-    e = Ensemble(probs=probs, states=np.stack(states))
+    acc = direct_sum([q[:, l, None, None] * kron(sigmas[l], rho_ks[l]) for l in range(len(spec.blocks))])
+    e = Ensemble(probs=probs, states=hermitize(u @ acc @ u.conj().T))
 
     isometries = np.split(u, np.cumsum(dims)[:-1], axis=1)
     blocks = [

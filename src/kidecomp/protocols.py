@@ -117,19 +117,16 @@ def simulate_individual(
     and scores the delivered block state against the normalized block
     compression of the drawn state (equal to 1 up to round-off). The
     summary also reports the mixture check: recombining the delivered
-    block states with their weights returns each source state.
+    block states with their weights returns each source state, which is
+    `d.reconstruction_residual(e)`.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    cond_fid = np.full((len(e), len(d.blocks)), np.nan)  # NaN: no delivered state
-    mixture = np.zeros((len(e), e.dim, e.dim), dtype=complex)
+    cond_fid = np.full((len(e), len(d.blocks)), np.nan)  # NaN: the state misses the block
     for l, b in enumerate(d.blocks):
         proj = d.frame.embed(b.embed(np.eye(b.n * b.k, dtype=complex)))
-        for i in range(len(e)):
-            if b.q[i] <= 0 or b.rho_J[i] is None:
-                continue
+        for i in np.flatnonzero(b.q > 0):
             delivered = d.frame.embed(b.embed(kron(b.rho_J[i], b.rho_K)))
-            mixture[i] += b.q[i] * delivered
             comp = proj @ e.states[i] @ proj
             comp = hermitize(comp / np.trace(comp).real)
             cond_fid[i, l] = fidelity(delivered, comp, tol)
@@ -150,7 +147,7 @@ def simulate_individual(
         ebits_consumed_expected=float(np.dot(d.p_block, log_n)),
         ebits_prepared_bound=float(np.max(log_n)),
         min_conditional_fidelity=float(fid.min()),
-        mixture_residual=max(float(np.linalg.norm(m - s)) for m, s in zip(mixture, e.states)),
+        mixture_residual=d.reconstruction_residual(e),
     )
     return Trials(state=states, block=blocks, ebits=ebits, conditional_fidelity=fid), summary
 
@@ -363,8 +360,8 @@ def _overlap_weight(
 @dataclass
 class _BlockData:
     spectrum: np.ndarray  # eigenvalues of the average J state, descending
-    rotated: dict[int, np.ndarray]  # state index -> rotated J state, exactly Hermitian
-    all_pure: bool
+    rotated: np.ndarray  # (m, n, n): each J state in that eigenbasis, exactly Hermitian
+    all_pure: bool  # over the states that reach the block
 
 
 def _block_data(d: KIDecomposition) -> list[_BlockData]:
@@ -373,14 +370,9 @@ def _block_data(d: KIDecomposition) -> list[_BlockData]:
         lam, vec = eigh(hermitize(avg))
         order = np.argsort(lam)[::-1]
         lam, vec = np.clip(lam[order], 1e-300, None), vec[:, order]
-        rotated, pure = {}, True
-        for i in range(len(b.q)):
-            if b.q[i] <= 0 or b.rho_J[i] is None:
-                continue
-            st = hermitize(vec.conj().T @ b.rho_J[i] @ vec)
-            rotated[i] = st
-            pure = pure and float(np.trace(st @ st).real) >= 1.0 - 1e-9
-        out.append(_BlockData(spectrum=lam, rotated=rotated, all_pure=pure))
+        rotated = hermitize(vec.conj().T @ b.rho_J @ vec)
+        purity = np.trace(rotated @ rotated, axis1=1, axis2=2).real[b.q > 0]
+        out.append(_BlockData(spectrum=lam, rotated=rotated, all_pure=bool(np.all(purity >= 1.0 - 1e-9))))
     return out
 
 
@@ -518,7 +510,7 @@ def rate_sweep(
                 if plan.full:
                     continue  # group fidelity 1
                 if sums is None:
-                    diag_rows = np.stack([data[l].rotated[i].diagonal().real for i in members]).clip(0.0)
+                    diag_rows = data[l].rotated[members].diagonal(axis1=1, axis2=2).real.clip(0.0)
                     sums = _class_sums(diag_rows)
                 w = _overlap_weight(plan, diag_rows, sums)
                 fidelities[k, t] *= w if u_group <= w else _failure_fidelity(plan, data[l], members, w)

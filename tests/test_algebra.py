@@ -44,7 +44,7 @@ def _reference_commutant(a: OperatorBasis, tol: float = DEFAULT_TOL) -> Operator
     """The commutant over all dim^2 unknowns: the nullspace of the stacked kron maps X -> X G - G X."""
     d = a.dim
     eye = np.eye(d, dtype=complex)
-    rows = [np.kron(eye, g.T) - np.kron(g, eye) for g in a.generators]
+    rows = [np.kron(eye, g.T) - np.kron(g, eye) for g in a.mats]
     null = nullspace(np.concatenate(rows, axis=0), tol, floor=1.0)
     mats = [null[:, i].reshape(d, d) for i in range(null.shape[1])]
     return OperatorBasis(dim=d, mats=np.stack(orthonormalize_hs(mats, tol)))
@@ -154,6 +154,38 @@ def test_irrep_transport_and_counting_random():
             assert resid <= 1e-8
 
 
+def test_block_form_split_on_a_stack():
+    rng = np.random.default_rng(4)
+    g = rng.standard_normal((5, 6, 6)) + 1j * rng.standard_normal((5, 6, 6))
+    g[:2] = np.kron(g[:2, :3, :3], np.eye(2))  # two of the five have the form exactly
+    factors, resid = block_form_split(g, 3, 2)
+    assert factors.shape == (5, 3, 3) and resid.shape == (5,)
+    for m, f, r in zip(g, factors, resid):
+        f1, r1 = block_form_split(m, 3, 2)
+        assert np.allclose(f, f1, rtol=0, atol=1e-15) and r == pytest.approx(float(r1), rel=1e-12)
+    assert resid[:2].max() <= 1e-14 < resid[2:].min()
+
+
+def test_generator_span_checks_its_seed_once(monkeypatch):
+    from kidecomp import linalg
+
+    gens = _clifford_generators(3, 2)
+    calls = []
+    check = linalg.as_complex_matrix
+
+    def counted(m, *args, **kwargs):
+        calls.append(np.shape(m))
+        return check(m, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "as_complex_matrix", counted)
+    span = generator_span(np.stack(gens), 4)
+    assert calls == [(7, 4, 4)]  # one check of the seed stack I, g_1, g_1^dagger, ..., g_3^dagger
+    seed = [np.eye(4, dtype=complex)] + [m for g in gens for m in (g, g.conj().T)]
+    assert np.array_equal(span.mats, np.stack(orthonormalize_hs(seed)))
+    with pytest.raises(ValueError, match="non-finite"):
+        generator_span([np.full((4, 4), np.inf)], 4)
+
+
 def test_double_commutant_equals_algebra():
     rng = np.random.default_rng(9)
     g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
@@ -178,14 +210,6 @@ def _projector(basis: OperatorBasis) -> np.ndarray:
     return _vecs(basis).T @ _vecs(basis).conj()
 
 
-def test_generators_default_to_the_basis():
-    a = generate_algebra([np.kron(PAULI_X, I2)], 4)
-    assert a.generators.shape == (2, 4, 4)  # span of I and the generator
-    assert a.size == 2
-    plain = OperatorBasis(dim=4, mats=a.mats)
-    assert plain.generators is plain.mats
-
-
 PLANT_SHAPES = [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (3, 1), (3, 2), (4, 1)]
 
 
@@ -201,8 +225,8 @@ def test_generator_commutant_matches_full_basis(blocks, num_states, seed):
     e, truth = planted_ensemble(PlantSpec(blocks=tuple(blocks), num_states=num_states, seed=seed))
     _, er = support_restrict(e)
     a = generate_algebra(list(er.states), er.dim)
-    comm = commutant(a)
-    reference = commutant(OperatorBasis(dim=a.dim, mats=a.mats))
+    comm = commutant(generator_span(er.states, er.dim))
+    reference = commutant(a)
     assert comm.size == reference.size
     assert np.linalg.norm(_projector(comm) - _projector(reference)) <= 1e-8
     # each planted block splits into k inequivalent irreducible blocks
@@ -215,8 +239,6 @@ def test_generator_span_is_the_closure_seed():
     gens = [np.kron(PAULI_X, I2), np.kron(PAULI_Z, I2)]
     span = generator_span(gens, 4)
     assert span.size == 3  # I, X (x) 1, Z (x) 1
-    assert span.generators is span.mats
-    assert np.array_equal(generate_algebra(gens, 4).generators, span.mats)
     with pytest.raises(ValueError):
         generator_span([PAULI_X], 4)
 
@@ -251,17 +273,17 @@ def test_generator_span_factors_like_the_closure(blocks, num_states, seed):
     span = generator_span(gens, d)
     from_span = irrep_decompose(span, seed=0)
     from_closure = irrep_decompose(generate_algebra(gens, d), seed=0)
-    assert [(b.n, b.k) for b in from_span] == [(b.n, b.k) for b in from_closure]
+    # the closure's commutant is solved from its own basis, so its probe, and with it
+    # the block order and the gauge inside each block, differ from the span's
+    assert sorted((b.n, b.k) for b in from_span) == sorted((b.n, b.k) for b in from_closure)
     # one block per central projection: the center stays the reference
     assert len(from_span) == len(center_basis(commutant(span)))
     for b in from_span:
         assert np.linalg.norm(b.isometry.conj().T @ b.isometry - np.eye(b.n * b.k)) <= 1e-10
-    for x, y in zip(from_span, from_closure):
+    for x in from_span:
         px = x.isometry @ x.isometry.conj().T
-        py = y.isometry @ y.isometry.conj().T
-        assert np.linalg.norm(px - py) <= 1e-8
-        # same Schur intertwiners: the (a, j) columns agree, not only their span
-        assert np.linalg.norm(x.isometry - y.isometry) <= 1e-8
+        same_shape = [y.isometry for y in from_closure if (y.n, y.k) == (x.n, x.k)]
+        assert min(np.linalg.norm(px - y @ y.conj().T) for y in same_shape) <= 1e-8
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -452,13 +474,6 @@ def test_commutant_matches_the_kron_stack_reference(span):
     # the double commutant: the full commutant basis as generators
     double = commutant(comm)
     assert np.linalg.norm(_projector(double) - _projector(_reference_commutant(comm))) <= 1e-10
-
-
-def test_commutant_reads_only_the_generators():
-    # the span element is drawn from `generators`, which the closure keeps from its seed span
-    gens = _hidden_multiplicity_generators([(2, 2), (1, 1), (2, 1)], 3, 4)
-    d = gens[0].shape[0]
-    assert np.array_equal(commutant(generator_span(gens, d)).mats, commutant(generate_algebra(gens, d)).mats)
 
 
 def test_commutant_memory_at_d26():

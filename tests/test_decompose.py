@@ -335,14 +335,20 @@ def test_serialization_roundtrip():
 
 
 def test_serialization_keeps_zero_weight_entries():
-    # perfectly distinguishable pair: each block misses one state
-    e = Ensemble(probs=[0.5, 0.5], states=[KET0, KET1])
+    # |0> and |+> span an n = 2 block that |2> misses; |2> is a 1 x 1 block the others miss
+    ket2 = np.diag([0.0, 0.0, 1.0]).astype(complex)
+    e = Ensemble(probs=[0.4, 0.4, 0.2], states=[np.pad(KET0, (0, 1)), np.pad(PLUS, (0, 1)), ket2])
     d = ki_decompose(e, seed=0)
+    assert sorted((b.n, b.k) for b in d.blocks) == [(1, 1), (2, 1)]
+    doc = decomposition_to_doc(d)
     d2 = read_decomposition(write_decomposition(d))
-    for b, b2 in zip(d.blocks, d2.blocks):
+    for b, bdoc, b2 in zip(d.blocks, doc["blocks"], d2.blocks):
+        assert (b.q == 0).any() and (b.q > 0).any()
+        assert [s is None for s in bdoc["rho_J"]] == (b.q == 0).tolist()
         assert np.array_equal(b.q, b2.q)
-        for s, s2 in zip(b.rho_J, b2.rho_J):
-            assert (s is None) == (s2 is None)
+        assert isinstance(b2.rho_J, np.ndarray) and b2.rho_J.shape == (3, b.n, b.n)
+        assert not b2.rho_J[b.q == 0].any()
+        assert np.array_equal(b2.rho_J, b.rho_J)
     assert verify(d2, e, channels=3, seed=0).ok
 
 

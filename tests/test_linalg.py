@@ -7,7 +7,7 @@ import pytest
 
 import kidecomp
 from kidecomp.errors import ConvergenceFailure, NotHermitian, NotPSD
-from kidecomp.linalg import eig_hermitian, eigh, eigvalsh, kron, nullspace, orthonormalize_hs, polar_unitary, psd_sqrt, qr, rank_cut, svd
+from kidecomp.linalg import direct_sum, eig_hermitian, eigh, eigvalsh, hermitize, kron, nullspace, orthonormalize_hs, polar_unitary, psd_eigen, qr, rank_cut, svd
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -55,31 +55,14 @@ def test_eig_reconstruction_random():
         )
 
 
-def test_psd_sqrt_basics():
-    assert np.allclose(psd_sqrt(np.eye(3, dtype=complex)), np.eye(3))
-    assert np.allclose(psd_sqrt(np.diag([4.0, 9.0]).astype(complex)), np.diag([2.0, 3.0]))
-    proj = (np.eye(2) + PAULI_X) / 2  # rank-1 projector, idempotent
-    assert np.allclose(psd_sqrt(proj), proj, atol=1e-12)
+def test_psd_eigen_clamps_tiny_negatives():
+    eig = psd_eigen(np.diag([1.0, -1e-12]).astype(complex), tol=1e-9)
+    assert eig.values.tolist() == [0.0, 1.0]
 
 
-def test_psd_sqrt_clamps_tiny_negatives():
-    m = np.diag([1.0, -1e-12]).astype(complex)
-    s = psd_sqrt(m, tol=1e-9)
-    assert s[1, 1] == 0.0
-
-
-def test_psd_sqrt_rejects_negative():
+def test_psd_eigen_rejects_negative():
     with pytest.raises(NotPSD):
-        psd_sqrt(np.diag([1.0, -0.5]).astype(complex))
-
-
-def test_psd_sqrt_squares_back_random():
-    rng = np.random.default_rng(1)
-    for d in (2, 4, 8):
-        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        m = g @ g.conj().T
-        s = psd_sqrt(m)
-        assert np.linalg.norm(s @ s - m) <= 1e-9 * np.linalg.norm(m)
+        psd_eigen(np.diag([1.0, -0.5]).astype(complex))
 
 
 def test_orthonormalize_collinear():
@@ -244,3 +227,28 @@ def test_kron_equals_numpy_kron(shape_a, shape_b):
     b = rng.standard_normal(shape_b) + 1j * rng.standard_normal(shape_b)
     assert np.array_equal(kron(a, b), np.kron(a, b))
     assert np.array_equal(kron(a, np.eye(3)), np.kron(a, np.eye(3)))  # complex by real, as in the block form
+
+
+def test_stacked_helpers_match_each_matrix():
+    rng = np.random.default_rng(12)
+    a = rng.standard_normal((4, 2, 3)) + 1j * rng.standard_normal((4, 2, 3))
+    b = rng.standard_normal((4, 3, 2)) + 1j * rng.standard_normal((4, 3, 2))
+    m = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    sq = rng.standard_normal((4, 3, 3)) + 1j * rng.standard_normal((4, 3, 3))
+    assert kron(a, m).shape == (4, 4, 6) and kron(a, b).shape == (4, 6, 6)
+    for i in range(4):
+        assert np.array_equal(kron(a, m)[i], np.kron(a[i], m))
+        assert np.array_equal(kron(m, a)[i], np.kron(m, a[i]))
+        assert np.array_equal(kron(a, b)[i], np.kron(a[i], b[i]))
+        assert np.array_equal(hermitize(sq)[i], hermitize(sq[i]))
+        assert np.array_equal(direct_sum([sq, m])[i], direct_sum([sq[i], m]))
+
+
+def test_orthonormalize_checks_the_stack():
+    stack = np.stack([np.eye(2, dtype=complex), PAULI_X])
+    assert len(orthonormalize_hs(stack)) == 2
+    stack[1, 0, 1] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        orthonormalize_hs(stack)
+    with pytest.raises(ValueError, match="stack of square matrices"):
+        orthonormalize_hs(np.ones((2, 2, 3)))

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kidecomp import streams
-from kidecomp.decompose import ki_decompose
+from kidecomp.decompose import decomposition_from_doc, decomposition_to_doc, ki_decompose, verify
 from kidecomp.ensemble import Ensemble
 from kidecomp.errors import ConfigTooLarge, EmptyTypicalSet
 from kidecomp.linalg import eigvalsh, hermitize
@@ -93,13 +93,19 @@ def test_individual_reproducible():
     assert s1 == s2
 
 
-def test_individual_trial_without_a_delivered_state_raises():
-    # a decomposition read from a file may give a state weight on a block
-    # but no J state there; a trial that picks that pair cannot be scored
+def test_document_null_under_positive_weight_reads_as_a_zero_j_state():
+    # a document may give a state weight on a block but a null J state
+    # there; it reads as a zero J state, which delivers nothing
     e, d = two_pure()
-    d.blocks[0].rho_J[0] = None
-    with pytest.raises(KeyError, match="no delivered state"):
-        simulate_individual(e, d, trials=50, seed=0)
+    doc = decomposition_to_doc(d)
+    doc["blocks"][0]["rho_J"][0] = None
+    bad = decomposition_from_doc(doc)
+    assert d.blocks[0].q[0] > 0 and not bad.blocks[0].rho_J[0].any()
+    _, summary = simulate_individual(e, bad, trials=50, seed=0)
+    assert summary.min_conditional_fidelity == 0.0
+    assert summary.mixture_residual == pytest.approx(1.0, abs=1e-9)
+    report = verify(bad, e, seed=0)
+    assert [c.ok for c in report.checks if c.name == "reconstruction"] == [False]
 
 
 def test_report_key_order():
@@ -571,7 +577,7 @@ def test_failure_fidelity_matches_per_member_gather(blocks, lengths):
     # the 3x1,2x2 plant is the bench's; a 9-member group at delta 0 has 1024 sequences
     e, _ = planted_ensemble(PlantSpec(blocks=blocks, num_states=3, seed=1))
     data = next(b for b in _block_data(ki_decompose(e)) if not b.all_pure)
-    states = sorted(data.rotated)
+    states = range(len(data.rotated))  # every planted weight is positive
     rng = np.random.default_rng(0)
     seen = set()
     for length in lengths:
@@ -720,7 +726,7 @@ def test_plan_formulas_match_brute_force_subspace(blocks):
                 partial += plan.partial is not None
                 # the subspace as indices of the kron product basis
                 idx = [int(np.ravel_multi_index(s, (r,) * length)) for s in ranked[: plan.dim]]
-                for members in itertools.product(sorted(data.rotated), repeat=length):
+                for members in itertools.product(range(len(data.rotated)), repeat=length):
                     sigma = functools.reduce(np.kron, [data.rotated[i] for i in members])
                     rows = reference_diag_rows(data, members)
                     w = _overlap_weight(plan, rows, _class_sums(rows))

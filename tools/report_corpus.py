@@ -5,8 +5,12 @@
 For each planted shape and seed the script generates the ensemble with
 `gen`, then runs every report command on it in json and in text, to
 stdout and to an `-o` file, and `verify` against the recomputed, the
-stored and the ground-truth decomposition. A few error paths follow.
-OUTDIR/codes.txt lists each call's exit code and stderr.
+stored and the ground-truth decomposition. Every planted weight is
+positive, so one hand-written ensemble follows in which states miss
+blocks (zero weight, a `null` J state in the document), an n = 2 block
+among them; it gets the same report commands and `verify` against its
+stored decomposition. A few error paths come last. OUTDIR/codes.txt
+lists each call's exit code and stderr.
 
 This is the byte-identity gate for refactors: run it once with the
 parent's `src/` and once with the change's on PYTHONPATH, into the same
@@ -63,6 +67,15 @@ def _both_sinks(out: Path, codes: list[str], name: str, argv: list[str]) -> None
         _call(out, codes, f"{name}.{fmt}.o", argv + ["--format", fmt, "-o", str(out / f"{name}.{fmt}.o.out")])
 
 
+def _report_cases(case: Path, codes: list[str], ensemble: str, seed: int, sidecars: dict[str, str]) -> None:
+    """Every report command on one ensemble file, then `verify` against the stored
+    decomposition and each extra sidecar (label -> path)."""
+    for command, options in COMMANDS.items():
+        _both_sinks(case, codes, command, [command, ensemble, "--seed", str(seed)] + options)
+    for label, path in {"stored": str(case / "decompose.json.o.out"), **sidecars}.items():
+        _both_sinks(case, codes, f"verify_{label}", ["verify", ensemble, "--decomposition", path])
+
+
 def _plant_cases(out: Path, codes: list[str]) -> None:
     for shape in SHAPES:
         for seed in SEEDS:
@@ -72,11 +85,29 @@ def _plant_cases(out: Path, codes: list[str]) -> None:
             gen = ["gen", "--blocks", shape, "--seed", str(seed)]
             _call(case, codes, "gen.text", gen + ["--format", "text", "-o", str(case / "plant_text.json")])
             _call(case, codes, "gen.json", gen + ["-o", plant])
-            for command, options in COMMANDS.items():
-                _both_sinks(case, codes, command, [command, plant, "--seed", str(seed)] + options)
-            stored = str(case / "decompose.json.o.out")
-            for label, path in (("stored", stored), ("truth", str(case / "plant.truth.json"))):
-                _both_sinks(case, codes, f"verify_{label}", ["verify", plant, "--decomposition", path])
+            _report_cases(case, codes, plant, seed, {"truth": str(case / "plant.truth.json")})
+
+
+def _pairs(m: list[list[float]]) -> list:
+    return [[[x, 0.0] for x in row] for row in m]
+
+
+def _zero_weight_case(out: Path, codes: list[str]) -> None:
+    """Four states on C^3 = C^2 (+) C^1: |0> and |+> lie in the n = 2 block, the
+    maximally mixed qubit state splits 0.7 / 0.3 over both blocks, and |2> lies
+    in the n = 1 block only, so each block has states of zero weight."""
+    case = out / "zero_weight"
+    case.mkdir()
+    states = [
+        [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
+        [[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [0.0, 0.0, 0.0]],
+        [[0.35, 0.0, 0.0], [0.0, 0.35, 0.0], [0.0, 0.0, 0.3]],
+        [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1.0]],
+    ]
+    doc = {"dim": 3, "states": [{"p": p, "matrix": _pairs(m)} for p, m in zip((0.3, 0.3, 0.2, 0.2), states)]}
+    ensemble = case / "ensemble.json"
+    ensemble.write_text(json.dumps(doc), encoding="utf-8")
+    _report_cases(case, codes, str(ensemble), 1, {})
 
 
 def _error_cases(out: Path, codes: list[str]) -> None:
@@ -110,6 +141,7 @@ def main(argv: list[str]) -> int:
         return 2
     codes: list[str] = []
     _plant_cases(out, codes)
+    _zero_weight_case(out, codes)
     _error_cases(out, codes)
     (out / "codes.txt").write_text("\n".join(codes) + "\n", encoding="utf-8")
     return 0
