@@ -40,6 +40,7 @@ from .errors import (
     RejectionExhausted,
     ValidationError,
 )
+from .linalg import DEFAULT_TOL
 from .measures import info_measures
 from .oracles import PlantSpec, planted_ensemble
 from .protocols import rate_sweep, simulate_asymptotic, simulate_individual
@@ -224,7 +225,7 @@ def _count(text: str) -> int:
 _OPTIONS = {
     "input": (("input",), {"help": "ensemble file"}),
     "output": (("-o", "--output"), {"default": None, "help": "output path (default stdout)"}),
-    "tol": (("--tol",), {"type": _positive, "default": 1e-9}),
+    "tol": (("--tol",), {"type": _positive, "default": DEFAULT_TOL}),
     "seed": (("--seed",), {"type": int, "default": 0}),
     "format": (("--format",), {"choices": ("json", "text"), "default": "json"}),
     "trials": (("--trials",), {"type": _count, "default": 10_000}),

@@ -24,10 +24,10 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .algebra import block_form_split, commutant, generator_span, intertwiner, irrep_decompose
+from .algebra import IrrepBlock, block_form_split, commutant, generator_span, intertwiner, irrep_decompose
 from .ensemble import Ensemble, SupportFrame, require_valid, support_restrict, _integer, _matrix_to_pairs, _number, _pairs_to_matrix
 from .errors import FormViolation, ParseError
-from .linalg import DEFAULT_TOL, direct_sum, eigh, frob, hermitize, kron, pivot_phase
+from .linalg import DEFAULT_TOL, direct_sum, frob, hermitize, kron
 
 __all__ = [
     "KIBlock",
@@ -105,10 +105,12 @@ class KIDecomposition:
 # construction
 
 
-def _extract_block_data(block_iso: np.ndarray, n: int, k: int, states: np.ndarray, tol: float):
-    """Per-state weights and the (m, n, n) stack of normalized J states of one pre-merge block,
-    all states in one call; a weight at or below tol is 0 and its J state zero."""
-    comp = block_iso.conj().T @ states @ block_iso
+def _extract_block_data(ib: IrrepBlock, states: np.ndarray, tol: float) -> KIBlock:
+    """The pre-merge block of one split block, with K state I/k: per-state weights and the
+    (m, n, n) stack of normalized J states, all states in one call; a weight at or below
+    tol is 0 and its J state zero."""
+    n, k = ib.n, ib.k
+    comp = ib.isometry.conj().T @ states @ ib.isometry
     factor, resid = block_form_split(comp, n, k)
     scale = np.maximum(1.0, np.linalg.norm(comp, axis=(1, 2)))
     bad = np.flatnonzero(resid > max(tol, 1e3 * np.finfo(float).eps) * scale)
@@ -119,7 +121,14 @@ def _extract_block_data(block_iso: np.ndarray, n: int, k: int, states: np.ndarra
     sigmas = np.zeros_like(factor)
     for i in np.flatnonzero(q):
         sigmas[i] = hermitize(factor[i] * (k / q[i]))
-    return q, sigmas
+    return KIBlock(
+        n=n,
+        k=k,
+        isometry=ib.isometry,
+        rho_K=np.eye(k, dtype=complex) / k,
+        q=q,
+        rho_J=sigmas,
+    )
 
 
 def _support_set(q: np.ndarray) -> tuple[int, ...]:
@@ -169,42 +178,39 @@ def _merge(a: KIBlock, b: KIBlock, v: np.ndarray, c: float) -> KIBlock:
     cols_a = a.isometry.reshape(r, a.n, a.k)
     cols_b = rotated.reshape(r, b.n, b.k)
     iso = np.concatenate([cols_a, cols_b], axis=2).reshape(r, a.n * (a.k + b.k))
-    k = a.k + b.k
-    rho_k = np.zeros((k, k), dtype=complex)
-    rho_k[: a.k, : a.k] = a.rho_K
-    rho_k[a.k :, a.k :] = c * b.rho_K
-    rho_k /= 1.0 + c
     return KIBlock(
         n=a.n,
-        k=k,
+        k=a.k + b.k,
         isometry=iso,
-        rho_K=rho_k,
+        rho_K=direct_sum([a.rho_K, c * b.rho_K]) / (1.0 + c),
         q=a.q * (1.0 + c),
         rho_J=a.rho_J,
     )
 
 
 def _canonicalize_redundant_factor(block: KIBlock) -> KIBlock:
-    """Rotate the K basis so rho_K is diagonal with descending eigenvalues."""
-    lam, vec = eigh(hermitize(block.rho_K))
-    order = np.argsort(lam)[::-1]
-    lam, vec = lam[order], vec[:, order]
-    for j in range(vec.shape[1]):  # deterministic column phases
-        vec[:, j] *= pivot_phase(vec[:, j])
-    iso = block.isometry @ kron(np.eye(block.n, dtype=complex), vec)
+    """Permute the K basis so the diagonal rho_K has descending weights, ties in merge order.
+
+    rho_K is diagonal by construction (I/k for each split block, and `_merge` stacks
+    scaled copies), so no eigensolve runs: sorting its diagonal fixes the K basis.
+    """
+    w = block.rho_K.diagonal().real
+    order = np.argsort(-w, kind="stable")
+    perm = np.eye(block.k, dtype=complex)[:, order]
     return KIBlock(
         n=block.n,
         k=block.k,
-        isometry=iso,
-        rho_K=np.diag(np.clip(lam, 0.0, None)).astype(complex),
+        isometry=block.isometry @ kron(np.eye(block.n, dtype=complex), perm),
+        rho_K=np.diag(w[order]).astype(complex),
         q=block.q,
         rho_J=block.rho_J,
     )
 
 
 def _block_key(block: KIBlock):
-    # descending n, descending k, ascending weight of the first state
-    return (-block.n, -block.k, float(block.q[0]))
+    """Canonical block order: descending n, descending k, then the weight row q ascending
+    (lexicographic), so blocks of one shape never fall back to the split's probe order."""
+    return (-block.n, -block.k, *block.q)
 
 
 def _merge_to_fixpoint(blocks: list[KIBlock], tol: float) -> list[KIBlock]:
@@ -230,25 +236,13 @@ def ki_decompose(e: Ensemble, seed: int = 0, tol: float = DEFAULT_TOL) -> KIDeco
     (solved from the span of the states, their adjoints and the
     identity; no closure runs), extract per-state weights and J states, then
     merge weight-proportional unitarily-equal blocks in one pass in
-    canonical order. Output block order and phases are canonical, so identical
+    canonical order. Output block order and K bases are canonical, so identical
     (input, seed, tol) gives identical output.
     """
     require_valid(e, tol)
     frame, er = support_restrict(e, tol)
     irreps = irrep_decompose(generator_span(list(er.states), er.dim, tol), seed, tol)
-    blocks: list[KIBlock] = []
-    for ib in irreps:
-        q, sigmas = _extract_block_data(ib.isometry, ib.n, ib.k, er.states, tol)
-        blocks.append(
-            KIBlock(
-                n=ib.n,
-                k=ib.k,
-                isometry=ib.isometry,
-                rho_K=np.eye(ib.k, dtype=complex) / ib.k,
-                q=q,
-                rho_J=sigmas,
-            )
-        )
+    blocks = [_extract_block_data(ib, er.states, tol) for ib in irreps]
     blocks = [_canonicalize_redundant_factor(b) for b in _merge_to_fixpoint(blocks, tol)]
     d = KIDecomposition.from_blocks(frame, blocks, e.probs)
 

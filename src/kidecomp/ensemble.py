@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .linalg import DEFAULT_TOL, as_complex_matrix, eig_hermitian, eigvalsh, frob, hermitize, rank_cut
+from .linalg import DEFAULT_TOL, as_complex_matrix, eigh, eigvalsh, frob, hermitize, rank_cut
 
 
 @dataclass(frozen=True)
@@ -130,10 +130,8 @@ def support_restrict(e: Ensemble, tol: float = DEFAULT_TOL) -> tuple[SupportFram
     are treated as zero. A full-rank average state yields the identity
     frame, so the restricted ensemble is the input unchanged.
     """
-    rho = average_state(e)
     d = e.dim
-    eig = eig_hermitian(rho, tol)
-    lam, vec = eig.values, eig.vectors
+    lam, vec = eigh(average_state(e))
     keep = rank_cut(lam, tol)
     rank = int(np.sum(keep))
     if rank == d:

@@ -9,8 +9,6 @@ LAPACK call goes through the typed wrappers built by `_lapack`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConvergenceFailure, NotHermitian, NotPSD
@@ -74,41 +72,25 @@ def rank_cut(values: np.ndarray, tol: float, floor: float = 0.0) -> np.ndarray:
     return values > tol * scale
 
 
-@dataclass(frozen=True)
-class HermitianEigen:
-    """Spectral factorization: ascending real eigenvalues, orthonormal column eigenvectors."""
+def psd_eigen(m, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """Eigen-factor a PSD matrix: ascending eigenvalues clamped at zero, orthonormal column eigenvectors.
 
-    values: np.ndarray
-    vectors: np.ndarray
-
-
-def eig_hermitian(m, tol: float = DEFAULT_TOL) -> HermitianEigen:
-    """Eigen-factor a Hermitian matrix, symmetrizing round-off first.
-
-    Raises NotHermitian when the anti-Hermitian part exceeds tol relative
-    to the Frobenius norm, and ConvergenceFailure if LAPACK gives up.
+    The package's one validated eigen routine: it raises NotHermitian when
+    the anti-Hermitian part exceeds tol relative to the Frobenius norm (at
+    least 1), then factors the Hermitian part. Eigenvalues in
+    [-tol_eff, 0) are clamped to zero so numerically-PSD inputs pass
+    through; anything below that window raises NotPSD. The window scales
+    with the top eigenvalue for matrices larger than O(1).
     """
     a = as_complex_matrix(m)
-    scale = frob(a)
-    if frob(a - a.conj().T) > tol * max(scale, 1.0):
-        raise NotHermitian(f"anti-Hermitian part {frob(a - a.conj().T):.3e} exceeds tolerance")
-    values, vectors = eigh(hermitize(a))
-    return HermitianEigen(values=values, vectors=vectors)
-
-
-def psd_eigen(m, tol: float = DEFAULT_TOL) -> HermitianEigen:
-    """Eigen-factor a PSD matrix, with eigenvalues clamped at zero.
-
-    Eigenvalues in [-tol_eff, 0) are clamped to zero so numerically-PSD
-    inputs pass through; anything below that window raises NotPSD. The
-    window scales with the top eigenvalue for matrices larger than O(1).
-    """
-    eig = eig_hermitian(m, tol)
-    lam = eig.values
+    skew = frob(a - a.conj().T)
+    if skew > tol * max(frob(a), 1.0):
+        raise NotHermitian(f"anti-Hermitian part {skew:.3e} exceeds tolerance")
+    lam, vectors = eigh(hermitize(a))
     window = tol * max(1.0, float(lam[-1]) if lam.size else 1.0)
     if lam.size and lam[0] < -window:
         raise NotPSD(f"eigenvalue {lam[0]:.3e} below -{window:.3e}")
-    return HermitianEigen(values=np.clip(lam, 0.0, None), vectors=eig.vectors)
+    return np.clip(lam, 0.0, None), vectors
 
 
 def orthonormalize_hs(mats, tol: float = DEFAULT_TOL) -> list[np.ndarray]:

@@ -44,13 +44,12 @@ def fidelity(rho, sigma, tol: float = DEFAULT_TOL) -> float:
     below `tol` still counts. `tol` bounds the Hermiticity and negativity
     of rho, as in `psd_eigen`.
     """
-    rho = as_complex_matrix(rho)
     sigma = as_complex_matrix(sigma)
-    if rho.shape != sigma.shape:
+    lam, vec = psd_eigen(rho, tol)
+    if vec.shape != sigma.shape:
         raise ValueError("fidelity needs states of equal dimension")
-    eig = psd_eigen(rho, tol)
-    keep = rank_cut(eig.values, rho.shape[0] * np.finfo(float).eps)
-    w = eig.vectors[:, keep] * np.sqrt(eig.values[keep])
+    keep = rank_cut(lam, len(lam) * np.finfo(float).eps)
+    w = vec[:, keep] * np.sqrt(lam[keep])
     inner = hermitize(w.conj().T @ sigma @ w)
     val = float(np.sum(np.sqrt(np.clip(eigvalsh(inner), 0.0, None))) ** 2)
     return min(max(val, 0.0), 1.0)

@@ -42,7 +42,7 @@ import numpy as np
 
 from .decompose import KIDecomposition
 from .ensemble import Ensemble
-from .errors import ConfigTooLarge, EmptyTypicalSet
+from .errors import ConfigTooLarge, EmptyTypicalSet, ValidationError
 from .linalg import DEFAULT_TOL, eigh, eigvalsh, hermitize, kron, rank_cut
 from .measures import fidelity, shannon_entropy
 from .streams import _trial_stream
@@ -91,9 +91,16 @@ def _choice_cdf(p: np.ndarray) -> np.ndarray:
 
 
 def _pick_cdfs(e: Ensemble, d: KIDecomposition) -> tuple[np.ndarray, np.ndarray]:
-    """CDF of the state pick, and one row per state of its block-label pick."""
+    """CDF of the state pick, and one row per state of its block-label pick.
+
+    Raises ValidationError for a state with no positive block weight: its
+    label pick has no distribution to draw from.
+    """
     qmat = np.clip(np.stack([b.q for b in d.blocks], axis=1), 0.0, None)
-    return _choice_cdf(e.probs / e.probs.sum()), _choice_cdf(qmat / qmat.sum(axis=1, keepdims=True))
+    total = qmat.sum(axis=1, keepdims=True)
+    if (empty := np.flatnonzero(~(total[:, 0] > 0))).size:
+        raise ValidationError(f"state {empty[0]} has no positive weight on any block")
+    return _choice_cdf(e.probs / e.probs.sum()), _choice_cdf(qmat / total)
 
 
 def _pick(u: np.ndarray, n: int, cdf_p: np.ndarray, cdf_q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kidecomp import algebra, cli
+from kidecomp import algebra, cli, decompose
 from kidecomp.cli import main
 from kidecomp.ensemble import Ensemble, load_ensemble, save_ensemble
 
@@ -176,6 +176,16 @@ def test_exit_code_degenerate_probes(single_state_file, monkeypatch, capsys):
     assert main(["decompose", single_state_file]) == 3
     err = capsys.readouterr().err
     assert "copy links are not 0 or 1" in err
+    assert "Traceback" not in err
+
+
+def test_exit_code_form_violation(two_pure_file, monkeypatch, capsys):
+    # a split whose one n = 1 block spans C^2: the states fail the block form
+    split = [algebra.IrrepBlock(n=1, k=2, isometry=np.eye(2, dtype=complex))]
+    monkeypatch.setattr(decompose, "irrep_decompose", lambda a, seed, tol: split)
+    assert main(["decompose", two_pure_file]) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure: state 0 violates the (J factor) x (identity on K) form" in err
     assert "Traceback" not in err
 
 

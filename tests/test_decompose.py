@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from kidecomp import decompose
+from kidecomp.algebra import IrrepBlock
 from kidecomp.decompose import (
     KIBlock,
     decomposition_from_doc,
@@ -14,7 +15,7 @@ from kidecomp.decompose import (
     write_decomposition,
 )
 from kidecomp.ensemble import Ensemble, validate
-from kidecomp.errors import ParseError
+from kidecomp.errors import FormViolation, ParseError
 from kidecomp.measures import info_measures
 from kidecomp.oracles import PlantSpec, haar_unitary, planted_ensemble
 
@@ -217,6 +218,61 @@ def test_degenerate_redundant_factor():
     m = info_measures(d, e)
     assert m.info_redundant == pytest.approx(1.0, abs=1e-9)
     assert m.info_classical == pytest.approx(0.0, abs=1e-9)
+
+
+def test_block_order_does_not_depend_on_the_probe_seed():
+    # two 1x1 blocks share n, k and the weight of state 0, so the rest of
+    # the weight row orders them, not the split's probe
+    states = [np.diag(v).astype(complex) for v in ([1.0, 0.0, 0.0], [0.0, 0.3, 0.7], [0.0, 0.6, 0.4])]
+    e = Ensemble(probs=[0.4, 0.3, 0.3], states=states)
+    for seed in range(8):
+        q = np.stack([b.q for b in ki_decompose(e, seed=seed).blocks])
+        assert np.allclose(q, [[0.0, 0.3, 0.6], [0.0, 0.7, 0.4], [1.0, 0.0, 0.0]], atol=1e-12), seed
+
+
+def test_redundant_factor_sorts_weights_and_keeps_ties_in_merge_order():
+    iso = haar_unitary(6, np.random.default_rng(7))
+    block = KIBlock(
+        n=2,
+        k=3,
+        isometry=iso,
+        rho_K=np.diag([0.25, 0.5, 0.25]).astype(complex),
+        q=np.ones(1),
+        rho_J=np.eye(2, dtype=complex)[None] / 2,
+    )
+    out = decompose._canonicalize_redundant_factor(block)
+    assert np.array_equal(out.rho_K, np.diag([0.5, 0.25, 0.25]))
+    # column (a, j) -> a*k + j: K column j of the result is K column [1, 0, 2][j] of the input
+    assert np.array_equal(out.isometry.reshape(6, 2, 3), iso.reshape(6, 2, 3)[:, :, [1, 0, 2]])
+
+
+def test_tied_redundant_weights_give_a_diagonal_descending_k_state():
+    rho = np.diag([0.15, 0.25, 0.2, 0.15, 0.25]).astype(complex)
+    d = ki_decompose(Ensemble(probs=[1.0], states=[rho]), seed=0)
+    (b,) = d.blocks
+    assert (b.n, b.k) == (1, 5)
+    assert np.array_equal(b.rho_K, np.diag(np.diag(b.rho_K)))
+    assert np.allclose(np.diag(b.rho_K), [0.25, 0.25, 0.2, 0.15, 0.15], atol=1e-12)
+    # each K column is an eigenvector of rho with its weight
+    assert np.allclose(rho @ b.isometry, b.isometry @ b.rho_K, atol=1e-10)
+
+
+def test_split_violating_the_block_form_raises(monkeypatch):
+    # one n = 1 block over all of C^2 asks every state to be a multiple of the identity
+    split = [IrrepBlock(n=1, k=2, isometry=np.eye(2, dtype=complex))]
+    monkeypatch.setattr(decompose, "irrep_decompose", lambda a, seed, tol: split)
+    with pytest.raises(FormViolation, match=r"state 0 violates the \(J factor\) x \(identity on K\) form"):
+        ki_decompose(two_pure())
+
+
+def test_split_dropping_coherences_fails_reconstruction(monkeypatch):
+    # two 1-dim halves of a 2x1 plant: each state takes the block form on
+    # each half, but the coherences between the halves are lost
+    e, _ = planted_ensemble(PlantSpec(blocks=((2, 1),), num_states=3, seed=1))
+    halves = [IrrepBlock(n=1, k=1, isometry=np.eye(2, dtype=complex)[:, [c]]) for c in (0, 1)]
+    monkeypatch.setattr(decompose, "irrep_decompose", lambda a, seed, tol: halves)
+    with pytest.raises(FormViolation, match="reconstruction residual"):
+        ki_decompose(e)
 
 
 def test_reconstruction_residual():

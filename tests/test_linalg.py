@@ -7,7 +7,7 @@ import pytest
 
 import kidecomp
 from kidecomp.errors import ConvergenceFailure, NotHermitian, NotPSD
-from kidecomp.linalg import direct_sum, eig_hermitian, eigh, eigvalsh, hermitize, kron, nullspace, orthonormalize_hs, polar_unitary, psd_eigen, qr, rank_cut, svd
+from kidecomp.linalg import direct_sum, eigh, eigvalsh, hermitize, kron, nullspace, orthonormalize_hs, polar_unitary, psd_eigen, qr, rank_cut, svd
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -19,45 +19,45 @@ def random_hermitian(rng, d):
 
 
 def test_eig_identity():
-    eig = eig_hermitian(np.eye(2, dtype=complex))
-    assert np.allclose(eig.values, [1.0, 1.0])
+    values, _ = psd_eigen(np.eye(2, dtype=complex))
+    assert np.allclose(values, [1.0, 1.0])
 
 
 def test_eig_diagonal_sorted_ascending():
-    eig = eig_hermitian(np.diag([3.0, -1.0]).astype(complex))
-    assert np.allclose(eig.values, [-1.0, 3.0])
+    values, _ = eigh(np.diag([3.0, -1.0]).astype(complex))
+    assert np.allclose(values, [-1.0, 3.0])
 
 
 def test_eig_pauli_x():
     # characteristic polynomial by hand: lambda^2 - 1 = 0
-    eig = eig_hermitian(PAULI_X)
-    assert np.allclose(eig.values, [-1.0, 1.0])
+    values, vectors = eigh(PAULI_X)
+    assert np.allclose(values, [-1.0, 1.0])
     minus = np.array([1, -1]) / np.sqrt(2)
     plus = np.array([1, 1]) / np.sqrt(2)
-    assert abs(np.vdot(eig.vectors[:, 0], minus)) == pytest.approx(1.0, abs=1e-12)
-    assert abs(np.vdot(eig.vectors[:, 1], plus)) == pytest.approx(1.0, abs=1e-12)
+    assert abs(np.vdot(vectors[:, 0], minus)) == pytest.approx(1.0, abs=1e-12)
+    assert abs(np.vdot(vectors[:, 1], plus)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_eig_rejects_non_hermitian():
     with pytest.raises(NotHermitian):
-        eig_hermitian(np.array([[0, 1], [0, 0]], dtype=complex))
+        psd_eigen(np.array([[0, 1], [0, 0]], dtype=complex))
 
 
 def test_eig_reconstruction_random():
     rng = np.random.default_rng(0)
     for d in (2, 5, 9, 16):
         m = random_hermitian(rng, d)
-        eig = eig_hermitian(m)
-        rebuilt = (eig.vectors * eig.values) @ eig.vectors.conj().T
+        values, vectors = eigh(m)
+        rebuilt = (vectors * values) @ vectors.conj().T
         assert np.linalg.norm(rebuilt - m) <= 1e-10 * np.linalg.norm(m)
         assert np.allclose(
-            eig.vectors.conj().T @ eig.vectors, np.eye(d), atol=1e-12
+            vectors.conj().T @ vectors, np.eye(d), atol=1e-12
         )
 
 
 def test_psd_eigen_clamps_tiny_negatives():
-    eig = psd_eigen(np.diag([1.0, -1e-12]).astype(complex), tol=1e-9)
-    assert eig.values.tolist() == [0.0, 1.0]
+    values, _ = psd_eigen(np.diag([1.0, -1e-12]).astype(complex), tol=1e-9)
+    assert values.tolist() == [0.0, 1.0]
 
 
 def test_psd_eigen_rejects_negative():
@@ -166,11 +166,11 @@ def test_svd_failure_is_typed(monkeypatch, call):
         ("svd", lambda: svd(PAULI_X)),
         ("svd", lambda: polar_unitary(PAULI_X)),
         ("eigh", lambda: eigh(PAULI_X)),
-        ("eigh", lambda: eig_hermitian(PAULI_X)),
+        ("eigh", lambda: psd_eigen(PAULI_X)),
         ("eigvalsh", lambda: eigvalsh(PAULI_X)),
         ("qr", lambda: qr(PAULI_X)),
     ],
-    ids=["svd", "polar_unitary", "eigh", "eig_hermitian", "eigvalsh", "qr"],
+    ids=["svd", "polar_unitary", "eigh", "psd_eigen", "eigvalsh", "qr"],
 )
 def test_lapack_failure_is_typed(monkeypatch, routine, call):
     def fail(*args, **kwargs):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from kidecomp import streams
 from kidecomp.decompose import decomposition_from_doc, decomposition_to_doc, ki_decompose, verify
 from kidecomp.ensemble import Ensemble
-from kidecomp.errors import ConfigTooLarge, EmptyTypicalSet
+from kidecomp.errors import ConfigTooLarge, EmptyTypicalSet, ValidationError
 from kidecomp.linalg import eigvalsh, hermitize
 from kidecomp.measures import fidelity, info_measures
 from kidecomp.oracles import PlantSpec, planted_ensemble
@@ -106,6 +106,24 @@ def test_document_null_under_positive_weight_reads_as_a_zero_j_state():
     assert summary.mixture_residual == pytest.approx(1.0, abs=1e-9)
     report = verify(bad, e, seed=0)
     assert [c.ok for c in report.checks if c.name == "reconstruction"] == [False]
+
+
+@pytest.mark.parametrize(
+    "simulate",
+    [
+        lambda e, d: simulate_individual(e, d, trials=20, seed=0),
+        lambda e, d: rate_sweep(e, d, 4, [0.0], trials=20),
+    ],
+    ids=["simulate_individual", "rate_sweep"],
+)
+def test_state_without_block_weight_is_rejected(simulate):
+    # a document may give a state zero weight on every block; its label
+    # pick has no distribution, so both simulators refuse it by name
+    e, d = two_pure()
+    doc = decomposition_to_doc(d)
+    doc["blocks"][0]["q"][0] = 0.0
+    with pytest.raises(ValidationError, match="state 0 has no positive weight"):
+        simulate(e, decomposition_from_doc(doc))
 
 
 def test_report_key_order():
