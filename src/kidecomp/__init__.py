@@ -14,7 +14,6 @@ from .decompose import (
 )
 from .ensemble import (
     Ensemble,
-    SupportFrame,
     average_state,
     load_ensemble,
     read_ensemble,
@@ -44,7 +43,6 @@ __all__ = [
     "remove_redundancy",
     "verify",
     "Ensemble",
-    "SupportFrame",
     "average_state",
     "load_ensemble",
     "read_ensemble",

@@ -46,7 +46,7 @@ from .oracles import PlantSpec, planted_ensemble
 from .protocols import rate_sweep, simulate_asymptotic, simulate_individual
 
 _NUMERICAL = (DegenerateSample, FormViolation, ConvergenceFailure, NotHermitian, NotPSD)
-_CONFIG = (ConfigTooLarge, RejectionExhausted)
+_CONFIG = (ConfigTooLarge, RejectionExhausted, MemoryError)  # MemoryError: a refused allocation
 
 
 def _round12(obj):

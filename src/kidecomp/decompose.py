@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .algebra import IrrepBlock, block_form_split, commutant, generator_span, intertwiner, irrep_decompose
-from .ensemble import Ensemble, SupportFrame, require_valid, support_restrict, _integer, _matrix_to_pairs, _number, _pairs_to_matrix
+from .ensemble import Ensemble, require_valid, support_restrict, _integer, _matrix_to_pairs, _number, _pairs_to_matrix
 from .errors import FormViolation, ParseError
 from .linalg import DEFAULT_TOL, direct_sum, frob, hermitize, kron
 
@@ -63,19 +63,19 @@ class KIBlock:
     q: np.ndarray
     rho_J: np.ndarray  # (m, n, n)
 
-    def embed(self, m: np.ndarray) -> np.ndarray:
-        return self.isometry @ m @ self.isometry.conj().T
-
 
 @dataclass(frozen=True)
 class KIDecomposition:
-    frame: SupportFrame
+    """Blocks of an ensemble, with `frame` the (ambient_dim, support_rank) isometry F
+    from the support of the average state into the ambient space."""
+
+    frame: np.ndarray
     blocks: list[KIBlock]
     p_block: np.ndarray
     rho_J_avg: list[np.ndarray]
 
     @classmethod
-    def from_blocks(cls, frame: SupportFrame, blocks: list[KIBlock], probs: np.ndarray) -> KIDecomposition:
+    def from_blocks(cls, frame: np.ndarray, blocks: list[KIBlock], probs: np.ndarray) -> KIDecomposition:
         """Blocks in canonical order, with p_block[l] = sum_i p_i q[i] and the averaged J states."""
         blocks = sorted(blocks, key=_block_key)
         p_block = np.array([float(np.dot(probs, b.q)) for b in blocks])
@@ -87,18 +87,26 @@ class KIDecomposition:
             rho_j_avg.append(hermitize(acc / np.dot(probs, b.q)))
         return cls(frame=frame, blocks=blocks, p_block=p_block, rho_J_avg=rho_j_avg)
 
+    def ambient_isometries(self) -> list[np.ndarray]:
+        """C_l = F V_l for each block l: the isometry from C^n tensor C^k into the ambient space."""
+        return [self.frame @ b.isometry for b in self.blocks]
+
     def reconstruct(self, i: int) -> np.ndarray:
         """Ambient-space state assembled from the block data of state i."""
-        r = self.frame.rank
-        acc = np.zeros((r, r), dtype=complex)
-        for b in self.blocks:
+        return self._reconstruct(i, self.ambient_isometries())
+
+    def _reconstruct(self, i: int, isometries: list[np.ndarray]) -> np.ndarray:
+        dim = len(self.frame)
+        acc = np.zeros((dim, dim), dtype=complex)
+        for b, c in zip(self.blocks, isometries):
             if b.q[i] > 0:
-                acc += b.embed(b.q[i] * kron(b.rho_J[i], b.rho_K))
-        return self.frame.embed(acc)
+                acc += c @ (b.q[i] * kron(b.rho_J[i], b.rho_K)) @ c.conj().T
+        return acc
 
     def reconstruction_residual(self, e: Ensemble) -> float:
         """Largest Frobenius distance between a state of `e` and its reconstruction."""
-        return max(frob(self.reconstruct(i) - e.states[i]) for i in range(len(e)))
+        isometries = self.ambient_isometries()
+        return max(frob(self._reconstruct(i, isometries) - e.states[i]) for i in range(len(e)))
 
 
 # ---------------------------------------------------------------------------
@@ -367,9 +375,9 @@ def remove_redundancy(d: KIDecomposition, e: Ensemble) -> Ensemble:
 
 def decomposition_to_doc(d: KIDecomposition) -> dict:
     return {
-        "ambient_dim": d.frame.ambient_dim,
-        "support_rank": d.frame.rank,
-        "frame": _matrix_to_pairs(d.frame.isometry) if d.frame.rank else [],
+        "ambient_dim": d.frame.shape[0],
+        "support_rank": d.frame.shape[1],
+        "frame": _matrix_to_pairs(d.frame),
         "blocks": [
             {
                 "n": b.n,
@@ -398,21 +406,22 @@ def decomposition_from_doc(doc: dict) -> KIDecomposition:
     try:
         ambient = _integer(doc["ambient_dim"], "ambient_dim", 1)
         rank = _integer(doc["support_rank"], "support_rank", 0)
-        frame_mat = _pairs_to_matrix(doc["frame"], ambient, rank, "frame")
-        frame = SupportFrame(ambient_dim=ambient, rank=rank, isometry=frame_mat)
+        frame = _pairs_to_matrix(doc["frame"], ambient, rank, "frame")
         blocks, p_block, avgs = [], [], []
         for bi, bdoc in enumerate(doc["blocks"]):
             n, k = (_integer(bdoc[key], f"blocks[{bi}].{key}", 1) for key in ("n", "k"))
             iso = _pairs_to_matrix(bdoc["isometry"], rank, n * k, f"blocks[{bi}].isometry")
             rho_k = _pairs_to_matrix(bdoc["rho_K"], k, k, f"blocks[{bi}].rho_K")
             q = np.asarray([_number(x, f"blocks[{bi}].q[{qi}]") for qi, x in enumerate(bdoc["q"])])
+            # rho_J_avg spells out its n rows, so n is witnessed before a null J state allocates n x n
+            avg = _pairs_to_matrix(bdoc["rho_J_avg"], n, n, f"blocks[{bi}].rho_J_avg")
             rho_j = np.array([
                 np.zeros((n, n)) if s is None else _pairs_to_matrix(s, n, n, f"blocks[{bi}].rho_J[{si}]")
                 for si, s in enumerate(bdoc["rho_J"])
             ], dtype=complex).reshape(-1, n, n)  # a null J state reads as zero
             blocks.append(KIBlock(n=n, k=k, isometry=iso, rho_K=rho_k, q=q, rho_J=rho_j))
             p_block.append(_number(bdoc["p"], f"blocks[{bi}].p"))
-            avgs.append(_pairs_to_matrix(bdoc["rho_J_avg"], n, n, f"blocks[{bi}].rho_J_avg"))
+            avgs.append(avg)
         return KIDecomposition(
             frame=frame, blocks=blocks, p_block=np.asarray(p_block), rho_J_avg=avgs
         )

@@ -107,45 +107,32 @@ def average_state(e: Ensemble) -> np.ndarray:
     return hermitize(np.einsum("i,ijk->jk", e.probs, e.states))
 
 
-@dataclass(frozen=True)
-class SupportFrame:
-    """Isometry from the support of the average state back into the ambient space."""
-
-    ambient_dim: int
-    rank: int
-    isometry: np.ndarray  # (ambient_dim, rank), orthonormal columns
-
-    def embed(self, m: np.ndarray) -> np.ndarray:
-        """Lift a support-space operator to the ambient space."""
-        return self.isometry @ m @ self.isometry.conj().T
-
-    def restrict(self, m: np.ndarray) -> np.ndarray:
-        return self.isometry.conj().T @ m @ self.isometry
-
-
-def support_restrict(e: Ensemble, tol: float = DEFAULT_TOL) -> tuple[SupportFrame, Ensemble]:
+def support_restrict(e: Ensemble, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, Ensemble]:
     """Restrict the ensemble onto the support of its average state.
 
+    Returns the frame, the (dim, rank) isometry F from the support into
+    the ambient space, and the ensemble of the normalized F^dagger rho_i F.
     Eigenvalues of the average state at or below tol times the largest
     are treated as zero. A full-rank average state yields the identity
-    frame, so the restricted ensemble is the input unchanged.
+    frame, so the restricted ensemble is the input unchanged. Raises
+    ValidationError for a state whose restricted trace is at or below
+    tol: it lies outside the kept support and cannot be normalized.
     """
     d = e.dim
     lam, vec = eigh(average_state(e))
     keep = rank_cut(lam, tol)
-    rank = int(np.sum(keep))
-    if rank == d:
-        frame = SupportFrame(ambient_dim=d, rank=d, isometry=np.eye(d, dtype=complex))
-        return frame, e
+    if np.all(keep):
+        return np.eye(d, dtype=complex), e
     order = np.argsort(lam[keep])[::-1]
     iso = vec[:, keep][:, order]
-    frame = SupportFrame(ambient_dim=d, rank=rank, isometry=iso)
-    restricted = []
-    for rho_i in e.states:
-        r = hermitize(frame.restrict(rho_i))
-        r = r / float(np.trace(r).real)  # support cut discards <= tol mass
-        restricted.append(r)
-    return frame, Ensemble(probs=e.probs.copy(), states=np.stack(restricted))
+    restricted = hermitize(iso.conj().T @ e.states @ iso)
+    traces = np.trace(restricted, axis1=1, axis2=2).real
+    if (outside := np.flatnonzero(traces <= tol)).size:
+        i = outside[0]
+        raise ValidationError(
+            f"states[{i}]: outside the support of the average state (restricted trace {traces[i]:.3e})"
+        )
+    return iso, Ensemble(probs=e.probs.copy(), states=restricted / traces[:, None, None])
 
 
 # ---------------------------------------------------------------------------

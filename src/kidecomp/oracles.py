@@ -16,7 +16,7 @@ import numpy as np
 
 from .algebra import commutant, generator_span
 from .decompose import KIBlock, KIDecomposition
-from .ensemble import Ensemble, SupportFrame
+from .ensemble import Ensemble
 from .errors import RejectionExhausted
 from .linalg import DEFAULT_TOL, direct_sum, eigh, hermitize, kron, qr
 
@@ -147,8 +147,7 @@ def planted_ensemble(spec: PlantSpec, tol: float = DEFAULT_TOL) -> tuple[Ensembl
         KIBlock(n=n, k=k, isometry=iso, rho_K=rho_k, q=q[:, l].copy(), rho_J=sigmas[l])
         for l, ((n, k), iso, rho_k) in enumerate(zip(spec.blocks, isometries, rho_ks))
     ]
-    frame = SupportFrame(ambient_dim=total, rank=total, isometry=np.eye(total, dtype=complex))
-    return e, KIDecomposition.from_blocks(frame, blocks, probs)
+    return e, KIDecomposition.from_blocks(np.eye(total, dtype=complex), blocks, probs)
 
 
 # ---------------------------------------------------------------------------
@@ -179,12 +178,12 @@ def _ambient_frame(d: KIDecomposition) -> tuple[np.ndarray, list[np.ndarray], np
     """C = F [V_1 ... V_L], the frame times the block isometries; block l's rows of
     C^dagger as an (n, k, D) array, one k x D slab per J index; and the
     projector 1 - F F^dagger onto the complement of the support (None at full rank)."""
-    f = d.frame.isometry
-    cols = [f @ b.isometry for b in d.blocks]
+    f = d.frame
+    cols = d.ambient_isometries()
     rows = [col.conj().T.reshape(b.n, b.k, -1) for col, b in zip(cols, d.blocks)]
     complement = None
-    if d.frame.rank < d.frame.ambient_dim:
-        complement = np.eye(d.frame.ambient_dim, dtype=complex) - f @ f.conj().T
+    if f.shape[1] < f.shape[0]:
+        complement = np.eye(len(f), dtype=complex) - f @ f.conj().T
     return np.concatenate(cols, axis=1), rows, complement
 
 

@@ -122,7 +122,11 @@ def simulate_individual(
     Each trial draws a state index from the source probabilities and a
     block label from that state's weights, charges log2(n_block) ebits,
     and scores the delivered block state against the normalized block
-    compression of the drawn state (equal to 1 up to round-off). The
+    compression of the drawn state (equal to 1 up to round-off). Both
+    live in the block's own n*k-dimensional space: the compression of
+    rho_i onto block l is C_l^dagger rho_i C_l, with C_l from
+    `d.ambient_isometries()`, and the delivered state is
+    rho_J[i] tensor rho_K. The
     summary also reports the mixture check: recombining the delivered
     block states with their weights returns each source state, which is
     `d.reconstruction_residual(e)`.
@@ -130,13 +134,12 @@ def simulate_individual(
     if trials < 1:
         raise ValueError("trials must be at least 1")
     cond_fid = np.full((len(e), len(d.blocks)), np.nan)  # NaN: the state misses the block
-    for l, b in enumerate(d.blocks):
-        proj = d.frame.embed(b.embed(np.eye(b.n * b.k, dtype=complex)))
-        for i in np.flatnonzero(b.q > 0):
-            delivered = d.frame.embed(b.embed(kron(b.rho_J[i], b.rho_K)))
-            comp = proj @ e.states[i] @ proj
-            comp = hermitize(comp / np.trace(comp).real)
-            cond_fid[i, l] = fidelity(delivered, comp, tol)
+    for l, (b, c) in enumerate(zip(d.blocks, d.ambient_isometries())):
+        hits = np.flatnonzero(b.q > 0)
+        comp = c.conj().T @ e.states[hits] @ c
+        comp = hermitize(comp / np.trace(comp, axis1=1, axis2=2).real[:, None, None])
+        for i, sigma in zip(hits, comp):
+            cond_fid[i, l] = fidelity(kron(b.rho_J[i], b.rho_K), sigma, tol)
 
     log_n = np.array([math.log2(b.n) for b in d.blocks])
     u = np.concatenate(list(_trial_stream(seed, trials, 2)))

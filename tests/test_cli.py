@@ -8,6 +8,7 @@ import pytest
 from kidecomp import algebra, cli, decompose
 from kidecomp.cli import main
 from kidecomp.ensemble import Ensemble, load_ensemble, save_ensemble
+from kidecomp.oracles import haar_unitary
 
 KET0 = np.array([[1, 0], [0, 0]], dtype=complex)
 PLUS = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
@@ -267,6 +268,37 @@ def test_exit_code_bad_decomposition_file(two_pure_file, tmp_path):
     bad = tmp_path / "dec.json"
     bad.write_text("garbage{")
     assert main(["verify", two_pure_file, "--decomposition", str(bad)]) == 2
+
+
+@pytest.mark.parametrize("rotated", [False, True], ids=["diagonal", "rotated"])
+def test_exit_code_state_outside_the_support(tmp_path, rotated, capsys):
+    # the second state, of probability 5e-10, lies outside the kept support of the average state
+    weights = ([1.0, 0.0], [0.0, 1.0]) if not rotated else ([0.6, 0.4, 0.0], [0.0, 0.0, 1.0])
+    u = haar_unitary(len(weights[0]), seed=3) if rotated else np.eye(2)
+    path = tmp_path / "outside.json"
+    states = [u @ np.diag(w).astype(complex) @ u.conj().T for w in weights]
+    save_ensemble(path, Ensemble(probs=[1 - 5e-10, 5e-10], states=states))
+    assert main(["decompose", str(path)]) == 2
+    assert r"states[1]: outside the support" in capsys.readouterr().err
+
+
+def test_exit_code_decomposition_with_unwitnessed_block_dimension(two_pure_file, tmp_path, capsys):
+    # null J states of n = 10**9 with an empty rho_J_avg: a parse error, not an n x n allocation
+    doc = {
+        "ambient_dim": 2, "support_rank": 0, "frame": [[], []],
+        "blocks": [{"n": 10**9, "k": 1, "p": 1.0, "isometry": [], "rho_K": [[[1.0, 0.0]]],
+                    "q": [1.0, 1.0], "rho_J": [None, None], "rho_J_avg": []}],
+    }
+    path = tmp_path / "dec.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", two_pure_file, "--decomposition", str(path)]) == 2
+    assert "blocks[0].rho_J_avg" in capsys.readouterr().err
+
+
+def test_exit_code_allocation_failure(tmp_path, capsys):
+    # a 10**9-dimensional block needs exabytes; numpy refuses the allocation at once
+    assert main(["gen", "-o", str(tmp_path / "g.json"), "--blocks", "1000000000x1"]) == 4
+    assert capsys.readouterr().err.startswith("configuration error: Unable to allocate")
 
 
 def test_exit_code_bad_blocks(tmp_path):

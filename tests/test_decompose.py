@@ -15,7 +15,7 @@ from kidecomp.decompose import (
     write_decomposition,
 )
 from kidecomp.ensemble import Ensemble, validate
-from kidecomp.errors import FormViolation, ParseError
+from kidecomp.errors import FormViolation, ParseError, ValidationError
 from kidecomp.measures import info_measures
 from kidecomp.oracles import PlantSpec, haar_unitary, planted_ensemble
 
@@ -443,3 +443,44 @@ def test_decomposition_integers_are_strict(field, value):
         locus = f"^{field}: expected"
     with pytest.raises(ParseError, match=locus):
         decomposition_from_doc(doc)
+
+
+def outside_support_ensembles():
+    """Two valid ensembles whose second state, of probability 5e-10, lies where the
+    average state's eigenvalue falls below the support cut: |0><0|, |1><1| in dimension 2,
+    and U diag(.6, .4, 0) U^dagger, U diag(0, 0, 1) U^dagger in dimension 3."""
+    probs = [1 - 5e-10, 5e-10]
+    u = haar_unitary(3, seed=3)
+    rotated = [u @ np.diag(w).astype(complex) @ u.conj().T for w in ([0.6, 0.4, 0.0], [0.0, 0.0, 1.0])]
+    return [Ensemble(probs=probs, states=[KET0, KET1]), Ensemble(probs=probs, states=rotated)]
+
+
+@pytest.mark.parametrize("e", outside_support_ensembles(), ids=["diagonal", "rotated"])
+def test_state_outside_the_support_is_rejected(e):
+    with pytest.raises(ValidationError, match=r"states\[1\]: outside the support"):
+        ki_decompose(e, seed=0)
+
+
+# support rank 0 and n = 10**9, with null J states: 203 bytes that once asked for an n x n array
+UNWITNESSED_N = (
+    b'{"ambient_dim": 2, "support_rank": 0, "frame": [[], []], "blocks": [{"n": 1000000000, "k": 1, '
+    b'"p": 1.0, "isometry": [], "rho_K": [[[1.0, 0.0]]], "q": [1.0, 1.0], "rho_J": [null, null], "rho_J_avg": []}]}'
+)
+
+
+def test_null_j_states_wait_for_rho_j_avg_to_witness_n():
+    assert len(UNWITNESSED_N) == 203
+    with pytest.raises(ParseError, match=r"blocks\[0\]\.rho_J_avg: expected 1000000000 rows"):
+        read_decomposition(UNWITNESSED_N)
+
+
+def test_padded_decomposition_document_roundtrip():
+    # rank 2 of 4: the document's frame is the (4, 2) isometry and reads back as written
+    u = haar_unitary(4, seed=5)
+    e = Ensemble(probs=[0.5, 0.5], states=[u @ np.pad(s, (0, 2)) @ u.conj().T for s in (KET0, PLUS)])
+    d = ki_decompose(e, seed=0)
+    doc = decomposition_to_doc(d)
+    assert (doc["ambient_dim"], doc["support_rank"]) == d.frame.shape == (4, 2)
+    d2 = read_decomposition(write_decomposition(d))
+    assert np.array_equal(d2.frame, d.frame)
+    assert verify(d2, e, channels=3, seed=0).ok

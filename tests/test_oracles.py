@@ -147,15 +147,15 @@ def _legacy_kraus(d, env_dim: int, seed: int) -> np.ndarray:
         env_states = g / np.linalg.norm(g, axis=1, keepdims=True)
         ops = [commuting @ vec @ np.diag(env_states[:, t]) @ vec.conj().T for t in range(env_dim)]
         block_kraus.append(ops)
-    f = d.frame.isometry
+    f = d.frame
     kraus = []
     for t in range(env_dim):
-        acc = np.zeros((d.frame.rank, d.frame.rank), dtype=complex)
+        acc = np.zeros((f.shape[1], f.shape[1]), dtype=complex)
         for b, bk in zip(d.blocks, block_kraus):
-            acc += b.embed(np.kron(np.eye(b.n), bk[t]))
+            acc += b.isometry @ np.kron(np.eye(b.n), bk[t]) @ b.isometry.conj().T
         kraus.append(f @ acc @ f.conj().T)
-    if d.frame.rank < d.frame.ambient_dim:
-        kraus[0] = kraus[0] + np.eye(d.frame.ambient_dim) - f @ f.conj().T
+    if f.shape[1] < f.shape[0]:
+        kraus[0] = kraus[0] + np.eye(f.shape[0]) - f @ f.conj().T
     return np.stack(kraus)
 
 
@@ -172,7 +172,7 @@ def _legacy_drift(d, e, channels: int, env_dim: int, seed: int) -> float:
 def _assert_same_channels(d, env_dim: int = 2):
     for seed in range(20):
         got = random_form2_channel(d, env_dim=env_dim, seed=seed).kraus
-        assert got.shape == (env_dim, d.frame.ambient_dim, d.frame.ambient_dim)
+        assert got.shape == (env_dim, d.frame.shape[0], d.frame.shape[0])
         assert np.max(np.abs(got - _legacy_kraus(d, env_dim, seed))) <= 1e-13
 
 
@@ -215,7 +215,7 @@ def test_stacked_kraus_match_on_a_padded_support():
     states[:, : e.dim, : e.dim] = e.states
     padded = Ensemble(probs=e.probs.copy(), states=states)
     d = ki_decompose(padded, seed=0)
-    assert d.frame.rank < d.frame.ambient_dim
+    assert d.frame.shape[1] < d.frame.shape[0]
     _assert_same_channels(d)
     assert abs(_drift(verify(d, padded, seed=2)) - _legacy_drift(d, padded, 20, 2, 2)) <= 1e-13
 

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import math
@@ -15,7 +16,7 @@ from kidecomp.ensemble import Ensemble
 from kidecomp.errors import ConfigTooLarge, EmptyTypicalSet, ValidationError
 from kidecomp.linalg import eigvalsh, hermitize
 from kidecomp.measures import fidelity, info_measures
-from kidecomp.oracles import PlantSpec, planted_ensemble
+from kidecomp.oracles import PlantSpec, haar_unitary, planted_ensemble, random_density
 from kidecomp.protocols import (
     _BOUNDARY_GUARD,
     _block_data,
@@ -106,6 +107,42 @@ def test_document_null_under_positive_weight_reads_as_a_zero_j_state():
     assert summary.mixture_residual == pytest.approx(1.0, abs=1e-9)
     report = verify(bad, e, seed=0)
     assert [c.ok for c in report.checks if c.name == "reconstruction"] == [False]
+
+
+def ambient_conditional_fidelity(e, d, i, l):
+    """The conditional fidelity in the ambient space: the normalized P rho_i P, P the
+    projector onto block l, against the delivered state lifted through V_l and then F."""
+    b, f = d.blocks[l], d.frame
+
+    def lift(m):
+        return f @ (b.isometry @ m @ b.isometry.conj().T) @ f.conj().T
+
+    proj = lift(np.eye(b.n * b.k, dtype=complex))
+    comp = proj @ e.states[i] @ proj
+    return fidelity(lift(np.kron(b.rho_J[i], b.rho_K)), hermitize(comp / np.trace(comp).real))
+
+
+def test_block_space_fidelity_matches_the_ambient_definition():
+    # a planted d = 5 ensemble padded to d = 7 behind a rotation, so the frame is a
+    # proper isometry; J states mixed with noise make the fidelities differ from 1
+    e5, _ = planted_ensemble(PlantSpec(blocks=((2, 2), (1, 1)), num_states=3, seed=4))
+    u = haar_unitary(7, seed=8)
+    padded = np.zeros((len(e5), 7, 7), dtype=complex)
+    padded[:, :5, :5] = e5.states
+    e = Ensemble(probs=e5.probs, states=u @ padded @ u.conj().T)
+    d = ki_decompose(e, seed=0)
+    assert d.frame.shape == (7, 5)
+    rng = np.random.default_rng(0)
+    noisy = [dataclasses.replace(b, rho_J=np.stack([0.7 * s + 0.3 * random_density(b.n, rng) for s in b.rho_J]))
+             for b in d.blocks]
+    for dd in (d, dataclasses.replace(d, blocks=noisy)):
+        trials, _ = simulate_individual(e, dd, trials=400, seed=1)
+        picked = list(zip(trials.state.tolist(), trials.block.tolist()))
+        assert set(picked) == set(itertools.product(range(len(e)), range(len(dd.blocks))))
+        want = {pair: ambient_conditional_fidelity(e, dd, *pair) for pair in set(picked)}
+        got = trials.conditional_fidelity
+        assert np.max(np.abs(got - [want[pair] for pair in picked])) <= 1e-12
+    assert got.min() < 0.99  # the noisy case is not scored as perfect
 
 
 @pytest.mark.parametrize(

@@ -122,6 +122,20 @@ def _error_cases(out: Path, codes: list[str]) -> None:
     short = case / "short.truth.json"
     short.write_text(json.dumps(truth), encoding="utf-8")
     _call(case, codes, "verify_short", ["verify", str(plant), "--decomposition", str(short)])
+    # a valid ensemble whose second state lies outside the kept support of the average state
+    outside = case / "outside_support.json"
+    doc = {"dim": 2, "states": [{"p": 1 - 5e-10, "matrix": _pairs([[1.0, 0.0], [0.0, 0.0]])},
+                                {"p": 5e-10, "matrix": _pairs([[0.0, 0.0], [0.0, 1.0]])}]}
+    outside.write_text(json.dumps(doc), encoding="utf-8")
+    _call(case, codes, "outside_support", ["decompose", str(outside)])
+    # null J states of n = 10**9 whose rho_J_avg has no rows: nothing witnesses n
+    unwitnessed = case / "unwitnessed_n.json"
+    unwitnessed.write_text(
+        '{"ambient_dim": 2, "support_rank": 0, "frame": [[], []], "blocks": [{"n": 1000000000, "k": 1, '
+        '"p": 1.0, "isometry": [], "rho_K": [[[1.0, 0.0]]], "q": [1.0, 1.0], "rho_J": [null, null], "rho_J_avg": []}]}',
+        encoding="utf-8",
+    )
+    _call(case, codes, "verify_unwitnessed_n", ["verify", str(plant), "--decomposition", str(unwitnessed)])
     broken = case / "broken.json"
     broken.write_text('{"dim": 2, "states": [', encoding="utf-8")
     _call(case, codes, "malformed_input", ["measures", str(broken)])
