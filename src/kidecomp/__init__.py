@@ -27,11 +27,9 @@ from .oracles import Channel, PlantSpec, haar_unitary, planted_ensemble, random_
 from .protocols import (
     AsymptoticRun,
     Trials,
-    TypicalSet,
     rate_sweep,
     simulate_asymptotic,
     simulate_individual,
-    typical_projector,
 )
 
 __all__ = [
@@ -61,9 +59,7 @@ __all__ = [
     "random_form2_channel",
     "AsymptoticRun",
     "Trials",
-    "TypicalSet",
     "rate_sweep",
     "simulate_asymptotic",
     "simulate_individual",
-    "typical_projector",
 ]

@@ -105,7 +105,7 @@ def _decompose_input(cfg: argparse.Namespace):
 
 def _decompose(cfg):
     e, d = _decompose_input(cfg)
-    return decomposition_to_doc(d), {"reconstruction_max": d.reconstruction_residual(e)}
+    return decomposition_to_doc(d, e.probs), {"reconstruction_max": d.reconstruction_residual(e)}
 
 
 def _measures(cfg):
@@ -158,7 +158,7 @@ def _gen(cfg):
     valid = validate(e, cfg.tol).ok
     save_ensemble(cfg.output, e)
     # the sidecar is JSON whatever --format says: it is read back as a decomposition
-    sidecar = _report_text(cfg, decomposition_to_doc(truth), {"ensemble_valid": valid}, "json")
+    sidecar = _report_text(cfg, decomposition_to_doc(truth, e.probs), {"ensemble_valid": valid}, "json")
     _write(_truth_path(cfg.output), sidecar)
 
 

@@ -71,21 +71,19 @@ class KIDecomposition:
 
     frame: np.ndarray
     blocks: list[KIBlock]
-    p_block: np.ndarray
-    rho_J_avg: list[np.ndarray]
 
-    @classmethod
-    def from_blocks(cls, frame: np.ndarray, blocks: list[KIBlock], probs: np.ndarray) -> KIDecomposition:
-        """Blocks in canonical order, with p_block[l] = sum_i p_i q[i] and the averaged J states."""
-        blocks = sorted(blocks, key=_block_key)
-        p_block = np.array([float(np.dot(probs, b.q)) for b in blocks])
+    def block_averages(self, probs: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+        """p_block[l] = sum_i p_i q[i] and the averaged J state sum_i p_i q[i] rho_J[i] / p_block[l]
+        of each block, for source probabilities `probs`; a block no state reaches has
+        p_block[l] = 0 and a zero averaged J state."""
+        p_block = np.array([float(np.dot(probs, b.q)) for b in self.blocks])
         rho_j_avg = []
-        for b in blocks:
+        for b, pl in zip(self.blocks, p_block):
             acc = np.zeros((b.n, b.n), dtype=complex)
             for w, s in zip(probs * b.q, b.rho_J):  # in state order; a missed block adds zeros
                 acc += w * s
-            rho_j_avg.append(hermitize(acc / np.dot(probs, b.q)))
-        return cls(frame=frame, blocks=blocks, p_block=p_block, rho_J_avg=rho_j_avg)
+            rho_j_avg.append(hermitize(acc / pl) if pl else np.zeros_like(acc))
+        return p_block, rho_j_avg
 
     def ambient_isometries(self) -> list[np.ndarray]:
         """C_l = F V_l for each block l: the isometry from C^n tensor C^k into the ambient space."""
@@ -224,7 +222,7 @@ def _block_key(block: KIBlock):
 def _merge_to_fixpoint(blocks: list[KIBlock], tol: float) -> list[KIBlock]:
     """One pass in `_block_key` order: each block folds into the first kept block it is
     `mergeable` with, or is kept. Mergeability is transitive and a merged block keeps its
-    first block's J states (q scaled by 1 + c), so this is the fixpoint. `from_blocks` sorts."""
+    first block's J states (q scaled by 1 + c), so this is the fixpoint. The caller sorts."""
     kept: list[KIBlock] = []
     for b in sorted(blocks, key=_block_key):
         for ia, a in enumerate(kept):
@@ -252,7 +250,7 @@ def ki_decompose(e: Ensemble, seed: int = 0, tol: float = DEFAULT_TOL) -> KIDeco
     irreps = irrep_decompose(generator_span(list(er.states), er.dim, tol), seed, tol)
     blocks = [_extract_block_data(ib, er.states, tol) for ib in irreps]
     blocks = [_canonicalize_redundant_factor(b) for b in _merge_to_fixpoint(blocks, tol)]
-    d = KIDecomposition.from_blocks(frame, blocks, e.probs)
+    d = KIDecomposition(frame=frame, blocks=sorted(blocks, key=_block_key))
 
     worst = d.reconstruction_residual(e)
     if worst > max(tol, 1e4 * np.finfo(float).eps) * max(1.0, max(frob(s) for s in e.states)):
@@ -373,7 +371,9 @@ def remove_redundancy(d: KIDecomposition, e: Ensemble) -> Ensemble:
 # serialization
 
 
-def decomposition_to_doc(d: KIDecomposition) -> dict:
+def decomposition_to_doc(d: KIDecomposition, probs: np.ndarray) -> dict:
+    """The JSON document of `d`, with each block's `p` and `rho_J_avg` derived from `probs`."""
+    p_block, rho_j_avg = d.block_averages(probs)
     return {
         "ambient_dim": d.frame.shape[0],
         "support_rank": d.frame.shape[1],
@@ -389,7 +389,7 @@ def decomposition_to_doc(d: KIDecomposition) -> dict:
                 "rho_J": [None if qi <= 0 else _matrix_to_pairs(s) for qi, s in zip(b.q, b.rho_J)],
                 "rho_J_avg": _matrix_to_pairs(avg),
             }
-            for b, p, avg in zip(d.blocks, d.p_block, d.rho_J_avg)
+            for b, p, avg in zip(d.blocks, p_block, rho_j_avg)
         ],
     }
 
@@ -399,7 +399,9 @@ def decomposition_from_doc(doc: dict) -> KIDecomposition:
 
     Intentionally lenient: invariants are not enforced here, so a
     corrupted document round-trips into an object that `verify` can
-    then report on.
+    then report on. Each block's `p` and `rho_J_avg` are parsed, so a
+    malformed one raises ParseError, and then dropped: consumers derive
+    them from the ensemble with `block_averages`.
     """
     if isinstance(doc, dict) and "result" in doc and "blocks" not in doc:
         doc = doc["result"]  # accept a whole report wrapper
@@ -407,32 +409,29 @@ def decomposition_from_doc(doc: dict) -> KIDecomposition:
         ambient = _integer(doc["ambient_dim"], "ambient_dim", 1)
         rank = _integer(doc["support_rank"], "support_rank", 0)
         frame = _pairs_to_matrix(doc["frame"], ambient, rank, "frame")
-        blocks, p_block, avgs = [], [], []
+        blocks = []
         for bi, bdoc in enumerate(doc["blocks"]):
             n, k = (_integer(bdoc[key], f"blocks[{bi}].{key}", 1) for key in ("n", "k"))
             iso = _pairs_to_matrix(bdoc["isometry"], rank, n * k, f"blocks[{bi}].isometry")
             rho_k = _pairs_to_matrix(bdoc["rho_K"], k, k, f"blocks[{bi}].rho_K")
             q = np.asarray([_number(x, f"blocks[{bi}].q[{qi}]") for qi, x in enumerate(bdoc["q"])])
             # rho_J_avg spells out its n rows, so n is witnessed before a null J state allocates n x n
-            avg = _pairs_to_matrix(bdoc["rho_J_avg"], n, n, f"blocks[{bi}].rho_J_avg")
+            _pairs_to_matrix(bdoc["rho_J_avg"], n, n, f"blocks[{bi}].rho_J_avg")
             rho_j = np.array([
                 np.zeros((n, n)) if s is None else _pairs_to_matrix(s, n, n, f"blocks[{bi}].rho_J[{si}]")
                 for si, s in enumerate(bdoc["rho_J"])
             ], dtype=complex).reshape(-1, n, n)  # a null J state reads as zero
+            _number(bdoc["p"], f"blocks[{bi}].p")
             blocks.append(KIBlock(n=n, k=k, isometry=iso, rho_K=rho_k, q=q, rho_J=rho_j))
-            p_block.append(_number(bdoc["p"], f"blocks[{bi}].p"))
-            avgs.append(avg)
-        return KIDecomposition(
-            frame=frame, blocks=blocks, p_block=np.asarray(p_block), rho_J_avg=avgs
-        )
+        return KIDecomposition(frame=frame, blocks=blocks)
     except ParseError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed decomposition document: {exc}") from exc
 
 
-def write_decomposition(d: KIDecomposition) -> bytes:
-    return (json.dumps(decomposition_to_doc(d), indent=1) + "\n").encode("utf-8")
+def write_decomposition(d: KIDecomposition, probs: np.ndarray) -> bytes:
+    return (json.dumps(decomposition_to_doc(d, probs), indent=1) + "\n").encode("utf-8")
 
 
 def read_decomposition(data: bytes) -> KIDecomposition:

@@ -162,13 +162,18 @@ def _matrix_to_pairs(m: np.ndarray) -> list:
 
 
 def _pairs_to_matrix(rows, nrows: int, ncols: int, locus: str) -> np.ndarray:
-    """Parse rows of [re, im] number pairs; a ParseError names the first bad locus."""
+    """Parse rows of [re, im] number pairs; a ParseError names the first bad locus.
+
+    Every row's length is checked before the array is allocated, so the
+    allocation is bounded by the entries the document spells out.
+    """
     if not isinstance(rows, list) or len(rows) != nrows:
         raise ParseError(f"{locus}: expected {nrows} rows")
-    out = np.empty((nrows, ncols), dtype=complex)
     for r, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != ncols:
             raise ParseError(f"{locus}[{r}]: expected {ncols} columns")
+    out = np.empty((nrows, ncols), dtype=complex)
+    for r, row in enumerate(rows):
         for c, entry in enumerate(row):
             if not isinstance(entry, list) or len(entry) != 2:
                 raise ParseError(f"{locus}[{r}][{c}]: expected a [re, im] pair")

@@ -33,10 +33,6 @@ class ValidationError(KidecompError):
     """Parsed object violates a structural invariant."""
 
 
-class EmptyTypicalSet(KidecompError):
-    """No eigenvalue sequence satisfies the typicality window."""
-
-
 class ConfigTooLarge(KidecompError):
     """Requested simulation or commutant solve exceeds the desk-scale guard."""
 

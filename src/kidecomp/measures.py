@@ -89,9 +89,9 @@ def info_measures(d: KIDecomposition, e: Ensemble, tol: float = DEFAULT_TOL) -> 
     part: average block entropy of the shared K states. Prepared ebits
     follow the largest J factor, consumed ebits its block average.
     """
-    p = np.asarray(d.p_block, dtype=float)
+    p, rho_j_avg = d.block_averages(e.probs)
     i_c = shannon_entropy(p, tol)
-    i_nc = float(sum(pl * von_neumann_entropy(rj, tol) for pl, rj in zip(p, d.rho_J_avg)))
+    i_nc = float(sum(pl * von_neumann_entropy(rj, tol) for pl, rj in zip(p, rho_j_avg)))
     i_r = float(sum(pl * von_neumann_entropy(b.rho_K, tol) for pl, b in zip(p, d.blocks)))
     s_total = von_neumann_entropy(average_state(e), tol)
     e_prep = float(np.log2(max(b.n for b in d.blocks)))

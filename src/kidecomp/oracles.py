@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import commutant, generator_span
-from .decompose import KIBlock, KIDecomposition
+from .decompose import KIBlock, KIDecomposition, _block_key
 from .ensemble import Ensemble
 from .errors import RejectionExhausted
 from .linalg import DEFAULT_TOL, direct_sum, eigh, hermitize, kron, qr
@@ -147,7 +147,7 @@ def planted_ensemble(spec: PlantSpec, tol: float = DEFAULT_TOL) -> tuple[Ensembl
         KIBlock(n=n, k=k, isometry=iso, rho_K=rho_k, q=q[:, l].copy(), rho_J=sigmas[l])
         for l, ((n, k), iso, rho_k) in enumerate(zip(spec.blocks, isometries, rho_ks))
     ]
-    return e, KIDecomposition.from_blocks(np.eye(total, dtype=complex), blocks, probs)
+    return e, KIDecomposition(frame=np.eye(total, dtype=complex), blocks=sorted(blocks, key=_block_key))
 
 
 # ---------------------------------------------------------------------------

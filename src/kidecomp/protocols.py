@@ -42,8 +42,8 @@ import numpy as np
 
 from .decompose import KIDecomposition
 from .ensemble import Ensemble
-from .errors import ConfigTooLarge, EmptyTypicalSet, ValidationError
-from .linalg import DEFAULT_TOL, eigh, eigvalsh, hermitize, kron, rank_cut
+from .errors import ConfigTooLarge, ValidationError
+from .linalg import DEFAULT_TOL, eigh, eigvalsh, hermitize, kron
 from .measures import fidelity, shannon_entropy
 from .streams import _trial_stream
 
@@ -154,7 +154,7 @@ def simulate_individual(
         mean_ebits=float(ebits.mean()),
         stderr_ebits=float(ebits.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0,
         max_ebits=float(ebits.max()),
-        ebits_consumed_expected=float(np.dot(d.p_block, log_n)),
+        ebits_consumed_expected=float(np.dot(d.block_averages(e.probs)[0], log_n)),
         ebits_prepared_bound=float(np.max(log_n)),
         min_conditional_fidelity=float(fid.min()),
         mixture_residual=d.reconstruction_residual(e),
@@ -163,7 +163,7 @@ def simulate_individual(
 
 
 # ---------------------------------------------------------------------------
-# typicality bookkeeping
+# type-class bookkeeping
 
 
 def _multinomial(counts: tuple[int, ...]) -> int:
@@ -190,74 +190,6 @@ def _type_classes(log2lam: np.ndarray, length: int):
     sizes = [_multinomial(c) for c in counts.tolist()]
     log2p = [float(np.dot(c, log2lam)) for c in counts]
     return counts, sizes, log2p
-
-
-@dataclass(frozen=True)
-class TypeClass:
-    counts: tuple[int, ...]
-    sequences: int
-    log2_prob: float  # per member sequence
-
-
-@dataclass(frozen=True)
-class TypicalSet:
-    """Eigenvalue-index sequences within delta of the entropy rate.
-
-    Stored by type class over the product eigenbasis; the underlying
-    dim^N projector is never materialized.
-    """
-
-    spectrum: np.ndarray
-    length: int
-    delta: float
-    entropy_rate: float
-    classes: tuple[TypeClass, ...]
-
-    @property
-    def size(self) -> int:
-        return sum(c.sequences for c in self.classes)
-
-    @property
-    def weight(self) -> float:
-        return float(sum(c.sequences * 2.0 ** c.log2_prob for c in self.classes))
-
-
-def typical_projector(
-    spectrum, length: int, delta: float, tol: float = DEFAULT_TOL
-) -> TypicalSet:
-    """Typicality window over length-`length` eigenvalue sequences.
-
-    A sequence s is typical when |-(1/N) sum log2 lam_{s_j} - S| <= delta
-    (plus a 1e-12 float boundary guard). Enumerated by type class, so
-    the cost is polynomial in `length`. Raises ValueError on an entry
-    below -tol, and EmptyTypicalSet when no sequence qualifies, which is
-    legal for small lengths.
-    """
-    lam = np.asarray(spectrum, dtype=float)
-    if length < 1:
-        raise ValueError("length must be at least 1")
-    if not np.all(np.isfinite(lam)):
-        raise ValueError("spectrum must be finite")
-    if np.any(lam < -tol):
-        raise ValueError("spectrum must be non-negative")
-    if abs(float(lam.sum()) - 1.0) > 1e-6:
-        raise ValueError("spectrum must sum to 1")
-    lam = lam[rank_cut(lam, tol)]
-    lam = np.sort(lam)[::-1]
-    s_rate = float(-np.sum(lam * np.log2(lam)))
-    counts, sizes, log2p = _type_classes(np.log2(lam), length)
-    classes = [
-        TypeClass(counts=tuple(c), sequences=size, log2_prob=lp)
-        for c, size, lp in zip(counts.tolist(), sizes, log2p)
-        if abs(-lp / length - s_rate) <= delta + _BOUNDARY_GUARD
-    ]
-    if not classes:
-        raise EmptyTypicalSet(
-            f"no length-{length} sequence is within {delta} of rate {s_rate:.6f}"
-        )
-    return TypicalSet(
-        spectrum=lam, length=length, delta=delta, entropy_rate=s_rate, classes=tuple(classes)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -374,9 +306,10 @@ class _BlockData:
     all_pure: bool  # over the states that reach the block
 
 
-def _block_data(d: KIDecomposition) -> list[_BlockData]:
+def _block_data(d: KIDecomposition, rho_j_avg: list[np.ndarray]) -> list[_BlockData]:
+    """Each block's data from its averaged J state, as `block_averages` gives it."""
     out = []
-    for b, avg in zip(d.blocks, d.rho_J_avg):
+    for b, avg in zip(d.blocks, rho_j_avg):
         lam, vec = eigh(hermitize(avg))
         order = np.argsort(lam)[::-1]
         lam, vec = np.clip(lam[order], 1e-300, None), vec[:, order]
@@ -496,7 +429,8 @@ def rate_sweep(
     if not deltas:
         return []
     cdf_p, cdf_q = _pick_cdfs(e, d)
-    data = _block_data(d)
+    p_block, rho_j_avg = d.block_averages(e.probs)
+    data = _block_data(d, rho_j_avg)
     plans: dict[tuple[int, int, float], _CompressionPlan] = {}
     fidelities = np.ones((len(deltas), trials))
     qubits = np.zeros((len(deltas), trials), dtype=np.int64)
@@ -525,7 +459,7 @@ def rate_sweep(
                 w = _overlap_weight(plan, diag_rows, sums)
                 fidelities[k, t] *= w if u_group <= w else _failure_fidelity(plan, data[l], members, w)
 
-    bit_rate = shannon_entropy(d.p_block, tol)
+    bit_rate = shannon_entropy(p_block, tol)
     return [
         AsymptoticRun(
             n_messages=n,

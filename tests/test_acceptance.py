@@ -95,7 +95,8 @@ def test_criterion_2_oracle_recovery(batch):
             worst = max(worst, abs(getattr(m, field) - getattr(mt, field)))
         for bt, br in _match_blocks(truth, d.blocks):
             worst = max(worst, float(np.max(np.abs(bt.q - br.q))))
-        worst = max(worst, float(np.max(np.abs(np.sort(d.p_block) - np.sort(truth.p_block)))))
+        p_d, p_truth = d.block_averages(e.probs)[0], truth.block_averages(e.probs)[0]
+        worst = max(worst, float(np.max(np.abs(np.sort(p_d) - np.sort(p_truth)))))
     _verdict(
         2,
         f"planted recovery: shapes exact, scalars within 1e-7 (worst {worst:.2e})",

@@ -1,5 +1,11 @@
+import functools
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kidecomp import decompose
 from kidecomp.algebra import IrrepBlock
@@ -18,6 +24,7 @@ from kidecomp.ensemble import Ensemble, validate
 from kidecomp.errors import FormViolation, ParseError, ValidationError
 from kidecomp.measures import info_measures
 from kidecomp.oracles import PlantSpec, haar_unitary, planted_ensemble
+from kidecomp.protocols import rate_sweep
 
 KET0 = np.array([[1, 0], [0, 0]], dtype=complex)
 KET1 = np.array([[0, 0], [0, 1]], dtype=complex)
@@ -104,7 +111,7 @@ def test_planted_recovery():
     e, truth = planted_ensemble(PlantSpec(blocks=((2, 1), (1, 2)), num_states=3, seed=11))
     d = ki_decompose(e, seed=0)
     assert sorted((b.n, b.k) for b in d.blocks) == sorted((b.n, b.k) for b in truth.blocks)
-    assert np.allclose(d.p_block, truth.p_block, atol=1e-7)
+    assert np.allclose(d.block_averages(e.probs)[0], truth.block_averages(e.probs)[0], atol=1e-7)
     for br, bt in zip(d.blocks, truth.blocks):
         assert np.allclose(br.q, bt.q, atol=1e-7)
         assert np.allclose(
@@ -301,7 +308,7 @@ def test_verify_flags_corruption():
     bad_blocks[0] = KIBlock(
         n=b.n, k=b.k, isometry=b.isometry, rho_K=wrong_k, q=b.q, rho_J=b.rho_J
     )
-    bad = type(d)(frame=d.frame, blocks=bad_blocks, p_block=d.p_block, rho_J_avg=d.rho_J_avg)
+    bad = type(d)(frame=d.frame, blocks=bad_blocks)
     report = verify(bad, e, seed=1)
     assert not report.ok
     assert any(c.name == "reconstruction" and not c.ok for c in report.checks)
@@ -364,7 +371,7 @@ def test_unitary_invariance():
     )
     dr = ki_decompose(rotated, seed=0)
     assert sorted((b.n, b.k) for b in d.blocks) == sorted((b.n, b.k) for b in dr.blocks)
-    assert np.allclose(np.sort(d.p_block), np.sort(dr.p_block), atol=1e-7)
+    assert np.allclose(np.sort(d.block_averages(e.probs)[0]), np.sort(dr.block_averages(e.probs)[0]), atol=1e-7)
     for ba, bb in zip(d.blocks, dr.blocks):
         assert np.allclose(np.sort(ba.q), np.sort(bb.q), atol=1e-7)
         assert np.allclose(
@@ -382,9 +389,9 @@ def test_unitary_invariance():
 def test_serialization_roundtrip():
     e, _ = planted_ensemble(PlantSpec(blocks=((2, 1), (1, 2)), num_states=2, seed=21))
     d = ki_decompose(e, seed=0)
-    d2 = read_decomposition(write_decomposition(d))
+    d2 = read_decomposition(write_decomposition(d, e.probs))
     assert verify(d2, e, channels=5, seed=0).ok
-    doc = decomposition_to_doc(d)
+    doc = decomposition_to_doc(d, e.probs)
     doc["blocks"][0]["rho_K"][0][0] = [0.123, 0.0]  # corrupt one entry
     d3 = decomposition_from_doc(doc)
     assert not verify(d3, e, channels=5, seed=0).ok
@@ -396,8 +403,8 @@ def test_serialization_keeps_zero_weight_entries():
     e = Ensemble(probs=[0.4, 0.4, 0.2], states=[np.pad(KET0, (0, 1)), np.pad(PLUS, (0, 1)), ket2])
     d = ki_decompose(e, seed=0)
     assert sorted((b.n, b.k) for b in d.blocks) == [(1, 1), (2, 1)]
-    doc = decomposition_to_doc(d)
-    d2 = read_decomposition(write_decomposition(d))
+    doc = decomposition_to_doc(d, e.probs)
+    d2 = read_decomposition(write_decomposition(d, e.probs))
     for b, bdoc, b2 in zip(d.blocks, doc["blocks"], d2.blocks):
         assert (b.q == 0).any() and (b.q > 0).any()
         assert [s is None for s in bdoc["rho_J"]] == (b.q == 0).tolist()
@@ -420,7 +427,8 @@ def test_serialization_keeps_zero_weight_entries():
     ],
 )
 def test_decomposition_entries_must_be_numbers(field, value, locus):
-    doc = decomposition_to_doc(ki_decompose(two_pure(), seed=0))
+    e = two_pure()
+    doc = decomposition_to_doc(ki_decompose(e, seed=0), e.probs)
     if field == "isometry":
         doc["blocks"][0]["isometry"][0][0] = value
     else:
@@ -434,7 +442,8 @@ def test_decomposition_entries_must_be_numbers(field, value, locus):
     [("n", 2.7), ("n", "2"), ("n", True), ("n", 0), ("k", 1.0), ("ambient_dim", "4"), ("support_rank", 4.9), ("support_rank", -1)],
 )
 def test_decomposition_integers_are_strict(field, value):
-    doc = decomposition_to_doc(ki_decompose(two_pure(), seed=0))
+    e = two_pure()
+    doc = decomposition_to_doc(ki_decompose(e, seed=0), e.probs)
     if field in ("n", "k"):
         doc["blocks"][0][field] = value
         locus = rf"blocks\[0\]\.{field}: expected"
@@ -479,8 +488,100 @@ def test_padded_decomposition_document_roundtrip():
     u = haar_unitary(4, seed=5)
     e = Ensemble(probs=[0.5, 0.5], states=[u @ np.pad(s, (0, 2)) @ u.conj().T for s in (KET0, PLUS)])
     d = ki_decompose(e, seed=0)
-    doc = decomposition_to_doc(d)
+    doc = decomposition_to_doc(d, e.probs)
     assert (doc["ambient_dim"], doc["support_rank"]) == d.frame.shape == (4, 2)
-    d2 = read_decomposition(write_decomposition(d))
+    d2 = read_decomposition(write_decomposition(d, e.probs))
     assert np.array_equal(d2.frame, d.frame)
     assert verify(d2, e, channels=3, seed=0).ok
+
+
+# -- block averages are derived, never read back --------------------------------
+
+
+@functools.cache
+def plant_2x1_1x2():
+    """The 2x1,1x2 plant (seed 1), its decomposition, measures and a small rate sweep."""
+    e, _ = planted_ensemble(PlantSpec(blocks=((2, 1), (1, 2)), num_states=3, seed=1))
+    d = ki_decompose(e, seed=0)
+    return e, d, info_measures(d, e), rate_sweep(e, d, 4, [-0.25, 0.0], trials=20, seed=1)
+
+
+def assert_same_outputs(d, e, m0, runs0):
+    assert info_measures(d, e) == m0
+    runs = rate_sweep(e, d, 4, [-0.25, 0.0], trials=20, seed=1)
+    assert [r.to_dict() for r in runs] == [r.to_dict() for r in runs0]
+    assert all(np.array_equal(r.fidelities, r0.fidelities) for r, r0 in zip(runs, runs0))
+
+
+def test_corrupted_stored_averages_do_not_reach_the_measures():
+    # block p set to 0.9 / 0.1 and block 0's rho_J_avg to |0><0|: the stored
+    # copies once gave I_C 0.469 and I_NC 0; the document still reads back whole
+    e, d, m0, _ = plant_2x1_1x2()
+    doc = decomposition_to_doc(d, e.probs)
+    doc["blocks"][0]["p"], doc["blocks"][1]["p"] = 0.9, 0.1
+    doc["blocks"][0]["rho_J_avg"] = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
+    m = info_measures(decomposition_from_doc(doc), e)
+    assert m == m0
+    assert (round(m.info_classical, 3), round(m.info_nonclassical, 3)) == (0.918, 0.268)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    block=st.integers(0, 1),
+    key=st.sampled_from(["p", "rho_J_avg"]),
+    op=st.sampled_from(["scale", "permute", "replace"]),
+    x=st.floats(-10.0, 10.0, allow_nan=False),
+)
+def test_stored_block_averages_are_parsed_then_dropped(block, key, op, x):
+    e, d, m0, runs0 = plant_2x1_1x2()
+    doc = decomposition_to_doc(d, e.probs)
+    blocks = doc["blocks"]
+    if key == "p":
+        if op == "permute":
+            blocks[0]["p"], blocks[1]["p"] = blocks[1]["p"], blocks[0]["p"]
+        else:
+            blocks[block]["p"] = blocks[block]["p"] * x if op == "scale" else x
+    else:
+        avg = np.array(blocks[block]["rho_J_avg"])
+        if op == "scale":
+            avg = avg * x
+        elif op == "permute":
+            avg = avg[::-1, ::-1]
+        else:
+            avg = np.full_like(avg, x)
+        blocks[block]["rho_J_avg"] = avg.tolist()
+    mutated = decomposition_from_doc(doc)
+    assert_same_outputs(mutated, e, m0, runs0)
+    assert decomposition_to_doc(mutated, e.probs) == decomposition_to_doc(d, e.probs)
+
+
+def test_block_no_state_reaches_has_zero_weight_and_zero_average():
+    # only a document can hold such a block; its averages are 0 / 0, which must
+    # read as p_l = 0 and a zero J state, without a warning
+    e, d, m0, runs0 = plant_2x1_1x2()
+    doc = decomposition_to_doc(d, e.probs)
+    rank = doc["support_rank"]
+    doc["blocks"].append({
+        "n": 1, "k": 1, "p": 0.0, "isometry": [[[0.0, 0.0]]] * rank, "rho_K": [[[1.0, 0.0]]],
+        "q": [0.0] * len(e), "rho_J": [None] * len(e), "rho_J_avg": [[[0.0, 0.0]]],
+    })
+    unreached = decomposition_from_doc(doc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        p_block, rho_j_avg = unreached.block_averages(e.probs)
+        assert p_block[-1] == 0.0 and not rho_j_avg[-1].any()
+        assert_same_outputs(unreached, e, m0, runs0)
+
+
+def test_row_lengths_are_checked_before_allocating():
+    # a declared support rank of 10**6 over empty frame rows once allocated 30.5 MB
+    doc = b'{"ambient_dim": 2, "support_rank": 1000000, "frame": [[], []], "blocks": []}'
+    assert len(doc) == 76
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError, match=r"^frame\[0\]: expected 1000000 columns$"):
+            read_decomposition(doc)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from kidecomp import streams
 from kidecomp.decompose import decomposition_from_doc, decomposition_to_doc, ki_decompose, verify
 from kidecomp.ensemble import Ensemble
-from kidecomp.errors import ConfigTooLarge, EmptyTypicalSet, ValidationError
+from kidecomp.errors import ConfigTooLarge, ValidationError
 from kidecomp.linalg import eigvalsh, hermitize
 from kidecomp.measures import fidelity, info_measures
 from kidecomp.oracles import PlantSpec, haar_unitary, planted_ensemble, random_density
@@ -31,7 +31,7 @@ from kidecomp.protocols import (
     rate_sweep,
     simulate_asymptotic,
     simulate_individual,
-    typical_projector,
+    _type_classes,
 )
 from kidecomp.streams import _trial_stream, _trial_uniforms
 
@@ -98,7 +98,7 @@ def test_document_null_under_positive_weight_reads_as_a_zero_j_state():
     # a document may give a state weight on a block but a null J state
     # there; it reads as a zero J state, which delivers nothing
     e, d = two_pure()
-    doc = decomposition_to_doc(d)
+    doc = decomposition_to_doc(d, e.probs)
     doc["blocks"][0]["rho_J"][0] = None
     bad = decomposition_from_doc(doc)
     assert d.blocks[0].q[0] > 0 and not bad.blocks[0].rho_J[0].any()
@@ -157,7 +157,7 @@ def test_state_without_block_weight_is_rejected(simulate):
     # a document may give a state zero weight on every block; its label
     # pick has no distribution, so both simulators refuse it by name
     e, d = two_pure()
-    doc = decomposition_to_doc(d)
+    doc = decomposition_to_doc(d, e.probs)
     doc["blocks"][0]["q"][0] = 0.0
     with pytest.raises(ValidationError, match="state 0 has no positive weight"):
         simulate(e, decomposition_from_doc(doc))
@@ -177,93 +177,36 @@ def test_report_key_order():
     ]
 
 
-# -- typicality --------------------------------------------------------------
-
-
-def _log2_size(ts):
-    return math.log2(ts.size)
-
-
-def _contains(ts, seq):
-    counts = [0] * len(ts.spectrum)
-    for s in seq:
-        counts[int(s)] += 1
-    return any(c.counts == tuple(counts) for c in ts.classes)
-
-
-def test_typical_pure_spectrum():
-    ts = typical_projector([1.0], 7, 0.1)
-    assert ts.size == 1
-    assert ts.weight == pytest.approx(1.0)
-    assert _log2_size(ts) == 0.0
-
-
-def test_typical_flat_spectrum_all_sequences():
-    ts = typical_projector([0.5, 0.5], 10, 0.0)
-    assert ts.size == 2**10
-    assert ts.weight == pytest.approx(1.0)
+# -- type classes ------------------------------------------------------------
 
 
 def test_typical_binomial_against_enumeration():
-    # brute-force oracle: walk all 2^12 sequences explicitly
+    # brute-force oracle: walk all 2^12 sequences explicitly, tallying each
+    # type class's size and one member's log2 probability, and the window
+    # |-(1/N) log2 p(s) - S| <= delta (plus the float boundary guard)
     lam = np.array([(1 + 2**-0.5) / 2, (1 - 2**-0.5) / 2])
     n, delta = 12, 0.25
     s_rate = float(-np.sum(lam * np.log2(lam)))
+    sizes, log2p = {}, {}
     count, weight = 0, 0.0
-    member = set()
     for code in range(2**n):
         seq = [(code >> j) & 1 for j in range(n)]
         logp = sum(math.log2(lam[s]) for s in seq)
-        if abs(-logp / n - s_rate) <= delta + 1e-12:
+        key = (seq.count(0), seq.count(1))
+        sizes[key] = sizes.get(key, 0) + 1
+        log2p[key] = logp
+        if abs(-logp / n - s_rate) <= delta + _BOUNDARY_GUARD:
             count += 1
             weight += 2.0**logp
-            member.add(tuple(seq))
-    ts = typical_projector(lam, n, delta)
-    assert ts.size == count
-    assert ts.weight == pytest.approx(weight, abs=1e-12)
-    for code in (0, 1, 3, 7, 2**n - 1):
-        seq = tuple((code >> j) & 1 for j in range(n))
-        assert _contains(ts, seq) == (seq in member)
-
-
-def test_typical_empty_window_raises():
-    lam = [(1 + 2**-0.5) / 2, (1 - 2**-0.5) / 2]
-    with pytest.raises(EmptyTypicalSet):
-        typical_projector(lam, 2, 0.25)
-
-
-@pytest.mark.parametrize("spectrum", [[np.nan, 1.0], [np.inf, 1.0], [0.5, 0.5, -np.inf]])
-def test_typical_rejects_non_finite_spectrum(spectrum):
-    with pytest.raises(ValueError, match="finite"):
-        typical_projector(spectrum, 3, 0.1)
-
-
-def test_typical_rejects_negative_spectrum():
-    # sums to 1, and the rank cut would keep only 1.5: weight 3.375, rate -0.877
-    with pytest.raises(ValueError, match="non-negative"):
-        typical_projector([1.5, -0.5], 3, 0.5)
-
-
-def test_typical_drops_round_off_negatives():
-    ts = typical_projector([0.5, 0.5, -1e-12], 4, 0.0)
-    assert np.array_equal(ts.spectrum, [0.5, 0.5])
-    assert ts.size == 2**4 and ts.weight == pytest.approx(1.0)
-
-
-def test_typical_weight_grows_with_length():
-    # spot checks of the weight -> 1 trend on the benchmark spectrum;
-    # empty windows (legal at small lengths) count as weight zero
-    lam = [(1 + 2**-0.5) / 2, (1 - 2**-0.5) / 2]
-
-    def weight(n, delta):
-        try:
-            return typical_projector(lam, n, delta).weight
-        except EmptyTypicalSet:
-            return 0.0
-
-    for delta in (0.1, 0.25):
-        assert weight(12, delta) > weight(4, delta)
-    assert weight(40, 0.25) > weight(12, 0.25)
+    counts, got_sizes, got_log2p = _type_classes(np.log2(lam), n)
+    keys = [tuple(c) for c in counts.tolist()]
+    assert keys == sorted(sizes)  # every class once, in ascending lexicographic order
+    assert got_sizes == [sizes[c] for c in keys]
+    assert got_log2p == pytest.approx([log2p[c] for c in keys], abs=1e-12)
+    window = [abs(-lp / n - s_rate) <= delta + _BOUNDARY_GUARD for lp in got_log2p]
+    assert sum(sz for sz, w in zip(got_sizes, window) if w) == count
+    got_weight = sum(sz * 2.0**lp for sz, lp, w in zip(got_sizes, got_log2p, window) if w)
+    assert got_weight == pytest.approx(weight, abs=1e-12)
 
 
 # -- block protocol ----------------------------------------------------------
@@ -405,8 +348,12 @@ def reference_block_trial(e, d, n, rng):
     return drawn, labels, occupied, [rng.random() for _ in occupied]
 
 
+def block_data(e, d):
+    return _block_data(d, d.block_averages(e.probs)[1])
+
+
 def reference_fidelities(e, d, n, delta, trials, seed):
-    data = _block_data(d)
+    data = block_data(e, d)
     fids, rates = np.empty(trials), np.empty(trials)
     for t in range(trials):
         drawn, labels, occupied, uniforms = reference_block_trial(
@@ -483,7 +430,7 @@ def test_rate_sweep_matches_per_delta_reference(bench_plant):
 
 def exact_f_bar(e, d, n, delta):
     probs, qmat = reference_weights(e, d)
-    data = _block_data(d)
+    data = block_data(e, d)
     groups = {}  # (label, members) -> expected group fidelity
 
     def group_fidelity(l, members):
@@ -631,7 +578,7 @@ def _reference_failure_fidelity(plan, data, members):
 def test_failure_fidelity_matches_per_member_gather(blocks, lengths):
     # the 3x1,2x2 plant is the bench's; a 9-member group at delta 0 has 1024 sequences
     e, _ = planted_ensemble(PlantSpec(blocks=blocks, num_states=3, seed=1))
-    data = next(b for b in _block_data(ki_decompose(e)) if not b.all_pure)
+    data = next(b for b in block_data(e, ki_decompose(e)) if not b.all_pure)
     states = range(len(data.rotated))  # every planted weight is positive
     rng = np.random.default_rng(0)
     seen = set()
@@ -764,7 +711,7 @@ def test_lex_sequences_match_recursive_enumeration():
 def test_plan_formulas_match_brute_force_subspace(blocks):
     e, _ = planted_ensemble(PlantSpec(blocks=blocks, num_states=3, seed=1))
     partial = 0
-    for data in _block_data(ki_decompose(e)):
+    for data in block_data(e, ki_decompose(e)):
         r = len(data.spectrum)
         log2lam = np.log2(data.spectrum)
         for length in (1, 2, 3):

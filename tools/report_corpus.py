@@ -136,6 +136,10 @@ def _error_cases(out: Path, codes: list[str]) -> None:
         encoding="utf-8",
     )
     _call(case, codes, "verify_unwitnessed_n", ["verify", str(plant), "--decomposition", str(unwitnessed)])
+    # a declared support rank of 10**6 over empty frame rows: a parse error before any allocation
+    wide = case / "undeclared_columns.json"
+    wide.write_text('{"ambient_dim": 2, "support_rank": 1000000, "frame": [[], []], "blocks": []}', encoding="utf-8")
+    _call(case, codes, "verify_undeclared_columns", ["verify", str(plant), "--decomposition", str(wide)])
     broken = case / "broken.json"
     broken.write_text('{"dim": 2, "states": [', encoding="utf-8")
     _call(case, codes, "malformed_input", ["measures", str(broken)])
