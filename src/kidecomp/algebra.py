@@ -1,14 +1,15 @@
-"""Finite-dimensional operator algebras: commutants and irreducible blocks.
+"""Finite-dimensional operator algebras: intertwiners, commutants and irreducible copies.
 
 A unital *-closed product-closed operator space acting on C^d is
 unitarily equivalent to a direct sum of factors, each acting as
 (full matrix algebra on C^n) tensor (identity on C^k). This module
 computes that structure numerically from a generating set alone: the
-span of the identity, the generators and their adjoints, its commutant
-(equal to the commutant of the generated algebra, solved inside the
-eigenspaces of one generic element of the span), and the block
-isometries exhibiting the (n, k) factorization, split off from the
-eigenspaces of one random Hermitian element of the commutant. The
+span of the identity, the generators and their adjoints; the
+intertwiners between two paired tuples (`intertwiner_basis`), of which
+the commutant is the case of a span with itself; and the split of C^d
+into irreducible copies, the eigenspaces of one random Hermitian
+element of the commutant. `ki_decompose`'s merge glues the k
+equivalent copies of a factor with the same intertwiner solve. The
 closure `generate_algebra` and the center `center_basis` are kept as
 references for tests; the main path calls neither.
 """
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigTooLarge, DegenerateSample
-from .linalg import DEFAULT_TOL, eigh, hermitize, kron, nullspace, orthonormalize_hs, pivot_phase, polar_unitary
+from .linalg import DEFAULT_TOL, eigh, hermitize, nullspace, orthonormalize_hs, pivot_phase, polar_unitary
 
 PROBE_RETRIES = 8
 MAX_STACK_BYTES = 1 << 30  # largest complex128 commutant stack built before ConfigTooLarge
@@ -42,10 +43,9 @@ def generator_span(generators, dim: int, tol: float = DEFAULT_TOL) -> OperatorBa
     """HS-orthonormal basis of span{I, g_i, g_i^dagger}.
 
     The span is closed under adjoint and contains the identity, so its
-    commutant, its intertwiners between irreducible blocks and its
-    block-form residuals are those of the algebra the generators
-    generate; `irrep_decompose` factors that algebra from this span
-    without building the algebra's own basis. `generators` is a
+    commutant and its irreducible copies are those of the algebra the
+    generators generate; `irrep_decompose` splits that algebra from
+    this span without building the algebra's own basis. `generators` is a
     (count, dim, dim) stack or a sequence of dim x dim matrices; the seed
     stack is checked once, by `orthonormalize_hs`.
     """
@@ -78,34 +78,48 @@ def generate_algebra(generators, dim: int, tol: float = DEFAULT_TOL) -> Operator
         cur = grown
 
 
-def commutant(a: OperatorBasis, tol: float = DEFAULT_TOL) -> OperatorBasis:
-    """Basis of all X with X B = B X for every B in the algebra.
+def intertwiner_basis(a_mats, b_mats, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Basis (count, d_b, d_a) of all X with B_g X = X A_g for every pair (A_g, B_g).
 
-    Solved inside the eigenspaces of one generic element of the span: such
-    X commute with every element of `a.mats` (closed under adjoint), hence with
-    H = hermitize(sum_g c_g G_g) = V diag(lam) V^dagger for fixed c, so
-    X = V Y V^dagger with Y block-diagonal over the eigenvalue clusters of
-    H (merged clusters only enlarge the search). The maps Y -> G~Y - YG~
-    (G~ = V^dagger G V) are stacked over those sum_g dim_g^2 unknowns, not
-    dim^2; a stack above MAX_STACK_BYTES raises ConfigTooLarge unbuilt.
+    The pairs must be closed under adjoint as pairs (Hermitian matrices on
+    both sides, or one adjoint-closed span taken twice); then every such X
+    also intertwines H_a = hermitize(sum_g c_g A_g) with H_b, built from
+    one coefficient draw c, so X = V_b Y V_a^dagger with Y nonzero only at
+    the entries (i, j) where eigenvalue i of H_b and eigenvalue j of H_a
+    share a cluster of the joint spectrum (merged clusters only enlarge the
+    search). The maps Y -> B~Y - YA~ (B~ = V_b^dagger B V_b, A~ likewise)
+    are stacked over those unknowns only; when no entry qualifies the basis
+    is empty. A stack above MAX_STACK_BYTES raises ConfigTooLarge unbuilt.
     """
-    d, gens = a.dim, a.mats
-    coeff = np.random.default_rng(0).standard_normal((2, len(gens)))
-    lam, vec = eigh(hermitize(np.tensordot(coeff[0] + 1j * coeff[1], gens, axes=1)))
-    label = np.concatenate([np.full(len(idx), c) for c, idx in enumerate(_cluster_ascending(lam, tol))])
-    rows, cols = np.nonzero(label[:, None] == label)  # unknown u is entry (rows[u], cols[u]) of Y
+    a_mats, b_mats = np.asarray(a_mats, dtype=complex), np.asarray(b_mats, dtype=complex)
+    g, da, db = len(a_mats), a_mats.shape[-1], b_mats.shape[-1]
+    coeff = np.random.default_rng(0).standard_normal((2, g))
+    lam_a, vec_a = eigh(hermitize(np.tensordot(coeff[0] + 1j * coeff[1], a_mats, axes=1)))
+    lam_b, vec_b = eigh(hermitize(np.tensordot(coeff[0] + 1j * coeff[1], b_mats, axes=1)))
+    joint = np.sort(np.concatenate([lam_b, lam_a]))
+    tops = [joint[idx[-1]] for idx in _cluster_ascending(joint, tol)]  # each cluster's largest eigenvalue
+    # unknown u is entry (rows[u], cols[u]) of Y: eigenvalues in one cluster, found by its top
+    rows, cols = np.nonzero(np.searchsorted(tops, lam_b)[:, None] == np.searchsorted(tops, lam_a))
     u = np.arange(len(rows))
-    if 16 * len(gens) * d * d * len(u) > MAX_STACK_BYTES:
-        raise ConfigTooLarge(f"commutant stack of {len(gens) * d * d} x {len(u)} exceeds {MAX_STACK_BYTES} bytes")
-    gt = vec.conj().T @ gens @ vec
-    # column u is G~ E_ab - E_ab G~ for E_ab = e_a e_b^T, (a, b) = (rows[u], cols[u])
-    stack = np.zeros((len(gens), d, d, len(u)), dtype=complex)
-    stack[:, :, cols, u] = gt[:, :, rows]
-    stack[:, rows, :, u] -= gt[:, cols, :].transpose(1, 0, 2)
-    null = nullspace(stack.reshape(-1, len(u)), tol, floor=1.0)
-    y = np.zeros((null.shape[1], d, d), dtype=complex)
+    if 16 * g * db * da * len(u) > MAX_STACK_BYTES:
+        raise ConfigTooLarge(f"commutant stack of {g * db * da} x {len(u)} exceeds {MAX_STACK_BYTES} bytes")
+    at = vec_a.conj().T @ a_mats @ vec_a
+    bt = vec_b.conj().T @ b_mats @ vec_b
+    # column u is B~ E_rc - E_rc A~ for E_rc = e_r e_c^T, (r, c) = (rows[u], cols[u])
+    stack = np.zeros((g, db, da, len(u)), dtype=complex)
+    stack[:, :, cols, u] = bt[:, :, rows]
+    stack[:, rows, :, u] -= at[:, cols, :].transpose(1, 0, 2)
+    null = nullspace(stack.reshape(g * db * da, len(u)), tol, floor=1.0)
+    y = np.zeros((null.shape[1], db, da), dtype=complex)
     y[:, rows, cols] = null.T
-    return OperatorBasis(dim=d, mats=vec @ y @ vec.conj().T)
+    return vec_b @ y @ vec_a.conj().T
+
+
+def commutant(a: OperatorBasis, tol: float = DEFAULT_TOL) -> OperatorBasis:
+    """Basis of all X with X B = B X for every B in the algebra: the intertwiners of
+    the span `a` with itself, solved by `intertwiner_basis`. A basis of the span
+    commutes with X exactly when the algebra it generates does."""
+    return OperatorBasis(dim=a.dim, mats=intertwiner_basis(a.mats, a.mats, tol))
 
 
 def center_basis(comm: OperatorBasis, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
@@ -115,7 +129,8 @@ def center_basis(comm: OperatorBasis, tol: float = DEFAULT_TOL) -> list[np.ndarr
     is the set of commutant elements commuting with the whole commutant.
     Solving in coefficient space over `comm`'s basis makes the stack
     (c * dim^2) x c with c = dim A'. Its dimension is the number of
-    blocks `irrep_decompose` returns, which never solves it.
+    classes of equivalent copies among those `irrep_decompose` returns
+    (the blocks after `ki_decompose`'s merge), which never solves it.
     """
     c = comm.size
     bracket = np.einsum("aij,cjk->caik", comm.mats, comm.mats) - np.einsum(
@@ -125,20 +140,6 @@ def center_basis(comm: OperatorBasis, tol: float = DEFAULT_TOL) -> list[np.ndarr
     coeffs = nullspace(stack, tol, floor=1.0)
     elems = [np.einsum("i,ijk->jk", coeffs[:, z], comm.mats) for z in range(coeffs.shape[1])]
     return orthonormalize_hs(elems, tol)
-
-
-@dataclass(frozen=True)
-class IrrepBlock:
-    """One block of the factorization: C^n (irreducible) tensor C^k (multiplicity).
-
-    `isometry` maps C^n tensor C^k into C^dim with orthonormal columns
-    ordered (a, j) -> a*k + j. Conjugating any algebra element by it
-    gives (n x n matrix) tensor identity(k).
-    """
-
-    n: int
-    k: int
-    isometry: np.ndarray  # (dim, n*k)
 
 
 class _ProbeRetry(Exception):
@@ -157,35 +158,19 @@ def _cluster_ascending(values: np.ndarray, tol: float) -> list[np.ndarray]:
 
 
 def intertwiner(ties: np.ndarray) -> np.ndarray:
-    """Unitary intertwiner from a stack (c, n, n) of commutant blocks between two irreducible copies.
+    """Unitary intertwiner from a nonempty stack (c, n, n) of intertwiners between two irreducible sets.
 
-    By Schur's lemma each block is a multiple of the intertwiner (zero
-    for inequivalent copies, which the caller's residual test rejects).
-    Returns the polar factor of the largest block, phased so the largest
-    entry of its first column is real positive.
+    By Schur's lemma each element is a multiple of the unitary intertwiner
+    (a set and an inequivalent one have none, which `intertwiner_basis`
+    reports as an empty stack). Returns the polar factor of the largest
+    element, phased so the largest entry of its first column is real positive.
     """
     t = polar_unitary(ties[np.argmax(np.linalg.norm(ties, axis=(1, 2)))])
     return t * pivot_phase(t[:, 0])
 
 
-def compress_to_block(block: IrrepBlock, m: np.ndarray) -> np.ndarray:
-    return block.isometry.conj().T @ m @ block.isometry
-
-
-def block_form_split(compressed: np.ndarray, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Split a block compression, or each of a (..., nk, nk) stack, as (n x n factor) tensor identity(k).
-
-    Returns the factors and the Frobenius residuals of the form test
-    (a scalar residual for one matrix, one per matrix for a stack).
-    """
-    four = compressed.reshape(*compressed.shape[:-2], n, k, n, k)
-    factor = np.einsum("...ajbj->...ab", four) / k
-    resid = np.linalg.norm(compressed - kron(factor, np.eye(k)), axis=(-2, -1))
-    return factor, resid
-
-
-def _attempt_blocks(a: OperatorBasis, comm: OperatorBasis, rng: np.random.Generator, tol: float) -> list[IrrepBlock]:
-    d = a.dim
+def _attempt_copies(comm: OperatorBasis, rng: np.random.Generator, tol: float) -> list[np.ndarray]:
+    d = comm.dim
     lam, vec = eigh(_random_hermitian_from(comm.mats, rng))
     copies = _cluster_ascending(lam, tol)
     # z[c] is commutant element c in the probe's eigenbasis; its (i, j)
@@ -198,51 +183,33 @@ def _attempt_blocks(a: OperatorBasis, comm: OperatorBasis, rng: np.random.Genera
     links = np.rint(link)
     if np.max(np.abs(link - links)) > np.sqrt(tol) or links.max() > 1:
         raise _ProbeRetry("copy links are not 0 or 1")
-    label = np.argmax(links, axis=0)  # first copy linked to each copy
-    blocks: list[IrrepBlock] = []
-    for first in sorted(set(label)):
-        group = [copies[i] for i in np.flatnonzero(label == first)]
-        n, k = len(group[0]), len(group)
-        if any(len(idx) != n for idx in group):
-            raise _ProbeRetry("linked copies differ in dimension")
-        cols = [vec[:, group[0]]]
-        for idx in group[1:]:
-            cols.append(vec[:, idx] @ intertwiner(z[:, idx[:, None], group[0]]))
-        block = IrrepBlock(n=n, k=k, isometry=np.stack(cols, axis=2).reshape(d, n * k))
-        _, resid = block_form_split(compress_to_block(block, a.mats), n, k)
-        if np.any(resid > np.sqrt(tol) * np.maximum(1.0, np.linalg.norm(a.mats, axis=(1, 2)))):
-            raise _ProbeRetry("transport residual too large")
-        blocks.append(block)
-    if sum(b.k * b.k for b in blocks) != comm.size:
-        raise _ProbeRetry("multiplicity squares do not add up to the commutant dimension")
-    return blocks
+    return [vec[:, idx] for idx in copies]
 
 
-def irrep_decompose(a: OperatorBasis, seed: int, tol: float = DEFAULT_TOL) -> list[IrrepBlock]:
-    """Factor the algebra generated by `a` into irreducible blocks with multiplicity.
+def irrep_decompose(a: OperatorBasis, seed: int, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
+    """Split C^dim into irreducible copies of the algebra generated by `a`: (dim, n) isometries.
 
     `a` is a `generator_span` (or any adjoint-closed span containing the
     identity, the whole algebra included); no closure is built. One
     random Hermitian element Y of the commutant A' = 1_n (x) M_k per
     block has generic eigenvalues, so each eigenspace of Y is one
-    irreducible copy. Over an HS-orthonormal basis C_c of A', the link
+    irreducible copy, and the copies' projectors sum to the identity.
+    Over an HS-orthonormal basis C_c of A', the link
     L_ij = sum_c |F_i^dagger C_c F_j|^2 of copies F_i, F_j is the
     dimension of the intertwiners between them: 1 for equivalent copies,
-    0 otherwise. The linked copies form one block with k = their number;
-    each is glued to the first by the unitary polar factor of its
-    largest commutant block F_j^dagger C_c F_0. A split is accepted when
-    every element of `a` takes the block form and the squares of the
-    multiplicities add up to dim A'. Blocks come in ascending order of
-    their first copy's eigenvalue. Probes are drawn from the passed seed
-    only; after PROBE_RETRIES failed draws the input tolerance is
-    presumed misconfigured and DegenerateSample is raised.
+    0 otherwise, and above 1 for an eigenspace that holds more than one
+    copy; a probe is accepted when every link is 0 or 1. Equivalent
+    copies come out separately: `ki_decompose`'s merge glues them. Copies
+    come in ascending order of the probe's eigenvalue. Probes are drawn
+    from the passed seed only; after PROBE_RETRIES failed draws the input
+    tolerance is presumed misconfigured and DegenerateSample is raised.
     """
     comm = commutant(a, tol)
     rng = np.random.default_rng(seed)
     last = "no attempt"
     for _ in range(PROBE_RETRIES):
         try:
-            return _attempt_blocks(a, comm, rng, tol)
+            return _attempt_copies(comm, rng, tol)
         except _ProbeRetry as exc:
             last = str(exc)
     raise DegenerateSample(f"probes failed {PROBE_RETRIES} times; last failure: {last}")

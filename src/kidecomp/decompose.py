@@ -2,10 +2,11 @@
 and redundant parts.
 
 The pipeline restricts the ensemble onto the support of its average
-state, factors the operator algebra generated by the restricted states
-into irreducible blocks, reads off per-state weights and block states,
-and finally merges blocks that carry proportional weights and unitarily
-equal irreducible states. The block structure is solved from the
+state, splits it into irreducible copies of the operator algebra
+generated by the restricted states, reads off per-state weights and
+J states of each copy, and finally merges every pair that carries
+proportional weights and unitarily equal J states, equivalent copies
+of one algebra block among them. The block structure is solved from the
 states alone (their span with the identity and adjoints); the algebra
 they generate is never built. The merged structure is the coarsest one in
 which every state takes the form
@@ -24,7 +25,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .algebra import IrrepBlock, block_form_split, commutant, generator_span, intertwiner, irrep_decompose
+from .algebra import commutant, generator_span, intertwiner, intertwiner_basis, irrep_decompose
 from .ensemble import Ensemble, require_valid, support_restrict, _integer, _matrix_to_pairs, _number, _pairs_to_matrix
 from .errors import FormViolation, ParseError
 from .linalg import DEFAULT_TOL, direct_sum, frob, hermitize, kron
@@ -111,30 +112,17 @@ class KIDecomposition:
 # construction
 
 
-def _extract_block_data(ib: IrrepBlock, states: np.ndarray, tol: float) -> KIBlock:
-    """The pre-merge block of one split block, with K state I/k: per-state weights and the
-    (m, n, n) stack of normalized J states, all states in one call; a weight at or below
-    tol is 0 and its J state zero."""
-    n, k = ib.n, ib.k
-    comp = ib.isometry.conj().T @ states @ ib.isometry
-    factor, resid = block_form_split(comp, n, k)
-    scale = np.maximum(1.0, np.linalg.norm(comp, axis=(1, 2)))
-    bad = np.flatnonzero(resid > max(tol, 1e3 * np.finfo(float).eps) * scale)
-    if bad.size:
-        raise FormViolation(f"state {bad[0]} violates the (J factor) x (identity on K) form by {resid[bad[0]]:.3e}")
-    weight = np.trace(factor, axis1=1, axis2=2).real * k
+def _extract_block_data(copy: np.ndarray, states: np.ndarray, tol: float) -> KIBlock:
+    """The pre-merge block of one irreducible copy, a (dim, n) isometry: k = 1, per-state
+    weights (the traces of the compressed states) and the (m, n, n) stack of normalized J
+    states, all states in one call; a weight at or below tol is 0 and its J state zero."""
+    comp = copy.conj().T @ states @ copy
+    weight = np.trace(comp, axis1=1, axis2=2).real
     q = np.where(weight > tol, weight, 0.0)
-    sigmas = np.zeros_like(factor)
+    sigmas = np.zeros_like(comp)
     for i in np.flatnonzero(q):
-        sigmas[i] = hermitize(factor[i] * (k / q[i]))
-    return KIBlock(
-        n=n,
-        k=k,
-        isometry=ib.isometry,
-        rho_K=np.eye(k, dtype=complex) / k,
-        q=q,
-        rho_J=sigmas,
-    )
+        sigmas[i] = hermitize(comp[i] / q[i])
+    return KIBlock(n=copy.shape[1], k=1, isometry=copy, rho_K=np.ones((1, 1), dtype=complex), q=q, rho_J=sigmas)
 
 
 def _support_set(q: np.ndarray) -> tuple[int, ...]:
@@ -145,12 +133,13 @@ def mergeable(a: KIBlock, b: KIBlock, tol: float = DEFAULT_TOL) -> tuple[np.ndar
     """Merge witness (V, c) for two blocks of one decomposition, or None.
 
     Blocks merge when they have equal J dimension, identical index sets
-    of contributing states, weights related by one constant c > 0, and a
+    S of contributing states, weights related by one constant c > 0, and a
     single unitary V carrying every J state of `a` onto the matching J
     state of `b`. Near-threshold cases resolve toward not merging.
-    The candidate V is read off the commutant of the paired states
-    rho_J_a[i] (+) rho_J_b[i] by `intertwiner`, as the split glues its
-    copies; the residual test decides.
+    The candidate V is read off the intertwiners from rho_J_a[S] to
+    rho_J_b[S] (`intertwiner_basis`, the commutant's solve) by
+    `intertwiner`; the residual test decides. Equivalent copies of one
+    algebra block merge with c = 1.
     """
     if a.n != b.n:
         return None
@@ -164,12 +153,13 @@ def mergeable(a: KIBlock, b: KIBlock, tol: float = DEFAULT_TOL) -> tuple[np.ndar
         return None
     if np.max(np.abs(qb - c * qa) / qb) > tol:
         return None
-    n = a.n
-    if n == 1:
+    if a.n == 1:
         v = np.ones((1, 1), dtype=complex)
     else:
-        pair = generator_span([direct_sum([a.rho_J[i], b.rho_J[i]]) for i in support], 2 * n, tol)
-        v = intertwiner(commutant(pair, tol).mats[:, n:, :n])
+        ties = intertwiner_basis(a.rho_J[list(support)], b.rho_J[list(support)], tol)
+        if not len(ties):
+            return None
+        v = intertwiner(ties)
     for i in support:
         resid = frob(v @ a.rho_J[i] @ v.conj().T - b.rho_J[i])
         if resid > tol * max(1.0, frob(b.rho_J[i])):
@@ -197,7 +187,7 @@ def _merge(a: KIBlock, b: KIBlock, v: np.ndarray, c: float) -> KIBlock:
 def _canonicalize_redundant_factor(block: KIBlock) -> KIBlock:
     """Permute the K basis so the diagonal rho_K has descending weights, ties in merge order.
 
-    rho_K is diagonal by construction (I/k for each split block, and `_merge` stacks
+    rho_K is diagonal by construction (1 for each split copy, and `_merge` stacks
     scaled copies), so no eigensolve runs: sorting its diagonal fixes the K basis.
     """
     w = block.rho_K.diagonal().real
@@ -237,18 +227,18 @@ def _merge_to_fixpoint(blocks: list[KIBlock], tol: float) -> list[KIBlock]:
 def ki_decompose(e: Ensemble, seed: int = 0, tol: float = DEFAULT_TOL) -> KIDecomposition:
     """Compute the canonical block decomposition of a valid ensemble.
 
-    Pipeline: restrict onto the support of the average state, split the
-    algebra generated by the restricted states into irreducible blocks
-    (solved from the span of the states, their adjoints and the
-    identity; no closure runs), extract per-state weights and J states, then
-    merge weight-proportional unitarily-equal blocks in one pass in
-    canonical order. Output block order and K bases are canonical, so identical
+    Pipeline: restrict onto the support of the average state, split it
+    into irreducible copies of the algebra generated by the restricted
+    states (solved from the span of the states, their adjoints and the
+    identity; no closure runs), extract per-state weights and J states of
+    each copy, then merge weight-proportional unitarily-equal blocks in
+    one pass in canonical order. Output block order and K bases are canonical, so identical
     (input, seed, tol) gives identical output.
     """
     require_valid(e, tol)
     frame, er = support_restrict(e, tol)
-    irreps = irrep_decompose(generator_span(list(er.states), er.dim, tol), seed, tol)
-    blocks = [_extract_block_data(ib, er.states, tol) for ib in irreps]
+    copies = irrep_decompose(generator_span(list(er.states), er.dim, tol), seed, tol)
+    blocks = [_extract_block_data(copy, er.states, tol) for copy in copies]
     blocks = [_canonicalize_redundant_factor(b) for b in _merge_to_fixpoint(blocks, tol)]
     d = KIDecomposition(frame=frame, blocks=sorted(blocks, key=_block_key))
 

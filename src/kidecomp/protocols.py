@@ -8,8 +8,9 @@ Block protocol: draw N messages, measure the label per message, group by
 label, compress each group's joint J state into a fixed-rate subspace,
 and reattach K factors. The compression subspace for a group of size
 N_l at slack delta is spanned by the 2^floor(N_l*(S_l + delta))
-most probable eigenvalue sequences of the block's average J state
-(the whole space when the budget covers it). Projection success is
+most probable eigenvalue sequences of the block's average J state,
+S_l its entropy as `info_measures` sums it (the whole space when the
+budget covers it). Projection success is
 sampled; the failure branch delivers the maximally mixed state on the
 compression subspace. Fidelities of N-message sequences are computed
 exactly on the occupied group spaces, never materializing dim^N
@@ -44,7 +45,7 @@ from .decompose import KIDecomposition
 from .ensemble import Ensemble
 from .errors import ConfigTooLarge, ValidationError
 from .linalg import DEFAULT_TOL, eigh, eigvalsh, hermitize, kron
-from .measures import fidelity, shannon_entropy
+from .measures import fidelity, shannon_entropy, von_neumann_entropy
 from .streams import _trial_stream
 
 DESK_SCALE_QUBITS = 20
@@ -239,16 +240,15 @@ class _CompressionPlan:
         return np.concatenate(parts, axis=0)
 
 
-def _compression_plan(spectrum: np.ndarray, length: int, delta: float) -> _CompressionPlan:
+def _compression_plan(spectrum: np.ndarray, entropy: float, length: int, delta: float) -> _CompressionPlan:
     """Most-probable-sequences subspace at rate (entropy + delta) qubits/message."""
     r = len(spectrum)
     full_qubits = math.ceil(length * math.log2(r)) if r > 1 else 0
     full_dim = r**length
     log2lam = np.log2(np.clip(spectrum, 1e-300, None))
-    s_rate = float(-np.sum(spectrum * log2lam))
     # clamped as a float: a huge slack would overflow floor() or build a huge 2**budget,
     # and every budget from full_dim.bit_length() on keeps the whole space
-    budget = math.floor(min(max(length * (s_rate + delta) + _BOUNDARY_GUARD, 0.0), full_dim.bit_length()))
+    budget = math.floor(min(max(length * (entropy + delta) + _BOUNDARY_GUARD, 0.0), full_dim.bit_length()))
     if 2**budget >= full_dim:
         return _CompressionPlan(
             alphabet=r, length=length, dim=full_dim, qubits=full_qubits, full=True
@@ -302,11 +302,12 @@ def _overlap_weight(
 @dataclass
 class _BlockData:
     spectrum: np.ndarray  # eigenvalues of the average J state, descending
+    entropy: float  # its von Neumann entropy, as `info_measures` sums it
     rotated: np.ndarray  # (m, n, n): each J state in that eigenbasis, exactly Hermitian
-    all_pure: bool  # over the states that reach the block
+    all_pure: bool  # over the states that reach the block, purity within tol of 1
 
 
-def _block_data(d: KIDecomposition, rho_j_avg: list[np.ndarray]) -> list[_BlockData]:
+def _block_data(d: KIDecomposition, rho_j_avg: list[np.ndarray], tol: float) -> list[_BlockData]:
     """Each block's data from its averaged J state, as `block_averages` gives it."""
     out = []
     for b, avg in zip(d.blocks, rho_j_avg):
@@ -315,7 +316,8 @@ def _block_data(d: KIDecomposition, rho_j_avg: list[np.ndarray]) -> list[_BlockD
         lam, vec = np.clip(lam[order], 1e-300, None), vec[:, order]
         rotated = hermitize(vec.conj().T @ b.rho_J @ vec)
         purity = np.trace(rotated @ rotated, axis1=1, axis2=2).real[b.q > 0]
-        out.append(_BlockData(spectrum=lam, rotated=rotated, all_pure=bool(np.all(purity >= 1.0 - 1e-9))))
+        pure = bool(np.all(purity >= 1.0 - tol))
+        out.append(_BlockData(spectrum=lam, entropy=von_neumann_entropy(avg, tol), rotated=rotated, all_pure=pure))
     return out
 
 
@@ -430,7 +432,7 @@ def rate_sweep(
         return []
     cdf_p, cdf_q = _pick_cdfs(e, d)
     p_block, rho_j_avg = d.block_averages(e.probs)
-    data = _block_data(d, rho_j_avg)
+    data = _block_data(d, rho_j_avg, tol)
     plans: dict[tuple[int, int, float], _CompressionPlan] = {}
     fidelities = np.ones((len(deltas), trials))
     qubits = np.zeros((len(deltas), trials), dtype=np.int64)
@@ -448,7 +450,7 @@ def rate_sweep(
             for k, delta in enumerate(deltas):
                 key = (l, len(members), delta)
                 if key not in plans:
-                    plans[key] = _compression_plan(data[l].spectrum, len(members), delta)
+                    plans[key] = _compression_plan(data[l].spectrum, data[l].entropy, len(members), delta)
                 plan = plans[key]
                 qubits[k, t] += plan.qubits
                 if plan.full:

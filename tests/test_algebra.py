@@ -8,12 +8,11 @@ from hypothesis import strategies as st
 from kidecomp import algebra
 from kidecomp.algebra import (
     OperatorBasis,
-    block_form_split,
     center_basis,
     commutant,
-    compress_to_block,
     generate_algebra,
     generator_span,
+    intertwiner_basis,
     irrep_decompose,
 )
 from kidecomp.decompose import KIBlock, mergeable
@@ -109,22 +108,53 @@ def test_commutant_of_x_tensor_identity():
         assert np.linalg.norm(x @ g - g @ x) <= 1e-10
 
 
+def _assert_copies(copies, mats, dims):
+    """`copies` are isometries of the dimensions `dims` (as a multiset) whose
+    projectors sum to the identity, each mapped into itself by every matrix of `mats`."""
+    assert sorted(c.shape[1] for c in copies) == sorted(dims)
+    d = copies[0].shape[0]
+    assert np.linalg.norm(sum(c @ c.conj().T for c in copies) - np.eye(d)) <= 1e-10
+    for c in copies:
+        assert np.linalg.norm(c.conj().T @ c - np.eye(c.shape[1])) <= 1e-10
+        outside = np.eye(d) - c @ c.conj().T
+        assert max(np.linalg.norm(outside @ m @ c) for m in mats) <= 1e-8
+
+
+def _equivalent(x, y, mats) -> bool:
+    """Copies x and y carry equivalent representations: their compressions of `mats` intertwine."""
+    return x.shape == y.shape and len(intertwiner_basis(x.conj().T @ mats @ x, y.conj().T @ mats @ y)) > 0
+
+
+def _classes(copies, mats) -> list[list[int]]:
+    """Indices of the copies, grouped into classes of equivalent ones in order of first appearance."""
+    classes: list[list[int]] = []
+    for i, c in enumerate(copies):
+        cls = next((cls for cls in classes if _equivalent(copies[cls[0]], c, mats)), None)
+        if cls is None:
+            classes.append([i])
+        else:
+            cls.append(i)
+    return classes
+
+
 def test_irrep_full_m2():
-    blocks = irrep_decompose(generate_algebra([PAULI_X, PAULI_Z], 2), seed=0)
-    assert [(b.n, b.k) for b in blocks] == [(2, 1)]
+    a = generate_algebra([PAULI_X, PAULI_Z], 2)
+    _assert_copies(irrep_decompose(a, seed=0), a.mats, [2])
 
 
 def test_irrep_diagonal_algebra():
-    blocks = irrep_decompose(
-        generate_algebra([np.diag([1.0, 2.0, 3.0]).astype(complex)], 3), seed=0
-    )
-    assert sorted((b.n, b.k) for b in blocks) == [(1, 1)] * 3
+    a = generate_algebra([np.diag([1.0, 2.0, 3.0]).astype(complex)], 3)
+    copies = irrep_decompose(a, seed=0)
+    _assert_copies(copies, a.mats, [1, 1, 1])
+    assert len(_classes(copies, a.mats)) == 3
 
 
 def test_irrep_m2_tensor_identity():
+    # M_2 (x) 1_2: two equivalent 2-dim copies, glued by the merge, not the split
     a = generate_algebra([np.kron(PAULI_X, I2), np.kron(PAULI_Z, I2)], 4)
-    blocks = irrep_decompose(a, seed=0)
-    assert [(b.n, b.k) for b in blocks] == [(2, 2)]
+    copies = irrep_decompose(a, seed=0)
+    _assert_copies(copies, a.mats, [2, 2])
+    assert _classes(copies, a.mats) == [[0, 1]]
 
 
 def test_irrep_transport_and_counting_random():
@@ -141,29 +171,12 @@ def test_irrep_transport_and_counting_random():
         m[2:, 2:] = s * np.eye(2)
         gens.append(u @ m @ u.conj().T)
     a = generate_algebra(gens, 4)
-    blocks = irrep_decompose(a, seed=1)
-    assert sorted((b.n, b.k) for b in blocks) == [(1, 2), (2, 1)]
-    assert sum(b.n * b.k for b in blocks) == 4
-    assert sum(b.n * b.n for b in blocks) == a.size
-    for b in blocks:
-        assert np.allclose(
-            b.isometry.conj().T @ b.isometry, np.eye(b.n * b.k), atol=1e-10
-        )
-        for g in gens:
-            _, resid = block_form_split(compress_to_block(b, g), b.n, b.k)
-            assert resid <= 1e-8
-
-
-def test_block_form_split_on_a_stack():
-    rng = np.random.default_rng(4)
-    g = rng.standard_normal((5, 6, 6)) + 1j * rng.standard_normal((5, 6, 6))
-    g[:2] = np.kron(g[:2, :3, :3], np.eye(2))  # two of the five have the form exactly
-    factors, resid = block_form_split(g, 3, 2)
-    assert factors.shape == (5, 3, 3) and resid.shape == (5,)
-    for m, f, r in zip(g, factors, resid):
-        f1, r1 = block_form_split(m, 3, 2)
-        assert np.allclose(f, f1, rtol=0, atol=1e-15) and r == pytest.approx(float(r1), rel=1e-12)
-    assert resid[:2].max() <= 1e-14 < resid[2:].min()
+    copies = irrep_decompose(a, seed=1)
+    _assert_copies(copies, gens, [2, 1, 1])
+    # the two 1-dim copies are equivalent, the 2-dim one stands alone: dim A = 2^2 + 1^2
+    classes = _classes(copies, a.mats)
+    assert sorted(len(cls) for cls in classes) == [1, 2]
+    assert sum(copies[cls[0]].shape[1] ** 2 for cls in classes) == a.size
 
 
 def test_generator_span_checks_its_seed_once(monkeypatch):
@@ -200,10 +213,10 @@ def test_irrep_determinism():
     a = generate_algebra([np.kron(PAULI_X, I2), np.kron(PAULI_Z, I2)], 4)
     b1 = irrep_decompose(a, seed=3)
     b2 = irrep_decompose(a, seed=3)
+    _assert_copies(b1, a.mats, [2, 2])
     assert len(b1) == len(b2)
     for x, y in zip(b1, b2):
-        assert (x.n, x.k) == (y.n, y.k)
-        assert np.array_equal(x.isometry, y.isometry)
+        assert np.array_equal(x, y)
 
 
 def _projector(basis: OperatorBasis) -> np.ndarray:
@@ -271,19 +284,24 @@ def test_generator_span_factors_like_the_closure(blocks, num_states, seed):
     gens = _hidden_multiplicity_generators(blocks, num_states, seed)
     d = gens[0].shape[0]
     span = generator_span(gens, d)
+    closure = generate_algebra(gens, d)
     from_span = irrep_decompose(span, seed=0)
-    from_closure = irrep_decompose(generate_algebra(gens, d), seed=0)
+    from_closure = irrep_decompose(closure, seed=0)
     # the closure's commutant is solved from its own basis, so its probe, and with it
-    # the block order and the gauge inside each block, differ from the span's
-    assert sorted((b.n, b.k) for b in from_span) == sorted((b.n, b.k) for b in from_closure)
-    # one block per central projection: the center stays the reference
-    assert len(from_span) == len(center_basis(commutant(span)))
-    for b in from_span:
-        assert np.linalg.norm(b.isometry.conj().T @ b.isometry - np.eye(b.n * b.k)) <= 1e-10
-    for x in from_span:
-        px = x.isometry @ x.isometry.conj().T
-        same_shape = [y.isometry for y in from_closure if (y.n, y.k) == (x.n, x.k)]
-        assert min(np.linalg.norm(px - y @ y.conj().T) for y in same_shape) <= 1e-8
+    # the copy order and the choice of copies inside each multiplicity space, differ
+    _assert_copies(from_span, gens, [c.shape[1] for c in from_closure])
+    _assert_copies(from_closure, gens, [c.shape[1] for c in from_span])
+    # one class of equivalent copies per central projection: the center stays the reference
+    span_classes = _classes(from_span, span.mats)
+    assert len(span_classes) == len(center_basis(commutant(span)))
+
+    def class_projectors(copies, classes):
+        return [sum(copies[i] @ copies[i].conj().T for i in cls) for cls in classes]
+
+    closure_projectors = class_projectors(from_closure, _classes(from_closure, closure.mats))
+    assert len(closure_projectors) == len(span_classes)
+    for p in class_projectors(from_span, span_classes):
+        assert min(np.linalg.norm(p - q) for q in closure_projectors) <= 1e-8
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -358,7 +376,7 @@ def test_intertwiner_space_split_and_merge_rules():
 def _j_block(sigmas, q):
     """A block carrying only what `mergeable` reads: J dimension, weights and J states."""
     n = sigmas[0].shape[0]
-    return KIBlock(n=n, k=1, isometry=np.eye(n, dtype=complex), rho_K=np.eye(1, dtype=complex), q=np.asarray(q), rho_J=list(sigmas))
+    return KIBlock(n=n, k=1, isometry=np.eye(n, dtype=complex), rho_K=np.eye(1, dtype=complex), q=np.asarray(q), rho_J=np.asarray(sigmas))
 
 
 def _assert_merge_witness(sigmas, rotated, q):
@@ -407,7 +425,8 @@ def _identity_probe(mats, rng):
 
 
 def test_degenerate_probe_is_retried(monkeypatch):
-    span = generator_span(_hidden_multiplicity_generators([(2, 1), (1, 2)], 3, 5), 4)
+    gens = _hidden_multiplicity_generators([(2, 1), (1, 2)], 3, 5)
+    span = generator_span(gens, 4)
     want = irrep_decompose(span, seed=0)
     real = algebra._random_hermitian_from
     draws = []
@@ -419,9 +438,10 @@ def test_degenerate_probe_is_retried(monkeypatch):
     monkeypatch.setattr(algebra, "_random_hermitian_from", once_degenerate)
     got = irrep_decompose(span, seed=0)
     assert len(draws) == 2
-    assert [(b.n, b.k) for b in got] == [(b.n, b.k) for b in want]
+    _assert_copies(got, gens, [2, 1, 1])
+    assert len(got) == len(want)
     for x, y in zip(got, want):  # the rejected draw took nothing from the stream
-        assert np.array_equal(x.isometry, y.isometry)
+        assert np.array_equal(x, y)
 
 
 def test_always_degenerate_probe_raises(monkeypatch):
@@ -506,3 +526,43 @@ def test_commutant_stack_cap_is_checked_before_allocating(monkeypatch):
     monkeypatch.setattr(algebra, "MAX_STACK_BYTES", 255)
     with pytest.raises(ConfigTooLarge):
         commutant(span)
+
+
+def _span_projector(mats) -> np.ndarray:
+    """Projector onto the span of an orthonormal (count, d_b, d_a) basis, as a d_b d_a square matrix."""
+    v = np.asarray(mats).reshape(len(mats), -1)
+    return v.T @ v.conj()
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 6), num_states=st.integers(1, 3), seed=_SEEDS)
+def test_intertwiner_basis_matches_the_kron_stack_reference(n, num_states, seed):
+    rng = np.random.default_rng(seed)
+    sigmas = np.stack([random_density(n, rng) for _ in range(num_states)])
+    u = haar_unitary(n, rng)
+    rotated = u @ sigmas @ u.conj().T
+    got = intertwiner_basis(sigmas, rotated)
+    want = intertwiner_space(sigmas, rotated, DEFAULT_TOL)
+    assert len(got) == len(want) >= 1
+    assert np.linalg.norm(_span_projector(got) - _span_projector(want)) <= 1e-8
+    # a = b: the commutant of the states' span
+    same = intertwiner_basis(sigmas, sigmas)
+    assert np.linalg.norm(_span_projector(same) - _projector(_reference_commutant(generator_span(sigmas, n)))) <= 1e-8
+    # an inequivalent tuple (for n = 1, other scalars) has no intertwiner at all
+    others = np.stack([random_density(n, rng) for _ in range(num_states)]) if n > 1 else 2 * sigmas
+    assert intertwiner_basis(sigmas, others).shape == (0, n, n)
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 4])
+def test_intertwiner_basis_on_clifford_tuples(count):
+    # every real combination of (1 + 0.3 g_i) / 4 is doubly degenerate, so each cluster
+    # of the joint spectrum holds four eigenvalues, two from each side
+    sigmas = np.stack([(np.eye(4) + 0.3 * g) / 4 for g in _clifford_generators(count, 11)])
+    u = haar_unitary(4, np.random.default_rng(12))
+    rotated = u @ sigmas @ u.conj().T
+    got = intertwiner_basis(sigmas, rotated)
+    want = intertwiner_space(sigmas, rotated, DEFAULT_TOL)
+    assert len(got) == len(want) == {1: 8, 2: 4, 3: 2, 4: 1}[count]
+    assert np.linalg.norm(_span_projector(got) - _span_projector(want)) <= 1e-8
+    same = intertwiner_basis(sigmas, sigmas)
+    assert np.linalg.norm(_span_projector(same) - _projector(_reference_commutant(generator_span(sigmas, 4)))) <= 1e-8

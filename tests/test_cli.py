@@ -181,12 +181,12 @@ def test_exit_code_degenerate_probes(single_state_file, monkeypatch, capsys):
 
 
 def test_exit_code_form_violation(two_pure_file, monkeypatch, capsys):
-    # a split whose one n = 1 block spans C^2: the states fail the block form
-    split = [algebra.IrrepBlock(n=1, k=2, isometry=np.eye(2, dtype=complex))]
-    monkeypatch.setattr(decompose, "irrep_decompose", lambda a, seed, tol: split)
+    # a split into two 1-dim halves: each state's coherences between them are lost
+    halves = [np.eye(2, dtype=complex)[:, [c]] for c in (0, 1)]
+    monkeypatch.setattr(decompose, "irrep_decompose", lambda a, seed, tol: halves)
     assert main(["decompose", two_pure_file]) == 3
     err = capsys.readouterr().err
-    assert "numerical failure: state 0 violates the (J factor) x (identity on K) form" in err
+    assert "numerical failure: reconstruction residual" in err
     assert "Traceback" not in err
 
 

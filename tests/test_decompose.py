@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kidecomp import decompose
-from kidecomp.algebra import IrrepBlock
 from kidecomp.decompose import (
     KIBlock,
     decomposition_from_doc,
@@ -22,7 +21,7 @@ from kidecomp.decompose import (
 )
 from kidecomp.ensemble import Ensemble, validate
 from kidecomp.errors import FormViolation, ParseError, ValidationError
-from kidecomp.measures import info_measures
+from kidecomp.measures import info_measures, von_neumann_entropy
 from kidecomp.oracles import PlantSpec, haar_unitary, planted_ensemble
 from kidecomp.protocols import rate_sweep
 
@@ -211,8 +210,8 @@ def test_planted_multiplicity_block():
 
 
 def test_degenerate_redundant_factor():
-    # maximally mixed K factor: the multiplicity is found directly by the
-    # algebra (no merge step), and I_R comes out as one full bit
+    # maximally mixed K factor: the split returns two equivalent copies with
+    # equal weights, the merge glues them (c = 1), and I_R comes out as one full bit
     rng = np.random.default_rng(42)
     u = haar_unitary(4, rng)
     sig = [np.array([[0.7, 0.2], [0.2, 0.3]], dtype=complex),
@@ -264,19 +263,11 @@ def test_tied_redundant_weights_give_a_diagonal_descending_k_state():
     assert np.allclose(rho @ b.isometry, b.isometry @ b.rho_K, atol=1e-10)
 
 
-def test_split_violating_the_block_form_raises(monkeypatch):
-    # one n = 1 block over all of C^2 asks every state to be a multiple of the identity
-    split = [IrrepBlock(n=1, k=2, isometry=np.eye(2, dtype=complex))]
-    monkeypatch.setattr(decompose, "irrep_decompose", lambda a, seed, tol: split)
-    with pytest.raises(FormViolation, match=r"state 0 violates the \(J factor\) x \(identity on K\) form"):
-        ki_decompose(two_pure())
-
-
 def test_split_dropping_coherences_fails_reconstruction(monkeypatch):
-    # two 1-dim halves of a 2x1 plant: each state takes the block form on
-    # each half, but the coherences between the halves are lost
+    # two 1-dim halves of a 2x1 plant: each half is a block with the state's diagonal
+    # entry as weight, but the coherences between the halves are lost
     e, _ = planted_ensemble(PlantSpec(blocks=((2, 1),), num_states=3, seed=1))
-    halves = [IrrepBlock(n=1, k=1, isometry=np.eye(2, dtype=complex)[:, [c]]) for c in (0, 1)]
+    halves = [np.eye(2, dtype=complex)[:, [c]] for c in (0, 1)]
     monkeypatch.setattr(decompose, "irrep_decompose", lambda a, seed, tol: halves)
     with pytest.raises(FormViolation, match="reconstruction residual"):
         ki_decompose(e)
@@ -585,3 +576,53 @@ def test_row_lengths_are_checked_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+# -- structure identities of the decomposition: ancillas and products ----------
+
+_SMALL_PLANTS = [((2, 1),), ((1, 2),), ((2, 1), (1, 1)), ((1, 1), (1, 1)), ((2, 2),), ((3, 1), (1, 2)), ((2, 1), (1, 3))]
+_TAUS = {  # exact ties, so the merge glues equal-weight copies of one algebra block
+    "I/2": np.eye(2) / 2,
+    "I/3": np.eye(3) / 3,
+    "diag(.5,.25,.25)": np.diag([0.5, 0.25, 0.25]),
+    "diag(.7,.3,0)": np.diag([0.7, 0.3, 0.0]),
+}
+
+
+def _shapes_and_measures(e):
+    d = ki_decompose(e)
+    m = info_measures(d, e)
+    return sorted((b.n, b.k) for b in d.blocks), np.array([m.info_classical, m.info_nonclassical, m.info_redundant])
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(blocks=st.sampled_from(_SMALL_PLANTS), tau=st.sampled_from(sorted(_TAUS)), seed=st.integers(0, 2**32 - 1))
+def test_an_ancilla_multiplies_k_by_its_rank_and_adds_its_entropy_to_i_r(blocks, tau, seed):
+    e, _ = planted_ensemble(PlantSpec(blocks=blocks, num_states=3, seed=seed))
+    t = _TAUS[tau].astype(complex)
+    rank = np.count_nonzero(np.diag(_TAUS[tau]))
+    shapes, measures = _shapes_and_measures(e)
+    with_ancilla = Ensemble(probs=e.probs, states=[np.kron(s, t) for s in e.states])
+    ancilla_shapes, ancilla_measures = _shapes_and_measures(with_ancilla)
+    assert ancilla_shapes == sorted((n, k * rank) for n, k in shapes)
+    gain = ancilla_measures - measures - [0.0, 0.0, von_neumann_entropy(t)]
+    assert np.abs(gain).max() <= 1e-12
+
+
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(
+    first=st.sampled_from(_SMALL_PLANTS),
+    second=st.sampled_from(_SMALL_PLANTS[:5]),
+    seeds=st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1)),
+)
+def test_a_product_ensemble_multiplies_shapes_and_adds_measures(first, second, seeds):
+    a, _ = planted_ensemble(PlantSpec(blocks=first, num_states=2, seed=seeds[0]))
+    b, _ = planted_ensemble(PlantSpec(blocks=second, num_states=2, seed=seeds[1]))
+    product = Ensemble(
+        probs=np.outer(a.probs, b.probs).ravel(),
+        states=[np.kron(x, y) for x in a.states for y in b.states],
+    )
+    (shapes_a, measures_a), (shapes_b, measures_b) = _shapes_and_measures(a), _shapes_and_measures(b)
+    shapes, measures = _shapes_and_measures(product)
+    assert shapes == sorted((n * n2, k * k2) for n, k in shapes_a for n2, k2 in shapes_b)
+    assert np.abs(measures - measures_a - measures_b).max() <= 1e-12

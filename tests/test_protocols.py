@@ -14,8 +14,8 @@ from kidecomp import streams
 from kidecomp.decompose import decomposition_from_doc, decomposition_to_doc, ki_decompose, verify
 from kidecomp.ensemble import Ensemble
 from kidecomp.errors import ConfigTooLarge, ValidationError
-from kidecomp.linalg import eigvalsh, hermitize
-from kidecomp.measures import fidelity, info_measures
+from kidecomp.linalg import DEFAULT_TOL, eigvalsh, hermitize
+from kidecomp.measures import fidelity, info_measures, von_neumann_entropy
 from kidecomp.oracles import PlantSpec, haar_unitary, planted_ensemble, random_density
 from kidecomp.protocols import (
     _BOUNDARY_GUARD,
@@ -330,6 +330,35 @@ def bench_plant(request):
     return e, ki_decompose(e)
 
 
+def test_block_rates_are_the_entropies_info_measures_sums(bench_plant):
+    e, d = bench_plant
+    p_block, rho_j_avg = d.block_averages(e.probs)
+    data = _block_data(d, rho_j_avg, DEFAULT_TOL)
+    assert [b.entropy for b in data] == [von_neumann_entropy(a) for a in rho_j_avg]
+    i_nc = float(sum(pl * b.entropy for pl, b in zip(p_block, data)))
+    assert i_nc == info_measures(d, e).info_nonclassical
+
+
+def test_rate_sweep_reads_its_tol():
+    # a qubit block whose averaged J state has an eigenvalue of 2.55e-7: kept at the
+    # default tol, dropped at 1e-6, where the nearly pure states also count as pure
+    psi = np.array([np.cos(1e-3), np.sin(1e-3)])
+    states = [np.diag([1 - 1e-8, 1e-8]).astype(complex), np.outer(psi, psi).astype(complex)]
+    e = Ensemble(probs=[0.5, 0.5], states=states)
+    d = ki_decompose(e)
+    assert [(b.n, b.k) for b in d.blocks] == [(2, 1)]
+    rho_j_avg = d.block_averages(e.probs)[1]
+    for tol in (DEFAULT_TOL, 1e-6):
+        (data,) = _block_data(d, rho_j_avg, tol)
+        s = info_measures(d, e, tol).info_nonclassical
+        assert data.entropy == s and data.all_pure == (tol == 1e-6)
+        # every trial is one group of 4 members: a slack just short of one qubit over
+        # the 4 messages keeps one sequence, which the clipped spectrum's 5.95e-6
+        # bits of entropy would have pushed to two
+        (run,) = rate_sweep(e, d, 4, [0.25 - s - 1e-8], trials=3, tol=tol)
+        assert run.qubit_rate_used == 0.0
+
+
 def reference_weights(e, d):
     qmat = np.clip(np.stack([b.q for b in d.blocks], axis=1), 0.0, None)
     return e.probs / e.probs.sum(), qmat / qmat.sum(axis=1, keepdims=True)
@@ -349,7 +378,7 @@ def reference_block_trial(e, d, n, rng):
 
 
 def block_data(e, d):
-    return _block_data(d, d.block_averages(e.probs)[1])
+    return _block_data(d, d.block_averages(e.probs)[1], DEFAULT_TOL)
 
 
 def reference_fidelities(e, d, n, delta, trials, seed):
@@ -362,7 +391,7 @@ def reference_fidelities(e, d, n, delta, trials, seed):
         f_trial, qubits = 1.0, 0
         for l, u in zip(occupied, uniforms):
             members = [int(i) for i in drawn[labels == l]]
-            plan = _compression_plan(data[l].spectrum, len(members), delta)
+            plan = _compression_plan(data[l].spectrum, data[l].entropy, len(members), delta)
             f_group = 1.0
             if not plan.full:
                 rows = reference_diag_rows(data[l], members)
@@ -435,7 +464,7 @@ def exact_f_bar(e, d, n, delta):
 
     def group_fidelity(l, members):
         if (l, members) not in groups:
-            plan = _compression_plan(data[l].spectrum, len(members), delta)
+            plan = _compression_plan(data[l].spectrum, data[l].entropy, len(members), delta)
             f = 1.0
             if not plan.full:
                 rows = reference_diag_rows(data[l], members)
@@ -584,7 +613,7 @@ def test_failure_fidelity_matches_per_member_gather(blocks, lengths):
     seen = set()
     for length in lengths:
         for delta in (-0.6, -0.3, -0.1, 0.0, 0.2) if length < 9 else (-0.25, 0.0):
-            plan = _compression_plan(data.spectrum, length, delta)
+            plan = _compression_plan(data.spectrum, data.entropy, length, delta)
             if plan.full:
                 continue
             members = [int(i) for i in rng.choice(states, size=length)]
@@ -644,13 +673,14 @@ def test_compression_plan_matches_class_by_class_reference():
     cases = 0
     for spectrum in _test_spectra():
         spectrum = spectrum / spectrum.sum()
+        entropy = float(-np.sum(spectrum * np.log2(spectrum)))
         r = len(spectrum)
         for length in range(1, 13):
             if r**length > 2**14:
                 break
             for delta in (-0.3, 0.0, 0.2):
                 full, dim, full_classes, partial = _reference_compression_plan(spectrum, length, delta)
-                plan = _compression_plan(spectrum, length, delta)
+                plan = _compression_plan(spectrum, entropy, length, delta)
                 assert (plan.full, plan.dim, plan.full_classes) == (full, dim, full_classes)
                 assert (plan.partial is None) == (partial is None)
                 if partial is not None:
@@ -722,7 +752,7 @@ def test_plan_formulas_match_brute_force_subspace(blocks):
 
             ranked = sorted(itertools.product(range(r), repeat=length), key=rank)
             for delta in (-0.6, -0.4, -0.2, -0.1, 0.0, 0.1):
-                plan = _compression_plan(data.spectrum, length, delta)
+                plan = _compression_plan(data.spectrum, data.entropy, length, delta)
                 if plan.full:
                     continue
                 partial += plan.partial is not None

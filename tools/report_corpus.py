@@ -8,9 +8,11 @@ stdout and to an `-o` file, and `verify` against the recomputed, the
 stored and the ground-truth decomposition. Every planted weight is
 positive, so one hand-written ensemble follows in which states miss
 blocks (zero weight, a `null` J state in the document), an n = 2 block
-among them; it gets the same report commands and `verify` against its
-stored decomposition. A few error paths come last. OUTDIR/codes.txt
-lists each call's exit code and stderr.
+among them. A second one hides a block of multiplicity 2 (states
+rho_i (x) I/2) behind a fixed rotation. Both get the same report
+commands and `verify` against their stored decompositions. A few error
+paths come last. OUTDIR/codes.txt lists each call's exit code and
+stderr.
 
 This is the byte-identity gate for refactors: run it once with the
 parent's `src/` and once with the change's on PYTHONPATH, into the same
@@ -25,9 +27,12 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import contextlib  # noqa: E402
 import io  # noqa: E402
+import itertools  # noqa: E402
 import json  # noqa: E402
 import sys  # noqa: E402
 from pathlib import Path  # noqa: E402
+
+import numpy as np  # noqa: E402
 
 from kidecomp import cli  # noqa: E402
 
@@ -110,6 +115,25 @@ def _zero_weight_case(out: Path, codes: list[str]) -> None:
     _report_cases(case, codes, str(ensemble), 1, {})
 
 
+def _multiplicity_case(out: Path, codes: list[str]) -> None:
+    """Three states rho_i (x) I/2 on C^4 behind a fixed real rotation: one algebra block
+    M_2 (x) 1_2, whose two equivalent irreducible copies the decomposition must glue
+    into one n = 2, k = 2 block with rho_K = I/2 (one bit of I_R)."""
+    case = out / "multiplicity"
+    case.mkdir()
+    qubits = [[[0.7, 0.2], [0.2, 0.3]], [[0.4, 0.1], [0.1, 0.6]], [[0.5, 0.3], [0.3, 0.5]]]
+    rotation = np.eye(4)
+    for (i, j), angle in zip(itertools.combinations(range(4), 2), (0.3, 0.5, 0.7, 1.1, 1.3, 1.7)):
+        plane = np.eye(4)
+        plane[[i, i, j, j], [i, j, i, j]] = np.cos(angle), -np.sin(angle), np.sin(angle), np.cos(angle)
+        rotation = plane @ rotation
+    states = [(rotation @ np.kron(q, np.eye(2) / 2) @ rotation.T).tolist() for q in qubits]
+    doc = {"dim": 4, "states": [{"p": p, "matrix": _pairs(m)} for p, m in zip((0.5, 0.3, 0.2), states)]}
+    ensemble = case / "ensemble.json"
+    ensemble.write_text(json.dumps(doc), encoding="utf-8")
+    _report_cases(case, codes, str(ensemble), 1, {})
+
+
 def _error_cases(out: Path, codes: list[str]) -> None:
     case = out / "errors"
     case.mkdir()
@@ -160,6 +184,7 @@ def main(argv: list[str]) -> int:
     codes: list[str] = []
     _plant_cases(out, codes)
     _zero_weight_case(out, codes)
+    _multiplicity_case(out, codes)
     _error_cases(out, codes)
     (out / "codes.txt").write_text("\n".join(codes) + "\n", encoding="utf-8")
     return 0
