@@ -122,6 +122,24 @@ def commutant(a: OperatorBasis, tol: float = DEFAULT_TOL) -> OperatorBasis:
     return OperatorBasis(dim=a.dim, mats=intertwiner_basis(a.mats, a.mats, tol))
 
 
+def commutant_dim(stack, tol: float = DEFAULT_TOL) -> int:
+    """Dimension of the commutant of a (count, n, n) stack, such as a block's J states.
+
+    It is 1 exactly when the stack generates the full n x n matrix algebra
+    (double commutant theorem). n = 1 needs no solve; otherwise it is
+    `intertwiner_basis` of the stack with itself, since the identity adds
+    no constraint and a Hermitian stack is its own adjoint (a stack that
+    is not Hermitian is solved with its adjoints appended).
+    """
+    stack = np.asarray(stack, dtype=complex)
+    if stack.shape[-1] == 1:
+        return 1
+    adjoints = stack.conj().swapaxes(-1, -2)
+    if not np.array_equal(stack, adjoints):
+        stack = np.concatenate([stack, adjoints])
+    return len(intertwiner_basis(stack, stack, tol))
+
+
 def center_basis(comm: OperatorBasis, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
     """Basis of the center of an algebra A, solved from its commutant (test reference).
 

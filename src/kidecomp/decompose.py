@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .algebra import commutant, generator_span, intertwiner, intertwiner_basis, irrep_decompose
+from .algebra import commutant_dim, generator_span, intertwiner, intertwiner_basis, irrep_decompose
 from .ensemble import Ensemble, require_valid, support_restrict, _integer, _matrix_to_pairs, _number, _pairs_to_matrix
 from .errors import FormViolation, ParseError
 from .linalg import DEFAULT_TOL, direct_sum, frob, hermitize, kron
@@ -92,20 +92,33 @@ class KIDecomposition:
 
     def reconstruct(self, i: int) -> np.ndarray:
         """Ambient-space state assembled from the block data of state i."""
-        return self._reconstruct(i, self.ambient_isometries())
-
-    def _reconstruct(self, i: int, isometries: list[np.ndarray]) -> np.ndarray:
         dim = len(self.frame)
         acc = np.zeros((dim, dim), dtype=complex)
-        for b, c in zip(self.blocks, isometries):
+        for b, c in zip(self.blocks, self.ambient_isometries()):
             if b.q[i] > 0:
                 acc += c @ (b.q[i] * kron(b.rho_J[i], b.rho_K)) @ c.conj().T
         return acc
 
     def reconstruction_residual(self, e: Ensemble) -> float:
-        """Largest Frobenius distance between a state of `e` and its reconstruction."""
-        isometries = self.ambient_isometries()
-        return max(frob(self._reconstruct(i, isometries) - e.states[i]) for i in range(len(e)))
+        """Largest Frobenius distance between a state of `e` and its reconstruction.
+
+        All states are reconstructed at once, with one stacked product per
+        block over the states that reach it, summed in block order: the same
+        sums as `reconstruct`, state by state.
+        """
+        m = len(e)
+        acc = np.zeros(e.states.shape, dtype=complex)
+        for b, c in zip(self.blocks, self.ambient_isometries()):
+            q = b.q[np.arange(m)]
+            idx = np.flatnonzero(q > 0)
+            part = c @ (q[idx, None, None] * kron(np.asarray(b.rho_J)[idx], b.rho_K)) @ c.conj().T
+            if len(idx) == m:
+                acc += part
+            else:
+                np.add.at(acc, idx, part)  # in place; `acc[idx] += part` would copy the rows first
+            del part  # before the next block's product
+        acc -= e.states
+        return max(frob(x) for x in acc)
 
 
 # ---------------------------------------------------------------------------
@@ -284,18 +297,20 @@ def verify(
     """Check a decomposition against its ensemble; reports, never raises.
 
     Covered: per-state reconstruction, weight normalization, per-block
-    irreducibility of the J states (the commutant of their span is the
-    scalars, so by the double commutant theorem they generate the full
-    n x n matrix algebra), pairwise non-mergeability, and
-    preservation of every state under `channels` random
-    structure-respecting channels (identity on J, unitary on K plus
+    irreducibility of the J states (their commutant is the scalars, so by
+    the double commutant theorem they generate the full n x n matrix
+    algebra: `commutant_dim`, which passes n = 1 without a solve and
+    otherwise solves the J stack against itself), pairwise
+    non-mergeability, and preservation of every state under `channels`
+    random structure-respecting channels (identity on J, unitary on K plus
     environment, environment traced out; seeds seed * 1000 + r). The
     channel check computes C = F [V_1 ... V_L] (frame times block
     isometries), the complement projector and each rho_K eigenbasis
-    once per call, builds each channel as one
-    (env_dim, D, D) Kraus stack and applies it to all m states at once:
-    a few stacked products per channel, with O(env_dim * D^2 + m * D^2)
-    working memory whatever the number of channels. Its residual is the
+    once per call. It builds the channels a chunk at a time as one
+    (c, env_dim, D, D) Kraus stack (`oracles.random_form2_kraus`) and
+    applies the chunk to all m states with one stacked product per Kraus
+    term; a chunk's working set stays within `oracles.CHUNK_BYTES`, or is
+    one channel's when a single channel needs more. Its residual is the
     largest Frobenius norm of Phi(rho_i) - rho_i.
     """
     from . import oracles  # local import; oracles builds on this module
@@ -317,10 +332,10 @@ def verify(
         return residual <= thr, residual, ""
 
     def irreducible(b):
-        gens = [b.rho_J[i] for i in _support_set(b.q)]
-        if not gens:
+        support = _support_set(b.q)
+        if not support:
             return False, float("inf"), "no states"
-        comm_dim = commutant(generator_span(gens, b.n, tol), tol).size
+        comm_dim = commutant_dim(np.asarray(b.rho_J)[list(support)], tol)
         return comm_dim == 1, float(comm_dim - 1), f"commutant dimension {comm_dim}"
 
     def weight_rows():
@@ -331,9 +346,16 @@ def verify(
         hits = [(ia, ib) for ia, ib in pairs if mergeable(d.blocks[ia], d.blocks[ib], tol) is not None]
         return not hits, float(len(hits)), f"mergeable pairs: {hits}" if hits else ""
 
+    def chunk_drifts(kraus):
+        """Per channel of a (c, env, D, D) chunk, the largest Frobenius norm of Phi(rho_i) - rho_i."""
+        out = oracles.apply_kraus(kraus, e.states)
+        out -= e.states
+        return np.linalg.norm(out, axis=(2, 3)).max(axis=1).tolist()
+
     def channel_drift():
-        chans = oracles.random_form2_channels(d, env_dim, (seed * 1000 + r for r in range(channels)))
-        return max([0.0, *(float(np.linalg.norm(c.apply(e.states) - e.states, axis=(1, 2)).max()) for c in chans)])
+        # map holds no chunk while the next one is built
+        chunks = oracles.random_form2_kraus(d, env_dim, (seed * 1000 + r for r in range(channels)), len(e))
+        return max([0.0, *itertools.chain.from_iterable(map(chunk_drifts, chunks))])
 
     check("reconstruction", lambda: within_thr(d.reconstruction_residual(e)))
     check("weight_rows_sum_to_1", lambda: within_thr(weight_rows()))

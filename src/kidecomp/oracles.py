@@ -5,6 +5,11 @@ A planted ensemble is built directly in block form with known weights,
 block states and shared redundant states, then hidden behind one global
 Haar rotation. Recovering the plant is the independent oracle for the
 decomposition pipeline and for every scalar derived from it.
+
+A random structure-respecting channel is drawn from its own seed;
+`random_form2_kraus` builds the channels of many seeds a chunk at a
+time, bit for bit the same as one at a time, and `apply_kraus` applies
+a chunk to a stack of states.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import commutant, generator_span
+from .algebra import commutant_dim
 from .decompose import KIBlock, KIDecomposition, _block_key
 from .ensemble import Ensemble
 from .errors import RejectionExhausted
@@ -93,14 +98,14 @@ def _draw_weights(spec: PlantSpec, rng: np.random.Generator) -> np.ndarray:
 def _draw_block_states(n: int, num_states: int, rng: np.random.Generator, tol: float) -> np.ndarray:
     """A (num_states, n, n) stack of J states whose generated algebra is the full n x n matrix algebra.
 
-    Accepted when the commutant of their span is the scalars: by the
+    Accepted when their commutant is the scalars (`commutant_dim`): by the
     double commutant theorem that is the full matrix algebra.
     """
     if n == 1:
         return np.ones((num_states, 1, 1), dtype=complex)
     for _ in range(MAX_RESAMPLES):
         sigmas = np.stack([random_density(n, rng) for _ in range(num_states)])
-        if commutant(generator_span(sigmas, n, tol), tol).size == 1:
+        if commutant_dim(sigmas, tol) == 1:
             return sigmas
     raise RejectionExhausted(
         f"could not realize an irreducible {n}-dimensional block with "
@@ -153,6 +158,27 @@ def planted_ensemble(spec: PlantSpec, tol: float = DEFAULT_TOL) -> tuple[Ensembl
 # ---------------------------------------------------------------------------
 # structure-respecting channels
 
+CHUNK_BYTES = 1 << 18  # working set of one chunk of `random_form2_kraus` channels applied to the states
+
+
+def apply_kraus(kraus: np.ndarray, rho) -> np.ndarray:
+    """Sum of K_e rho K_e^dagger over the Kraus terms e.
+
+    `kraus` is one channel's (env, D, D) stack or a (c, env, D, D) stack of
+    c channels; `rho` is one (D, D) state or an (m, D, D) stack, and the
+    result is rho's shape, with a leading channel axis for a channel stack.
+    The loop runs over the Kraus terms only: each term is one stacked
+    product over all channels and states, so the working memory is a few
+    output-sized arrays however many Kraus terms there are.
+    """
+    rho = np.asarray(rho, dtype=complex)
+    lead = kraus.shape[:-3]
+    out = np.zeros(lead + rho.shape, dtype=complex)
+    for e in range(kraus.shape[-3]):
+        k = kraus[..., e, :, :].reshape(lead + (1,) * (rho.ndim - 2) + kraus.shape[-2:])
+        out += k @ rho @ k.conj().swapaxes(-1, -2)
+    return out
+
 
 @dataclass(frozen=True)
 class Channel:
@@ -161,17 +187,8 @@ class Channel:
     kraus: np.ndarray
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
-        """Sum of K rho K^dagger over the Kraus terms, for one (D, D) state or an (m, D, D) stack.
-
-        The loop runs over the Kraus terms only; each term is one stacked
-        product over all states, so the working memory is a few (m, D, D)
-        arrays however many Kraus terms the channel has.
-        """
-        rho = np.asarray(rho, dtype=complex)
-        out = np.zeros_like(rho)
-        for k in self.kraus:
-            out += k @ rho @ k.conj().T
-        return out
+        """`apply_kraus` of this channel: one (D, D) state or an (m, D, D) stack."""
+        return apply_kraus(self.kraus, rho)
 
 
 def _ambient_frame(d: KIDecomposition) -> tuple[np.ndarray, list[np.ndarray], np.ndarray | None]:
@@ -187,17 +204,24 @@ def _ambient_frame(d: KIDecomposition) -> tuple[np.ndarray, list[np.ndarray], np
     return np.concatenate(cols, axis=1), rows, complement
 
 
-def _assemble(c: np.ndarray, rows: list[np.ndarray], complement: np.ndarray | None, block_kraus) -> Channel:
-    """K_e = C X_e C^dagger for every e as one (env, D, D) stack, plus the complement projector on e = 0."""
-    env = len(block_kraus[0])
-    if any(len(bk) != env for bk in block_kraus):
+def _assemble(c: np.ndarray, rows: list[np.ndarray], complement: np.ndarray | None, block_kraus) -> np.ndarray:
+    """K_e = C X_e C^dagger as a (count, env, D, D) stack, from block_kraus[l] of shape
+    (count, env, k_l, k_l), plus the complement projector on every channel's e = 0."""
+    count, env = block_kraus[0].shape[:2]
+    if any(bk.shape[:2] != (count, env) for bk in block_kraus):
         raise ValueError("all blocks need the same number of Kraus terms")
-    # X_e C^dagger: 1_n tensor B_le acts on each of block l's n slabs of k rows
-    xc = np.concatenate([(bk[:, None] @ r).reshape(env, -1, len(c)) for r, bk in zip(rows, block_kraus)], axis=1)
+    # X_e C^dagger, written block by block into one array: 1_n tensor B_le acts
+    # on each of block l's n slabs of k rows
+    xc = np.empty((count, env, c.shape[1], len(c)), dtype=complex)
+    top = 0
+    for r, bk in zip(rows, block_kraus):
+        n, k = r.shape[:2]
+        np.matmul(bk[:, :, None], r, out=xc[:, :, top : top + n * k].reshape(count, env, n, k, len(c)))
+        top += n * k
     kraus = c @ xc
     if complement is not None:
-        kraus[0] += complement
-    return Channel(kraus=kraus)
+        kraus[:, 0] += complement
+    return kraus
 
 
 def form2_channel(d: KIDecomposition, block_kraus: list[np.ndarray]) -> Channel:
@@ -212,30 +236,47 @@ def form2_channel(d: KIDecomposition, block_kraus: list[np.ndarray]) -> Channel:
     product per block for X_e C^dagger and one for C times it; the stack
     takes env * D^2 entries.
     """
-    return _assemble(*_ambient_frame(d), block_kraus)
+    return Channel(kraus=_assemble(*_ambient_frame(d), [np.asarray(bk)[None] for bk in block_kraus])[0])
 
 
-def random_form2_channels(d: KIDecomposition, env_dim: int, seeds: Iterable[int]) -> Iterator[Channel]:
-    """`random_form2_channel(d, env_dim, seed)` for each seed in turn.
+def random_form2_kraus(
+    d: KIDecomposition, env_dim: int, seeds: Iterable[int], states: int = 1
+) -> Iterator[np.ndarray]:
+    """Kraus stacks of `random_form2_channel(d, env_dim, seed)` for the seeds, a chunk at a time.
 
+    Each item is a (c, env_dim, D, D) array of c channels in seed order.
     C, the complement projector and the eigenbasis of each rho_K are
-    computed once for all the seeds; each channel then costs its draws
-    and the assembly `form2_channel` uses.
+    computed once for all the seeds. Only the draws run seed by seed:
+    default_rng(seed) draws, block by block, k phases and then
+    2 k env_dim normals, as for one channel. The phases, environment
+    states, block operators B_le and K_e = C X_e C^dagger are then formed
+    for the whole chunk as stacked products, each channel's products the
+    same as one channel's, so a chunk's stacks are bit for bit those of
+    the single channels. A chunk holds as many channels as fit in
+    CHUNK_BYTES with their X C^dagger factor and the three
+    (states, D, D) arrays per channel that applying it to `states` states
+    and taking the residual need; at least one, so a large D * states
+    falls back to one channel at a time.
     """
     if env_dim < 1:
         raise ValueError("env_dim must be at least 1")
     frame = _ambient_frame(d)
     bases = [eigh(hermitize(b.rho_K))[1] for b in d.blocks]
-    for seed in seeds:
-        rng = np.random.default_rng(seed)
+    dim, support = frame[0].shape
+    size = max(1, CHUNK_BYTES // (16 * dim * (env_dim * (support + dim) + 3 * states * dim)))
+    seeds = list(seeds)
+    for top in range(0, len(seeds), size):
+        rngs = [np.random.default_rng(seed) for seed in seeds[top : top + size]]
         block_kraus = []
         for vec in bases:
             k = len(vec)
-            phases = np.exp(2j * np.pi * rng.random(k))
-            g = rng.standard_normal((k, env_dim)) + 1j * rng.standard_normal((k, env_dim))
-            env_states = g / np.linalg.norm(g, axis=1, keepdims=True)  # row kappa: |v_kappa>
+            phases = np.exp(2j * np.pi * np.array([rng.random(k) for rng in rngs]))  # (c, k)
+            z = np.array([rng.standard_normal(2 * k * env_dim) for rng in rngs]).reshape(-1, 2, k, env_dim)
+            g = z[:, 0] + 1j * z[:, 1]
+            env_states = g / np.linalg.norm(g, axis=-1, keepdims=True)  # row kappa: |v_kappa>
             # B_e = U diag(phases * <e|v_kappa>) U^dagger, U the eigenbasis of rho_K
-            block_kraus.append((vec * (phases * env_states.T)[:, None, :]) @ vec.conj().T)
+            diag = phases[:, None, :] * env_states.swapaxes(1, 2)  # (c, env, k)
+            block_kraus.append((vec * diag[:, :, None, :]) @ vec.conj().T)
         yield _assemble(*frame, block_kraus)
 
 
@@ -248,4 +289,4 @@ def random_form2_channel(d: KIDecomposition, env_dim: int = 2, seed: int = 0) ->
     composed with commuting phases. Tracing out the environment then
     preserves every state of the source ensemble by construction.
     """
-    return next(random_form2_channels(d, env_dim, (seed,)))
+    return Channel(kraus=next(random_form2_kraus(d, env_dim, (seed,)))[0])

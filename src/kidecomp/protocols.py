@@ -330,14 +330,11 @@ def _failure_fidelity(plan: _CompressionPlan, data: _BlockData, members: list[in
     is coded as one integer, the half's product is taken over its
     distinct codes only, and one gather per half spreads it over the
     subspace. Every factor is exactly Hermitian (see `_block_data`), so
-    the product is too.
+    the product is too. `rate_sweep` refuses a mixed block's plan above
+    MIXED_SUBSPACE_CAP before it evaluates any failure branch.
     """
     if data.all_pure:
         return w / plan.dim
-    if plan.dim > MIXED_SUBSPACE_CAP:
-        raise ConfigTooLarge(
-            f"exact mixed-state fidelity needs subspace dimension <= {MIXED_SUBSPACE_CAP}"
-        )
     seqs = plan.all_sequences()
 
     def half_state(cols: range) -> np.ndarray:
@@ -415,7 +412,11 @@ def rate_sweep(
 
     Each trial is drawn once and scored at every delta, so all runs see
     the same messages, labels and branch uniforms, and rate comparisons
-    are low-variance. Results come back sorted by delta.
+    are low-variance. A first pass decides every group's branch, so a
+    failure branch over MIXED_SUBSPACE_CAP raises ConfigTooLarge before
+    any is evaluated; a second pass evaluates the failure branches and
+    multiplies the group fidelities in trial order. Results come back
+    sorted by delta.
     """
     deltas = sorted(float(dv) for dv in deltas)
     if not all(math.isfinite(dv) for dv in deltas):
@@ -442,6 +443,9 @@ def rate_sweep(
         zip(u[:, 2 * n :], *_pick(u, n, cdf_p, cdf_q))
         for u in _trial_stream(seed, trials, 2 * n + len(d.blocks))
     )
+    # pass A decides every branch; a failure branch is a job (plan, block data, members)
+    # and is refused over the cap before any eigvalsh runs
+    factors: list[tuple[int, int, float, tuple | None]] = []  # (delta index, trial, w, job)
     for t, (branch, drawn, labels) in enumerate(rows):
         occupied = np.flatnonzero(np.bincount(labels))
         for l, u_group in zip(occupied.tolist(), branch):
@@ -459,7 +463,17 @@ def rate_sweep(
                     diag_rows = data[l].rotated[members].diagonal(axis1=1, axis2=2).real.clip(0.0)
                     sums = _class_sums(diag_rows)
                 w = _overlap_weight(plan, diag_rows, sums)
-                fidelities[k, t] *= w if u_group <= w else _failure_fidelity(plan, data[l], members, w)
+                if u_group <= w:
+                    factors.append((k, t, w, None))
+                    continue
+                if not data[l].all_pure and plan.dim > MIXED_SUBSPACE_CAP:
+                    raise ConfigTooLarge(
+                        f"exact mixed-state fidelity needs subspace dimension <= {MIXED_SUBSPACE_CAP}"
+                    )
+                factors.append((k, t, w, (plan, data[l], members)))
+    # pass B evaluates the jobs and multiplies every factor in the order pass A met it
+    for k, t, w, job in factors:
+        fidelities[k, t] *= w if job is None else _failure_fidelity(*job, w)
 
     bit_rate = shannon_entropy(p_block, tol)
     return [

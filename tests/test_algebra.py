@@ -10,6 +10,7 @@ from kidecomp.algebra import (
     OperatorBasis,
     center_basis,
     commutant,
+    commutant_dim,
     generate_algebra,
     generator_span,
     intertwiner_basis,
@@ -566,3 +567,32 @@ def test_intertwiner_basis_on_clifford_tuples(count):
     assert np.linalg.norm(_span_projector(got) - _span_projector(want)) <= 1e-8
     same = intertwiner_basis(sigmas, sigmas)
     assert np.linalg.norm(_span_projector(same) - _projector(_reference_commutant(generator_span(sigmas, 4)))) <= 1e-8
+
+
+# ---------------------------------------------------------------------------
+# commutant dimension of a J stack
+
+
+def test_commutant_dim_of_one_dimensional_states_needs_no_solve(monkeypatch):
+    monkeypatch.setattr(algebra, "intertwiner_basis", None)  # any solve would fail
+    assert commutant_dim(np.full((3, 1, 1), 0.5, dtype=complex)) == 1
+
+
+@pytest.mark.parametrize("n, count, seed", [(2, 1, 0), (2, 2, 1), (3, 2, 2), (4, 3, 3), (3, 6, 4)])
+def test_commutant_dim_matches_the_span_commutant(n, count, seed):
+    rng = np.random.default_rng(seed)
+    generic = np.stack([random_density(n, rng) for _ in range(count)])
+    # states that commute with a fixed projector: a reducible stack
+    proj = np.diag([1.0] * (n - 1) + [0.0]).astype(complex)
+    rest = np.eye(n) - proj
+    reducible = np.stack([proj @ s @ proj + rest @ s @ rest for s in generic])
+    for stack in (generic, reducible):
+        want = commutant(generator_span(stack, n)).size
+        assert commutant_dim(stack) == want
+    assert commutant_dim(reducible) >= 2
+
+
+def test_commutant_dim_of_a_non_hermitian_stack_takes_the_adjoints():
+    # E_12 alone: with its adjoint E_21 it generates all of M_2
+    e12 = np.array([[[0.0, 1.0], [0.0, 0.0]]], dtype=complex)
+    assert commutant_dim(e12) == commutant(generator_span(e12, 2)).size == 1

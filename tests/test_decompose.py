@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from kidecomp import decompose
 from kidecomp.decompose import (
     KIBlock,
+    KIDecomposition,
     decomposition_from_doc,
     decomposition_to_doc,
     ki_decompose,
@@ -278,6 +279,43 @@ def test_reconstruction_residual():
     d = ki_decompose(e, seed=0)
     for i in range(len(e)):
         assert np.linalg.norm(d.reconstruct(i) - e.states[i]) <= 1e-8
+
+
+def _zero_weight_ensemble():
+    # |0> and |+> in the n = 2 block, I/2 split 0.7 / 0.3 over both blocks, |2> in the n = 1 block
+    plus = np.full((2, 2), 0.5)
+    states = np.zeros((4, 3, 3), dtype=complex)
+    states[0, 0, 0] = 1.0
+    states[1, :2, :2] = plus
+    states[2] = np.diag([0.35, 0.35, 0.3])
+    states[3, 2, 2] = 1.0
+    return Ensemble(probs=[0.3, 0.3, 0.2, 0.2], states=states)
+
+
+@pytest.mark.parametrize("case", ["planted", "zero_weight", "perturbed"])
+def test_stacked_reconstruction_residual_equals_a_per_state_loop(case):
+    if case == "zero_weight":
+        e = _zero_weight_ensemble()
+    else:
+        e, _ = planted_ensemble(PlantSpec(blocks=((2, 2), (1, 1), (1, 3)), num_states=4, seed=3))
+    d = ki_decompose(e, seed=0)
+    if case == "zero_weight":
+        assert any(not np.all(b.q > 0) for b in d.blocks)
+    if case == "perturbed":  # a residual far from round-off
+        rng = np.random.default_rng(0)
+        noise = rng.random((4, e.dim, e.dim))
+        e = Ensemble(probs=e.probs, states=e.states + 1e-3 * (noise + noise.swapaxes(1, 2)))
+    want = max(float(np.linalg.norm(d.reconstruct(i) - e.states[i])) for i in range(len(e)))
+    assert d.reconstruction_residual(e) == want
+
+
+def test_reconstruction_residual_of_a_short_document_names_the_missing_state():
+    e, truth = planted_ensemble(PlantSpec(blocks=((2, 1), (1, 1)), num_states=3, seed=0))
+    short = KIDecomposition(frame=truth.frame, blocks=[
+        KIBlock(n=b.n, k=b.k, isometry=b.isometry, rho_K=b.rho_K, q=b.q[:1], rho_J=b.rho_J[:1]) for b in truth.blocks
+    ])
+    with pytest.raises(IndexError, match="index 1 is out of bounds for axis 0 with size 1"):
+        short.reconstruction_residual(e)
 
 
 def test_verify_clean_decomposition():

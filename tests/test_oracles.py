@@ -16,6 +16,7 @@ from kidecomp.oracles import (
     planted_ensemble,
     random_density,
     random_form2_channel,
+    random_form2_kraus,
 )
 
 
@@ -253,7 +254,8 @@ def _ladder_plant():
     return planted_ensemble(PlantSpec(blocks=((3, 2), (2, 1), (1, 3)), num_states=3, seed=1002))
 
 
-@pytest.mark.parametrize("channels", [1, 20])
+# on this D = 11 plant with 3 states at env 2, 20 channels take 2 chunks and 45 take 5
+@pytest.mark.parametrize("channels", [1, 20, 45])
 def test_verify_factors_each_rho_k_once(monkeypatch, channels):
     e, truth = _ladder_plant()
     calls = []
@@ -296,3 +298,60 @@ def test_apply_on_a_stack_equals_per_state_application():
     assert got.shape == stack.shape
     for rho, out in zip(stack, got):
         assert np.max(np.abs(out - chan.apply(rho))) <= 1e-15
+
+
+# ---------------------------------------------------------------------------
+# chunked channels against one channel at a time
+
+
+def _padded_decomposition():
+    e, _ = planted_ensemble(PlantSpec(blocks=((1, 2), (2, 1)), num_states=3, seed=5))
+    states = np.zeros((len(e), e.dim + 2, e.dim + 2), dtype=complex)
+    states[:, : e.dim, : e.dim] = e.states
+    padded = Ensemble(probs=e.probs.copy(), states=states)
+    return padded, ki_decompose(padded, seed=0)
+
+
+def _commuting_decomposition():
+    # five states diagonal in one rotated basis of C^6: six 1 x 1 blocks
+    rng = np.random.default_rng(4)
+    u = haar_unitary(6, rng)
+    weights = rng.random((5, 6)) + 0.1
+    weights /= weights.sum(axis=1, keepdims=True)
+    e = Ensemble(probs=np.full(5, 0.2), states=[u @ np.diag(w) @ u.conj().T for w in weights])
+    d = ki_decompose(e, seed=0)
+    assert [(b.n, b.k) for b in d.blocks] == [(1, 1)] * 6
+    return e, d
+
+
+CHUNK_CASES = {
+    "ladder": _ladder_plant,
+    "padded": _padded_decomposition,
+    "commuting": _commuting_decomposition,
+}
+
+
+@pytest.mark.parametrize("env_dim", [1, 2, 5, 64])
+@pytest.mark.parametrize("case", sorted(CHUNK_CASES))
+def test_chunked_kraus_equal_single_channels_bit_for_bit(case, env_dim):
+    e, d = CHUNK_CASES[case]()
+    size = len(next(random_form2_kraus(d, env_dim, range(10**4), len(e))))
+    seeds = [7 * 1000 + r for r in range(2 * size + 1)]  # two full chunks and one of a single channel
+    chunks = list(random_form2_kraus(d, env_dim, seeds, len(e)))
+    assert [len(c) for c in chunks] == [size, size, 1]
+    got = np.concatenate(chunks)
+    for seed, kraus in zip(seeds, got):
+        assert np.array_equal(kraus, random_form2_channel(d, env_dim=env_dim, seed=seed).kraus)
+
+
+@pytest.mark.parametrize("env_dim", [1, 2, 64])
+@pytest.mark.parametrize("case", sorted(CHUNK_CASES))
+def test_channel_residual_equals_a_per_channel_apply_loop(case, env_dim):
+    e, d = CHUNK_CASES[case]()
+    size = len(next(random_form2_kraus(d, env_dim, range(10**4), len(e))))
+    channels = 2 * size + 1
+    want = 0.0
+    for r in range(channels):
+        chan = random_form2_channel(d, env_dim=env_dim, seed=3 * 1000 + r)
+        want = max(want, float(np.linalg.norm(chan.apply(e.states) - e.states, axis=(1, 2)).max()))
+    assert _drift(verify(d, e, channels=channels, env_dim=env_dim, seed=3)) == want

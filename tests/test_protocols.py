@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kidecomp import streams
+from kidecomp import protocols, streams
 from kidecomp.decompose import decomposition_from_doc, decomposition_to_doc, ki_decompose, verify
 from kidecomp.ensemble import Ensemble
 from kidecomp.errors import ConfigTooLarge, ValidationError
@@ -312,6 +312,28 @@ def test_mixed_block_states_exact_fidelity_path():
     assert 0.0 < run.f_bar < 1.0
     run_hi = simulate_asymptotic(e, d, n_messages=6, delta=0.6, trials=150, seed=7)
     assert run_hi.f_bar >= run.f_bar
+
+
+def test_rate_sweep_refuses_an_over_cap_failure_branch_before_any_eigvalsh(monkeypatch):
+    # the bench's 3x1,2x2 plant: its failure branches at N = 8 need subspaces of 1 to 64
+    # dimensions, the first ones small, so a cap of 32 is passed only after several would run
+    e, _ = planted_ensemble(PlantSpec(blocks=((3, 1), (2, 2)), num_states=3, seed=1))
+    d = ki_decompose(e)
+    calls = []
+    real = protocols.eigvalsh
+
+    def counting(a):  # the failure branches' eigvalsh, the only one in protocols
+        calls.append(a.shape)
+        return real(a)
+
+    monkeypatch.setattr(protocols, "eigvalsh", counting)
+    rate_sweep(e, d, 8, [-0.25, 0.0, 0.25], trials=150, seed=7)
+    assert max(calls) == (64, 64) and calls[0][0] <= 32
+    calls.clear()
+    monkeypatch.setattr(protocols, "MIXED_SUBSPACE_CAP", 32)
+    with pytest.raises(ConfigTooLarge, match="subspace dimension <= 32"):
+        rate_sweep(e, d, 8, [-0.25, 0.0, 0.25], trials=150, seed=7)
+    assert calls == []
 
 
 # -- paired streams against the one-choice-per-draw reference ---------------

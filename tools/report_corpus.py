@@ -10,9 +10,11 @@ positive, so one hand-written ensemble follows in which states miss
 blocks (zero weight, a `null` J state in the document), an n = 2 block
 among them. A second one hides a block of multiplicity 2 (states
 rho_i (x) I/2) behind a fixed rotation. Both get the same report
-commands and `verify` against their stored decompositions. A few error
-paths come last. OUTDIR/codes.txt lists each call's exit code and
-stderr.
+commands and `verify` against their stored decompositions. The
+multiplicity case and one planted case also run `verify` with channel
+counts that take several chunks of `oracles.random_form2_kraus`
+(`CHUNKED_VERIFY`). A few error paths come last. OUTDIR/codes.txt
+lists each call's exit code and stderr.
 
 This is the byte-identity gate for refactors: run it once with the
 parent's `src/` and once with the change's on PYTHONPATH, into the same
@@ -49,6 +51,10 @@ COMMANDS = {
     "verify": [],
 }
 FORMATS = ("json", "text")
+# `verify` options whose channels span several chunks of `oracles.random_form2_kraus`
+# (at D = 4 or 5 with 3 states: 4 to 6 chunks at env 64, 3 or 4 at env 3)
+CHUNKED_VERIFY = {"env64": ["--env-dim", "64", "--channels", "24"], "env3": ["--env-dim", "3", "--channels", "150"]}
+CHUNKED_CASE = ("2x2,1x1", 1)  # the planted case that also runs CHUNKED_VERIFY
 
 
 def _call(out: Path, codes: list[str], name: str, argv: list[str]) -> None:
@@ -72,13 +78,19 @@ def _both_sinks(out: Path, codes: list[str], name: str, argv: list[str]) -> None
         _call(out, codes, f"{name}.{fmt}.o", argv + ["--format", fmt, "-o", str(out / f"{name}.{fmt}.o.out")])
 
 
-def _report_cases(case: Path, codes: list[str], ensemble: str, seed: int, sidecars: dict[str, str]) -> None:
+def _report_cases(
+    case: Path, codes: list[str], ensemble: str, seed: int, sidecars: dict[str, str], chunked: bool = False
+) -> None:
     """Every report command on one ensemble file, then `verify` against the stored
-    decomposition and each extra sidecar (label -> path)."""
+    decomposition and each extra sidecar (label -> path), and with `chunked` against
+    the stored decomposition once per CHUNKED_VERIFY option set."""
     for command, options in COMMANDS.items():
         _both_sinks(case, codes, command, [command, ensemble, "--seed", str(seed)] + options)
-    for label, path in {"stored": str(case / "decompose.json.o.out"), **sidecars}.items():
+    stored = str(case / "decompose.json.o.out")
+    for label, path in {"stored": stored, **sidecars}.items():
         _both_sinks(case, codes, f"verify_{label}", ["verify", ensemble, "--decomposition", path])
+    for label, options in CHUNKED_VERIFY.items() if chunked else ():
+        _both_sinks(case, codes, f"verify_{label}", ["verify", ensemble, "--decomposition", stored] + options)
 
 
 def _plant_cases(out: Path, codes: list[str]) -> None:
@@ -90,7 +102,8 @@ def _plant_cases(out: Path, codes: list[str]) -> None:
             gen = ["gen", "--blocks", shape, "--seed", str(seed)]
             _call(case, codes, "gen.text", gen + ["--format", "text", "-o", str(case / "plant_text.json")])
             _call(case, codes, "gen.json", gen + ["-o", plant])
-            _report_cases(case, codes, plant, seed, {"truth": str(case / "plant.truth.json")})
+            truth = {"truth": str(case / "plant.truth.json")}
+            _report_cases(case, codes, plant, seed, truth, chunked=(shape, seed) == CHUNKED_CASE)
 
 
 def _pairs(m: list[list[float]]) -> list:
@@ -131,7 +144,7 @@ def _multiplicity_case(out: Path, codes: list[str]) -> None:
     doc = {"dim": 4, "states": [{"p": p, "matrix": _pairs(m)} for p, m in zip((0.5, 0.3, 0.2), states)]}
     ensemble = case / "ensemble.json"
     ensemble.write_text(json.dumps(doc), encoding="utf-8")
-    _report_cases(case, codes, str(ensemble), 1, {})
+    _report_cases(case, codes, str(ensemble), 1, {}, chunked=True)
 
 
 def _error_cases(out: Path, codes: list[str]) -> None:
