@@ -23,7 +23,7 @@ from .ensemble import (
     write_ensemble,
 )
 from .measures import InfoMeasures, fidelity, info_measures, von_neumann_entropy
-from .oracles import Channel, PlantSpec, haar_unitary, planted_ensemble, random_form2_channel
+from .oracles import PlantSpec, apply_kraus, haar_unitary, planted_ensemble, random_form2_channel
 from .protocols import (
     AsymptoticRun,
     Trials,
@@ -52,8 +52,8 @@ __all__ = [
     "fidelity",
     "info_measures",
     "von_neumann_entropy",
-    "Channel",
     "PlantSpec",
+    "apply_kraus",
     "haar_unitary",
     "planted_ensemble",
     "random_form2_channel",

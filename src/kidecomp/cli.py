@@ -19,6 +19,8 @@ import math
 import re
 import sys
 
+import numpy as np
+
 from . import __version__
 from .decompose import (
     decomposition_to_doc,
@@ -146,7 +148,7 @@ def _verify(cfg):
     else:
         d = ki_decompose(e, seed=cfg.seed, tol=cfg.tol)
     report = verify(e=e, d=d, tol=cfg.tol, channels=cfg.channels, env_dim=cfg.env_dim, seed=cfg.seed)
-    worst = max((c.residual for c in report.checks if c.residual == c.residual), default=0.0)
+    worst = float(np.max([c.residual for c in report.checks]))  # NaN when any residual is NaN
     return report.to_dict(), {"worst_residual": worst}  # failing checks are data, not an error
 
 

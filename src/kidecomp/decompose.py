@@ -118,7 +118,7 @@ class KIDecomposition:
                 np.add.at(acc, idx, part)  # in place; `acc[idx] += part` would copy the rows first
             del part  # before the next block's product
         acc -= e.states
-        return max(frob(x) for x in acc)
+        return float(np.max([frob(x) for x in acc]))  # a NaN residual stays NaN
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +355,7 @@ def verify(
     def channel_drift():
         # map holds no chunk while the next one is built
         chunks = oracles.random_form2_kraus(d, env_dim, (seed * 1000 + r for r in range(channels)), len(e))
-        return max([0.0, *itertools.chain.from_iterable(map(chunk_drifts, chunks))])
+        return float(np.max([0.0, *itertools.chain.from_iterable(map(chunk_drifts, chunks))]))
 
     check("reconstruction", lambda: within_thr(d.reconstruction_residual(e)))
     check("weight_rows_sum_to_1", lambda: within_thr(weight_rows()))

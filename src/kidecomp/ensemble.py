@@ -8,6 +8,7 @@ pairs (human-inspectable, bit-stable round trips).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -140,13 +141,17 @@ def support_restrict(e: Ensemble, tol: float = DEFAULT_TOL) -> tuple[np.ndarray,
 
 
 def _number(x, locus: str) -> float:
-    """A JSON number as a float; booleans, strings and out-of-range integers raise ParseError at `locus`."""
+    """A finite JSON number as a float; booleans, strings, out-of-range integers and
+    NaN or +-Infinity (Python's JSON reader accepts them) raise ParseError at `locus`."""
     if not isinstance(x, (int, float)) or isinstance(x, bool):
         raise ParseError(f"{locus}: expected a number")
     try:
-        return float(x)
+        value = float(x)
     except OverflowError:
         raise ParseError(f"{locus}: number out of float range") from None
+    if not math.isfinite(value):
+        raise ParseError(f"{locus}: expected a finite number")
+    return value
 
 
 def _integer(x, locus: str, minimum: int) -> int:
@@ -177,7 +182,8 @@ def _pairs_to_matrix(rows, nrows: int, ncols: int, locus: str) -> np.ndarray:
         for c, entry in enumerate(row):
             if not isinstance(entry, list) or len(entry) != 2:
                 raise ParseError(f"{locus}[{r}][{c}]: expected a [re, im] pair")
-            out[r, c] = complex(*(_number(x, f"{locus}[{r}][{c}]") for x in entry))
+            at = f"{locus}[{r}][{c}]"
+            out[r, c] = complex(_number(entry[0], at), _number(entry[1], at))
     return out
 
 

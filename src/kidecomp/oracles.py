@@ -6,10 +6,12 @@ block states and shared redundant states, then hidden behind one global
 Haar rotation. Recovering the plant is the independent oracle for the
 decomposition pipeline and for every scalar derived from it.
 
-A random structure-respecting channel is drawn from its own seed;
-`random_form2_kraus` builds the channels of many seeds a chunk at a
-time, bit for bit the same as one at a time, and `apply_kraus` applies
-a chunk to a stack of states.
+A random structure-respecting channel is drawn from its own seed and
+given as a stack of Kraus operators on the ambient space.
+`random_form2_kraus` is the one builder: it forms the channels of many
+seeds a chunk at a time, bit for bit the same as one at a time, and
+`random_form2_channel` is its chunk of one. `apply_kraus` applies one
+channel or a chunk to one state or a stack of states.
 """
 
 from __future__ import annotations
@@ -180,113 +182,66 @@ def apply_kraus(kraus: np.ndarray, rho) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class Channel:
-    """CPTP map given by an (env, D, D) stack of Kraus operators on the ambient space."""
-
-    kraus: np.ndarray
-
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        """`apply_kraus` of this channel: one (D, D) state or an (m, D, D) stack."""
-        return apply_kraus(self.kraus, rho)
-
-
-def _ambient_frame(d: KIDecomposition) -> tuple[np.ndarray, list[np.ndarray], np.ndarray | None]:
-    """C = F [V_1 ... V_L], the frame times the block isometries; block l's rows of
-    C^dagger as an (n, k, D) array, one k x D slab per J index; and the
-    projector 1 - F F^dagger onto the complement of the support (None at full rank)."""
-    f = d.frame
-    cols = d.ambient_isometries()
-    rows = [col.conj().T.reshape(b.n, b.k, -1) for col, b in zip(cols, d.blocks)]
-    complement = None
-    if f.shape[1] < f.shape[0]:
-        complement = np.eye(len(f), dtype=complex) - f @ f.conj().T
-    return np.concatenate(cols, axis=1), rows, complement
-
-
-def _assemble(c: np.ndarray, rows: list[np.ndarray], complement: np.ndarray | None, block_kraus) -> np.ndarray:
-    """K_e = C X_e C^dagger as a (count, env, D, D) stack, from block_kraus[l] of shape
-    (count, env, k_l, k_l), plus the complement projector on every channel's e = 0."""
-    count, env = block_kraus[0].shape[:2]
-    if any(bk.shape[:2] != (count, env) for bk in block_kraus):
-        raise ValueError("all blocks need the same number of Kraus terms")
-    # X_e C^dagger, written block by block into one array: 1_n tensor B_le acts
-    # on each of block l's n slabs of k rows
-    xc = np.empty((count, env, c.shape[1], len(c)), dtype=complex)
-    top = 0
-    for r, bk in zip(rows, block_kraus):
-        n, k = r.shape[:2]
-        np.matmul(bk[:, :, None], r, out=xc[:, :, top : top + n * k].reshape(count, env, n, k, len(c)))
-        top += n * k
-    kraus = c @ xc
-    if complement is not None:
-        kraus[:, 0] += complement
-    return kraus
-
-
-def form2_channel(d: KIDecomposition, block_kraus: list[np.ndarray]) -> Channel:
-    """Assemble the channel acting as identity on every J factor.
-
-    block_kraus[l] has shape (env, k_l, k_l): the Kraus operators B_le of
-    the map applied to block l's redundant factor. All env ambient Kraus
-    operators come out as one (env, D, D) stack K_e = C X_e C^dagger,
-    where C = F [V_1 ... V_L] is the support frame times the block
-    isometries and X_e is the direct sum of 1_n tensor B_le; the identity
-    on the complement of the support is added to K_0. That is one stacked
-    product per block for X_e C^dagger and one for C times it; the stack
-    takes env * D^2 entries.
-    """
-    return Channel(kraus=_assemble(*_ambient_frame(d), [np.asarray(bk)[None] for bk in block_kraus])[0])
-
-
 def random_form2_kraus(
     d: KIDecomposition, env_dim: int, seeds: Iterable[int], states: int = 1
 ) -> Iterator[np.ndarray]:
     """Kraus stacks of `random_form2_channel(d, env_dim, seed)` for the seeds, a chunk at a time.
 
     Each item is a (c, env_dim, D, D) array of c channels in seed order.
-    C, the complement projector and the eigenbasis of each rho_K are
-    computed once for all the seeds. Only the draws run seed by seed:
-    default_rng(seed) draws, block by block, k phases and then
-    2 k env_dim normals, as for one channel. The phases, environment
-    states, block operators B_le and K_e = C X_e C^dagger are then formed
-    for the whole chunk as stacked products, each channel's products the
-    same as one channel's, so a chunk's stacks are bit for bit those of
-    the single channels. A chunk holds as many channels as fit in
-    CHUNK_BYTES with their X C^dagger factor and the three
-    (states, D, D) arrays per channel that applying it to `states` states
-    and taking the residual need; at least one, so a large D * states
-    falls back to one channel at a time.
+    C = F [V_1 ... V_L] (frame times block isometries), the projector onto
+    the complement of the support and each rho_K eigenbasis are computed
+    once. Only the draws run seed by seed: default_rng(seed) draws, block
+    by block, k phases and then 2 k env_dim normals, as for one channel.
+    Each block's operators B_le are formed for the whole chunk, and
+    1_n tensor B_le times the block's rows of C^dagger is written straight
+    into one X_e C^dagger array; K_e = C X_e C^dagger, plus the complement
+    projector on K_0. Each channel's products are one channel's, so a
+    chunk's stacks are bit for bit the single channels'. A chunk holds as
+    many channels as fit in CHUNK_BYTES with their X C^dagger factor and
+    the three (states, D, D) arrays per channel that applying it to
+    `states` states and taking the residual need; at least one, so a
+    large D * states falls back to one channel at a time.
     """
     if env_dim < 1:
         raise ValueError("env_dim must be at least 1")
-    frame = _ambient_frame(d)
+    f = d.frame
+    cols = d.ambient_isometries()
+    rows = [col.conj().T.reshape(b.n, b.k, -1) for col, b in zip(cols, d.blocks)]  # (n, k, D) per block
+    complement = np.eye(len(f), dtype=complex) - f @ f.conj().T if f.shape[1] < f.shape[0] else None
+    c = np.concatenate(cols, axis=1)
     bases = [eigh(hermitize(b.rho_K))[1] for b in d.blocks]
-    dim, support = frame[0].shape
+    dim, support = c.shape
     size = max(1, CHUNK_BYTES // (16 * dim * (env_dim * (support + dim) + 3 * states * dim)))
     seeds = list(seeds)
     for top in range(0, len(seeds), size):
         rngs = [np.random.default_rng(seed) for seed in seeds[top : top + size]]
-        block_kraus = []
-        for vec in bases:
-            k = len(vec)
+        xc = np.empty((len(rngs), env_dim, support, dim), dtype=complex)
+        at = 0
+        for vec, r in zip(bases, rows):
+            n, k = r.shape[:2]
             phases = np.exp(2j * np.pi * np.array([rng.random(k) for rng in rngs]))  # (c, k)
             z = np.array([rng.standard_normal(2 * k * env_dim) for rng in rngs]).reshape(-1, 2, k, env_dim)
             g = z[:, 0] + 1j * z[:, 1]
             env_states = g / np.linalg.norm(g, axis=-1, keepdims=True)  # row kappa: |v_kappa>
             # B_e = U diag(phases * <e|v_kappa>) U^dagger, U the eigenbasis of rho_K
             diag = phases[:, None, :] * env_states.swapaxes(1, 2)  # (c, env, k)
-            block_kraus.append((vec * diag[:, :, None, :]) @ vec.conj().T)
-        yield _assemble(*frame, block_kraus)
+            bk = (vec * diag[:, :, None, :]) @ vec.conj().T
+            np.matmul(bk[:, :, None], r, out=xc[:, :, at : at + n * k].reshape(len(rngs), env_dim, n, k, dim))
+            at += n * k
+        kraus = c @ xc
+        if complement is not None:
+            kraus[:, 0] += complement
+        yield kraus
 
 
-def random_form2_channel(d: KIDecomposition, env_dim: int = 2, seed: int = 0) -> Channel:
-    """Random channel of the structure-respecting shape.
+def random_form2_channel(d: KIDecomposition, env_dim: int = 2, seed: int = 0) -> np.ndarray:
+    """(env_dim, D, D) Kraus stack of a random channel of the structure-respecting shape.
 
     Per block, the unitary on the redundant factor plus environment is
     drawn inside the class that holds the block's redundant state fixed:
     an environment rotation controlled on the eigenbasis of rho_K,
     composed with commuting phases. Tracing out the environment then
     preserves every state of the source ensemble by construction.
+    `apply_kraus` applies the stack.
     """
-    return Channel(kraus=next(random_form2_kraus(d, env_dim, (seed,)))[0])
+    return next(random_form2_kraus(d, env_dim, (seed,)))[0]

@@ -16,6 +16,7 @@ from kidecomp.ensemble import Ensemble
 from kidecomp.measures import info_measures, von_neumann_entropy
 from kidecomp.oracles import (
     PlantSpec,
+    apply_kraus,
     haar_unitary,
     planted_ensemble,
     random_density,
@@ -207,9 +208,9 @@ def test_criterion_8_channel_preservation(batch):
     worst = 0.0
     for spec, e, _, d in batch:
         for r in range(20):
-            chan = random_form2_channel(d, env_dim=2, seed=spec.seed * 100 + r)
+            kraus = random_form2_channel(d, env_dim=2, seed=spec.seed * 100 + r)
             for rho in e.states:
-                worst = max(worst, float(np.linalg.norm(chan.apply(rho) - rho)))
+                worst = max(worst, float(np.linalg.norm(apply_kraus(kraus, rho) - rho)))
         if worst > 1e-8:
             break
     _verdict(8, f"20 structure channels per plant preserve states (worst {worst:.2e})", worst <= 1e-8)

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import tracemalloc
 import warnings
@@ -343,6 +344,38 @@ def test_verify_flags_corruption():
     assert any(c.name == "reconstruction" and not c.ok for c in report.checks)
 
 
+def _nan_plant():
+    e, truth = planted_ensemble(PlantSpec(blocks=((2, 1), (1, 2)), num_states=3, seed=1))
+    return e, truth, list(truth.blocks)
+
+
+def _check(report, name):
+    (check,) = [c for c in report.checks if c.name == name]
+    return check
+
+
+def test_verify_fails_on_a_nan_isometry_entry():
+    e, truth, blocks = _nan_plant()
+    iso = blocks[1].isometry.copy()
+    iso[0, 0] = np.nan
+    blocks[1] = dataclasses.replace(blocks[1], isometry=iso)
+    report = verify(dataclasses.replace(truth, blocks=blocks), e, seed=1)
+    check = _check(report, "channel_preservation")
+    assert not check.ok and np.isnan(check.residual)
+    assert not report.ok
+
+
+def test_verify_fails_on_a_nan_j_state_entry():
+    e, truth, blocks = _nan_plant()
+    rho_j = np.array(blocks[0].rho_J)
+    rho_j[2, 0, 0] = np.nan
+    blocks[0] = dataclasses.replace(blocks[0], rho_J=rho_j)
+    d = dataclasses.replace(truth, blocks=blocks)
+    assert np.isnan(d.reconstruction_residual(e))
+    check = _check(verify(d, e, seed=1), "reconstruction")
+    assert not check.ok and np.isnan(check.residual)
+
+
 def test_forward_channels_preserve_two_pure():
     e = two_pure()
     d = ki_decompose(e, seed=0)
@@ -453,6 +486,11 @@ def test_serialization_keeps_zero_weight_entries():
         ("q", True, r"blocks\[0\]\.q\[0\]"),
         pytest.param("isometry", [10**400, 0], r"blocks\[0\]\.isometry\[0\]\[0\]", id="isometry-huge-int"),
         pytest.param("q", 10**400, r"blocks\[0\]\.q\[0\]: number out of float range", id="q-huge-int"),
+        *(
+            pytest.param(field, value, rf"blocks\[0\]\.{locus}: expected a finite number", id=f"{field}-{x}")
+            for x in ("nan", "inf", "-inf")
+            for field, value, locus in (("isometry", [0.0, float(x)], r"isometry\[0\]\[0\]"), ("q", float(x), r"q\[0\]"))
+        ),
     ],
 )
 def test_decomposition_entries_must_be_numbers(field, value, locus):

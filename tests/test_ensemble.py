@@ -138,6 +138,17 @@ def test_read_rejects_integers_beyond_float_range():
         read_ensemble(raw)
 
 
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_read_rejects_non_finite_numbers(token):
+    # Python's JSON reader accepts all three tokens
+    raw = f'{{"dim": 1, "states": [{{"p": 1.0, "matrix": [[[1.0, {token}]]]}}]}}'.encode()
+    with pytest.raises(ParseError, match=r"states\[0\]\.matrix\[0\]\[0\]: expected a finite number"):
+        read_ensemble(raw)
+    raw = f'{{"dim": 1, "states": [{{"p": {token}, "matrix": [[[1.0, 0.0]]]}}]}}'.encode()
+    with pytest.raises(ParseError, match=r"states\[0\]\.p: expected a finite number"):
+        read_ensemble(raw)
+
+
 def test_read_accepts_whitespace():
     raw = b'\n{\t "dim": 1 ,\n "states": [ { "p":  1.0, "matrix": [[[1.0,0.0]]] } ] }\n'
     assert read_ensemble(raw).dim == 1

@@ -11,7 +11,7 @@ from kidecomp.ensemble import Ensemble, validate
 from kidecomp.errors import RejectionExhausted
 from kidecomp.oracles import (
     PlantSpec,
-    form2_channel,
+    apply_kraus,
     haar_unitary,
     planted_ensemble,
     random_density,
@@ -81,21 +81,9 @@ def test_planted_rejects_proportional_scalar_blocks():
         planted_ensemble(PlantSpec(blocks=((1, 1), (1, 1)), num_states=1, seed=0))
 
 
-def _trace_preservation_residual(chan) -> float:
-    d = chan.kraus[0].shape[1]
-    return float(np.linalg.norm(sum(k.conj().T @ k for k in chan.kraus) - np.eye(d)))
-
-
-def test_form2_identity_parts_give_identity_channel():
-    e, truth = planted_ensemble(PlantSpec(blocks=((2, 1), (1, 2)), num_states=2, seed=2))
-    parts = [np.eye(b.k, dtype=complex)[None, :, :] for b in truth.blocks]
-    chan = form2_channel(truth, parts)
-    rng = np.random.default_rng(0)
-    g = rng.standard_normal((e.dim, e.dim)) + 1j * rng.standard_normal((e.dim, e.dim))
-    probe = g @ g.conj().T
-    probe /= np.trace(probe).real
-    assert np.linalg.norm(chan.apply(probe) - probe) <= 1e-10
-    assert _trace_preservation_residual(chan) <= 1e-10
+def _trace_preservation_residual(kraus) -> float:
+    d = kraus[0].shape[1]
+    return float(np.linalg.norm(sum(k.conj().T @ k for k in kraus) - np.eye(d)))
 
 
 def test_random_form2_channels_preserve_sources():
@@ -103,10 +91,10 @@ def test_random_form2_channels_preserve_sources():
     d = ki_decompose(e, seed=0)
     worst_tp, worst_fix = 0.0, 0.0
     for r in range(20):
-        chan = random_form2_channel(d, env_dim=2, seed=r)
-        worst_tp = max(worst_tp, _trace_preservation_residual(chan))
+        kraus = random_form2_channel(d, env_dim=2, seed=r)
+        worst_tp = max(worst_tp, _trace_preservation_residual(kraus))
         for rho in e.states:
-            worst_fix = max(worst_fix, float(np.linalg.norm(chan.apply(rho) - rho)))
+            worst_fix = max(worst_fix, float(np.linalg.norm(apply_kraus(kraus, rho) - rho)))
     assert worst_tp <= 1e-10
     assert worst_fix <= 1e-8
 
@@ -124,10 +112,10 @@ def test_random_form2_channel_acts_on_padded_support():
         big.append(m)
     padded = ens.Ensemble(probs=e.probs.copy(), states=big)
     d = ki_decompose(padded, seed=0)
-    chan = random_form2_channel(d, env_dim=2, seed=4)
-    assert _trace_preservation_residual(chan) <= 1e-10
+    kraus = random_form2_channel(d, env_dim=2, seed=4)
+    assert _trace_preservation_residual(kraus) <= 1e-10
     for rho in padded.states:
-        assert np.linalg.norm(chan.apply(rho) - rho) <= 1e-8
+        assert np.linalg.norm(apply_kraus(kraus, rho) - rho) <= 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +160,7 @@ def _legacy_drift(d, e, channels: int, env_dim: int, seed: int) -> float:
 
 def _assert_same_channels(d, env_dim: int = 2):
     for seed in range(20):
-        got = random_form2_channel(d, env_dim=env_dim, seed=seed).kraus
+        got = random_form2_channel(d, env_dim=env_dim, seed=seed)
         assert got.shape == (env_dim, d.frame.shape[0], d.frame.shape[0])
         assert np.max(np.abs(got - _legacy_kraus(d, env_dim, seed))) <= 1e-13
 
@@ -291,13 +279,13 @@ def test_channel_check_memory_does_not_grow_with_kraus_terms():
 
 def test_apply_on_a_stack_equals_per_state_application():
     e, truth = _ladder_plant()
-    chan = random_form2_channel(truth, env_dim=5, seed=9)
+    kraus = random_form2_channel(truth, env_dim=5, seed=9)
     rng = np.random.default_rng(1)
     stack = np.stack([random_density(e.dim, rng) for _ in range(4)])
-    got = chan.apply(stack)
+    got = apply_kraus(kraus, stack)
     assert got.shape == stack.shape
     for rho, out in zip(stack, got):
-        assert np.max(np.abs(out - chan.apply(rho))) <= 1e-15
+        assert np.max(np.abs(out - apply_kraus(kraus, rho))) <= 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +329,7 @@ def test_chunked_kraus_equal_single_channels_bit_for_bit(case, env_dim):
     assert [len(c) for c in chunks] == [size, size, 1]
     got = np.concatenate(chunks)
     for seed, kraus in zip(seeds, got):
-        assert np.array_equal(kraus, random_form2_channel(d, env_dim=env_dim, seed=seed).kraus)
+        assert np.array_equal(kraus, random_form2_channel(d, env_dim=env_dim, seed=seed))
 
 
 @pytest.mark.parametrize("env_dim", [1, 2, 64])
@@ -352,6 +340,6 @@ def test_channel_residual_equals_a_per_channel_apply_loop(case, env_dim):
     channels = 2 * size + 1
     want = 0.0
     for r in range(channels):
-        chan = random_form2_channel(d, env_dim=env_dim, seed=3 * 1000 + r)
-        want = max(want, float(np.linalg.norm(chan.apply(e.states) - e.states, axis=(1, 2)).max()))
+        kraus = random_form2_channel(d, env_dim=env_dim, seed=3 * 1000 + r)
+        want = max(want, float(np.linalg.norm(apply_kraus(kraus, e.states) - e.states, axis=(1, 2)).max()))
     assert _drift(verify(d, e, channels=channels, env_dim=env_dim, seed=3)) == want

@@ -13,8 +13,9 @@ rho_i (x) I/2) behind a fixed rotation. Both get the same report
 commands and `verify` against their stored decompositions. The
 multiplicity case and one planted case also run `verify` with channel
 counts that take several chunks of `oracles.random_form2_kraus`
-(`CHUNKED_VERIFY`). A few error paths come last. OUTDIR/codes.txt
-lists each call's exit code and stderr.
+(`CHUNKED_VERIFY`). A few error paths come last, among them
+non-finite numbers in an ensemble and in a decomposition document.
+OUTDIR/codes.txt lists each call's exit code and stderr.
 
 This is the byte-identity gate for refactors: run it once with the
 parent's `src/` and once with the change's on PYTHONPATH, into the same
@@ -177,6 +178,21 @@ def _error_cases(out: Path, codes: list[str]) -> None:
     wide = case / "undeclared_columns.json"
     wide.write_text('{"ambient_dim": 2, "support_rank": 1000000, "frame": [[], []], "blocks": []}', encoding="utf-8")
     _call(case, codes, "verify_undeclared_columns", ["verify", str(plant), "--decomposition", str(wide)])
+    # non-finite numbers, which Python's JSON reader accepts: parse errors at their locus
+    nan_entry = case / "nan_entry.json"
+    doc = {"dim": 2, "states": [{"p": 0.5, "matrix": _pairs([[1.0, 0.0], [0.0, 0.0]])},
+                                {"p": 0.5, "matrix": _pairs([[float("nan"), 0.0], [0.0, 1.0]])}]}
+    nan_entry.write_text(json.dumps(doc), encoding="utf-8")
+    _call(case, codes, "nan_entry", ["decompose", str(nan_entry)])
+    infinite_p = case / "infinite_p.json"
+    doc = {"dim": 1, "states": [{"p": float("inf"), "matrix": _pairs([[1.0]])}]}
+    infinite_p.write_text(json.dumps(doc), encoding="utf-8")
+    _call(case, codes, "infinite_p", ["measures", str(infinite_p)])
+    truth = json.loads((case / "plant.truth.json").read_text(encoding="utf-8"))
+    truth["result"]["blocks"][0]["isometry"][0][0][0] = float("nan")
+    nan_isometry = case / "nan_isometry.truth.json"
+    nan_isometry.write_text(json.dumps(truth), encoding="utf-8")
+    _call(case, codes, "verify_nan_isometry", ["verify", str(plant), "--decomposition", str(nan_isometry)])
     broken = case / "broken.json"
     broken.write_text('{"dim": 2, "states": [', encoding="utf-8")
     _call(case, codes, "malformed_input", ["measures", str(broken)])
