@@ -44,7 +44,7 @@ import numpy as np
 from .decompose import KIDecomposition
 from .ensemble import Ensemble
 from .errors import ConfigTooLarge, ValidationError
-from .linalg import DEFAULT_TOL, eigh, eigvalsh, hermitize, kron
+from .linalg import DEFAULT_TOL, eigh, eigvalsh, hermitize, kron, rank_cut
 from .measures import fidelity, shannon_entropy, von_neumann_entropy
 from .streams import _trial_stream
 
@@ -330,7 +330,9 @@ def _failure_fidelity(plan: _CompressionPlan, data: _BlockData, members: list[in
     is coded as one integer, the half's product is taken over its
     distinct codes only, and one gather per half spreads it over the
     subspace. Every factor is exactly Hermitian (see `_block_data`), so
-    the product is too. `rate_sweep` refuses a mixed block's plan above
+    the product is too. Its eigenvalues at round-off level (dim * eps *
+    largest, the cut of `measures.fidelity`) are dropped before the
+    square roots. `rate_sweep` refuses a mixed block's plan above
     MIXED_SUBSPACE_CAP before it evaluates any failure branch.
     """
     if data.all_pure:
@@ -350,7 +352,8 @@ def _failure_fidelity(plan: _CompressionPlan, data: _BlockData, members: list[in
     half = len(members) // 2
     compressed = half_state(range(half))
     compressed *= half_state(range(half, len(members)))
-    lam = np.clip(eigvalsh(compressed), 0.0, None)
+    lam = eigvalsh(compressed)
+    lam = lam[rank_cut(lam, len(lam) * np.finfo(float).eps)]
     return float(np.sum(np.sqrt(lam)) ** 2) / plan.dim
 
 
