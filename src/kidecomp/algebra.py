@@ -3,13 +3,13 @@
 A unital *-closed product-closed operator space acting on C^d is
 unitarily equivalent to a direct sum of factors, each acting as
 (full matrix algebra on C^n) tensor (identity on C^k). This module
-computes that structure numerically from a generating set alone: the
-span of the identity, the generators and their adjoints; the
+computes that structure numerically from a generating stack alone: the
 intertwiners between two paired tuples (`intertwiner_basis`), of which
-the commutant is the case of a span with itself; and the split of C^d
-into irreducible copies, the eigenspaces of one random Hermitian
-element of the commutant. `ki_decompose`'s merge glues the k
-equivalent copies of a factor with the same intertwiner solve. The
+the commutant of a stack (`commutant`) is the case of the stack with
+itself; and the split of C^d into irreducible copies, the eigenspaces of
+one random Hermitian element of the commutant. `ki_decompose`'s merge
+glues the k equivalent copies of a factor with the same intertwiner
+solve, and `verify`'s irreducibility check is `commutant`. The
 closure `generate_algebra` and the center `center_basis` are kept as
 references for tests; the main path calls neither.
 """
@@ -39,15 +39,15 @@ class OperatorBasis:
         return len(self.mats)
 
 
-def generator_span(generators, dim: int, tol: float = DEFAULT_TOL) -> OperatorBasis:
-    """HS-orthonormal basis of span{I, g_i, g_i^dagger}.
+def generate_algebra(generators, dim: int, tol: float = DEFAULT_TOL) -> OperatorBasis:
+    """Smallest unital *-closed algebra containing the generators.
 
-    The span is closed under adjoint and contains the identity, so its
-    commutant and its irreducible copies are those of the algebra the
-    generators generate; `irrep_decompose` splits that algebra from
-    this span without building the algebra's own basis. `generators` is a
-    (count, dim, dim) stack or a sequence of dim x dim matrices; the seed
-    stack is checked once, by `orthonormalize_hs`.
+    Breadth-first closure from span{I, g_i, g_i^dagger}: each round
+    multiplies all current basis pairs and re-orthonormalizes; the loop
+    ends when a round adds no new direction, which is exactly the
+    product-closure condition at the rank threshold. Bounded by dim^2
+    basis elements. Nothing in the package calls it; it is the reference
+    that tests compare the generator-only pipeline against.
     """
     gens = np.asarray(generators, dtype=complex)
     if gens.ndim != 3 or gens.shape[1:] != (dim, dim):
@@ -56,20 +56,7 @@ def generator_span(generators, dim: int, tol: float = DEFAULT_TOL) -> OperatorBa
     seed[0] = np.eye(dim)
     seed[1::2] = gens
     seed[2::2] = gens.conj().swapaxes(1, 2)
-    return OperatorBasis(dim=dim, mats=np.stack(orthonormalize_hs(seed, tol)))
-
-
-def generate_algebra(generators, dim: int, tol: float = DEFAULT_TOL) -> OperatorBasis:
-    """Smallest unital *-closed algebra containing the generators.
-
-    Breadth-first closure: each round multiplies all current basis pairs
-    and re-orthonormalizes; the loop ends when a round adds no new
-    direction, which is exactly the product-closure condition at the
-    rank threshold. Bounded by dim^2 basis elements. Nothing in the
-    package calls it; it is the reference that tests compare the
-    generator-only pipeline against.
-    """
-    cur = generator_span(generators, dim, tol).mats
+    cur = np.stack(orthonormalize_hs(seed, tol))
     while True:
         prods = np.einsum("aij,bjk->abik", cur, cur).reshape(-1, dim, dim)
         grown = np.stack(orthonormalize_hs(np.concatenate([cur, prods]), tol))
@@ -115,29 +102,23 @@ def intertwiner_basis(a_mats, b_mats, tol: float = DEFAULT_TOL) -> np.ndarray:
     return vec_b @ y @ vec_a.conj().T
 
 
-def commutant(a: OperatorBasis, tol: float = DEFAULT_TOL) -> OperatorBasis:
-    """Basis of all X with X B = B X for every B in the algebra: the intertwiners of
-    the span `a` with itself, solved by `intertwiner_basis`. A basis of the span
-    commutes with X exactly when the algebra it generates does."""
-    return OperatorBasis(dim=a.dim, mats=intertwiner_basis(a.mats, a.mats, tol))
+def commutant(stack, tol: float = DEFAULT_TOL) -> OperatorBasis:
+    """Basis of all X with X G = G X for every G of a (count, n, n) stack and its adjoint.
 
-
-def commutant_dim(stack, tol: float = DEFAULT_TOL) -> int:
-    """Dimension of the commutant of a (count, n, n) stack, such as a block's J states.
-
-    It is 1 exactly when the stack generates the full n x n matrix algebra
-    (double commutant theorem). n = 1 needs no solve; otherwise it is
-    `intertwiner_basis` of the stack with itself, since the identity adds
-    no constraint and a Hermitian stack is its own adjoint (a stack that
-    is not Hermitian is solved with its adjoints appended).
+    That is the commutant of the algebra the stack generates: the scalars
+    exactly when it is the full n x n matrix algebra (double commutant
+    theorem). n = 1 needs no solve; otherwise it is `intertwiner_basis` of
+    the stack with itself, since the identity adds no constraint and a
+    Hermitian stack is its own adjoint (one that is not exactly Hermitian
+    is solved with its adjoints appended).
     """
     stack = np.asarray(stack, dtype=complex)
     if stack.shape[-1] == 1:
-        return 1
+        return OperatorBasis(dim=1, mats=np.ones((1, 1, 1), dtype=complex))
     adjoints = stack.conj().swapaxes(-1, -2)
     if not np.array_equal(stack, adjoints):
         stack = np.concatenate([stack, adjoints])
-    return len(intertwiner_basis(stack, stack, tol))
+    return OperatorBasis(dim=stack.shape[-1], mats=intertwiner_basis(stack, stack, tol))
 
 
 def center_basis(comm: OperatorBasis, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
@@ -204,15 +185,14 @@ def _attempt_copies(comm: OperatorBasis, rng: np.random.Generator, tol: float) -
     return [vec[:, idx] for idx in copies]
 
 
-def irrep_decompose(a: OperatorBasis, seed: int, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
-    """Split C^dim into irreducible copies of the algebra generated by `a`: (dim, n) isometries.
+def irrep_decompose(states, seed: int, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
+    """Split C^dim into irreducible copies of the algebra a (count, dim, dim) stack generates: (dim, n) isometries.
 
-    `a` is a `generator_span` (or any adjoint-closed span containing the
-    identity, the whole algebra included); no closure is built. One
-    random Hermitian element Y of the commutant A' = 1_n (x) M_k per
-    block has generic eigenvalues, so each eigenspace of Y is one
-    irreducible copy, and the copies' projectors sum to the identity.
-    Over an HS-orthonormal basis C_c of A', the link
+    The stack is solved by `commutant` directly; no closure and no span
+    is built. One random Hermitian element Y of the commutant
+    A' = 1_n (x) M_k per block has generic eigenvalues, so each
+    eigenspace of Y is one irreducible copy, and the copies' projectors
+    sum to the identity. Over an HS-orthonormal basis C_c of A', the link
     L_ij = sum_c |F_i^dagger C_c F_j|^2 of copies F_i, F_j is the
     dimension of the intertwiners between them: 1 for equivalent copies,
     0 otherwise, and above 1 for an eigenspace that holds more than one
@@ -222,7 +202,7 @@ def irrep_decompose(a: OperatorBasis, seed: int, tol: float = DEFAULT_TOL) -> li
     from the passed seed only; after PROBE_RETRIES failed draws the input
     tolerance is presumed misconfigured and DegenerateSample is raised.
     """
-    comm = commutant(a, tol)
+    comm = commutant(states, tol)
     rng = np.random.default_rng(seed)
     last = "no attempt"
     for _ in range(PROBE_RETRIES):

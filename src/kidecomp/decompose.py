@@ -7,7 +7,7 @@ generated by the restricted states, reads off per-state weights and
 J states of each copy, and finally merges every pair that carries
 proportional weights and unitarily equal J states, equivalent copies
 of one algebra block among them. The block structure is solved from the
-states alone (their span with the identity and adjoints); the algebra
+states alone (the commutant of the states themselves); the algebra
 they generate is never built. The merged structure is the coarsest one in
 which every state takes the form
 
@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .algebra import commutant_dim, generator_span, intertwiner, intertwiner_basis, irrep_decompose
+from .algebra import commutant, intertwiner, intertwiner_basis, irrep_decompose
 from .ensemble import Ensemble, require_valid, support_restrict, _integer, _matrix_to_pairs, _number, _pairs_to_matrix
 from .errors import FormViolation, ParseError
 from .linalg import DEFAULT_TOL, direct_sum, frob, hermitize, kron
@@ -242,15 +242,15 @@ def ki_decompose(e: Ensemble, seed: int = 0, tol: float = DEFAULT_TOL) -> KIDeco
 
     Pipeline: restrict onto the support of the average state, split it
     into irreducible copies of the algebra generated by the restricted
-    states (solved from the span of the states, their adjoints and the
-    identity; no closure runs), extract per-state weights and J states of
+    states (solved from the states' own commutant, `commutant`; no closure
+    runs), extract per-state weights and J states of
     each copy, then merge weight-proportional unitarily-equal blocks in
     one pass in canonical order. Output block order and K bases are canonical, so identical
     (input, seed, tol) gives identical output.
     """
     require_valid(e, tol)
     frame, er = support_restrict(e, tol)
-    copies = irrep_decompose(generator_span(list(er.states), er.dim, tol), seed, tol)
+    copies = irrep_decompose(hermitize(er.states), seed, tol)  # exactly Hermitian: no adjoints appended
     blocks = [_extract_block_data(copy, er.states, tol) for copy in copies]
     blocks = [_canonicalize_redundant_factor(b) for b in _merge_to_fixpoint(blocks, tol)]
     d = KIDecomposition(frame=frame, blocks=sorted(blocks, key=_block_key))
@@ -299,8 +299,8 @@ def verify(
     Covered: per-state reconstruction, weight normalization, per-block
     irreducibility of the J states (their commutant is the scalars, so by
     the double commutant theorem they generate the full n x n matrix
-    algebra: `commutant_dim`, which passes n = 1 without a solve and
-    otherwise solves the J stack against itself), pairwise
+    algebra: `commutant`, the same solve that splits the states; n = 1
+    needs none), pairwise
     non-mergeability, and preservation of every state under `channels`
     random structure-respecting channels (identity on J, unitary on K plus
     environment, environment traced out; seeds seed * 1000 + r). The
@@ -335,7 +335,7 @@ def verify(
         support = _support_set(b.q)
         if not support:
             return False, float("inf"), "no states"
-        comm_dim = commutant_dim(np.asarray(b.rho_J)[list(support)], tol)
+        comm_dim = commutant(np.asarray(b.rho_J)[list(support)], tol).size
         return comm_dim == 1, float(comm_dim - 1), f"commutant dimension {comm_dim}"
 
     def weight_rows():

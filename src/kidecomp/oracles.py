@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import commutant_dim
+from .algebra import commutant
 from .decompose import KIBlock, KIDecomposition, _block_key
 from .ensemble import Ensemble
 from .errors import RejectionExhausted
@@ -100,14 +100,14 @@ def _draw_weights(spec: PlantSpec, rng: np.random.Generator) -> np.ndarray:
 def _draw_block_states(n: int, num_states: int, rng: np.random.Generator, tol: float) -> np.ndarray:
     """A (num_states, n, n) stack of J states whose generated algebra is the full n x n matrix algebra.
 
-    Accepted when their commutant is the scalars (`commutant_dim`): by the
+    Accepted when their commutant is the scalars (`commutant`): by the
     double commutant theorem that is the full matrix algebra.
     """
     if n == 1:
         return np.ones((num_states, 1, 1), dtype=complex)
     for _ in range(MAX_RESAMPLES):
         sigmas = np.stack([random_density(n, rng) for _ in range(num_states)])
-        if commutant_dim(sigmas, tol) == 1:
+        if commutant(sigmas, tol).size == 1:
             return sigmas
     raise RejectionExhausted(
         f"could not realize an irreducible {n}-dimensional block with "

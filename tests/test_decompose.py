@@ -22,7 +22,7 @@ from kidecomp.decompose import (
     write_decomposition,
 )
 from kidecomp.ensemble import Ensemble, validate
-from kidecomp.errors import FormViolation, ParseError, ValidationError
+from kidecomp.errors import DegenerateSample, FormViolation, ParseError, ValidationError
 from kidecomp.measures import info_measures, von_neumann_entropy
 from kidecomp.oracles import PlantSpec, haar_unitary, planted_ensemble
 from kidecomp.protocols import rate_sweep
@@ -342,6 +342,34 @@ def test_verify_flags_corruption():
     report = verify(bad, e, seed=1)
     assert not report.ok
     assert any(c.name == "reconstruction" and not c.ok for c in report.checks)
+
+
+def _with_hermitian_noise(e: Ensemble, seed: int, eps: float) -> Ensemble:
+    """Each state plus eps times a traceless Hermitian direction of Frobenius norm 1, in state order."""
+    rng = np.random.default_rng(seed)
+    noisy = []
+    for state in e.states:
+        g = rng.standard_normal((e.dim, e.dim)) + 1j * rng.standard_normal((e.dim, e.dim))
+        h = (g + g.conj().T) / 2
+        h -= np.trace(h).real / e.dim * np.eye(e.dim)
+        noisy.append(state + eps * h / np.linalg.norm(h))
+    return Ensemble(probs=e.probs, states=np.stack(noisy))
+
+
+def test_noisy_plants_give_no_answer_that_verify_rejects():
+    # noise near tol: the split and verify's irreducibility check make one commutant decision,
+    # so a noisy plant either fails to split or splits into blocks verify accepts
+    for blocks in (((2, 1), (1, 2)), ((2, 2), (1, 1))):
+        plant, _ = planted_ensemble(PlantSpec(blocks=blocks, num_states=3, seed=1))
+        for seed in (100, 101, 102):
+            for eps in (3e-11, 1e-10, 3e-10):
+                e = _with_hermitian_noise(plant, seed, eps)
+                try:
+                    d = ki_decompose(e)
+                except DegenerateSample:
+                    continue
+                report = verify(d, e)
+                assert report.ok, (blocks, seed, eps, [c.name for c in report.checks if not c.ok])
 
 
 def _nan_plant():
