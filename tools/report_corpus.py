@@ -10,7 +10,8 @@ positive, so one hand-written ensemble follows in which states miss
 blocks (zero weight, a `null` J state in the document), an n = 2 block
 among them. A second one hides a block of multiplicity 2 (states
 rho_i (x) I/2) behind a fixed rotation. Both get the same report
-commands and `verify` against their stored decompositions. The
+commands and `verify` against their stored decompositions, as does a
+planted ensemble with Hermitian noise near the default tolerance. The
 multiplicity case and one planted case also run `verify` with channel
 counts that take several chunks of `oracles.random_form2_kraus`
 (`CHUNKED_VERIFY`). A few error paths come last, among them
@@ -148,6 +149,28 @@ def _multiplicity_case(out: Path, codes: list[str]) -> None:
     _report_cases(case, codes, str(ensemble), 1, {}, chunked=True)
 
 
+def _noisy_case(out: Path, codes: list[str]) -> None:
+    """The 2x2,1x1 plant (seed 1) with each state moved, in order, by 3e-11 times a traceless
+    Hermitian direction of Frobenius norm 1 drawn from default_rng(100): noise near tol, where
+    the split and `verify`'s irreducibility check must make the same commutant decision."""
+    case = out / "noisy"
+    case.mkdir()
+    plant = case / "plant.json"
+    _call(case, codes, "gen", ["gen", "--blocks", "2x2,1x1", "--seed", "1", "-o", str(plant)])
+    doc = json.loads(plant.read_text(encoding="utf-8"))
+    dim, rng = doc["dim"], np.random.default_rng(100)
+    for state in doc["states"]:
+        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        h = (g + g.conj().T) / 2
+        h -= np.trace(h).real / dim * np.eye(dim)
+        pairs = np.array(state["matrix"])
+        m = pairs[..., 0] + 1j * pairs[..., 1] + 3e-11 * h / np.linalg.norm(h)
+        state["matrix"] = np.stack([m.real, m.imag], axis=-1).tolist()
+    ensemble = case / "ensemble.json"
+    ensemble.write_text(json.dumps(doc), encoding="utf-8")
+    _report_cases(case, codes, str(ensemble), 1, {})
+
+
 def _error_cases(out: Path, codes: list[str]) -> None:
     case = out / "errors"
     case.mkdir()
@@ -214,6 +237,7 @@ def main(argv: list[str]) -> int:
     _plant_cases(out, codes)
     _zero_weight_case(out, codes)
     _multiplicity_case(out, codes)
+    _noisy_case(out, codes)
     _error_cases(out, codes)
     (out / "codes.txt").write_text("\n".join(codes) + "\n", encoding="utf-8")
     return 0
