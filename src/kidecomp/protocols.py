@@ -230,8 +230,8 @@ class _CompressionPlan:
     def all_sequences(self) -> np.ndarray:
         """The subspace's sequences, rebuilt on each call rather than cached:
         a sweep keeps the plans of all its deltas alive at once, so cached
-        sequences would add to its peak memory, while a rebuild costs
-        little next to the eigvalsh that follows it."""
+        sequences would add to its peak memory. `rate_sweep` builds them once
+        per plan, for `_failure_geometry`, and drops them before the next plan."""
         parts = [_lex_sequences(c, _multinomial(c)) for c in self.full_classes]
         if self.partial is not None:
             parts.append(self.partial[1])
@@ -303,12 +303,21 @@ def _overlap_weight(
 class _BlockData:
     spectrum: np.ndarray  # eigenvalues of the average J state, descending
     entropy: float  # its von Neumann entropy, as `info_measures` sums it
-    rotated: np.ndarray  # (m, n, n): each J state in that eigenbasis, exactly Hermitian
+    # (m, n, n): each J state in that eigenbasis, exactly Hermitian. For n = 2 it is
+    # real: state i is conjugated by diag(1, e^{i arg r01}), its off-diagonal r01
+    # replaced by |r01|. A phase per basis vector commutes with every compression
+    # projector, which is spanned by sequences of basis vectors, so the failure
+    # spectra do not move; for n >= 3 the cycle phase arg(r01 r12 r20) is invariant.
+    rotated: np.ndarray
     all_pure: bool  # over the states that reach the block, purity within tol of 1
 
 
 def _block_data(d: KIDecomposition, rho_j_avg: list[np.ndarray], tol: float) -> list[_BlockData]:
-    """Each block's data from its averaged J state, as `block_averages` gives it."""
+    """Each block's data from its averaged J state, as `block_averages` gives it.
+
+    Purity is read before the real gauge of a 2-dim block, so `all_pure` does
+    not depend on it.
+    """
     out = []
     for b, avg in zip(d.blocks, rho_j_avg):
         lam, vec = eigh(hermitize(avg))
@@ -317,41 +326,67 @@ def _block_data(d: KIDecomposition, rho_j_avg: list[np.ndarray], tol: float) -> 
         rotated = hermitize(vec.conj().T @ b.rho_J @ vec)
         purity = np.trace(rotated @ rotated, axis1=1, axis2=2).real[b.q > 0]
         pure = bool(np.all(purity >= 1.0 - tol))
+        if b.n == 2:  # the diagonal of a hermitized matrix is exactly real
+            off = np.abs(rotated[:, 0, 1])
+            rotated = np.stack([rotated[:, 0, 0].real, off, off, rotated[:, 1, 1].real], axis=1).reshape(-1, 2, 2)
         out.append(_BlockData(spectrum=lam, entropy=von_neumann_entropy(avg, tol), rotated=rotated, all_pure=pure))
     return out
 
 
-def _failure_fidelity(plan: _CompressionPlan, data: _BlockData, members: list[int], w: float) -> float:
+def _failure_geometry(plan: _CompressionPlan) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """The half-sequence codes of a plan, which its failure branches share.
+
+    For the first and for the second half of the sequence positions: the
+    distinct half-sequences (one row each, in the order of their integer
+    codes), and per subspace sequence the row of its half-sequence.
+    """
+    seqs = plan.all_sequences()
+    half = plan.length // 2
+    out = []
+    for part in (seqs[:, :half], seqs[:, half:]):
+        codes = part @ plan.alphabet ** np.arange(part.shape[1])
+        _, first, inv = np.unique(codes, return_index=True, return_inverse=True)
+        out.append((part[first], inv))
+    return tuple(out)
+
+
+def _failure_fidelity(
+    plan: _CompressionPlan,
+    data: _BlockData,
+    members: list[int],
+    w: float,
+    geometry: tuple[tuple[np.ndarray, np.ndarray], ...] | None = None,
+) -> float:
     """Fidelity of the group state against the maximally mixed junk state.
 
     The group state on the compression subspace has the entries
     prod_j rho_j[s_j, s'_j] over pairs of the subspace's sequences s, s'.
-    It is built per half of the sequence positions: each half-sequence
-    is coded as one integer, the half's product is taken over its
-    distinct codes only, and one gather per half spreads it over the
-    subspace. Every factor is exactly Hermitian (see `_block_data`), so
-    the product is too. Its eigenvalues at round-off level (dim * eps *
-    largest, the cut of `measures.fidelity`) are dropped before the
-    square roots. `rate_sweep` refuses a mixed block's plan above
-    MIXED_SUBSPACE_CAP before it evaluates any failure branch.
+    It is built per half of the sequence positions: the half's product is
+    taken over its distinct half-sequences only, and one gather per half
+    spreads it over the subspace. `geometry` is `_failure_geometry(plan)`,
+    built here when not given. Every factor is exactly Hermitian, and real
+    for a 2-dim block (see `_BlockData.rotated`), so the product is too and
+    a 2-dim block's goes to the real symmetric solver. Its eigenvalues at
+    round-off level (dim * eps * largest, the cut of `measures.fidelity`)
+    are dropped before the square roots. `rate_sweep` refuses a mixed
+    block's plan above MIXED_SUBSPACE_CAP before it evaluates any failure
+    branch.
     """
     if data.all_pure:
         return w / plan.dim
-    seqs = plan.all_sequences()
+    if geometry is None:
+        geometry = _failure_geometry(plan)
 
-    def half_state(cols: range) -> np.ndarray:
-        codes = seqs[:, cols] @ plan.alphabet ** np.arange(len(cols))
-        _, first, inv = np.unique(codes, return_index=True, return_inverse=True)
-        heads = seqs[first]
-        part = np.ones((len(first), len(first)), dtype=complex)
-        for j in cols:
-            s = heads[:, j]
-            part *= data.rotated[members[j]][s[:, None], s[None, :]]
+    def half_state(heads: np.ndarray, inv: np.ndarray, half_members: list[int]) -> np.ndarray:
+        part = np.ones((len(heads), len(heads)), dtype=data.rotated.dtype)
+        for s, i in zip(heads.T, half_members):
+            part *= data.rotated[i][s[:, None], s[None, :]]
         return part[inv[:, None], inv[None, :]]
 
+    (heads_a, inv_a), (heads_b, inv_b) = geometry
     half = len(members) // 2
-    compressed = half_state(range(half))
-    compressed *= half_state(range(half, len(members)))
+    compressed = half_state(heads_a, inv_a, members[:half])
+    compressed *= half_state(heads_b, inv_b, members[half:])
     lam = eigvalsh(compressed)
     lam = lam[rank_cut(lam, len(lam) * np.finfo(float).eps)]
     return float(np.sum(np.sqrt(lam)) ** 2) / plan.dim
@@ -417,9 +452,10 @@ def rate_sweep(
     the same messages, labels and branch uniforms, and rate comparisons
     are low-variance. A first pass decides every group's branch, so a
     failure branch over MIXED_SUBSPACE_CAP raises ConfigTooLarge before
-    any is evaluated; a second pass evaluates the failure branches and
-    multiplies the group fidelities in trial order. Results come back
-    sorted by delta.
+    any is evaluated. A second pass evaluates the failure branches plan
+    by plan, so that the sequences and half-sequence codes of a plan
+    (`_failure_geometry`) are built once, then multiplies the group
+    fidelities in trial order. Results come back sorted by delta.
     """
     deltas = sorted(float(dv) for dv in deltas)
     if not all(math.isfinite(dv) for dv in deltas):
@@ -446,9 +482,11 @@ def rate_sweep(
         zip(u[:, 2 * n :], *_pick(u, n, cdf_p, cdf_q))
         for u in _trial_stream(seed, trials, 2 * n + len(d.blocks))
     )
-    # pass A decides every branch; a failure branch is a job (plan, block data, members)
-    # and is refused over the cap before any eigvalsh runs
-    factors: list[tuple[int, int, float, tuple | None]] = []  # (delta index, trial, w, job)
+    # pass A decides every branch and lists each plan's failure branches, which are
+    # refused over the cap before any eigvalsh runs; values[i] starts as factor i's w
+    factors: list[tuple[int, int]] = []  # (delta index, trial) of each factor
+    values: list[float] = []
+    failures: dict[tuple[int, int, float], list[tuple[int, list[int]]]] = {}  # plan key -> (factor, members)
     for t, (branch, drawn, labels) in enumerate(rows):
         occupied = np.flatnonzero(np.bincount(labels))
         for l, u_group in zip(occupied.tolist(), branch):
@@ -466,17 +504,24 @@ def rate_sweep(
                     diag_rows = data[l].rotated[members].diagonal(axis1=1, axis2=2).real.clip(0.0)
                     sums = _class_sums(diag_rows)
                 w = _overlap_weight(plan, diag_rows, sums)
-                if u_group <= w:
-                    factors.append((k, t, w, None))
-                    continue
-                if not data[l].all_pure and plan.dim > MIXED_SUBSPACE_CAP:
-                    raise ConfigTooLarge(
-                        f"exact mixed-state fidelity needs subspace dimension <= {MIXED_SUBSPACE_CAP}"
-                    )
-                factors.append((k, t, w, (plan, data[l], members)))
-    # pass B evaluates the jobs and multiplies every factor in the order pass A met it
-    for k, t, w, job in factors:
-        fidelities[k, t] *= w if job is None else _failure_fidelity(*job, w)
+                if u_group > w:
+                    if not data[l].all_pure and plan.dim > MIXED_SUBSPACE_CAP:
+                        raise ConfigTooLarge(
+                            f"exact mixed-state fidelity needs subspace dimension <= {MIXED_SUBSPACE_CAP}"
+                        )
+                    failures.setdefault(key, []).append((len(values), members))
+                factors.append((k, t))
+                values.append(w)
+    # pass B evaluates the failure branches plan by plan, each plan's geometry built once
+    # and dropped before the next, then multiplies every factor in the order pass A met it
+    for key, branches in failures.items():
+        plan, block = plans[key], data[key[0]]
+        geometry = None if block.all_pure else _failure_geometry(plan)
+        for i, members in branches:
+            values[i] = _failure_fidelity(plan, block, members, values[i], geometry)
+        del geometry
+    for (k, t), value in zip(factors, values):
+        fidelities[k, t] *= value
 
     bit_rate = shannon_entropy(p_block, tol)
     return [

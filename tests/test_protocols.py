@@ -11,10 +11,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kidecomp import protocols, streams
-from kidecomp.decompose import decomposition_from_doc, decomposition_to_doc, ki_decompose, verify
+from kidecomp.decompose import (
+    KIBlock,
+    KIDecomposition,
+    decomposition_from_doc,
+    decomposition_to_doc,
+    ki_decompose,
+    verify,
+)
 from kidecomp.ensemble import Ensemble
 from kidecomp.errors import ConfigTooLarge, ValidationError
-from kidecomp.linalg import DEFAULT_TOL, eigvalsh, hermitize
+from kidecomp.linalg import DEFAULT_TOL, eigh, eigvalsh, hermitize
 from kidecomp.measures import fidelity, info_measures, von_neumann_entropy
 from kidecomp.oracles import PlantSpec, haar_unitary, planted_ensemble, random_density
 from kidecomp.protocols import (
@@ -610,14 +617,18 @@ def test_block_stream_memory_is_bounded_by_the_block():
 # -- the failure branch against the per-member gather --------------------------
 
 
-def _reference_failure_fidelity(plan, data, members):
+def _reference_group_state(plan, data, members):
     """The group state built with one full-size gather per member, hermitized."""
     seqs = plan.all_sequences()
     compressed = np.ones((len(seqs), len(seqs)), dtype=complex)
     for j, i in enumerate(members):
         s = seqs[:, j]
         compressed *= data.rotated[i][s[:, None], s[None, :]]
-    lam = np.clip(eigvalsh(hermitize(compressed)), 0.0, None)
+    return hermitize(compressed)
+
+
+def _reference_failure_fidelity(plan, data, members):
+    lam = np.clip(eigvalsh(_reference_group_state(plan, data, members)), 0.0, None)
     return float(np.sum(np.sqrt(lam)) ** 2) / plan.dim
 
 
@@ -645,6 +656,135 @@ def test_failure_fidelity_matches_per_member_gather(blocks, lengths):
             seen.add((length, plan.partial is not None))
     # a one-member group (empty first half), N=2 and a partial class all ran
     assert {1, 2} <= {n for n, _ in seen} and any(partial for _, partial in seen)
+
+
+# -- the real gauge of 2-dim J factors against the complex states ---------------
+
+
+def _qubit_block(stack, probs):
+    """A decomposition with one 2x1 block whose J states are `stack`, and its averaged J state."""
+    block = KIBlock(
+        n=2, k=1, isometry=np.eye(2, dtype=complex), rho_K=np.ones((1, 1), dtype=complex),
+        q=np.ones(len(stack)), rho_J=np.asarray(stack, dtype=complex),
+    )
+    d = KIDecomposition(frame=np.eye(2, dtype=complex), blocks=[block])
+    return d, d.block_averages(np.asarray(probs, dtype=float))[1]
+
+
+GAUGE_CASES = ["random0", "random1", "random2", "random3", "diagonal_average", "2x1,1x2"]
+
+
+def _gauge_case(name):
+    """A decomposition with a 2-dim block and its averaged J states: a random qubit J
+    stack with a pure member, a stack whose averaged J state is diagonal, or the
+    bench's 2x1,1x2 plant."""
+    if name.startswith("random"):
+        seed = int(name[len("random"):])
+        rng = np.random.default_rng(seed)
+        psi = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        stack = [random_density(2, rng) for _ in range(2 + seed)] + [np.outer(psi, psi.conj()) / np.vdot(psi, psi).real]
+        return _qubit_block(stack, rng.random(len(stack)) + 0.1)
+    if name == "diagonal_average":
+        # each off-diagonal but the first member's cancels against its mirror, so the
+        # averaged state is diagonal, its eigenbasis the standard one, and the diagonal
+        # member keeps an off-diagonal of exactly 0; the last two are pure
+        c, s = np.cos(0.4), np.exp(0.7j) * np.sin(0.4)
+        pure = [np.outer(v, v.conj()) for v in (np.array([c, s]), np.array([c, -s]))]
+        mixed = [np.array([[0.6, b], [np.conj(b), 0.4]]) for b in (0.2 - 0.1j, -0.2 + 0.1j)]
+        return _qubit_block([np.diag([0.8, 0.2])] + mixed + pure, np.full(5, 0.2))
+    e, _ = planted_ensemble(PlantSpec(blocks=BENCH_PLANTS[name], num_states=3, seed=1))
+    d = ki_decompose(e)
+    return d, d.block_averages(e.probs)[1]
+
+
+def _ungauged_rotated(avg, rho_j):
+    """The J states in the descending eigenbasis of the averaged one, as complex matrices."""
+    lam, vec = eigh(hermitize(avg))
+    vec = vec[:, np.argsort(lam)[::-1]]
+    return hermitize(vec.conj().T @ rho_j @ vec)
+
+
+@pytest.fixture
+def solver_dtypes(monkeypatch):
+    """The dtype of each matrix that `protocols.eigvalsh` receives, in call order."""
+    dtypes = []
+    real = protocols.eigvalsh
+
+    def recording(a):
+        dtypes.append(a.dtype)
+        return real(a)
+
+    monkeypatch.setattr(protocols, "eigvalsh", recording)
+    return dtypes
+
+
+@pytest.mark.parametrize("name", GAUGE_CASES)
+def test_real_gauge_keeps_the_failure_fidelity_of_2_dim_blocks(name, solver_dtypes):
+    d, rho_j_avg = _gauge_case(name)
+    l = next(l for l, b in enumerate(d.blocks) if b.n == 2)
+    data = _block_data(d, rho_j_avg, DEFAULT_TOL)[l]
+    complex_states = _ungauged_rotated(rho_j_avg[l], d.blocks[l].rho_J)
+    assert data.rotated.dtype == np.float64
+    assert np.array_equal(data.rotated.diagonal(axis1=1, axis2=2), complex_states.diagonal(axis1=1, axis2=2).real)
+    assert np.array_equal(data.rotated[:, 0, 1], np.abs(complex_states[:, 0, 1]))
+    if name == "diagonal_average":
+        assert complex_states[0, 0, 1] == 0
+    complex_data = dataclasses.replace(data, rotated=complex_states)
+    states = np.flatnonzero(d.blocks[l].q > 0)
+    rng = np.random.default_rng(1)
+    seen = set()
+    for length in range(1, 10):
+        for delta in (-0.6, -0.3, -0.1, 0.0, 0.2):
+            plan = _compression_plan(data.spectrum, data.entropy, length, delta)
+            if plan.full:
+                continue
+            members = [int(i) for i in rng.choice(states, size=length)]
+            got = _failure_fidelity(plan, data, members, 0.5)
+            # measures.fidelity drops the round-off eigenvalues of a group with a pure member
+            want = fidelity(_reference_group_state(plan, complex_data, members), np.eye(plan.dim) / plan.dim)
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0), (length, delta, members)
+            seen.add((length, plan.partial is not None))
+    assert {n for n, _ in seen} == set(range(1, 10))
+    assert any(partial for _, partial in seen) and any(not partial for _, partial in seen)
+    assert solver_dtypes and set(solver_dtypes) == {np.dtype(np.float64)}
+
+
+def test_only_2_dim_blocks_take_the_real_solver(solver_dtypes):
+    # the bench's 3x1,2x2 plant: the 3-dim block's cycle phase keeps it complex
+    e, _ = planted_ensemble(PlantSpec(blocks=BENCH_PLANTS["3x1,2x2"], num_states=3, seed=1))
+    by_dim = {}
+    for data in block_data(e, ki_decompose(e)):
+        plan = _compression_plan(data.spectrum, data.entropy, 4, -0.3)
+        assert not plan.full
+        _failure_fidelity(plan, data, [0, 1, 2, 0], 0.5)
+        (by_dim[len(data.spectrum)],) = solver_dtypes
+        solver_dtypes.clear()
+    assert by_dim == {3: np.dtype(np.complex128), 2: np.dtype(np.float64)}
+
+
+def test_failure_branch_holds_one_group_state_at_its_eigvalsh(monkeypatch):
+    # the 1024-dim branch of test_failure_fidelity_matches_per_member_gather: a 9-member
+    # group of the bench 3x1,2x2 plant's 3-dim block at delta 0, a 16 MiB group state;
+    # a second D x D half product still referenced at the solver call would double it
+    e, _ = planted_ensemble(PlantSpec(blocks=BENCH_PLANTS["3x1,2x2"], num_states=3, seed=1))
+    data = next(b for b in block_data(e, ki_decompose(e)) if len(b.spectrum) == 3)
+    plan = _compression_plan(data.spectrum, data.entropy, 9, 0.0)
+    calls = []
+    real = protocols.eigvalsh
+
+    def traced(a):
+        calls.append((tracemalloc.get_traced_memory()[0], a.nbytes))
+        return real(a)
+
+    monkeypatch.setattr(protocols, "eigvalsh", traced)
+    tracemalloc.start()
+    try:
+        _failure_fidelity(plan, data, [0, 1, 2, 2, 1, 0, 0, 1, 2], 0.5)
+    finally:
+        tracemalloc.stop()
+    ((current, nbytes),) = calls
+    assert nbytes == 1024 * 1024 * 16
+    assert current < nbytes + 2**20
 
 
 def _reference_compositions(total, parts):

@@ -14,8 +14,10 @@ commands and `verify` against their stored decompositions, as does a
 planted ensemble with Hermitian noise near the default tolerance. The
 multiplicity case and one planted case also run `verify` with channel
 counts that take several chunks of `oracles.random_form2_kraus`
-(`CHUNKED_VERIFY`). A few error paths come last, among them
-non-finite numbers in an ensemble and in a decomposition document.
+(`CHUNKED_VERIFY`), and one planted case with a mixed 2-dim J factor
+runs a longer `rate-sweep` (`LONG_SWEEP`). A few error paths come last,
+among them non-finite numbers in an ensemble and in a decomposition
+document.
 OUTDIR/codes.txt lists each call's exit code and stderr.
 
 This is the byte-identity gate for refactors: run it once with the
@@ -57,6 +59,10 @@ FORMATS = ("json", "text")
 # (at D = 4 or 5 with 3 states: 4 to 6 chunks at env 64, 3 or 4 at env 3)
 CHUNKED_VERIFY = {"env64": ["--env-dim", "64", "--channels", "24"], "env3": ["--env-dim", "3", "--channels", "150"]}
 CHUNKED_CASE = ("2x2,1x1", 1)  # the planted case that also runs CHUNKED_VERIFY
+# a longer sweep on the planted case's mixed 2-dim J factor: at N = 16 its failure branches
+# reach 32 and 64 dimensions in the real symmetric solver, where N = 4 stays within 16
+LONG_SWEEP = ["-N", "16", "--trials", "40"]
+LONG_SWEEP_CASE = ("2x1,1x2", 1)
 
 
 def _call(out: Path, codes: list[str], name: str, argv: list[str]) -> None:
@@ -106,6 +112,8 @@ def _plant_cases(out: Path, codes: list[str]) -> None:
             _call(case, codes, "gen.json", gen + ["-o", plant])
             truth = {"truth": str(case / "plant.truth.json")}
             _report_cases(case, codes, plant, seed, truth, chunked=(shape, seed) == CHUNKED_CASE)
+            if (shape, seed) == LONG_SWEEP_CASE:
+                _both_sinks(case, codes, "rate-sweep_long", ["rate-sweep", plant, "--seed", str(seed)] + LONG_SWEEP)
 
 
 def _pairs(m: list[list[float]]) -> list:
