@@ -16,6 +16,16 @@ compression subspace. Fidelities of N-message sequences are computed
 exactly on the occupied group spaces, never materializing dim^N
 operators outside the chosen subspace.
 
+A failure branch scores (Tr sqrt(P sigma P))^2 / D from the spectrum of
+the D-dim group state. Swapping two positions that carry the same J
+state commutes with sigma, and with P when the swap maps the subspace's
+sequences onto themselves, which only the partial type class can
+prevent. Such a swap splits the group state exactly into its +1 and -1
+sectors, so `_failure_fidelity` solves the sectors of the disjoint
+valid swaps instead of the whole state, at and above SECTOR_SPLIT_MIN
+dimensions, and applies the round-off cut of the full D to the joined
+spectrum.
+
 Randomness contract: one master seed; trial t draws from
 numpy.random.default_rng([seed, t]). A per-message trial draws
 random(2): the state, then its block label. A block trial draws
@@ -35,6 +45,7 @@ label of a whole stream block at once with `_pick`.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import asdict, dataclass, field
@@ -50,6 +61,12 @@ from .streams import _trial_stream
 
 DESK_SCALE_QUBITS = 20
 MIXED_SUBSPACE_CAP = 4096
+# A failure-branch matrix of at least this many dimensions is split by a swap
+# (`_failure_fidelity`). Split against one dense solve, one BLAS thread, on the
+# bench 3x1,2x2 plant's blocks: complex 3-dim block 0.92x at 128 and 0.76x at 256;
+# real 2-dim block 1.28x at 128 and 1.02x at 256, 0.77x at 512.
+SECTOR_SPLIT_MIN = 256
+_ROW_BLOCK_BYTES = 2**18  # the temporaries of the row-blocked gathers
 _BOUNDARY_GUARD = 1e-12
 
 
@@ -333,21 +350,186 @@ def _block_data(d: KIDecomposition, rho_j_avg: list[np.ndarray], tol: float) -> 
     return out
 
 
-def _failure_geometry(plan: _CompressionPlan) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """The half-sequence codes of a plan, which its failure branches share.
+def _row_blocks(rows: int, row_bytes: int) -> list[slice]:
+    """Slices over `rows` rows of `row_bytes` bytes each, _ROW_BLOCK_BYTES at most (one row at least) per slice."""
+    step = max(1, _ROW_BLOCK_BYTES // max(row_bytes, 1))
+    return [slice(i, i + step) for i in range(0, rows, step)]
 
-    For the first and for the second half of the sequence positions: the
-    distinct half-sequences (one row each, in the order of their integer
-    codes), and per subspace sequence the row of its half-sequence.
+
+def _swapped_codes(codes: np.ndarray, alphabet: int, a: int, b: int) -> np.ndarray:
+    """The codes sum_j s_j alphabet^j of the sequences of `codes` with positions a and b swapped."""
+    wa, wb = alphabet**a, alphabet**b
+    return codes + (codes // wb % alphabet - codes // wa % alphabet) * (wa - wb)
+
+
+@dataclass
+class _FailureGeometry:
+    """What the failure branches of one plan share; see `_failure_geometry`."""
+
+    halves: tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
+    seqs: np.ndarray  # the subspace's sequences, the partial class's last
+    alphabet: int
+    partial_rows: int  # the number of the partial class's sequences
+    closed: dict[tuple[int, int], bool] = field(default_factory=dict)
+
+    @functools.cached_property
+    def codes(self) -> np.ndarray:
+        """Per subspace sequence s, its code sum_j s_j alphabet^j."""
+        return self.seqs @ self.alphabet ** np.arange(self.seqs.shape[1])
+
+    @functools.cached_property
+    def rank(self) -> np.ndarray:
+        return np.argsort(self.codes)
+
+    def swap_closed(self, a: int, b: int) -> bool:
+        """Whether swapping positions a and b maps the subspace's sequences onto
+        themselves. A full type class always does, so only the partial class's
+        sequences are checked, once per pair."""
+        if (a, b) not in self.closed:
+            partial = self.codes[len(self.codes) - self.partial_rows :]
+            self.closed[a, b] = bool(np.isin(_swapped_codes(partial, self.alphabet, a, b), partial).all())
+        return self.closed[a, b]
+
+    def swap(self, a: int, b: int) -> np.ndarray:
+        """Per subspace sequence, the index of the sequence with positions a and b
+        swapped, for a pair that `swap_closed` accepts."""
+        return self.rank[np.searchsorted(self.codes[self.rank], _swapped_codes(self.codes, self.alphabet, a, b))]
+
+    def swaps(self, members: list[int]) -> list[tuple[int, int]]:
+        """Disjoint position pairs that carry the same J state and keep the subspace,
+        taken greedily in position order."""
+        out, taken = [], set()
+        for a, b in itertools.combinations(range(len(members)), 2):
+            if members[a] == members[b] and not taken & {a, b} and self.swap_closed(a, b):
+                out.append((a, b))
+                taken |= {a, b}
+        return out
+
+
+def _failure_geometry(plan: _CompressionPlan) -> _FailureGeometry:
+    """The sequences and half-sequence codes of a plan, which its failure branches share.
+
+    `halves` holds, for the first and for the second half of the sequence
+    positions, the distinct half-sequences (one row each, in the order of
+    their integer codes) and per subspace sequence the row of its
+    half-sequence. The whole sequences give the swaps that keep the
+    subspace (`_FailureGeometry.swaps`), on the branches that split.
     """
     seqs = plan.all_sequences()
     half = plan.length // 2
-    out = []
+    halves = []
     for part in (seqs[:, :half], seqs[:, half:]):
         codes = part @ plan.alphabet ** np.arange(part.shape[1])
         _, first, inv = np.unique(codes, return_index=True, return_inverse=True)
-        out.append((part[first], inv))
-    return tuple(out)
+        halves.append((part[first], inv))
+    partial_rows = 0 if plan.partial is None else len(plan.partial[1])
+    return _FailureGeometry(halves=tuple(halves), seqs=seqs, alphabet=plan.alphabet, partial_rows=partial_rows)
+
+
+def _group_state(data: _BlockData, members: list[int], halves) -> np.ndarray:
+    """The group state on the compression subspace, entries prod_j rho_j[s_j, s'_j].
+
+    It is built per half of the sequence positions: the half's product is
+    taken over its distinct half-sequences only, and one gather per half
+    spreads it over the subspace. The first half's gather is the one
+    D x D array; the second half's is multiplied into it a block of rows
+    at a time.
+    """
+
+    def half_state(heads: np.ndarray, half_members: list[int]) -> np.ndarray:
+        part = np.ones((len(heads), len(heads)), dtype=data.rotated.dtype)
+        for s, i in zip(heads.T, half_members):
+            part *= data.rotated[i][s[:, None], s[None, :]]
+        return part
+
+    (heads_a, inv_a), (heads_b, inv_b) = halves
+    half = len(members) // 2
+    state = half_state(heads_a, members[:half])[inv_a[:, None], inv_a]
+    part_b = half_state(heads_b, members[half:])
+    for rows in _row_blocks(len(state), state[0].nbytes):
+        state[rows] *= part_b[inv_b[rows, None], inv_b]
+    return state
+
+
+def _sector_split(m: np.ndarray, pi: np.ndarray, sign: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The +1 and the -1 sector of a Hermitian m that commutes with a signed permutation.
+
+    The permutation is an involution that sends basis vector b_i to
+    sign[i] b_pi[i]. Sector e is spanned by each fixed b_i with sign[i] = e
+    and by (b_i + e sign[i] b_pi[i]) / sqrt(2) for each pair i < pi[i].
+    Since m commutes with it, m[pi[i], pi[k]] sign[i] sign[k] = m[i, k],
+    so the sector's entry for representatives i, k is
+    c_i c_k (m[i, k] + e sign[k] m[i, pi[k]]), with c = 1/sqrt(2) on a
+    fixed vector and 1 on a pair: two gathers, made a block of rows at a
+    time. Returns per sector the positions of its representatives,
+    ascending, and its matrix.
+    """
+    idx = np.arange(len(m))
+    fixed = pi == idx
+    out = []
+    for e in (1, -1):
+        reps = np.flatnonzero((idx < pi) | (fixed & (sign == e)))
+        partners, coef = pi[reps], e * sign[reps]
+        scale = np.where(fixed[reps], math.sqrt(0.5), 1.0)
+        sector = np.empty((len(reps), len(reps)), dtype=m.dtype)
+        for rows in _row_blocks(len(reps), sector[:1].nbytes):
+            block = sector[rows]
+            block[...] = m[reps[rows, None], partners]
+            block *= coef
+            block += m[reps[rows, None], reps]
+            block *= scale[rows, None] * scale
+        out.append((reps, sector))
+    return out
+
+
+def _parity(x: np.ndarray) -> np.ndarray:
+    """Parity of the set bits of each entry of a non-negative integer array."""
+    for shift in (32, 16, 8, 4, 2, 1):
+        x = x ^ (x >> shift)
+    return x & 1
+
+
+def _sector_spectra(state: np.ndarray, geometry: _FailureGeometry, swaps: list[tuple[int, int]]) -> np.ndarray:
+    """The eigenvalues of a group state, joined over the sectors of its swaps.
+
+    The swaps act on disjoint positions, so they commute and generate a
+    group H of 2^k elements. After the first j of them, a sector is one
+    sign per swap (the bits of `minus`), and its basis holds one vector
+    per orbit of H on the sequences that the signs allow, labelled by the
+    orbit's first sequence: its coefficient on sequence x is the sign of
+    the element g of H with x = g(label). Swap j then sends the vector of
+    label r to the vector of the label of swap_j(r) times that sign, a
+    signed permutation, so `_sector_split` splits the sector by it. A
+    sector below SECTOR_SPLIT_MIN dimensions, or with no swap left, goes to
+    `eigvalsh`; a matrix is dropped as soon as its two sectors are built.
+    """
+    if not swaps:
+        return eigvalsh(state)
+    # per swap j: its permutation of the sequences, and after swaps 0..j-1 each
+    # sequence's orbit label and one element (a bit per swap) that reaches it from there
+    levels = []
+    label, elt = np.arange(len(state)), np.zeros(len(state), dtype=np.int64)
+    for j, (a, b) in enumerate(swaps):
+        t = geometry.swap(a, b)
+        levels.append((t, label, elt))
+        elt = np.where(label[t] < label, elt[t] ^ (1 << j), elt)
+        label = np.minimum(label, label[t])
+    pending = [(state, np.arange(len(state)), 0, 0)]  # matrix, its labels, minus, next swap
+    del state
+    lam = []
+    while pending:
+        m, labels, minus, j = pending.pop()
+        if j == len(levels) or len(m) < SECTOR_SPLIT_MIN:
+            lam.append(eigvalsh(m))
+            continue
+        t, label, elt = levels[j]
+        image = t[labels]
+        sign = 1 - 2 * _parity(elt[image] & minus)
+        for bit, (reps, sector) in zip((0, 1 << j), _sector_split(m, np.searchsorted(labels, label[image]), sign)):
+            if len(reps):
+                pending.append((sector, labels[reps], minus | bit, j + 1))
+        del m, sector
+    return np.concatenate(lam)
 
 
 def _failure_fidelity(
@@ -355,40 +537,40 @@ def _failure_fidelity(
     data: _BlockData,
     members: list[int],
     w: float,
-    geometry: tuple[tuple[np.ndarray, np.ndarray], ...] | None = None,
+    geometry: _FailureGeometry | None = None,
 ) -> float:
-    """Fidelity of the group state against the maximally mixed junk state.
+    """Fidelity (Tr sqrt(P sigma P))^2 / D of the group state against the maximally mixed junk state.
 
-    The group state on the compression subspace has the entries
-    prod_j rho_j[s_j, s'_j] over pairs of the subspace's sequences s, s'.
-    It is built per half of the sequence positions: the half's product is
-    taken over its distinct half-sequences only, and one gather per half
-    spreads it over the subspace. `geometry` is `_failure_geometry(plan)`,
-    built here when not given. Every factor is exactly Hermitian, and real
-    for a 2-dim block (see `_BlockData.rotated`), so the product is too and
-    a 2-dim block's goes to the real symmetric solver. Its eigenvalues at
-    round-off level (dim * eps * largest, the cut of `measures.fidelity`)
-    are dropped before the square roots. `rate_sweep` refuses a mixed
-    block's plan above MIXED_SUBSPACE_CAP before it evaluates any failure
-    branch.
+    The group state P sigma P on the compression subspace (`_group_state`)
+    has the entries prod_j rho_j[s_j, s'_j] over pairs of the subspace's
+    sequences s, s'. `geometry` is `_failure_geometry(plan)`, built here
+    when not given. Every factor is exactly Hermitian, and real for a
+    2-dim block (see `_BlockData.rotated`), so the product is too and a
+    2-dim block's goes to the real symmetric solver.
+
+    Symmetry. If positions a and b carry the same J state
+    (members[a] == members[b]), swapping them commutes with
+    sigma = tensor_j rho_j, and with P when the swap maps the subspace's
+    sequences onto themselves (`_FailureGeometry.swap_closed`). Then
+    P sigma P is block diagonal in the swap's +1 and -1 sectors, exactly,
+    and its spectrum is the union of theirs. The valid pairs are taken
+    greedily in position order, disjoint, and the state is split by one
+    swap at a time (`_sector_spectra`) while a matrix has at least
+    SECTOR_SPLIT_MIN dimensions; below that size the split's Python
+    overhead costs more than it saves on the solve. The joined spectrum's
+    eigenvalues at round-off level (D * eps * largest, the cut of
+    `measures.fidelity`, with D the full subspace dimension) are dropped
+    before the square roots.
+    `rate_sweep` refuses a mixed block's plan above MIXED_SUBSPACE_CAP
+    before it evaluates any failure branch.
     """
     if data.all_pure:
         return w / plan.dim
     if geometry is None:
         geometry = _failure_geometry(plan)
-
-    def half_state(heads: np.ndarray, inv: np.ndarray, half_members: list[int]) -> np.ndarray:
-        part = np.ones((len(heads), len(heads)), dtype=data.rotated.dtype)
-        for s, i in zip(heads.T, half_members):
-            part *= data.rotated[i][s[:, None], s[None, :]]
-        return part[inv[:, None], inv[None, :]]
-
-    (heads_a, inv_a), (heads_b, inv_b) = geometry
-    half = len(members) // 2
-    compressed = half_state(heads_a, inv_a, members[:half])
-    compressed *= half_state(heads_b, inv_b, members[half:])
-    lam = eigvalsh(compressed)
-    lam = lam[rank_cut(lam, len(lam) * np.finfo(float).eps)]
+    swaps = geometry.swaps(members) if plan.dim >= SECTOR_SPLIT_MIN else []
+    lam = _sector_spectra(_group_state(data, members, geometry.halves), geometry, swaps)
+    lam = lam[rank_cut(lam, plan.dim * np.finfo(float).eps)]
     return float(np.sum(np.sqrt(lam)) ** 2) / plan.dim
 
 

@@ -8,6 +8,7 @@ import pytest
 from kidecomp import algebra, cli, decompose
 from kidecomp.cli import main
 from kidecomp.ensemble import Ensemble, load_ensemble, save_ensemble
+from kidecomp.errors import ParseError
 from kidecomp.oracles import haar_unitary
 
 KET0 = np.array([[1, 0], [0, 0]], dtype=complex)
@@ -376,6 +377,19 @@ def test_non_numeric_options_name_the_value(two_pure_file, command, option, caps
     kind = "an integer" if option[0] == "--trials" else "a number"
     assert f"configuration error: argument {option[0]}: expected {kind}, got 'x'" in err
     assert "_" not in err and "Traceback" not in err
+
+
+def test_verify_rejects_a_non_numeric_block_weight(two_pure_file, tmp_path, capsys):
+    # a block's "p" is never used once read, so only its own check can reject "x"
+    dec = tmp_path / "dec.json"
+    assert main(["decompose", two_pure_file, "-o", str(dec)]) == 0
+    doc = json.loads(dec.read_text())
+    doc["result"]["blocks"][0]["p"] = "x"
+    dec.write_text(json.dumps(doc))
+    assert main(["verify", two_pure_file, "--decomposition", str(dec)]) == 2
+    assert "error: blocks[0].p: expected a number" in capsys.readouterr().err
+    with pytest.raises(ParseError, match=r"blocks\[0\]\.p: expected a number"):
+        decompose.read_decomposition(dec.read_bytes())
 
 
 @pytest.mark.parametrize(

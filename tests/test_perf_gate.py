@@ -1,0 +1,36 @@
+"""tools/perf_gate.py: one tiny op timed against the committed tree, in one interpreter."""
+
+import importlib.util
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+TOOL = ROOT / "tools" / "perf_gate.py"
+_spec = importlib.util.spec_from_file_location("perf_gate", TOOL)
+perf_gate = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(perf_gate)
+
+
+def test_one_tiny_op_against_head(capsys):
+    if subprocess.run(["git", "-C", str(ROOT), "rev-parse", "HEAD"], capture_output=True).returncode:
+        pytest.skip("the tool reads the revision from a git checkout")
+    op = "decompose+verify 2x1,1x2"
+    assert perf_gate.main(["HEAD", "--op", op, "--rounds", "3"]) == 0
+    header, row = capsys.readouterr().out.splitlines()
+    assert header.split()[:2] == ["op", "B/A"] and row.startswith(op)
+    ratio, low, high, a_s, b_s, peak_a, peak_b = (float(x) for x in re.findall(r"\d+\.\d+", row[len(op):]))
+    assert 0 < low <= ratio <= high
+    assert a_s > 0 and b_s > 0 and peak_a > 0 and peak_b > 0
+    # both trees were imported under their own names and unloaded again
+    assert not any(name.split(".")[0] in ("kidecomp_a", "kidecomp_b") for name in sys.modules)
+
+
+def test_unknown_revision_exits_2(capsys):
+    if subprocess.run(["git", "-C", str(ROOT), "rev-parse", "HEAD"], capture_output=True).returncode:
+        pytest.skip("the tool reads the revision from a git checkout")
+    assert perf_gate.main(["no-such-revision", "--op", "decompose+verify 2x1,1x2"]) == 2
+    assert capsys.readouterr().out == ""

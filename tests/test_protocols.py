@@ -30,6 +30,7 @@ from kidecomp.protocols import (
     _class_sums,
     _compression_plan,
     _failure_fidelity,
+    _failure_geometry,
     _lex_sequences,
     _multinomial,
     _overlap_weight,
@@ -410,7 +411,7 @@ def block_data(e, d):
     return _block_data(d, d.block_averages(e.probs)[1], DEFAULT_TOL)
 
 
-def reference_fidelities(e, d, n, delta, trials, seed):
+def reference_fidelities(e, d, n, delta, trials, seed, failure=_failure_fidelity):
     data = block_data(e, d)
     fids, rates = np.empty(trials), np.empty(trials)
     for t in range(trials):
@@ -425,7 +426,7 @@ def reference_fidelities(e, d, n, delta, trials, seed):
             if not plan.full:
                 rows = reference_diag_rows(data[l], members)
                 w = _overlap_weight(plan, rows, _class_sums(rows))
-                f_group = w if u <= w else _failure_fidelity(plan, data[l], members, w)
+                f_group = w if u <= w else failure(plan, data[l], members, w)
             qubits += plan.qubits
             f_trial *= f_group
         fids[t], rates[t] = f_trial, qubits / n
@@ -764,27 +765,117 @@ def test_only_2_dim_blocks_take_the_real_solver(solver_dtypes):
 
 def test_failure_branch_holds_one_group_state_at_its_eigvalsh(monkeypatch):
     # the 1024-dim branch of test_failure_fidelity_matches_per_member_gather: a 9-member
-    # group of the bench 3x1,2x2 plant's 3-dim block at delta 0, a 16 MiB group state;
-    # a second D x D half product still referenced at the solver call would double it
+    # group of the bench 3x1,2x2 plant's 3-dim block at delta 0, a 16 MiB group state.
+    # Positions 5 and 6 carry state 0 and their swap keeps the subspace, so the state
+    # splits into sectors of 739 and 285 dimensions; a second D x D array (a half
+    # product, or the parent of the sectors) still referenced at a solver call would
+    # double the traced memory there
     e, _ = planted_ensemble(PlantSpec(blocks=BENCH_PLANTS["3x1,2x2"], num_states=3, seed=1))
     data = next(b for b in block_data(e, ki_decompose(e)) if len(b.spectrum) == 3)
     plan = _compression_plan(data.spectrum, data.entropy, 9, 0.0)
+    members = [0, 1, 2, 2, 1, 0, 0, 1, 2]
+    assert plan.dim == 1024 and _failure_geometry(plan).swaps(members) == [(5, 6)]
     calls = []
     real = protocols.eigvalsh
 
     def traced(a):
-        calls.append((tracemalloc.get_traced_memory()[0], a.nbytes))
+        calls.append((tracemalloc.get_traced_memory()[0], len(a)))
         return real(a)
 
     monkeypatch.setattr(protocols, "eigvalsh", traced)
     tracemalloc.start()
     try:
-        _failure_fidelity(plan, data, [0, 1, 2, 2, 1, 0, 0, 1, 2], 0.5)
+        _failure_fidelity(plan, data, members, 0.5)
     finally:
         tracemalloc.stop()
-    ((current, nbytes),) = calls
-    assert nbytes == 1024 * 1024 * 16
-    assert current < nbytes + 2**20
+    assert sorted(n for _, n in calls) == [285, 739]
+    for current, _ in calls:
+        assert current < 1024 * 1024 * 16 + 2**20
+
+
+# -- the swap sectors against one dense solve -------------------------------------
+
+
+def _swap_cases():
+    """Failure branches of the bench 3x1,2x2 plant's blocks (3-dim complex, 2-dim real)
+    up to 512 dimensions, with random members and members that repeat one state."""
+    e, _ = planted_ensemble(PlantSpec(blocks=BENCH_PLANTS["3x1,2x2"], num_states=3, seed=1))
+    rng = np.random.default_rng(4)
+    for data in block_data(e, ki_decompose(e)):
+        for length in range(2, 10):
+            for delta in (-0.5, -0.25, -0.1, 0.0, 0.15):
+                plan = _compression_plan(data.spectrum, data.entropy, length, delta)
+                if plan.full or plan.dim > 512:
+                    continue
+                for members in (rng.integers(0, 3, length).tolist(), [1] * length, rng.integers(0, 2, length).tolist()):
+                    yield plan, data, members
+
+
+def test_sector_spectra_match_one_dense_solve(monkeypatch):
+    # split every branch down to 2-dim sectors, so that small plans take several swaps
+    monkeypatch.setattr(protocols, "SECTOR_SPLIT_MIN", 2)
+    seen = set()
+    for plan, data, members in _swap_cases():
+        geometry = _failure_geometry(plan)
+        swaps = geometry.swaps(members)
+        state = _reference_group_state(plan, data, members)
+        for a, b in swaps:  # the symmetry each split relies on, checked on the state itself
+            assert members[a] == members[b]
+            t = geometry.swap(a, b)
+            assert sorted(t) == list(range(plan.dim))
+            assert np.abs(state[np.ix_(t, t)] - state).max() <= 1e-15
+        taken = [p for pair in swaps for p in pair]
+        assert len(set(taken)) == len(taken) and swaps == sorted(swaps)
+        want = eigvalsh(state)
+        got = np.sort(protocols._sector_spectra(protocols._group_state(data, members, geometry.halves), geometry, swaps))
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-12 * want.max()
+        seen.add((data.rotated.dtype.kind, plan.partial is not None, min(len(swaps), 2)))
+    # real and complex blocks, plans with and without a partial class, and 0, 1 and
+    # several swaps all ran
+    assert {kind for kind, _, _ in seen} == {"f", "c"}
+    assert {partial for _, partial, _ in seen} == {False, True}
+    assert {n for _, _, n in seen} == {0, 1, 2}
+    assert {(kind, n) for kind, _, n in seen} == {(k, n) for k in "fc" for n in (0, 1, 2)}
+
+
+def test_a_partial_class_that_blocks_every_swap_takes_one_dense_solve(solver_dtypes):
+    # the 3-dim block at N=6, delta 0.14: 256 sequences, the last 21 of them the first
+    # 21 of the 60 in class (3, 1, 2), and no swap of two positions maps those 21 onto
+    # themselves; every member is state 0, so only the partial class can block a swap
+    e, _ = planted_ensemble(PlantSpec(blocks=BENCH_PLANTS["3x1,2x2"], num_states=3, seed=1))
+    data = next(b for b in block_data(e, ki_decompose(e)) if len(b.spectrum) == 3)
+    plan = _compression_plan(data.spectrum, data.entropy, 6, 0.14)
+    assert plan.dim == 256 >= protocols.SECTOR_SPLIT_MIN
+    assert plan.partial[0] == (3, 1, 2) and len(plan.partial[1]) == 21
+    geometry = _failure_geometry(plan)
+    assert not any(geometry.swap_closed(a, b) for a, b in itertools.combinations(range(6), 2))
+    got = _failure_fidelity(plan, data, [0] * 6, 0.5, geometry)
+    assert len(solver_dtypes) == 1
+    assert got == pytest.approx(_reference_failure_fidelity(plan, data, [0] * 6), rel=1e-12, abs=0.0)
+
+
+def test_rate_sweep_failure_branches_match_the_dense_reference(monkeypatch):
+    # the bench's 3x1,2x2 sweep (N=12, its deltas) on 40 trials of seed 37, where
+    # branches of 512 and 256 dimensions split, one of them three times
+    e, _ = planted_ensemble(PlantSpec(blocks=BENCH_PLANTS["3x1,2x2"], num_states=3, seed=1))
+    d = ki_decompose(e)
+    splits = []
+    real = protocols._sector_split
+
+    def counted(m, pi, sign):
+        splits.append(len(m))
+        return real(m, pi, sign)
+
+    monkeypatch.setattr(protocols, "_sector_split", counted)
+    runs = rate_sweep(e, d, 12, [-0.25, 0.0, 0.25], trials=40, seed=37)
+    assert len(splits) >= 1
+    for run in runs:
+        fids, rate = reference_fidelities(
+            e, d, 12, run.delta, 40, 37, failure=lambda plan, data, members, w: _reference_failure_fidelity(plan, data, members)
+        )
+        assert run.fidelities == pytest.approx(fids, rel=1e-12, abs=0.0)
+        assert run.qubit_rate_used == rate
 
 
 def _reference_compositions(total, parts):
@@ -850,6 +941,18 @@ def test_compression_plan_matches_class_by_class_reference():
                     assert np.array_equal(plan.partial[1], partial[1])
                 cases += not full
     assert cases > 100
+
+
+def test_compression_budget_rounds_up_only_within_round_off_of_an_integer():
+    # a uniform qubit spectrum (entropy 1) over 4 messages: the budget 4 (1 + delta)
+    # sits 1e-13 or 1e-10 under 3 qubits. The first is round-off of an exact 3 and
+    # keeps 8 sequences; the second is a genuine shortfall and keeps 4
+    spectrum = np.array([0.5, 0.5])
+    for gap, qubits in ((1e-13, 3), (1e-10, 2)):
+        delta = -0.25 - gap / 4
+        assert 3 - 4 * (1 + delta) == pytest.approx(gap, rel=1e-2)
+        plan = _compression_plan(spectrum, 1.0, 4, delta)
+        assert (plan.full, plan.qubits, plan.dim) == (False, qubits, 2**qubits)
 
 
 # -- type-class enumeration against the recursive enumerator --------------------

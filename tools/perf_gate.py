@@ -1,0 +1,175 @@
+"""Time this tree against one git revision, both loaded in one interpreter.
+
+    python3 tools/perf_gate.py REV [--rounds R] [--op NAME ...]
+
+Extracts REV's `src/` into a temporary directory (`git archive REV src`)
+and imports it as the package `kidecomp_a`, and this tree's `src/` as
+`kidecomp_b` (the package uses only relative imports, so the two load
+side by side). Each op's inputs are built once per tree, and each op is
+called once per tree to warm it. Then R rounds call it in the order A,
+B, B, A, and B, A, A, B in turn, and a round's ratio is B's two times
+over A's two. Per op the
+script prints the median B/A ratio with a bootstrap 95% interval (2000
+resamples of the rounds, seeded), the median seconds per call on each
+side, and the `tracemalloc` peak of one call on each side. A ratio
+below 1 means this tree is faster.
+
+Both trees share one process, one allocator and one cache, so what
+differs between two processes (imports, page faults, a contended run)
+cancels in the ratio. Cold-start and whole-process figures (`setup_s`,
+`peak_rss_mb`) stay with `bench/run.py`.
+
+The ops are the bench's: the `protocol_sim` `rate_sweep` of each plant
+(N=12, deltas -0.25, 0 and 0.25, 200 trials, seed 0) and the
+`decompose_ladder` rungs (`ki_decompose` then `verify`, plant seeds
+1000 + rung, 3 states, seed 1). Each `--op` picks one of them by the
+name that `--list` prints; with none, all run.
+"""
+
+from __future__ import annotations
+
+import argparse
+import gc
+import importlib.util
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+import tracemalloc
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parents[1]
+SWEEP_PLANTS = ("2x1,1x2", "3x1,2x2")
+LADDER = ("2x1,1x2", "3x1,2x2", "3x2,2x1,1x3", "4x2,3x1")
+BOOTSTRAP = 2000
+
+
+def load_package(src: Path, name: str):
+    """Import the `kidecomp` package under `src` as the top-level package `name`."""
+    pkg = src / "kidecomp"
+    spec = importlib.util.spec_from_file_location(name, pkg / "__init__.py", submodule_search_locations=[str(pkg)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def unload_package(name: str) -> None:
+    for key in [k for k in sys.modules if k == name or k.startswith(name + ".")]:
+        del sys.modules[key]
+
+
+def _blocks(text: str) -> tuple[tuple[int, int], ...]:
+    return tuple(tuple(int(x) for x in part.split("x")) for part in text.split(","))
+
+
+def _sweep(text: str):
+    def build(k):
+        e = k.oracles.planted_ensemble(k.oracles.PlantSpec(blocks=_blocks(text), num_states=3, seed=1))[0]
+        d = k.decompose.ki_decompose(e)
+        return lambda: k.protocols.rate_sweep(e, d, 12, (-0.25, 0.0, 0.25), trials=200, seed=0)
+
+    return build
+
+
+def _rung(rung: int, text: str):
+    def build(k):
+        e = k.oracles.planted_ensemble(k.oracles.PlantSpec(blocks=_blocks(text), num_states=3, seed=1000 + rung))[0]
+
+        def run():
+            d = k.decompose.ki_decompose(e, seed=1)
+            return k.decompose.verify(d, e, seed=1)
+
+        return run
+
+    return build
+
+
+OPS = {f"rate_sweep {t}": _sweep(t) for t in SWEEP_PLANTS}
+OPS.update({f"decompose+verify {t}": _rung(r, t) for r, t in enumerate(LADDER)})
+
+
+def _timed(call) -> float:
+    start = time.perf_counter()
+    call()
+    return time.perf_counter() - start
+
+
+def _peak(call) -> int:
+    gc.collect()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def paired(run_a, run_b, rounds: int) -> dict:
+    """ABBA rounds of two warmed calls: the median B/A ratio, its bootstrap 95% interval,
+    the median seconds per call and one traced peak per side."""
+    run_a(), run_b()
+    ratios, times_a, times_b = [], [], []
+    for r in range(rounds):
+        # A B B A, then B A A B: each side runs first, last and right after itself equally often
+        if r % 2 == 0:
+            a1, b1, b2, a2 = _timed(run_a), _timed(run_b), _timed(run_b), _timed(run_a)
+        else:
+            b1, a1, a2, b2 = _timed(run_b), _timed(run_a), _timed(run_a), _timed(run_b)
+        ratios.append((b1 + b2) / (a1 + a2))
+        times_a += [a1, a2]
+        times_b += [b1, b2]
+    ratios = np.array(ratios)
+    draws = np.random.default_rng(0).choice(ratios, size=(BOOTSTRAP, len(ratios)))
+    lo, hi = np.percentile(np.median(draws, axis=1), [2.5, 97.5])
+    return {
+        "ratio": float(np.median(ratios)),
+        "low": float(lo),
+        "high": float(hi),
+        "a_s": statistics.median(times_a),
+        "b_s": statistics.median(times_b),
+        "a_peak_mb": _peak(run_a) / 2**20,
+        "b_peak_mb": _peak(run_b) / 2**20,
+    }
+
+
+def main(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(prog="perf_gate.py", description="Paired in-process timing against a git revision.")
+    parser.add_argument("rev", nargs="?")
+    parser.add_argument("--rounds", type=int, default=20)
+    parser.add_argument("--op", action="append", choices=list(OPS), help="an op to run (repeatable; default: all)")
+    parser.add_argument("--list", action="store_true", help="print the op names and exit")
+    args = parser.parse_args(argv)
+    if args.list:
+        print("\n".join(OPS))
+        return 0
+    names = args.op or list(OPS)
+    if args.rev is None or args.rounds < 1:
+        parser.print_usage(sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory(prefix="perf_gate_") as tmp:
+        archive = subprocess.run(["git", "-C", str(ROOT), "archive", args.rev, "src"], capture_output=True)
+        if archive.returncode:
+            print(archive.stderr.decode(errors="replace"), end="", file=sys.stderr)
+            return 2
+        subprocess.run(["tar", "-x", "-C", tmp], input=archive.stdout, check=True)
+        try:
+            k_a, k_b = load_package(Path(tmp) / "src", "kidecomp_a"), load_package(ROOT / "src", "kidecomp_b")
+            print(f"{'op':<32} {'B/A':>6} {'95% interval':>16} {'A s':>9} {'B s':>9} {'A peak MB':>10} {'B peak MB':>10}")
+            for name in names:
+                r = paired(OPS[name](k_a), OPS[name](k_b), args.rounds)
+                print(
+                    f"{name:<32} {r['ratio']:6.3f} [{r['low']:6.3f}, {r['high']:6.3f}] "
+                    f"{r['a_s']:9.4f} {r['b_s']:9.4f} {r['a_peak_mb']:10.2f} {r['b_peak_mb']:10.2f}"
+                )
+        finally:
+            unload_package("kidecomp_a")
+            unload_package("kidecomp_b")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
