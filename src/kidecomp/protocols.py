@@ -16,15 +16,25 @@ compression subspace. Fidelities of N-message sequences are computed
 exactly on the occupied group spaces, never materializing dim^N
 operators outside the chosen subspace.
 
+`rate_sweep` works an array at a time. Its first pass takes the trials
+of a stream block by (label, group length): the type-class sums of the
+whole batch come from one DP over count vectors (`_class_sums`), and the
+overlap weights, the branch decisions and the qubit charges are array
+operations, so no Python runs per trial. Its second pass scores the
+failure branches plan by plan.
+
 A failure branch scores (Tr sqrt(P sigma P))^2 / D from the spectrum of
-the D-dim group state. Swapping two positions that carry the same J
-state commutes with sigma, and with P when the swap maps the subspace's
-sequences onto themselves, which only the partial type class can
-prevent. Such a swap splits the group state exactly into its +1 and -1
-sectors, so `_failure_fidelity` solves the sectors of the disjoint
-valid swaps instead of the whole state, at and above SECTOR_SPLIT_MIN
-dimensions, and applies the round-off cut of the full D to the joined
-spectrum.
+the D-dim group state. Below SECTOR_SPLIT_MIN dimensions a plan's
+branches are built as one stack of group states and solved by one
+batched `eigvalsh`. From that size on, swapping two positions that
+carry the same J state commutes with sigma, and with P when the swap
+maps the subspace's sequences onto themselves, which only the partial
+type class can prevent. Such a swap splits the group state exactly into
+its +1 and -1 sectors, so `_failure_fidelities` solves the sectors of
+the disjoint valid swaps instead of the whole state, and applies the
+round-off cut of the full D to the joined spectrum. The first swap's
+sectors are gathered straight from the group's two half states, so a
+branch that splits never forms its D x D group state.
 
 Randomness contract: one master seed; trial t draws from
 numpy.random.default_rng([seed, t]). A per-message trial draws
@@ -62,11 +72,15 @@ from .streams import _trial_stream
 DESK_SCALE_QUBITS = 20
 MIXED_SUBSPACE_CAP = 4096
 # A failure-branch matrix of at least this many dimensions is split by a swap
-# (`_failure_fidelity`). Split against one dense solve, one BLAS thread, on the
-# bench 3x1,2x2 plant's blocks: complex 3-dim block 0.92x at 128 and 0.76x at 256;
-# real 2-dim block 1.28x at 128 and 1.02x at 256, 0.77x at 512.
-SECTOR_SPLIT_MIN = 256
+# (`_failure_fidelities`), per solver: real ("f", 2-dim blocks) and complex ("c").
+# One split against one dense solve, one BLAS thread, bench 3x1,2x2 plant, sectors
+# gathered from the half states: real 1.55x at 64, 1.10x at 128, 0.84x at 256,
+# 0.65x at 512; complex 1.16x at 64, 0.65x at 128, 0.59x at 256. The complex
+# floor stays at 256 all the same: at 128 the split moves the last bits of
+# answers that a dense solve gives today, for 3% on the bench sweep.
+SECTOR_SPLIT_MIN = {"f": 256, "c": 256}
 _ROW_BLOCK_BYTES = 2**18  # the temporaries of the row-blocked gathers
+_STACK_BYTES = 2**22  # the group states of one stacked eigvalsh below the split floor
 _BOUNDARY_GUARD = 1e-12
 
 
@@ -193,25 +207,46 @@ def _multinomial(counts: tuple[int, ...]) -> int:
     return out
 
 
+@functools.lru_cache(maxsize=256)
+def _compositions(r: int, length: int) -> np.ndarray:
+    """Every count vector of `length` over r letters, one row each, in ascending
+    lexicographic order (drawn as stars and bars). Shared and read-only."""
+    bars = np.empty((math.comb(length + r - 1, r - 1), r + 1), dtype=np.int64)
+    bars[:, 0], bars[:, -1] = -1, length + r - 1
+    bars[:, 1:-1] = list(itertools.combinations(range(length + r - 1), r - 1))
+    counts = np.diff(bars, axis=1) - 1
+    counts.flags.writeable = False
+    return counts
+
+
 def _type_classes(log2lam: np.ndarray, length: int):
     """Every type class of length-`length` sequences over len(log2lam) letters.
 
-    Drawn as stars and bars, which lists the count vectors in ascending
-    lexicographic order. Returns the counts (one row per class), the
-    class sizes and the log2 probability of one member sequence. Each
+    Returns the counts (one row per class, as `_compositions` lists them),
+    the class sizes and the log2 probability of one member sequence. Each
     log2 probability is its own `np.dot`: a matrix-vector product may
     differ in the last bit and reorder ties.
     """
-    r = len(log2lam)
-    bars = np.array(list(itertools.combinations(range(length + r - 1), r - 1)), dtype=np.int64)
-    counts = np.diff(bars, axis=1, prepend=-1, append=length + r - 1) - 1
+    counts = _compositions(len(log2lam), length)
     sizes = [_multinomial(c) for c in counts.tolist()]
     log2p = [float(np.dot(c, log2lam)) for c in counts]
     return counts, sizes, log2p
 
 
-# ---------------------------------------------------------------------------
-# block protocol
+@functools.lru_cache(maxsize=256)
+def _class_step(r: int, length: int) -> np.ndarray:
+    """How the type classes of `length` grow from those of `length - 1`: per class c
+    of `length` (a row, as `_compositions` lists them) and letter a (a column), the
+    row of c - e_a among the classes of `length - 1`, or their count, one past the
+    last row, where c[a] = 0. Shared and read-only."""
+    prev, cur = _compositions(r, length - 1), _compositions(r, length)
+    index = {c: i for i, c in enumerate(map(tuple, prev.tolist()))}
+    src = np.array(
+        [[index.get(c[:a] + (c[a] - 1,) + c[a + 1 :], len(prev)) for a in range(r)] for c in map(tuple, cur.tolist())],
+        dtype=np.int64,
+    ).reshape(len(cur), r)
+    src.flags.writeable = False
+    return src
 
 
 def _lex_sequences(counts: tuple[int, ...], limit: int) -> np.ndarray:
@@ -242,6 +277,7 @@ class _CompressionPlan:
     qubits: int
     full: bool
     full_classes: list[tuple[int, ...]] = field(default_factory=list)
+    full_index: np.ndarray | None = None  # the full classes' rows of `_type_classes`
     partial: tuple[tuple[int, ...], np.ndarray] | None = None
 
     def all_sequences(self) -> np.ndarray:
@@ -257,8 +293,14 @@ class _CompressionPlan:
         return np.concatenate(parts, axis=0)
 
 
-def _compression_plan(spectrum: np.ndarray, entropy: float, length: int, delta: float) -> _CompressionPlan:
-    """Most-probable-sequences subspace at rate (entropy + delta) qubits/message."""
+def _compression_plan(
+    spectrum: np.ndarray, entropy: float, length: int, delta: float, classes: dict | None = None
+) -> _CompressionPlan:
+    """Most-probable-sequences subspace at rate (entropy + delta) qubits/message.
+
+    `classes` holds `_type_classes` of this spectrum by length; a caller that
+    passes one dict for several deltas builds each length's classes once.
+    """
     r = len(spectrum)
     full_qubits = math.ceil(length * math.log2(r)) if r > 1 else 0
     full_dim = r**length
@@ -271,7 +313,11 @@ def _compression_plan(spectrum: np.ndarray, entropy: float, length: int, delta: 
             alphabet=r, length=length, dim=full_dim, qubits=full_qubits, full=True
         )
     dim = 2**budget
-    counts, sizes, log2p = _type_classes(log2lam, length)
+    if classes is None:
+        classes = {}
+    if length not in classes:
+        classes[length] = _type_classes(log2lam, length)
+    counts, sizes, log2p = classes[length]
     # most probable class first; the classes come in lexicographic order
     # of their counts, so the stable sort breaks ties in that order
     order = np.argsort(-np.array(log2p), kind="stable")
@@ -283,37 +329,55 @@ def _compression_plan(spectrum: np.ndarray, entropy: float, length: int, delta: 
     return _CompressionPlan(
         alphabet=r, length=length, dim=dim, qubits=budget, full=False,
         full_classes=[tuple(c) for c in ranked[:n_full]],
+        full_index=order[:n_full],
         partial=(partial, _lex_sequences(partial, room)) if room > 0 else None,
     )
 
 
-def _class_sums(diag_rows: np.ndarray) -> dict[tuple[int, ...], float]:
-    """Sum over all sequences of prod_j diag_rows[j, s_j], keyed by type class."""
-    r = diag_rows.shape[1]
-    acc: dict[tuple[int, ...], float] = {tuple([0] * r): 1.0}
-    for row in diag_rows:
-        nxt: dict[tuple[int, ...], float] = {}
-        for counts, val in acc.items():
-            for a in range(r):
-                c2 = counts[:a] + (counts[a] + 1,) + counts[a + 1 :]
-                nxt[c2] = nxt.get(c2, 0.0) + val * float(row[a])
-        acc = nxt
-    return acc
+def _class_sums(diag: np.ndarray) -> np.ndarray:
+    """Per group g, the sum over every sequence s of each type class of
+    prod_j diag[g, j, s_j]: a (groups, classes) array, classes as
+    `_type_classes` lists them.
 
-
-def _overlap_weight(
-    plan: _CompressionPlan, diag_rows: np.ndarray, sums: dict[tuple[int, ...], float]
-) -> float:
-    """Probability weight of the group state inside the compression subspace.
-
-    `sums` is `_class_sums(diag_rows)`, which does not depend on the plan.
+    `diag` is (groups, length, r): per group, one row per member. A DP over
+    the members, in position order, keeps one sum per type class of the
+    prefix, plus a zero column that stands for a class with a negative
+    count. A class adds the terms of its letters one at a time, in
+    descending letter order, onto 0: the order of the per-group dict DP
+    that the tests keep as the reference, so the sums match it bit for bit.
     """
-    w = sum(sums.get(c, 0.0) for c in plan.full_classes)
+    groups, length, r = diag.shape
+    acc = np.zeros((groups, 2))
+    acc[:, 0] = 1.0
+    for j in range(length):
+        src = _class_step(r, j + 1)
+        terms = acc[:, src] * diag[:, j, None, :]
+        acc = np.zeros((groups, len(src) + 1))
+        sums = acc[:, :-1]
+        for a in reversed(range(r)):
+            sums += terms[:, :, a]
+    return acc[:, :-1]
+
+
+def _overlap_weights(plan: _CompressionPlan, diag: np.ndarray, sums: np.ndarray) -> np.ndarray:
+    """Per group, the probability weight of its group state inside the compression subspace.
+
+    `sums` is `_class_sums(diag)`, which does not depend on the plan. The
+    full classes' sums are added one at a time in the plan's order (a
+    cumulative sum), and the partial class's sequences by one 1-D `np.sum`
+    per group, a block of groups gathered at a time: a 2-D `np.sum` along
+    the rows adds in another order and can move the last bit.
+    """
+    w = np.zeros(len(diag))
+    if len(plan.full_index):
+        w += np.cumsum(sums[:, plan.full_index], axis=1)[:, -1]
     if plan.partial is not None:
         _, seqs = plan.partial
         cols = np.arange(plan.length)
-        w += float(np.sum(np.prod(diag_rows[cols[None, :], seqs], axis=1)))
-    return min(max(w, 0.0), 1.0)
+        for rows in _row_blocks(len(diag), seqs.nbytes):
+            prods = np.prod(diag[rows][:, cols[None, :], seqs], axis=2)
+            w[rows] += [float(np.sum(p)) for p in prods]
+    return np.minimum(np.maximum(w, 0.0), 1.0)
 
 
 @dataclass
@@ -350,9 +414,9 @@ def _block_data(d: KIDecomposition, rho_j_avg: list[np.ndarray], tol: float) -> 
     return out
 
 
-def _row_blocks(rows: int, row_bytes: int) -> list[slice]:
-    """Slices over `rows` rows of `row_bytes` bytes each, _ROW_BLOCK_BYTES at most (one row at least) per slice."""
-    step = max(1, _ROW_BLOCK_BYTES // max(row_bytes, 1))
+def _row_blocks(rows: int, row_bytes: int, limit: int = _ROW_BLOCK_BYTES) -> list[slice]:
+    """Slices over `rows` rows of `row_bytes` bytes each, `limit` bytes at most (one row at least) per slice."""
+    step = max(1, limit // max(row_bytes, 1))
     return [slice(i, i + step) for i in range(0, rows, step)]
 
 
@@ -426,35 +490,63 @@ def _failure_geometry(plan: _CompressionPlan) -> _FailureGeometry:
     return _FailureGeometry(halves=tuple(halves), seqs=seqs, alphabet=plan.alphabet, partial_rows=partial_rows)
 
 
-def _group_state(data: _BlockData, members: list[int], halves) -> np.ndarray:
-    """The group state on the compression subspace, entries prod_j rho_j[s_j, s'_j].
+def _half_states(rotated: np.ndarray, heads: np.ndarray, members: np.ndarray) -> np.ndarray:
+    """Per group (a row of `members`, the J states of one half's positions), the
+    products prod_j rho_j[s_j, s'_j] over every pair of the half's distinct
+    half-sequences `heads`: (groups, len(heads), len(heads))."""
+    part = np.ones((len(members), len(heads), len(heads)), dtype=rotated.dtype)
+    for s, states in zip(heads.T, members.T):
+        part *= rotated[states][:, s][:, :, s]
+    return part
 
-    It is built per half of the sequence positions: the half's product is
-    taken over its distinct half-sequences only, and one gather per half
-    spreads it over the subspace. The first half's gather is the one
-    D x D array; the second half's is multiplied into it a block of rows
+
+def _group_states(data: _BlockData, members: np.ndarray, halves) -> np.ndarray:
+    """The group states of a stack of groups (rows of `members`) on the compression
+    subspace, entries prod_j rho_j[s_j, s'_j]: (groups, D, D).
+
+    Each is built per half of the sequence positions: the half's product is
+    taken over its distinct half-sequences only (`_half_states`), and one
+    gather per half spreads it over the subspace. The first half's gather
+    is the stack; the second half's is multiplied into it a block of rows
     at a time.
     """
+    (heads_a, inv_a), (heads_b, inv_b) = halves
+    half = members.shape[1] // 2
+    states = _half_states(data.rotated, heads_a, members[:, :half])[:, inv_a][:, :, inv_a]
+    part_b = _half_states(data.rotated, heads_b, members[:, half:])
+    for rows in _row_blocks(len(inv_a), states[:, 0].nbytes):
+        states[:, rows] *= part_b[:, inv_b[rows]][:, :, inv_b]
+    return states
 
-    def half_state(heads: np.ndarray, half_members: list[int]) -> np.ndarray:
-        part = np.ones((len(heads), len(heads)), dtype=data.rotated.dtype)
-        for s, i in zip(heads.T, half_members):
-            part *= data.rotated[i][s[:, None], s[None, :]]
-        return part
 
+def _half_entries(data: _BlockData, members: np.ndarray, halves):
+    """`entries(rows, cols)` of one group's state (`members` one group's J states),
+    gathered from its two half states as `_group_states` multiplies them, so
+    that no D x D array is formed."""
     (heads_a, inv_a), (heads_b, inv_b) = halves
     half = len(members) // 2
-    state = half_state(heads_a, members[:half])[inv_a[:, None], inv_a]
-    part_b = half_state(heads_b, members[half:])
-    for rows in _row_blocks(len(state), state[0].nbytes):
-        state[rows] *= part_b[inv_b[rows, None], inv_b]
-    return state
+    part_a = _half_states(data.rotated, heads_a, members[None, :half])[0]
+    part_b = _half_states(data.rotated, heads_b, members[None, half:])[0]
+
+    def entries(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        # not in place: numpy multiplies a one-element complex array in place by
+        # another kernel, whose last bit can differ from the stacked product's
+        return part_a[inv_a[rows]][:, inv_a[cols]] * part_b[inv_b[rows]][:, inv_b[cols]]
+
+    return entries
 
 
-def _sector_split(m: np.ndarray, pi: np.ndarray, sign: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+def _matrix_entries(m: np.ndarray):
+    """`entries(rows, cols)` of the matrix m."""
+    return lambda rows, cols: m[rows][:, cols]
+
+
+def _sector_split(entries, pi: np.ndarray, sign: np.ndarray, dtype) -> list[tuple[np.ndarray, np.ndarray]]:
     """The +1 and the -1 sector of a Hermitian m that commutes with a signed permutation.
 
-    The permutation is an involution that sends basis vector b_i to
+    m is read through `entries(rows, cols)`, which returns m[rows[:, None], cols]
+    (`_matrix_entries`, or `_half_entries` for a group state never formed
+    whole). The permutation is an involution that sends basis vector b_i to
     sign[i] b_pi[i]. Sector e is spanned by each fixed b_i with sign[i] = e
     and by (b_i + e sign[i] b_pi[i]) / sqrt(2) for each pair i < pi[i].
     Since m commutes with it, m[pi[i], pi[k]] sign[i] sign[k] = m[i, k],
@@ -464,19 +556,19 @@ def _sector_split(m: np.ndarray, pi: np.ndarray, sign: np.ndarray) -> list[tuple
     time. Returns per sector the positions of its representatives,
     ascending, and its matrix.
     """
-    idx = np.arange(len(m))
+    idx = np.arange(len(pi))
     fixed = pi == idx
     out = []
     for e in (1, -1):
         reps = np.flatnonzero((idx < pi) | (fixed & (sign == e)))
         partners, coef = pi[reps], e * sign[reps]
         scale = np.where(fixed[reps], math.sqrt(0.5), 1.0)
-        sector = np.empty((len(reps), len(reps)), dtype=m.dtype)
+        sector = np.empty((len(reps), len(reps)), dtype=dtype)
         for rows in _row_blocks(len(reps), sector[:1].nbytes):
             block = sector[rows]
-            block[...] = m[reps[rows, None], partners]
+            block[...] = entries(reps[rows], partners)
             block *= coef
-            block += m[reps[rows, None], reps]
+            block += entries(reps[rows], reps)
             block *= scale[rows, None] * scale
         out.append((reps, sector))
     return out
@@ -489,8 +581,10 @@ def _parity(x: np.ndarray) -> np.ndarray:
     return x & 1
 
 
-def _sector_spectra(state: np.ndarray, geometry: _FailureGeometry, swaps: list[tuple[int, int]]) -> np.ndarray:
-    """The eigenvalues of a group state, joined over the sectors of its swaps.
+def _sector_spectra(
+    data: _BlockData, members: np.ndarray, geometry: _FailureGeometry, swaps: list[tuple[int, int]]
+) -> np.ndarray:
+    """The eigenvalues of one group's state, joined over the sectors of its swaps.
 
     The swaps act on disjoint positions, so they commute and generate a
     group H of 2^k elements. After the first j of them, a sector is one
@@ -499,56 +593,71 @@ def _sector_spectra(state: np.ndarray, geometry: _FailureGeometry, swaps: list[t
     orbit's first sequence: its coefficient on sequence x is the sign of
     the element g of H with x = g(label). Swap j then sends the vector of
     label r to the vector of the label of swap_j(r) times that sign, a
-    signed permutation, so `_sector_split` splits the sector by it. A
-    sector below SECTOR_SPLIT_MIN dimensions, or with no swap left, goes to
+    signed permutation, so `_sector_split` splits the sector by it. The
+    first swap's two sectors are gathered straight from the group's two
+    half states (`_half_entries`), so the D x D group state is never
+    formed; with no swap it is built whole for one `eigvalsh`. A sector
+    below the solver's SECTOR_SPLIT_MIN, or with no swap left, goes to
     `eigvalsh`; a matrix is dropped as soon as its two sectors are built.
     """
     if not swaps:
-        return eigvalsh(state)
+        return eigvalsh(_group_states(data, members[None], geometry.halves)[0])
     # per swap j: its permutation of the sequences, and after swaps 0..j-1 each
     # sequence's orbit label and one element (a bit per swap) that reaches it from there
     levels = []
-    label, elt = np.arange(len(state)), np.zeros(len(state), dtype=np.int64)
+    label, elt = np.arange(len(geometry.seqs)), np.zeros(len(geometry.seqs), dtype=np.int64)
     for j, (a, b) in enumerate(swaps):
         t = geometry.swap(a, b)
         levels.append((t, label, elt))
         elt = np.where(label[t] < label, elt[t] ^ (1 << j), elt)
         label = np.minimum(label, label[t])
-    pending = [(state, np.arange(len(state)), 0, 0)]  # matrix, its labels, minus, next swap
-    del state
+    # matrix (None: the group state, read from its half states), its labels, minus, next swap
+    pending = [(None, np.arange(len(label)), 0, 0)]
+    floor = SECTOR_SPLIT_MIN[data.rotated.dtype.kind]
     lam = []
     while pending:
         m, labels, minus, j = pending.pop()
-        if j == len(levels) or len(m) < SECTOR_SPLIT_MIN:
+        if m is not None and (j == len(levels) or len(m) < floor):
             lam.append(eigvalsh(m))
             continue
         t, label, elt = levels[j]
         image = t[labels]
         sign = 1 - 2 * _parity(elt[image] & minus)
-        for bit, (reps, sector) in zip((0, 1 << j), _sector_split(m, np.searchsorted(labels, label[image]), sign)):
+        entries = _half_entries(data, members, geometry.halves) if m is None else _matrix_entries(m)
+        split = _sector_split(entries, np.searchsorted(labels, label[image]), sign, data.rotated.dtype)
+        del m, entries
+        for bit, (reps, sector) in zip((0, 1 << j), split):
             if len(reps):
                 pending.append((sector, labels[reps], minus | bit, j + 1))
-        del m, sector
+        del split, sector
     return np.concatenate(lam)
 
 
-def _failure_fidelity(
+def _failure_fidelities(
     plan: _CompressionPlan,
     data: _BlockData,
-    members: list[int],
-    w: float,
+    members: np.ndarray,
+    w: np.ndarray,
     geometry: _FailureGeometry | None = None,
-) -> float:
-    """Fidelity (Tr sqrt(P sigma P))^2 / D of the group state against the maximally mixed junk state.
+) -> np.ndarray:
+    """Per group, fidelity (Tr sqrt(P sigma P))^2 / D of its state against the maximally mixed junk state.
 
-    The group state P sigma P on the compression subspace (`_group_state`)
-    has the entries prod_j rho_j[s_j, s'_j] over pairs of the subspace's
-    sequences s, s'. `geometry` is `_failure_geometry(plan)`, built here
-    when not given. Every factor is exactly Hermitian, and real for a
-    2-dim block (see `_BlockData.rotated`), so the product is too and a
-    2-dim block's goes to the real symmetric solver.
+    `members` holds one group per row (its J states in position order) and
+    `w` their overlap weights, which give the answer for an all-pure block.
+    The group state P sigma P on the compression subspace has the entries
+    prod_j rho_j[s_j, s'_j] over pairs of the subspace's sequences s, s'.
+    `geometry` is `_failure_geometry(plan)`, built here when not given.
+    Every factor is exactly Hermitian, and real for a 2-dim block (see
+    `_BlockData.rotated`), so the product is too and a 2-dim block's goes
+    to the real symmetric solver.
 
-    Symmetry. If positions a and b carry the same J state
+    Below the solver's SECTOR_SPLIT_MIN the groups' states are built as one
+    stack (`_group_states`) and solved by one batched `eigvalsh`, in chunks
+    of at most _STACK_BYTES; a stacked solve gives each matrix the
+    eigenvalues of its own call. From that size on, each group is solved on
+    its own, split by symmetry:
+
+    If positions a and b carry the same J state
     (members[a] == members[b]), swapping them commutes with
     sigma = tensor_j rho_j, and with P when the swap maps the subspace's
     sequences onto themselves (`_FailureGeometry.swap_closed`). Then
@@ -556,8 +665,8 @@ def _failure_fidelity(
     and its spectrum is the union of theirs. The valid pairs are taken
     greedily in position order, disjoint, and the state is split by one
     swap at a time (`_sector_spectra`) while a matrix has at least
-    SECTOR_SPLIT_MIN dimensions; below that size the split's Python
-    overhead costs more than it saves on the solve. The joined spectrum's
+    SECTOR_SPLIT_MIN dimensions; below that size the split's overhead
+    costs more than it saves on the solve. The joined spectrum's
     eigenvalues at round-off level (D * eps * largest, the cut of
     `measures.fidelity`, with D the full subspace dimension) are dropped
     before the square roots.
@@ -568,10 +677,30 @@ def _failure_fidelity(
         return w / plan.dim
     if geometry is None:
         geometry = _failure_geometry(plan)
-    swaps = geometry.swaps(members) if plan.dim >= SECTOR_SPLIT_MIN else []
-    lam = _sector_spectra(_group_state(data, members, geometry.halves), geometry, swaps)
-    lam = lam[rank_cut(lam, plan.dim * np.finfo(float).eps)]
-    return float(np.sum(np.sqrt(lam)) ** 2) / plan.dim
+    if plan.dim >= SECTOR_SPLIT_MIN[data.rotated.dtype.kind]:
+        spectra = (_sector_spectra(data, row, geometry, geometry.swaps(row.tolist())) for row in members)
+    else:
+        matrix_bytes = plan.dim**2 * data.rotated.itemsize
+        spectra = itertools.chain.from_iterable(
+            eigvalsh(_group_states(data, members[rows], geometry.halves))
+            for rows in _row_blocks(len(members), matrix_bytes, _STACK_BYTES)
+        )
+    out = np.empty(len(members))
+    for i, lam in enumerate(spectra):
+        lam = lam[rank_cut(lam, plan.dim * np.finfo(float).eps)]
+        out[i] = float(np.sum(np.sqrt(lam)) ** 2) / plan.dim
+    return out
+
+
+def _failure_fidelity(
+    plan: _CompressionPlan,
+    data: _BlockData,
+    members: list[int],
+    w: float,
+    geometry: _FailureGeometry | None = None,
+) -> float:
+    """The failure-branch fidelity of one group: `_failure_fidelities` of a one-row stack."""
+    return float(_failure_fidelities(plan, data, np.array([members], dtype=np.int64), np.array([w]), geometry)[0])
 
 
 @dataclass(frozen=True)
@@ -632,12 +761,22 @@ def rate_sweep(
 
     Each trial is drawn once and scored at every delta, so all runs see
     the same messages, labels and branch uniforms, and rate comparisons
-    are low-variance. A first pass decides every group's branch, so a
-    failure branch over MIXED_SUBSPACE_CAP raises ConfigTooLarge before
-    any is evaluated. A second pass evaluates the failure branches plan
-    by plan, so that the sequences and half-sequence codes of a plan
-    (`_failure_geometry`) are built once, then multiplies the group
-    fidelities in trial order. Results come back sorted by delta.
+    are low-variance. Results come back sorted by delta.
+
+    Pass A runs once per stream block of trials. It takes the block's
+    groups by label, in ascending order, and by group length, gathers
+    each batch's members in position order and computes the batch's
+    type-class sums once (`_class_sums`), for every delta. Each
+    (block, length) pair's type classes are built once and shared by the
+    deltas' plans. The overlap weights, the branch decisions and the
+    qubit charges are array operations over the batch. A failure branch
+    over MIXED_SUBSPACE_CAP raises ConfigTooLarge before any is
+    evaluated. Pass B evaluates the failure branches plan by plan, so
+    that a plan's sequences and half-sequence codes (`_failure_geometry`)
+    are built once, and its branches below the split floor go to one
+    stacked `eigvalsh` (`_failure_fidelities`). Each trial's fidelity is
+    then the product of its groups' fidelities in ascending label order.
+    Every answer is bit-identical to the per-trial loop this replaced.
     """
     deltas = sorted(float(dv) for dv in deltas)
     if not all(math.isfinite(dv) for dv in deltas):
@@ -655,55 +794,69 @@ def rate_sweep(
     cdf_p, cdf_q = _pick_cdfs(e, d)
     p_block, rho_j_avg = d.block_averages(e.probs)
     data = _block_data(d, rho_j_avg, tol)
+    diags = [b.rotated.diagonal(axis1=1, axis2=2).real.clip(0.0) for b in data]  # per J state, (r,)
+    classes: list[dict] = [{} for _ in data]  # per block, its type classes by group length
     plans: dict[tuple[int, int, float], _CompressionPlan] = {}
-    fidelities = np.ones((len(deltas), trials))
+    # values[l, k, t]: the fidelity of trial t's group of label l at deltas[k], 1 where
+    # the plan keeps the whole space or the label is unoccupied
+    values = np.ones((len(data), len(deltas), trials))
     qubits = np.zeros((len(deltas), trials), dtype=np.int64)
+    # pass A decides every branch and lists each plan's failure branches, which are
+    # refused over the cap before any eigvalsh runs
+    failures: dict[tuple[int, int, float], list] = {}  # plan key -> [(delta index, trials, members, w)]
+    start = 0
     # a row holds 2n + (number of blocks) uniforms: the picks, then one branch
     # uniform per occupied label, of which a trial reads as many as it occupies
-    rows = itertools.chain.from_iterable(
-        zip(u[:, 2 * n :], *_pick(u, n, cdf_p, cdf_q))
-        for u in _trial_stream(seed, trials, 2 * n + len(d.blocks))
-    )
-    # pass A decides every branch and lists each plan's failure branches, which are
-    # refused over the cap before any eigvalsh runs; values[i] starts as factor i's w
-    factors: list[tuple[int, int]] = []  # (delta index, trial) of each factor
-    values: list[float] = []
-    failures: dict[tuple[int, int, float], list[tuple[int, list[int]]]] = {}  # plan key -> (factor, members)
-    for t, (branch, drawn, labels) in enumerate(rows):
-        occupied = np.flatnonzero(np.bincount(labels))
-        for l, u_group in zip(occupied.tolist(), branch):
-            members = drawn[labels == l].tolist()
-            diag_rows = sums = None
-            for k, delta in enumerate(deltas):
-                key = (l, len(members), delta)
-                if key not in plans:
-                    plans[key] = _compression_plan(data[l].spectrum, data[l].entropy, len(members), delta)
-                plan = plans[key]
-                qubits[k, t] += plan.qubits
-                if plan.full:
-                    continue  # group fidelity 1
-                if sums is None:
-                    diag_rows = data[l].rotated[members].diagonal(axis1=1, axis2=2).real.clip(0.0)
-                    sums = _class_sums(diag_rows)
-                w = _overlap_weight(plan, diag_rows, sums)
-                if u_group > w:
-                    if not data[l].all_pure and plan.dim > MIXED_SUBSPACE_CAP:
-                        raise ConfigTooLarge(
-                            f"exact mixed-state fidelity needs subspace dimension <= {MIXED_SUBSPACE_CAP}"
-                        )
-                    failures.setdefault(key, []).append((len(values), members))
-                factors.append((k, t))
-                values.append(w)
+    for u in _trial_stream(seed, trials, 2 * n + len(data)):
+        drawn, labels = _pick(u, n, cdf_p, cdf_q)
+        next_u = np.full(len(u), 2 * n)  # the column of each trial's next branch uniform
+        for l in range(len(data)):
+            in_l = labels == l
+            sizes = in_l.sum(axis=1)
+            by_size = np.argsort(sizes, kind="stable")
+            ends = np.cumsum(np.bincount(sizes)).tolist()  # by_size[ends[L - 1]:ends[L]] have L members
+            for length in range(1, len(ends)):
+                rows = by_size[ends[length - 1] : ends[length]]
+                if not len(rows):
+                    continue
+                members = drawn[rows][in_l[rows]].reshape(len(rows), length)  # in position order
+                branch_u = u[rows, next_u[rows]]
+                ts = start + rows
+                diag = sums = None
+                for k, delta in enumerate(deltas):
+                    key = (l, length, delta)
+                    if key not in plans:
+                        plans[key] = _compression_plan(data[l].spectrum, data[l].entropy, length, delta, classes[l])
+                    plan = plans[key]
+                    qubits[k, ts] += plan.qubits
+                    if plan.full:
+                        continue  # group fidelity 1
+                    if sums is None:
+                        diag = diags[l][members]
+                        sums = _class_sums(diag)
+                    w = _overlap_weights(plan, diag, sums)
+                    values[l, k, ts] = w
+                    fail = branch_u > w
+                    if fail.any():
+                        if not data[l].all_pure and plan.dim > MIXED_SUBSPACE_CAP:
+                            raise ConfigTooLarge(
+                                f"exact mixed-state fidelity needs subspace dimension <= {MIXED_SUBSPACE_CAP}"
+                            )
+                        failures.setdefault(key, []).append((k, ts[fail], members[fail], w[fail]))
+            next_u += sizes > 0
+        start += len(u)
     # pass B evaluates the failure branches plan by plan, each plan's geometry built once
-    # and dropped before the next, then multiplies every factor in the order pass A met it
-    for key, branches in failures.items():
+    # and dropped before the next, then multiplies the group fidelities in label order
+    for key, parts in failures.items():
         plan, block = plans[key], data[key[0]]
         geometry = None if block.all_pure else _failure_geometry(plan)
-        for i, members in branches:
-            values[i] = _failure_fidelity(plan, block, members, values[i], geometry)
+        ks = np.concatenate([np.full(len(t), k) for k, t, _, _ in parts])
+        ts, members, w = (np.concatenate(a) for a in list(zip(*parts))[1:])
+        values[key[0], ks, ts] = _failure_fidelities(plan, block, members, w, geometry)
         del geometry
-    for (k, t), value in zip(factors, values):
-        fidelities[k, t] *= value
+    fidelities = np.ones((len(deltas), trials))
+    for v in values:
+        fidelities *= v
 
     bit_rate = shannon_entropy(p_block, tol)
     return [

@@ -29,11 +29,12 @@ from kidecomp.protocols import (
     _block_data,
     _class_sums,
     _compression_plan,
+    _failure_fidelities,
     _failure_fidelity,
     _failure_geometry,
     _lex_sequences,
     _multinomial,
-    _overlap_weight,
+    _overlap_weights,
     _pick,
     _pick_cdfs,
     rate_sweep,
@@ -331,7 +332,7 @@ def test_rate_sweep_refuses_an_over_cap_failure_branch_before_any_eigvalsh(monke
     real = protocols.eigvalsh
 
     def counting(a):  # the failure branches' eigvalsh, the only one in protocols
-        calls.append(a.shape)
+        calls.append(a.shape[-2:])  # a stack of matrices below the split floor
         return real(a)
 
     monkeypatch.setattr(protocols, "eigvalsh", counting)
@@ -389,6 +390,34 @@ def test_rate_sweep_reads_its_tol():
         assert run.qubit_rate_used == 0.0
 
 
+def reference_class_sums(diag_rows):
+    """The per-group dict DP that `protocols._class_sums` replaced: the sum over all
+    sequences of prod_j diag_rows[j, s_j], keyed by type class."""
+    r = diag_rows.shape[1]
+    acc = {tuple([0] * r): 1.0}
+    for row in diag_rows:
+        nxt = {}
+        for counts, val in acc.items():
+            for a in range(r):
+                c2 = counts[:a] + (counts[a] + 1,) + counts[a + 1 :]
+                nxt[c2] = nxt.get(c2, 0.0) + val * float(row[a])
+        acc = nxt
+    return acc
+
+
+def reference_overlap_weight(plan, diag_rows, sums):
+    """The per-group weight that `protocols._overlap_weights` replaced. The full
+    classes' sums are added one at a time in the plan's order (Python 3.11's `sum`)."""
+    w = 0.0
+    for c in plan.full_classes:
+        w += sums.get(c, 0.0)
+    if plan.partial is not None:
+        _, seqs = plan.partial
+        cols = np.arange(plan.length)
+        w += float(np.sum(np.prod(diag_rows[cols[None, :], seqs], axis=1)))
+    return min(max(w, 0.0), 1.0)
+
+
 def reference_weights(e, d):
     qmat = np.clip(np.stack([b.q for b in d.blocks], axis=1), 0.0, None)
     return e.probs / e.probs.sum(), qmat / qmat.sum(axis=1, keepdims=True)
@@ -425,7 +454,7 @@ def reference_fidelities(e, d, n, delta, trials, seed, failure=_failure_fidelity
             f_group = 1.0
             if not plan.full:
                 rows = reference_diag_rows(data[l], members)
-                w = _overlap_weight(plan, rows, _class_sums(rows))
+                w = reference_overlap_weight(plan, rows, reference_class_sums(rows))
                 f_group = w if u <= w else failure(plan, data[l], members, w)
             qubits += plan.qubits
             f_trial *= f_group
@@ -478,6 +507,78 @@ def test_rate_sweep_matches_per_delta_reference(bench_plant):
         assert single.to_dict() == run.to_dict()
 
 
+# -- pass A against the per-group reference, bit for bit --------------------------
+
+
+def _random_diag_rows(rng, groups, length, r):
+    """Per group, `length` clipped diagonals of random density matrices in a fixed basis;
+    one group in three has an exact 0 in each row, as a pure state's diagonal can."""
+    diag = rng.random((groups, length, r)) ** 2
+    diag[::3, :, -1] = 0.0
+    return diag / diag.sum(axis=2, keepdims=True)
+
+
+def test_class_sums_and_overlap_weights_match_the_per_group_reference():
+    rng = np.random.default_rng(11)
+    kinds = set()
+    for r in (2, 3, 4, 5):
+        spectrum = np.sort(rng.random(r) + 0.05)[::-1]
+        spectrum /= spectrum.sum()
+        entropy = float(-np.sum(spectrum * np.log2(spectrum)))
+        classes = {}
+        for length in range(1, 13 if r < 5 else 9):
+            diag = _random_diag_rows(rng, 7, length, r)
+            sums = _class_sums(diag)
+            counts = protocols._type_classes(np.log2(spectrum), length)[0]
+            assert sums.shape == (7, len(counts))
+            for g in range(7):
+                ref = reference_class_sums(diag[g])
+                assert [ref[tuple(c)] for c in counts.tolist()] == sums[g].tolist()
+            for delta in (-50.0, -0.6, -0.3, -0.1, 0.0, 0.2, 50.0):
+                plan = _compression_plan(spectrum, entropy, length, delta, classes)
+                if plan.full:
+                    kinds.add("full")
+                    continue
+                w = _overlap_weights(plan, diag, sums)
+                want = [reference_overlap_weight(plan, diag[g], reference_class_sums(diag[g])) for g in range(7)]
+                assert w.tobytes() == np.array(want).tobytes()
+                kinds.add("one sequence" if plan.dim == 1 else "partial" if plan.partial is not None else "classes only")
+    assert kinds == {"full", "one sequence", "partial", "classes only"}
+
+
+THREE_BLOCKS = ((2, 1), (3, 1), (2, 2))
+
+
+@pytest.mark.parametrize("name", ["three_blocks", "two_pure"])
+def test_rate_sweep_matches_the_per_trial_reference_bit_for_bit(name, monkeypatch):
+    # a plant with three mixed blocks, so a trial can multiply three non-unit factors
+    # and their order matters, and a block whose J states are all pure; deltas that
+    # keep one sequence, a partial class, whole classes and the whole space; N = 1
+    # to 12; and stream blocks of 7 trials, so that 30 trials span five of them
+    if name == "two_pure":
+        e, d = two_pure()
+    else:
+        e, _ = planted_ensemble(PlantSpec(blocks=THREE_BLOCKS, num_states=3, seed=2))
+        d = ki_decompose(e)
+    data = block_data(e, d)
+    assert all(b.all_pure for b in data) == (name == "two_pure")
+    monkeypatch.setattr(streams, "_STREAM_BLOCK", 7)
+    deltas = [-5.0, -0.3, 0.0, 0.2, 5.0]
+    three = 0
+    for n in range(1, 13):
+        runs = rate_sweep(e, d, n, deltas, trials=30, seed=n)
+        for run in runs:
+            fids, rate = reference_fidelities(e, d, n, run.delta, 30, n)
+            assert run.fidelities.tobytes() == fids.tobytes(), (n, run.delta)
+            assert run.qubit_rate_used == rate
+        if name == "three_blocks":
+            # trials whose three labels are all occupied at delta -0.3, where no
+            # group of two or more messages keeps the whole space
+            labels = _pick(_trial_uniforms(n, 0, 30, 2 * n + 3), n, *_pick_cdfs(e, d))[1]
+            three += sum(len(set(row)) == 3 for row in labels.tolist())
+    assert name == "two_pure" or three > 30
+
+
 # -- the block protocol against its exact expectation --------------------------
 #
 # For small N the expected trial fidelity is a finite sum over every message
@@ -498,7 +599,7 @@ def exact_f_bar(e, d, n, delta):
             f = 1.0
             if not plan.full:
                 rows = reference_diag_rows(data[l], members)
-                w = _overlap_weight(plan, rows, _class_sums(rows))
+                w = reference_overlap_weight(plan, rows, reference_class_sums(rows))
                 f = w * w + (1 - w) * _failure_fidelity(plan, data[l], list(members), w)
             groups[(l, members)] = f
         return groups[(l, members)]
@@ -765,11 +866,11 @@ def test_only_2_dim_blocks_take_the_real_solver(solver_dtypes):
 
 def test_failure_branch_holds_one_group_state_at_its_eigvalsh(monkeypatch):
     # the 1024-dim branch of test_failure_fidelity_matches_per_member_gather: a 9-member
-    # group of the bench 3x1,2x2 plant's 3-dim block at delta 0, a 16 MiB group state.
-    # Positions 5 and 6 carry state 0 and their swap keeps the subspace, so the state
-    # splits into sectors of 739 and 285 dimensions; a second D x D array (a half
-    # product, or the parent of the sectors) still referenced at a solver call would
-    # double the traced memory there
+    # group of the bench 3x1,2x2 plant's 3-dim block at delta 0, whose whole group
+    # state would take 16 MiB. Positions 5 and 6 carry state 0 and their swap keeps the
+    # subspace, so the state splits into sectors of 739 and 285 dimensions. They are
+    # gathered straight from the two half states: no D x D array is ever formed, and
+    # the traced peak stays near the two sectors (9.6 MiB together)
     e, _ = planted_ensemble(PlantSpec(blocks=BENCH_PLANTS["3x1,2x2"], num_states=3, seed=1))
     data = next(b for b in block_data(e, ki_decompose(e)) if len(b.spectrum) == 3)
     plan = _compression_plan(data.spectrum, data.entropy, 9, 0.0)
@@ -783,14 +884,77 @@ def test_failure_branch_holds_one_group_state_at_its_eigvalsh(monkeypatch):
         return real(a)
 
     monkeypatch.setattr(protocols, "eigvalsh", traced)
+    sectors = (739**2 + 285**2) * 16
     tracemalloc.start()
     try:
         _failure_fidelity(plan, data, members, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert sorted(n for _, n in calls) == [285, 739]
+    assert peak < sectors + 2 * 2**20 < 1024 * 1024 * 16
     for current, _ in calls:
-        assert current < 1024 * 1024 * 16 + 2**20
+        assert current < sectors + 2 * 2**20
+
+
+def _plan_of_dim(data, dim):
+    """The first plan of `dim` sequences over group lengths 2 to 12 and a grid of deltas."""
+    for length in range(2, 13):
+        for delta in np.linspace(-0.6, 0.3, 19):
+            plan = _compression_plan(data.spectrum, data.entropy, length, float(delta))
+            if not plan.full and plan.dim == dim:
+                return plan
+    raise AssertionError(f"no plan of {dim} sequences")
+
+
+def test_stacked_failure_branches_match_one_at_a_time(monkeypatch):
+    # 40 branches of a 128-dim plan of each bench 3x1,2x2 block, below the split floor:
+    # complex matrices of 256 KiB (16 to a stacked call) and real ones of 128 KiB (32
+    # to a call), so the stack spans more than one chunk of _STACK_BYTES
+    e, _ = planted_ensemble(PlantSpec(blocks=BENCH_PLANTS["3x1,2x2"], num_states=3, seed=1))
+    rng = np.random.default_rng(5)
+    shapes = []
+    real = protocols.eigvalsh
+
+    def recording(a):
+        shapes.append(a.shape)
+        return real(a)
+
+    monkeypatch.setattr(protocols, "eigvalsh", recording)
+    stacks = {}
+    for data in block_data(e, ki_decompose(e)):
+        plan = _plan_of_dim(data, 128)
+        assert plan.dim < protocols.SECTOR_SPLIT_MIN[data.rotated.dtype.kind]
+        members = rng.integers(0, len(data.rotated), (40, plan.length))
+        w = rng.random(40)
+        shapes.clear()
+        got = _failure_fidelities(plan, data, members, w)
+        stacks[data.rotated.dtype.kind] = [s[0] for s in shapes]
+        want = [_failure_fidelity(plan, data, row.tolist(), float(wi)) for row, wi in zip(members, w)]
+        assert got.tobytes() == np.array(want).tobytes()
+    assert stacks == {"c": [16, 16, 8], "f": [32, 8]}
+
+
+def test_direct_sectors_match_the_split_of_the_whole_group_state():
+    # the first swap's sectors, gathered from the two half states, against
+    # `_sector_split` of the whole group state: the same representatives and the
+    # same bytes, on real and complex blocks
+    seen = set()
+    for plan, data, members in _swap_cases():
+        geometry = _failure_geometry(plan)
+        swaps = geometry.swaps(members)
+        if not swaps:
+            continue
+        members = np.array(members)
+        pi, sign = geometry.swap(*swaps[0]), np.ones(plan.dim, dtype=np.int64)
+        state = protocols._group_states(data, members[None], geometry.halves)[0]
+        want = protocols._sector_split(protocols._matrix_entries(state), pi, sign, state.dtype)
+        got = protocols._sector_split(protocols._half_entries(data, members, geometry.halves), pi, sign, state.dtype)
+        for (reps, sector), (want_reps, want_sector) in zip(got, want, strict=True):
+            assert np.array_equal(reps, want_reps)
+            assert sector.dtype == want_sector.dtype and sector.tobytes() == want_sector.tobytes()
+        seen.add(data.rotated.dtype.kind)
+    assert seen == {"f", "c"}
 
 
 # -- the swap sectors against one dense solve -------------------------------------
@@ -813,7 +977,7 @@ def _swap_cases():
 
 def test_sector_spectra_match_one_dense_solve(monkeypatch):
     # split every branch down to 2-dim sectors, so that small plans take several swaps
-    monkeypatch.setattr(protocols, "SECTOR_SPLIT_MIN", 2)
+    monkeypatch.setattr(protocols, "SECTOR_SPLIT_MIN", {"f": 2, "c": 2})
     seen = set()
     for plan, data, members in _swap_cases():
         geometry = _failure_geometry(plan)
@@ -827,7 +991,7 @@ def test_sector_spectra_match_one_dense_solve(monkeypatch):
         taken = [p for pair in swaps for p in pair]
         assert len(set(taken)) == len(taken) and swaps == sorted(swaps)
         want = eigvalsh(state)
-        got = np.sort(protocols._sector_spectra(protocols._group_state(data, members, geometry.halves), geometry, swaps))
+        got = np.sort(protocols._sector_spectra(data, np.array(members), geometry, swaps))
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-12 * want.max()
         seen.add((data.rotated.dtype.kind, plan.partial is not None, min(len(swaps), 2)))
@@ -846,7 +1010,7 @@ def test_a_partial_class_that_blocks_every_swap_takes_one_dense_solve(solver_dty
     e, _ = planted_ensemble(PlantSpec(blocks=BENCH_PLANTS["3x1,2x2"], num_states=3, seed=1))
     data = next(b for b in block_data(e, ki_decompose(e)) if len(b.spectrum) == 3)
     plan = _compression_plan(data.spectrum, data.entropy, 6, 0.14)
-    assert plan.dim == 256 >= protocols.SECTOR_SPLIT_MIN
+    assert plan.dim == 256 >= protocols.SECTOR_SPLIT_MIN["c"]
     assert plan.partial[0] == (3, 1, 2) and len(plan.partial[1]) == 21
     geometry = _failure_geometry(plan)
     assert not any(geometry.swap_closed(a, b) for a, b in itertools.combinations(range(6), 2))
@@ -863,9 +1027,9 @@ def test_rate_sweep_failure_branches_match_the_dense_reference(monkeypatch):
     splits = []
     real = protocols._sector_split
 
-    def counted(m, pi, sign):
-        splits.append(len(m))
-        return real(m, pi, sign)
+    def counted(entries, pi, sign, dtype):
+        splits.append(len(pi))
+        return real(entries, pi, sign, dtype)
 
     monkeypatch.setattr(protocols, "_sector_split", counted)
     runs = rate_sweep(e, d, 12, [-0.25, 0.0, 0.25], trials=40, seed=37)
@@ -1026,7 +1190,7 @@ def test_plan_formulas_match_brute_force_subspace(blocks):
                 for members in itertools.product(range(len(data.rotated)), repeat=length):
                     sigma = functools.reduce(np.kron, [data.rotated[i] for i in members])
                     rows = reference_diag_rows(data, members)
-                    w = _overlap_weight(plan, rows, _class_sums(rows))
+                    w = reference_overlap_weight(plan, rows, reference_class_sums(rows))
                     assert w == pytest.approx(float(np.trace(sigma[np.ix_(idx, idx)]).real), abs=1e-12)
                     # P sigma P and P / dim written on the range of P; in the full
                     # r^N space the round-off of the null eigenvalues passes through

@@ -12,24 +12,31 @@ over A's two. Per op the
 script prints the median B/A ratio with a bootstrap 95% interval (2000
 resamples of the rounds, seeded), the median seconds per call on each
 side, and the `tracemalloc` peak of one call on each side. A ratio
-below 1 means this tree is faster.
+below 1 means this tree is faster. The last column compares the answers
+of the two warm-up calls, `same` or `differs`: a digest of the
+`fidelities` bytes and `qubit_rate_used` of each sweep, of the trial
+arrays and the summary of `simulate_individual`, and of the block shapes
+and the failed `verify` checks of a rung.
 
 Both trees share one process, one allocator and one cache, so what
 differs between two processes (imports, page faults, a contended run)
 cancels in the ratio. Cold-start and whole-process figures (`setup_s`,
 `peak_rss_mb`) stay with `bench/run.py`.
 
-The ops are the bench's: the `protocol_sim` `rate_sweep` of each plant
-(N=12, deltas -0.25, 0 and 0.25, 200 trials, seed 0) and the
-`decompose_ladder` rungs (`ki_decompose` then `verify`, plant seeds
-1000 + rung, 3 states, seed 1). Each `--op` picks one of them by the
-name that `--list` prints; with none, all run.
+The ops are the bench's. From `protocol_sim`, per plant: the timed
+`rate_sweep` (N=12, deltas -0.25, 0 and 0.25, 200 trials, seed 0), the
+set-up's warm-up sweep (N=4, delta 0, 10 trials, seed 1) and
+`simulate_individual` (10 000 trials, seed 1). From `decompose_ladder`,
+the rungs (`ki_decompose` then `verify`, plant seeds 1000 + rung, 3
+states, seed 1). Each `--op` picks one of them by the name that `--list`
+prints; with none, all run.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
+import hashlib
 import importlib.util
 import statistics
 import subprocess
@@ -66,11 +73,35 @@ def _blocks(text: str) -> tuple[tuple[int, int], ...]:
     return tuple(tuple(int(x) for x in part.split("x")) for part in text.split(","))
 
 
-def _sweep(text: str):
+def _digest(*parts) -> str:
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(part if isinstance(part, bytes) else repr(part).encode())
+    return h.hexdigest()
+
+
+def _sweep_answer(runs) -> str:
+    return _digest(*(x for r in runs for x in (r.fidelities.tobytes(), r.qubit_rate_used)))
+
+
+def _individual_answer(result) -> str:
+    trials, summary = result
+    arrays = (trials.state, trials.block, trials.ebits, trials.conditional_fidelity)
+    return _digest(*(a.tobytes() for a in arrays), summary)
+
+
+def _rung_answer(result) -> str:
+    d, report = result
+    return _digest([(b.n, b.k) for b in d.blocks], [c.name for c in report.checks if not c.ok])
+
+
+def _protocol(text: str, call, answer):
+    """An op on the bench's `protocol_sim` plant `text`: `call(protocols, e, d)`."""
+
     def build(k):
         e = k.oracles.planted_ensemble(k.oracles.PlantSpec(blocks=_blocks(text), num_states=3, seed=1))[0]
         d = k.decompose.ki_decompose(e)
-        return lambda: k.protocols.rate_sweep(e, d, 12, (-0.25, 0.0, 0.25), trials=200, seed=0)
+        return lambda: call(k.protocols, e, d), answer
 
     return build
 
@@ -81,14 +112,20 @@ def _rung(rung: int, text: str):
 
         def run():
             d = k.decompose.ki_decompose(e, seed=1)
-            return k.decompose.verify(d, e, seed=1)
+            return d, k.decompose.verify(d, e, seed=1)
 
-        return run
+        return run, _rung_answer
 
     return build
 
 
-OPS = {f"rate_sweep {t}": _sweep(t) for t in SWEEP_PLANTS}
+PROTOCOL_CALLS = {
+    "rate_sweep": (lambda p, e, d: p.rate_sweep(e, d, 12, (-0.25, 0.0, 0.25), trials=200, seed=0), _sweep_answer),
+    "rate_sweep warm-up": (lambda p, e, d: p.rate_sweep(e, d, 4, (0.0,), trials=10, seed=1), _sweep_answer),
+    "simulate_individual": (lambda p, e, d: p.simulate_individual(e, d, trials=10_000, seed=1), _individual_answer),
+}
+# each op builds, per tree, its call and the function that digests the call's answer
+OPS = {f"{kind} {t}": _protocol(t, *call) for t in SWEEP_PLANTS for kind, call in PROTOCOL_CALLS.items()}
 OPS.update({f"decompose+verify {t}": _rung(r, t) for r, t in enumerate(LADDER)})
 
 
@@ -109,9 +146,8 @@ def _peak(call) -> int:
 
 
 def paired(run_a, run_b, rounds: int) -> dict:
-    """ABBA rounds of two warmed calls: the median B/A ratio, its bootstrap 95% interval,
-    the median seconds per call and one traced peak per side."""
-    run_a(), run_b()
+    """ABBA rounds of two calls, each already warmed by one call: the median B/A ratio,
+    its bootstrap 95% interval, the median seconds per call and one traced peak per side."""
     ratios, times_a, times_b = [], [], []
     for r in range(rounds):
         # A B B A, then B A A B: each side runs first, last and right after itself equally often
@@ -158,12 +194,18 @@ def main(argv: list[str]) -> int:
         subprocess.run(["tar", "-x", "-C", tmp], input=archive.stdout, check=True)
         try:
             k_a, k_b = load_package(Path(tmp) / "src", "kidecomp_a"), load_package(ROOT / "src", "kidecomp_b")
-            print(f"{'op':<32} {'B/A':>6} {'95% interval':>16} {'A s':>9} {'B s':>9} {'A peak MB':>10} {'B peak MB':>10}")
+            print(
+                f"{'op':<32} {'B/A':>6} {'95% interval':>16} {'A s':>9} {'B s':>9} "
+                f"{'A peak MB':>10} {'B peak MB':>10} {'answer':>7}"
+            )
             for name in names:
-                r = paired(OPS[name](k_a), OPS[name](k_b), args.rounds)
+                (run_a, answer), (run_b, _) = OPS[name](k_a), OPS[name](k_b)
+                same = answer(run_a()) == answer(run_b())  # the warm-up call of each side
+                r = paired(run_a, run_b, args.rounds)
                 print(
                     f"{name:<32} {r['ratio']:6.3f} [{r['low']:6.3f}, {r['high']:6.3f}] "
-                    f"{r['a_s']:9.4f} {r['b_s']:9.4f} {r['a_peak_mb']:10.2f} {r['b_peak_mb']:10.2f}"
+                    f"{r['a_s']:9.4f} {r['b_s']:9.4f} {r['a_peak_mb']:10.2f} {r['b_peak_mb']:10.2f} "
+                    f"{'same' if same else 'differs':>7}"
                 )
         finally:
             unload_package("kidecomp_a")
