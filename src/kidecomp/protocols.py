@@ -17,11 +17,13 @@ exactly on the occupied group spaces, never materializing dim^N
 operators outside the chosen subspace.
 
 `rate_sweep` works an array at a time. Its first pass takes the trials
-of a stream block by (label, group length): the type-class sums of the
-whole batch come from one DP over count vectors (`_class_sums`), and the
+of a stream block by (label, group length), a slice of at most
+_ROW_BLOCK_BYTES of DP temporaries at a time: the type-class sums of the
+slice come from one DP over count vectors (`_class_sums`), and the
 overlap weights, the branch decisions and the qubit charges are array
-operations, so no Python runs per trial. Its second pass scores the
-failure branches plan by plan.
+operations. The one Python step per trial is a 1-D `np.sum` per group
+over the partial type class, where a plan has one. Its second pass
+scores the failure branches plan by plan.
 
 A failure branch scores (Tr sqrt(P sigma P))^2 / D from the spectrum of
 the D-dim group state. Below SECTOR_SPLIT_MIN dimensions a plan's
@@ -72,14 +74,14 @@ from .streams import _trial_stream
 DESK_SCALE_QUBITS = 20
 MIXED_SUBSPACE_CAP = 4096
 # A failure-branch matrix of at least this many dimensions is split by a swap
-# (`_failure_fidelities`), per solver: real ("f", 2-dim blocks) and complex ("c").
-# One split against one dense solve, one BLAS thread, bench 3x1,2x2 plant, sectors
-# gathered from the half states: real 1.55x at 64, 1.10x at 128, 0.84x at 256,
-# 0.65x at 512; complex 1.16x at 64, 0.65x at 128, 0.59x at 256. The complex
-# floor stays at 256 all the same: at 128 the split moves the last bits of
-# answers that a dense solve gives today, for 3% on the bench sweep.
-SECTOR_SPLIT_MIN = {"f": 256, "c": 256}
-_ROW_BLOCK_BYTES = 2**18  # the temporaries of the row-blocked gathers
+# (`_failure_fidelities`). One split against one dense solve, one BLAS thread,
+# bench 3x1,2x2 plant, sectors gathered from the half states: the real solver
+# (2-dim blocks) 1.55x at 64, 1.10x at 128, 0.84x at 256, 0.65x at 512; the
+# complex one 1.16x at 64, 0.65x at 128, 0.59x at 256. Both use 256: at 128 a
+# complex split moves the last bits of answers that a dense solve gives today,
+# for 3% on the bench sweep.
+SECTOR_SPLIT_MIN = 256
+_ROW_BLOCK_BYTES = 2**18  # the temporaries of the row-blocked gathers and of `_class_sums`
 _STACK_BYTES = 2**22  # the group states of one stacked eigvalsh below the split floor
 _BOUNDARY_GUARD = 1e-12
 
@@ -414,9 +416,10 @@ def _block_data(d: KIDecomposition, rho_j_avg: list[np.ndarray], tol: float) -> 
     return out
 
 
-def _row_blocks(rows: int, row_bytes: int, limit: int = _ROW_BLOCK_BYTES) -> list[slice]:
-    """Slices over `rows` rows of `row_bytes` bytes each, `limit` bytes at most (one row at least) per slice."""
-    step = max(1, limit // max(row_bytes, 1))
+def _row_blocks(rows: int, row_bytes: int, limit: int | None = None) -> list[slice]:
+    """Slices over `rows` rows of `row_bytes` bytes each, `limit` (default _ROW_BLOCK_BYTES)
+    bytes at most (one row at least) per slice."""
+    step = max(1, (_ROW_BLOCK_BYTES if limit is None else limit) // max(row_bytes, 1))
     return [slice(i, i + step) for i in range(0, rows, step)]
 
 
@@ -597,7 +600,7 @@ def _sector_spectra(
     first swap's two sectors are gathered straight from the group's two
     half states (`_half_entries`), so the D x D group state is never
     formed; with no swap it is built whole for one `eigvalsh`. A sector
-    below the solver's SECTOR_SPLIT_MIN, or with no swap left, goes to
+    below SECTOR_SPLIT_MIN, or with no swap left, goes to
     `eigvalsh`; a matrix is dropped as soon as its two sectors are built.
     """
     if not swaps:
@@ -613,11 +616,10 @@ def _sector_spectra(
         label = np.minimum(label, label[t])
     # matrix (None: the group state, read from its half states), its labels, minus, next swap
     pending = [(None, np.arange(len(label)), 0, 0)]
-    floor = SECTOR_SPLIT_MIN[data.rotated.dtype.kind]
     lam = []
     while pending:
         m, labels, minus, j = pending.pop()
-        if m is not None and (j == len(levels) or len(m) < floor):
+        if m is not None and (j == len(levels) or len(m) < SECTOR_SPLIT_MIN):
             lam.append(eigvalsh(m))
             continue
         t, label, elt = levels[j]
@@ -651,7 +653,7 @@ def _failure_fidelities(
     `_BlockData.rotated`), so the product is too and a 2-dim block's goes
     to the real symmetric solver.
 
-    Below the solver's SECTOR_SPLIT_MIN the groups' states are built as one
+    Below SECTOR_SPLIT_MIN dimensions the groups' states are built as one
     stack (`_group_states`) and solved by one batched `eigvalsh`, in chunks
     of at most _STACK_BYTES; a stacked solve gives each matrix the
     eigenvalues of its own call. From that size on, each group is solved on
@@ -677,7 +679,7 @@ def _failure_fidelities(
         return w / plan.dim
     if geometry is None:
         geometry = _failure_geometry(plan)
-    if plan.dim >= SECTOR_SPLIT_MIN[data.rotated.dtype.kind]:
+    if plan.dim >= SECTOR_SPLIT_MIN:
         spectra = (_sector_spectra(data, row, geometry, geometry.swaps(row.tolist())) for row in members)
     else:
         matrix_bytes = plan.dim**2 * data.rotated.itemsize
@@ -764,19 +766,24 @@ def rate_sweep(
     are low-variance. Results come back sorted by delta.
 
     Pass A runs once per stream block of trials. It takes the block's
-    groups by label, in ascending order, and by group length, gathers
-    each batch's members in position order and computes the batch's
-    type-class sums once (`_class_sums`), for every delta. Each
-    (block, length) pair's type classes are built once and shared by the
-    deltas' plans. The overlap weights, the branch decisions and the
-    qubit charges are array operations over the batch. A failure branch
+    groups by label, in ascending order, and by group length, in slices
+    whose `_class_sums` temporaries (groups x classes x letters floats)
+    stay within _ROW_BLOCK_BYTES, gathers each slice's members in
+    position order and computes the slice's type-class sums once, for
+    every delta. Each (block, length) pair's type classes are built once
+    and shared by the deltas' plans. The overlap weights, the branch
+    decisions and the qubit charges are array operations over the slice;
+    a partial type class adds one 1-D `np.sum` per group. A failure branch
     over MIXED_SUBSPACE_CAP raises ConfigTooLarge before any is
     evaluated. Pass B evaluates the failure branches plan by plan, so
     that a plan's sequences and half-sequence codes (`_failure_geometry`)
     are built once, and its branches below the split floor go to one
     stacked `eigvalsh` (`_failure_fidelities`). Each trial's fidelity is
     then the product of its groups' fidelities in ascending label order.
-    Every answer is bit-identical to the per-trial loop this replaced.
+    On Python 3.11 and earlier every answer is bit-identical to the
+    per-trial loop this replaced. That loop added the full classes' sums
+    with the builtin `sum`, which Python 3.12 compensates, so there the
+    loop's answers differ from these by round-off.
     """
     deltas = sorted(float(dv) for dv in deltas)
     if not all(math.isfinite(dv) for dv in deltas):
@@ -815,34 +822,38 @@ def rate_sweep(
             sizes = in_l.sum(axis=1)
             by_size = np.argsort(sizes, kind="stable")
             ends = np.cumsum(np.bincount(sizes)).tolist()  # by_size[ends[L - 1]:ends[L]] have L members
+            r = len(data[l].spectrum)
             for length in range(1, len(ends)):
-                rows = by_size[ends[length - 1] : ends[length]]
-                if not len(rows):
-                    continue
-                members = drawn[rows][in_l[rows]].reshape(len(rows), length)  # in position order
-                branch_u = u[rows, next_u[rows]]
-                ts = start + rows
-                diag = sums = None
-                for k, delta in enumerate(deltas):
-                    key = (l, length, delta)
-                    if key not in plans:
-                        plans[key] = _compression_plan(data[l].spectrum, data[l].entropy, length, delta, classes[l])
-                    plan = plans[key]
-                    qubits[k, ts] += plan.qubits
-                    if plan.full:
-                        continue  # group fidelity 1
-                    if sums is None:
-                        diag = diags[l][members]
-                        sums = _class_sums(diag)
-                    w = _overlap_weights(plan, diag, sums)
-                    values[l, k, ts] = w
-                    fail = branch_u > w
-                    if fail.any():
-                        if not data[l].all_pure and plan.dim > MIXED_SUBSPACE_CAP:
-                            raise ConfigTooLarge(
-                                f"exact mixed-state fidelity needs subspace dimension <= {MIXED_SUBSPACE_CAP}"
+                batch = by_size[ends[length - 1] : ends[length]]
+                # a slice at a time bounds `_class_sums`' (groups, classes, r) temporaries
+                class_bytes = math.comb(length + r - 1, r - 1) * r * diags[l].itemsize
+                for rows in (batch[s] for s in _row_blocks(len(batch), class_bytes)):
+                    members = drawn[rows][in_l[rows]].reshape(len(rows), length)  # in position order
+                    branch_u = u[rows, next_u[rows]]
+                    ts = start + rows
+                    diag = sums = None
+                    for k, delta in enumerate(deltas):
+                        key = (l, length, delta)
+                        if key not in plans:
+                            plans[key] = _compression_plan(
+                                data[l].spectrum, data[l].entropy, length, delta, classes[l]
                             )
-                        failures.setdefault(key, []).append((k, ts[fail], members[fail], w[fail]))
+                        plan = plans[key]
+                        qubits[k, ts] += plan.qubits
+                        if plan.full:
+                            continue  # group fidelity 1
+                        if sums is None:
+                            diag = diags[l][members]
+                            sums = _class_sums(diag)
+                        w = _overlap_weights(plan, diag, sums)
+                        values[l, k, ts] = w
+                        fail = branch_u > w
+                        if fail.any():
+                            if not data[l].all_pure and plan.dim > MIXED_SUBSPACE_CAP:
+                                raise ConfigTooLarge(
+                                    f"exact mixed-state fidelity needs subspace dimension <= {MIXED_SUBSPACE_CAP}"
+                                )
+                            failures.setdefault(key, []).append((k, ts[fail], members[fail], w[fail]))
             next_u += sizes > 0
         start += len(u)
     # pass B evaluates the failure branches plan by plan, each plan's geometry built once

@@ -407,7 +407,8 @@ def reference_class_sums(diag_rows):
 
 def reference_overlap_weight(plan, diag_rows, sums):
     """The per-group weight that `protocols._overlap_weights` replaced. The full
-    classes' sums are added one at a time in the plan's order (Python 3.11's `sum`)."""
+    classes' sums are added one at a time in the plan's order, as the replaced code's
+    builtin `sum` did up to Python 3.11 (3.12 compensates a `sum` of floats)."""
     w = 0.0
     for c in plan.full_classes:
         w += sums.get(c, 0.0)
@@ -549,12 +550,16 @@ def test_class_sums_and_overlap_weights_match_the_per_group_reference():
 THREE_BLOCKS = ((2, 1), (3, 1), (2, 2))
 
 
-@pytest.mark.parametrize("name", ["three_blocks", "two_pure"])
+@pytest.mark.parametrize("name", ["three_blocks", "two_pure", "one_row_slices"])
 def test_rate_sweep_matches_the_per_trial_reference_bit_for_bit(name, monkeypatch):
     # a plant with three mixed blocks, so a trial can multiply three non-unit factors
     # and their order matters, and a block whose J states are all pure; deltas that
     # keep one sequence, a partial class, whole classes and the whole space; N = 1
-    # to 12; and stream blocks of 7 trials, so that 30 trials span five of them
+    # to 12; and stream blocks of 7 trials, so that 30 trials span five of them.
+    # "one_row_slices" runs the three-block plant with every row-blocked step, pass
+    # A's batches among them, cut into slices of one row
+    if name == "one_row_slices":
+        monkeypatch.setattr(protocols, "_ROW_BLOCK_BYTES", 1)
     if name == "two_pure":
         e, d = two_pure()
     else:
@@ -571,12 +576,35 @@ def test_rate_sweep_matches_the_per_trial_reference_bit_for_bit(name, monkeypatc
             fids, rate = reference_fidelities(e, d, n, run.delta, 30, n)
             assert run.fidelities.tobytes() == fids.tobytes(), (n, run.delta)
             assert run.qubit_rate_used == rate
-        if name == "three_blocks":
+        if name != "two_pure":
             # trials whose three labels are all occupied at delta -0.3, where no
             # group of two or more messages keeps the whole space
             labels = _pick(_trial_uniforms(n, 0, 30, 2 * n + 3), n, *_pick_cdfs(e, d))[1]
             three += sum(len(set(row)) == 3 for row in labels.tolist())
     assert name == "two_pure" or three > 30
+
+
+def test_pass_a_memory_is_bounded_on_a_large_alphabet():
+    # one 16-dim block at N = 5: 15 504 type classes, so `_class_sums` holds
+    # 15 504 * 16 floats (1.9 MiB) per group. Each of the 32 trials is one group
+    # of 5, all in one (label, length) batch, which as one array would take
+    # about 2 * 32 * 1.9 MiB at once; pass A takes it a slice at a time
+    e, _ = planted_ensemble(PlantSpec(blocks=((16, 1),), num_states=3, seed=1))
+    d = ki_decompose(e)
+    (data,) = block_data(e, d)
+    assert len(data.spectrum) == 16 and not data.all_pure
+    delta = 6 / 5 - data.entropy + 0.01  # a 64-dim plan with a partial class
+    plan = _compression_plan(data.spectrum, data.entropy, 5, delta)
+    assert plan.dim == 64 and plan.partial is not None
+    rate_sweep(e, d, 5, [delta], trials=1)  # builds the cached class tables
+    tracemalloc.start()
+    try:
+        (run,) = rate_sweep(e, d, 5, [delta], trials=32)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (run.fidelities < 1.0).all()  # every trial ran the DP and a failure branch
+    assert peak < 8 * 2**20
 
 
 # -- the block protocol against its exact expectation --------------------------
@@ -924,7 +952,7 @@ def test_stacked_failure_branches_match_one_at_a_time(monkeypatch):
     stacks = {}
     for data in block_data(e, ki_decompose(e)):
         plan = _plan_of_dim(data, 128)
-        assert plan.dim < protocols.SECTOR_SPLIT_MIN[data.rotated.dtype.kind]
+        assert plan.dim < protocols.SECTOR_SPLIT_MIN
         members = rng.integers(0, len(data.rotated), (40, plan.length))
         w = rng.random(40)
         shapes.clear()
@@ -977,7 +1005,7 @@ def _swap_cases():
 
 def test_sector_spectra_match_one_dense_solve(monkeypatch):
     # split every branch down to 2-dim sectors, so that small plans take several swaps
-    monkeypatch.setattr(protocols, "SECTOR_SPLIT_MIN", {"f": 2, "c": 2})
+    monkeypatch.setattr(protocols, "SECTOR_SPLIT_MIN", 2)
     seen = set()
     for plan, data, members in _swap_cases():
         geometry = _failure_geometry(plan)
@@ -1010,7 +1038,7 @@ def test_a_partial_class_that_blocks_every_swap_takes_one_dense_solve(solver_dty
     e, _ = planted_ensemble(PlantSpec(blocks=BENCH_PLANTS["3x1,2x2"], num_states=3, seed=1))
     data = next(b for b in block_data(e, ki_decompose(e)) if len(b.spectrum) == 3)
     plan = _compression_plan(data.spectrum, data.entropy, 6, 0.14)
-    assert plan.dim == 256 >= protocols.SECTOR_SPLIT_MIN["c"]
+    assert plan.dim == 256 >= protocols.SECTOR_SPLIT_MIN
     assert plan.partial[0] == (3, 1, 2) and len(plan.partial[1]) == 21
     geometry = _failure_geometry(plan)
     assert not any(geometry.swap_closed(a, b) for a, b in itertools.combinations(range(6), 2))
