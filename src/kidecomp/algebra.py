@@ -16,6 +16,7 @@ references for tests; the main path calls neither.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,6 +66,16 @@ def generate_algebra(generators, dim: int, tol: float = DEFAULT_TOL) -> Operator
         cur = grown
 
 
+@functools.lru_cache(maxsize=64)
+def _coefficients(g: int) -> np.ndarray:
+    """The fixed complex coefficients c_g of `intertwiner_basis`: one `default_rng(0)` draw of
+    2 x g normals, re then im. Shared and read-only."""
+    draw = np.random.default_rng(0).standard_normal((2, g))
+    coeff = draw[0] + 1j * draw[1]
+    coeff.flags.writeable = False
+    return coeff
+
+
 def intertwiner_basis(a_mats, b_mats, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Basis (count, d_b, d_a) of all X with B_g X = X A_g for every pair (A_g, B_g).
 
@@ -80,9 +91,9 @@ def intertwiner_basis(a_mats, b_mats, tol: float = DEFAULT_TOL) -> np.ndarray:
     """
     a_mats, b_mats = np.asarray(a_mats, dtype=complex), np.asarray(b_mats, dtype=complex)
     g, da, db = len(a_mats), a_mats.shape[-1], b_mats.shape[-1]
-    coeff = np.random.default_rng(0).standard_normal((2, g))
-    lam_a, vec_a = eigh(hermitize(np.tensordot(coeff[0] + 1j * coeff[1], a_mats, axes=1)))
-    lam_b, vec_b = eigh(hermitize(np.tensordot(coeff[0] + 1j * coeff[1], b_mats, axes=1)))
+    coeff = _coefficients(g)
+    lam_a, vec_a = eigh(hermitize(np.tensordot(coeff, a_mats, axes=1)))
+    lam_b, vec_b = eigh(hermitize(np.tensordot(coeff, b_mats, axes=1)))
     joint = np.sort(np.concatenate([lam_b, lam_a]))
     tops = [joint[idx[-1]] for idx in _cluster_ascending(joint, tol)]  # each cluster's largest eigenvalue
     # unknown u is entry (rows[u], cols[u]) of Y: eigenvalues in one cluster, found by its top

@@ -4,7 +4,13 @@ Every report is a JSON (or flattened text) document with the shape
 {"version", "config", "result", "residuals"}; numeric values are
 printed with 12 significant digits and runs are byte-reproducible for
 a fixed config and seed. Ensemble outputs (remove-redundancy, gen) are
-written in the ensemble file format at full precision instead.
+written in the ensemble file format at full precision instead. Every
+JSON document goes through the package's one writer
+(`ensemble._to_json`), which writes what `json.dumps(indent=1)` would.
+
+Each call reads and checks its input once: a command that runs
+`ki_decompose` parses the ensemble without validating it, as
+`ki_decompose` validates; `verify --decomposition` validates as it reads.
 
 Exit codes: 0 success, 2 parse/validation failure, 3 numerical failure,
 4 configuration error.
@@ -14,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import re
 import sys
@@ -29,7 +34,7 @@ from .decompose import (
     remove_redundancy,
     verify,
 )
-from .ensemble import load_ensemble, save_ensemble, validate, write_ensemble
+from .ensemble import _parse_ensemble, _to_json, load_ensemble, save_ensemble, validate, write_ensemble
 from .errors import (
     ConfigTooLarge,
     ConvergenceFailure,
@@ -51,36 +56,24 @@ _NUMERICAL = (DegenerateSample, FormViolation, ConvergenceFailure, NotHermitian,
 _CONFIG = (ConfigTooLarge, RejectionExhausted, MemoryError)  # MemoryError: a refused allocation
 
 
-def _round12(obj):
-    if isinstance(obj, float):
-        if obj != obj or obj in (float("inf"), float("-inf")):
-            return repr(obj)  # strict-JSON safe
-        return float(f"{obj:.12g}")
-    if isinstance(obj, bool) or obj is None or isinstance(obj, (int, str)):
-        return obj
-    if isinstance(obj, dict):
-        return {k: _round12(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_round12(v) for v in obj]
-    return obj
-
-
 def _flatten(prefix: str, obj, lines: list[str]) -> None:
+    """The text format: one `path = value` line per leaf, floats at 12 significant digits."""
     if isinstance(obj, dict):
         for k, v in obj.items():
             _flatten(f"{prefix}.{k}" if prefix else str(k), v, lines)
-    elif isinstance(obj, list):
+    elif isinstance(obj, (list, tuple)):
         for i, v in enumerate(obj):
             _flatten(f"{prefix}[{i}]", v, lines)
+    elif isinstance(obj, float):
+        lines.append(f"{prefix} = {float(f'{obj:.12g}') if math.isfinite(obj) else repr(obj)}")
     else:
         lines.append(f"{prefix} = {obj}")
 
 
 def _report_text(cfg: argparse.Namespace, result, residuals, fmt: str) -> str:
     report = {"version": __version__, "config": _echo(cfg), "result": result, "residuals": residuals}
-    report = _round12(report)
     if fmt == "json":
-        return json.dumps(report, indent=1) + "\n"
+        return _to_json(report, digits=12) + "\n"
     lines: list[str] = []
     _flatten("", report, lines)
     return "\n".join(lines) + "\n"
@@ -100,8 +93,14 @@ def _write(path: str | None, text: str) -> None:
 # sees every call.
 
 
+def _read_input(cfg: argparse.Namespace):
+    """The input ensemble, parsed but not validated: `ki_decompose` validates it."""
+    with open(cfg.input, "rb") as fh:
+        return _parse_ensemble(fh.read())
+
+
 def _decompose_input(cfg: argparse.Namespace):
-    e = load_ensemble(cfg.input, cfg.tol)
+    e = _read_input(cfg)
     return e, ki_decompose(e, seed=cfg.seed, tol=cfg.tol)
 
 
@@ -141,12 +140,12 @@ def _remove_redundancy(cfg):
 
 
 def _verify(cfg):
-    e = load_ensemble(cfg.input, cfg.tol)
-    if cfg.decomposition:
+    if cfg.decomposition:  # no ki_decompose runs, so the ensemble is validated as it is read
+        e = load_ensemble(cfg.input, cfg.tol)
         with open(cfg.decomposition, "rb") as fh:
             d = read_decomposition(fh.read())
     else:
-        d = ki_decompose(e, seed=cfg.seed, tol=cfg.tol)
+        e, d = _decompose_input(cfg)
     report = verify(e=e, d=d, tol=cfg.tol, channels=cfg.channels, env_dim=cfg.env_dim, seed=cfg.seed)
     worst = float(np.max([c.residual for c in report.checks]))  # NaN when any residual is NaN
     return report.to_dict(), {"worst_residual": worst}  # failing checks are data, not an error

@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .algebra import commutant, intertwiner, intertwiner_basis, irrep_decompose
-from .ensemble import Ensemble, require_valid, support_restrict, _integer, _matrix_to_pairs, _number, _pairs_to_matrix
+from .ensemble import Ensemble, require_valid, support_restrict, _integer, _matrix_to_pairs, _number, _pairs_to_matrix, _to_json
 from .errors import FormViolation, ParseError
 from .linalg import DEFAULT_TOL, direct_sum, frob, hermitize, kron
 
@@ -133,13 +133,13 @@ def _extract_block_data(copy: np.ndarray, states: np.ndarray, tol: float) -> KIB
     weight = np.trace(comp, axis1=1, axis2=2).real
     q = np.where(weight > tol, weight, 0.0)
     sigmas = np.zeros_like(comp)
-    for i in np.flatnonzero(q):
-        sigmas[i] = hermitize(comp[i] / q[i])
+    hit = np.flatnonzero(q)
+    sigmas[hit] = hermitize(comp[hit] / q[hit, None, None])
     return KIBlock(n=copy.shape[1], k=1, isometry=copy, rho_K=np.ones((1, 1), dtype=complex), q=q, rho_J=sigmas)
 
 
 def _support_set(q: np.ndarray) -> tuple[int, ...]:
-    return tuple(int(i) for i in np.nonzero(q > 0)[0])
+    return tuple(np.flatnonzero(q > 0).tolist())
 
 
 def mergeable(a: KIBlock, b: KIBlock, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, float] | None:
@@ -443,7 +443,7 @@ def decomposition_from_doc(doc: dict) -> KIDecomposition:
 
 
 def write_decomposition(d: KIDecomposition, probs: np.ndarray) -> bytes:
-    return (json.dumps(decomposition_to_doc(d, probs), indent=1) + "\n").encode("utf-8")
+    return (_to_json(decomposition_to_doc(d, probs)) + "\n").encode("utf-8")
 
 
 def read_decomposition(data: bytes) -> KIDecomposition:

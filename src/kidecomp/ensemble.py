@@ -2,19 +2,26 @@
 
 Includes validation, the average state, restriction onto the support of
 the average state, and a JSON file format with explicit [re, im] entry
-pairs (human-inspectable, bit-stable round trips).
+pairs (human-inspectable, bit-stable round trips). The package's one
+[re, im] codec lives here: `_pairs_to_matrix` reads a matrix with one
+type scan and one float conversion, and `_to_json` writes every
+document the package writes (ensemble files, decomposition documents,
+CLI reports), a matrix at a time.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import math
 from dataclasses import asdict, dataclass, field
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .linalg import DEFAULT_TOL, as_complex_matrix, eigh, eigvalsh, frob, hermitize, rank_cut
+from .linalg import DEFAULT_TOL, eigh, eigvalsh, hermitize, rank_cut
 
 
 @dataclass(frozen=True)
@@ -64,35 +71,39 @@ class Ensemble:
         return zip(self.probs, self.states)
 
 
-def density_matrix_violations(rho: np.ndarray, tol: float, locus: str) -> list[Violation]:
-    """Check Hermiticity, positivity and unit trace of one state."""
-    out = []
-    scale = max(frob(rho), 1.0)
-    herm_res = frob(rho - rho.conj().T) / scale
-    if herm_res > tol:
-        out.append(Violation(locus, "not Hermitian", herm_res))
-        return out  # eigenvalue checks are meaningless past this point
-    lam = eigvalsh(hermitize(rho))
-    window = tol * max(1.0, float(lam[-1]))
-    if lam[0] < -window:
-        out.append(Violation(locus, "not positive semidefinite", float(-lam[0])))
-    tr_res = abs(float(np.trace(rho).real) - 1.0)
-    if tr_res > tol:
-        out.append(Violation(locus, "trace differs from 1", tr_res))
-    return out
-
-
 def validate(e: Ensemble, tol: float = DEFAULT_TOL) -> ValidationReport:
-    """Report every violated ensemble invariant (empty report means valid)."""
-    violations: list[Violation] = []
-    for i, p in enumerate(e.probs):
-        if p <= 0:
-            violations.append(Violation(f"states[{i}].p", "probability not positive", float(-p)))
+    """Report every violated ensemble invariant (empty report means valid).
+
+    Probabilities must be positive and sum to 1 within tol. Each state
+    must be Hermitian (the Frobenius norm of rho - rho^dagger at most tol
+    times max(1, ||rho||)); a state that is not gets no eigenvalue or
+    trace check. It must be positive semidefinite (its lowest eigenvalue
+    at least -tol times max(1, its largest)) and have unit trace within
+    tol. All states are checked at once: stacked norms and traces and
+    one batched `eigvalsh`. Violations come in state order, each state's
+    in the order above.
+    """
+    violations = [
+        Violation(f"states[{i}].p", "probability not positive", float(-e.probs[i])) for i in np.flatnonzero(e.probs <= 0)
+    ]
     psum_res = abs(float(np.sum(e.probs)) - 1.0)
     if psum_res > tol:
         violations.append(Violation("states[*].p", "probabilities do not sum to 1", psum_res))
-    for i, rho in enumerate(e.states):
-        violations.extend(density_matrix_violations(rho, tol, f"states[{i}].matrix"))
+    states = e.states
+    scale = np.maximum(np.linalg.norm(states, axis=(1, 2)), 1.0)
+    herm_res = np.linalg.norm(states - states.conj().swapaxes(1, 2), axis=(1, 2)) / scale
+    lam = eigvalsh(hermitize(states))
+    window = tol * np.maximum(1.0, lam[:, -1])
+    tr_res = np.abs(np.trace(states, axis1=1, axis2=2).real - 1.0)
+    for i in np.flatnonzero((herm_res > tol) | (lam[:, 0] < -window) | (tr_res > tol)):
+        locus = f"states[{i}].matrix"
+        if herm_res[i] > tol:
+            violations.append(Violation(locus, "not Hermitian", float(herm_res[i])))
+            continue  # eigenvalue checks are meaningless past this point
+        if lam[i, 0] < -window[i]:
+            violations.append(Violation(locus, "not positive semidefinite", float(-lam[i, 0])))
+        if tr_res[i] > tol:
+            violations.append(Violation(locus, "trace differs from 1", float(tr_res[i])))
     return ValidationReport(violations)
 
 
@@ -162,21 +173,39 @@ def _integer(x, locus: str, minimum: int) -> int:
 
 
 def _matrix_to_pairs(m: np.ndarray) -> list:
-    """Rows of [re, im] pairs at full float precision."""
-    return np.stack((m.real, m.imag), -1).tolist()
+    """Rows of [re, im] pairs at full float precision: the complex entries' own halves."""
+    return np.ascontiguousarray(m, dtype=complex).view(float).reshape(*m.shape, 2).tolist()
 
 
 def _pairs_to_matrix(rows, nrows: int, ncols: int, locus: str) -> np.ndarray:
     """Parse rows of [re, im] number pairs; a ParseError names the first bad locus.
 
     Every row's length is checked before the array is allocated, so the
-    allocation is bounded by the entries the document spells out.
+    allocation is bounded by the entries the document spells out. Then
+    one type scan and one float conversion take the whole matrix, real
+    and imaginary halves stored as read (-0.0 keeps its sign). Only
+    when they meet an entry they do not take (a bad one, or a number
+    that is not a plain int or float) does the per-entry walk run: it
+    names the first bad locus in row-major order, or converts the
+    entries one by one.
     """
     if not isinstance(rows, list) or len(rows) != nrows:
         raise ParseError(f"{locus}: expected {nrows} rows")
-    for r, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != ncols:
-            raise ParseError(f"{locus}[{r}]: expected {ncols} columns")
+    if not (set(map(type, rows)) <= {list} and set(map(len, rows)) <= {ncols}):
+        for r, row in enumerate(rows):
+            if not isinstance(row, list) or len(row) != ncols:
+                raise ParseError(f"{locus}[{r}]: expected {ncols} columns")
+    entries = list(itertools.chain.from_iterable(rows))
+    if set(map(type, entries)) <= {list} and set(map(len, entries)) <= {2}:
+        values = list(itertools.chain.from_iterable(entries))
+        if set(map(type, values)) <= {int, float}:
+            try:
+                halves = np.array(values, dtype=float)
+            except OverflowError:  # an integer beyond float range
+                pass
+            else:
+                if np.isfinite(halves).all():
+                    return halves.view(complex).reshape(nrows, ncols)
     out = np.empty((nrows, ncols), dtype=complex)
     for r, row in enumerate(rows):
         for c, entry in enumerate(row):
@@ -187,22 +216,123 @@ def _pairs_to_matrix(rows, nrows: int, ncols: int, locus: str) -> np.ndarray:
     return out
 
 
+def _scalar_text(obj, fmt: str | None) -> str:
+    """The JSON text of a string, None, bool, int or float. Floats are written as `json.dumps`
+    writes them (NaN and +-Infinity as those tokens), or with `fmt` (such as "%.12g") read back
+    and a non-finite one written as the string of its repr, strict JSON."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None or isinstance(obj, bool):
+        return "null" if obj is None else "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        if math.isfinite(obj):
+            return float.__repr__(float(fmt % obj) if fmt else obj)
+        if fmt:
+            return encode_basestring_ascii(repr(obj))
+        return "NaN" if obj != obj else ("Infinity" if obj > 0 else "-Infinity")
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+@functools.lru_cache(maxsize=256)
+def _pairs_template(nrows: int, ncols: int, level: int) -> str:
+    """The `indent=1` JSON text of a nonempty (nrows, ncols) matrix of [re, im] pairs opened
+    at indent `level`, with one `%r` per float in row-major order, re before im."""
+    i1, i2, i3 = ("\n" + " " * (level + k) for k in (1, 2, 3))
+    pair = "[" + i3 + "%r," + i3 + "%r" + i2 + "]"
+    row = "[" + i2 + ("," + i2).join([pair] * ncols) + i1 + "]"
+    return "[" + i1 + ("," + i1).join([row] * nrows) + "\n" + " " * level + "]"
+
+
+def _pair_matrix(rows: list) -> tuple[list[float], int] | None:
+    """The floats (row-major, re before im) and column count of a nonempty list of
+    equal rows of [re, im] pairs of finite floats, or None for any other list."""
+    if not (type(rows[0]) is list and rows[0] and type(rows[0][0]) is list):
+        return None
+    if not (set(map(type, rows)) == {list} and len(ncols := set(map(len, rows))) == 1):
+        return None
+    entries = list(itertools.chain.from_iterable(rows))
+    if not (set(map(type, entries)) == {list} and set(map(len, entries)) == {2}):
+        return None
+    values = list(itertools.chain.from_iterable(entries))
+    # a finite sum proves every value finite; one that overflows only costs the general path
+    if set(map(type, values)) != {float} or not math.isfinite(sum(values)):
+        return None
+    return values, ncols.pop()
+
+
+def _json_parts(obj, level: int, fmt: str | None, out: list[str]) -> None:
+    """Append the `indent=1` JSON text of `obj`, opened at indent `level`, to `out`."""
+    if isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = "\n" + " " * (level + 1)
+        sep = "{" + inner
+        for key, item in obj.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            if isinstance(item, (dict, list, tuple)):
+                out.append(sep + encode_basestring_ascii(key) + ": ")
+                _json_parts(item, level + 1, fmt, out)
+            else:
+                out.append(sep + encode_basestring_ascii(key) + ": " + _scalar_text(item, fmt))
+            sep = "," + inner
+        out.append("\n" + " " * level + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        if type(obj) is list and (matrix := _pair_matrix(obj)) is not None:
+            values, ncols = matrix
+            if fmt:
+                values = [float(fmt % x) for x in values]
+            out.append(_pairs_template(len(obj), ncols, level) % tuple(values))
+            return
+        inner = "\n" + " " * (level + 1)
+        sep = "[" + inner
+        for item in obj:
+            if isinstance(item, (dict, list, tuple)):
+                out.append(sep)
+                _json_parts(item, level + 1, fmt, out)
+            else:
+                out.append(sep + _scalar_text(item, fmt))
+            sep = "," + inner
+        out.append("\n" + " " * level + "]")
+    else:
+        out.append(_scalar_text(obj, fmt))
+
+
+def _to_json(doc, digits: int | None = None) -> str:
+    """The text `json.dumps(doc, indent=1)` writes, in one pass over `doc`.
+
+    The package's one writer, for reports, ensemble files and
+    decomposition documents. It takes what those hold: dicts with str
+    keys, lists, tuples, strings, ints, bools, None and floats. A matrix
+    (equal rows of [re, im] pairs of finite floats) is written at once,
+    by filling a template per shape and indent with the floats' reprs.
+    Floats are written at full precision; at `digits` significant
+    digits, as reports write them, a non-finite float is written as the
+    string of its repr.
+    """
+    out: list[str] = []
+    _json_parts(doc, 0, f"%.{digits}g" if digits else None, out)
+    return "".join(out)
+
+
 def write_ensemble(e: Ensemble) -> bytes:
     """Serialize to the JSON ensemble format (full float precision)."""
-    doc = {
-        "dim": e.dim,
-        "states": [
-            {"p": float(p), "matrix": _matrix_to_pairs(rho)} for p, rho in e
-        ],
-    }
-    return (json.dumps(doc, indent=1) + "\n").encode("utf-8")
+    doc = {"dim": e.dim, "states": [{"p": float(p), "matrix": _matrix_to_pairs(rho)} for p, rho in e]}
+    return (_to_json(doc) + "\n").encode("utf-8")
 
 
-def read_ensemble(data: bytes, tol: float = DEFAULT_TOL) -> Ensemble:
-    """Parse and validate the JSON ensemble format.
+def _parse_ensemble(data: bytes) -> Ensemble:
+    """Parse the JSON ensemble format without validating the ensemble.
 
-    Structural problems raise ParseError naming the locus; a well-formed
-    file describing an invalid ensemble raises ValidationError.
+    Structural problems raise ParseError naming the locus. `read_ensemble`
+    validates the result; a caller that validates anyway (as
+    `ki_decompose` does) parses with this, so each input is validated once.
     """
     try:
         doc = json.loads(data.decode("utf-8"))
@@ -232,7 +362,16 @@ def read_ensemble(data: bytes, tol: float = DEFAULT_TOL) -> Ensemble:
             raise ParseError(f"{locus}: keys 'p' and 'matrix' are required")
         probs.append(_number(entry["p"], f"{locus}.p"))
         states.append(_pairs_to_matrix(entry["matrix"], dim, dim, f"{locus}.matrix"))
-    e = Ensemble(probs=np.asarray(probs), states=np.stack(states))
+    return Ensemble(probs=np.asarray(probs), states=np.stack(states))
+
+
+def read_ensemble(data: bytes, tol: float = DEFAULT_TOL) -> Ensemble:
+    """Parse and validate the JSON ensemble format.
+
+    Structural problems raise ParseError naming the locus; a well-formed
+    file describing an invalid ensemble raises ValidationError.
+    """
+    e = _parse_ensemble(data)
     require_valid(e, tol)
     return e
 
@@ -245,4 +384,3 @@ def load_ensemble(path, tol: float = DEFAULT_TOL) -> Ensemble:
 def save_ensemble(path, e: Ensemble) -> None:
     with open(path, "wb") as fh:
         fh.write(write_ensemble(e))
-

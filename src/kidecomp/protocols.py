@@ -240,13 +240,27 @@ def _class_step(r: int, length: int) -> np.ndarray:
     """How the type classes of `length` grow from those of `length - 1`: per class c
     of `length` (a row, as `_compositions` lists them) and letter a (a column), the
     row of c - e_a among the classes of `length - 1`, or their count, one past the
-    last row, where c[a] = 0. Shared and read-only."""
-    prev, cur = _compositions(r, length - 1), _compositions(r, length)
-    index = {c: i for i, c in enumerate(map(tuple, prev.tolist()))}
-    src = np.array(
-        [[index.get(c[:a] + (c[a] - 1,) + c[a + 1 :], len(prev)) for a in range(r)] for c in map(tuple, cur.tolist())],
-        dtype=np.int64,
-    ).reshape(len(cur), r)
+    last row, where c[a] = 0. Shared and read-only.
+
+    A class of `length - 1` is the (r - 1)-subset of bar positions in
+    range(n), n = length + r - 2, that draws it; its row is the subset's
+    lexicographic rank, C(n, r - 1) - 1 - sum_j C(n - 1 - b_j, r - 1 - j)
+    over its bars b_0 < ... < b_{r-2}. Taking a star from letter a moves
+    bars a to r - 2 of c one place left, so each rank is a prefix sum of
+    the terms of c's bars that stay plus a suffix sum of those that move,
+    for all classes and letters in a few array operations.
+    """
+    cur = _compositions(r, length)
+    n, k = length + r - 2, r - 1
+    binom = np.array([[math.comb(x, y) for y in range(k + 1)] for x in range(n + 1)], dtype=np.int64)
+    bars = np.cumsum(cur[:, :-1], axis=1) + np.arange(k)  # c's bars, (classes, r - 1)
+    column = k - np.arange(k)
+    # a bar that would stay at position n only occurs where c[a] = 0: clipped to a zero term
+    stay = np.cumsum(binom[(n - 1 - bars).clip(0), column], axis=1)
+    move = np.cumsum(binom[n - bars, column][:, ::-1], axis=1)[:, ::-1]
+    zero = np.zeros((len(cur), 1), dtype=np.int64)
+    rank = math.comb(n, k) - 1 - np.hstack([zero, stay]) - np.hstack([move, zero])
+    src = np.where(cur > 0, rank, math.comb(n, k))
     src.flags.writeable = False
     return src
 

@@ -20,8 +20,9 @@ _spec.loader.exec_module(perf_gate)
 def test_one_tiny_op_against_head(capsys):
     if subprocess.run(["git", "-C", str(ROOT), "rev-parse", "HEAD"], capture_output=True).returncode:
         pytest.skip("the tool reads the revision from a git checkout")
-    ops = ["decompose+verify 2x1,1x2", "rate_sweep warm-up 2x1,1x2"]
-    assert perf_gate.main(["HEAD", "--op", ops[0], "--op", ops[1], "--rounds", "3"]) == 0
+    ops = ["decompose+verify 2x1,1x2", "rate_sweep warm-up 2x1,1x2", "cli decompose commuting-d8"]
+    argv = ["HEAD", "--rounds", "3"] + [arg for op in ops for arg in ("--op", op)]
+    assert perf_gate.main(argv) == 0
     header, *rows = capsys.readouterr().out.splitlines()
     assert header.split()[:2] == ["op", "B/A"] and header.split()[-1] == "answer"
     for op, row in zip(ops, rows, strict=True):
@@ -50,3 +51,12 @@ def test_sweep_answer_digest_sees_the_last_bit():
     assert perf_gate._sweep_answer([run([0.5, 0.25])]) == want
     assert perf_gate._sweep_answer([run([0.5, np.nextafter(0.25, 1.0)])]) != want
     assert perf_gate._sweep_answer([run([0.5, 0.25], 0.75)]) != want
+
+
+def test_block_bootstrap_resamples_runs_of_rounds():
+    assert perf_gate.block_bootstrap(np.full(7, 0.9)) == (0.9, 0.9)
+    # a drift across the rounds: runs of neighbours keep it, so the interval spans it
+    drift = np.linspace(0.95, 1.05, 20)
+    low, high = perf_gate.block_bootstrap(drift)
+    assert 0.95 <= low < 1.0 < high <= 1.05
+    assert perf_gate.block_bootstrap(np.array([1.2])) == (1.2, 1.2)

@@ -1079,6 +1079,25 @@ def _reference_compositions(total, parts):
             yield (first,) + rest
 
 
+def _reference_class_step(r, length):
+    """The (classes, letters) table built one dict lookup per entry, as before the ranked build."""
+    prev, cur = protocols._compositions(r, length - 1), protocols._compositions(r, length)
+    index = {c: i for i, c in enumerate(map(tuple, prev.tolist()))}
+    return np.array(
+        [[index.get(c[:a] + (c[a] - 1,) + c[a + 1 :], len(prev)) for a in range(r)] for c in map(tuple, cur.tolist())],
+        dtype=np.int64,
+    ).reshape(len(cur), r)
+
+
+@pytest.mark.parametrize("r, lengths", [*((r, range(1, 13)) for r in range(2, 7)), (16, range(1, 6))])
+def test_class_step_matches_the_dict_build_byte_for_byte(r, lengths):
+    for length in lengths:
+        got, want = protocols._class_step(r, length), _reference_class_step(r, length)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes(), (r, length)
+        assert not got.flags.writeable
+
+
 def _reference_compression_plan(spectrum, length, delta):
     """The class-by-class plan construction that the table-driven one replaced."""
     r = len(spectrum)

@@ -92,11 +92,12 @@ def compare(a: Path, b: Path) -> tuple[list[str], dict, set[str]]:
     problems += [f"only in {a}: {name}" for name in sorted(files_a - files_b)]
     problems += [f"only in {b}: {name}" for name in sorted(files_b - files_a)]
     for name in sorted(files_a & files_b):
-        text_a = (a / name).read_text(encoding="utf-8")
-        text_b = (b / name).read_text(encoding="utf-8")
-        if text_a == text_b:
+        raw_a, raw_b = (a / name).read_bytes(), (b / name).read_bytes()
+        if raw_a == raw_b:
             continue
         differing.add(name)
+        # the corpus holds inputs that are not UTF-8 on purpose; they differ as text too
+        text_a, text_b = (raw.decode("utf-8", errors="replace") for raw in (raw_a, raw_b))
         if name == "codes.txt":
             codes_a, codes_b = _codes(text_a), _codes(text_b)
             problems += [

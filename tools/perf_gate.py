@@ -9,14 +9,16 @@ side by side). Each op's inputs are built once per tree, and each op is
 called once per tree to warm it. Then R rounds call it in the order A,
 B, B, A, and B, A, A, B in turn, and a round's ratio is B's two times
 over A's two. Per op the
-script prints the median B/A ratio with a bootstrap 95% interval (2000
-resamples of the rounds, seeded), the median seconds per call on each
-side, and the `tracemalloc` peak of one call on each side. A ratio
-below 1 means this tree is faster. The last column compares the answers
-of the two warm-up calls, `same` or `differs`: a digest of the
-`fidelities` bytes and `qubit_rate_used` of each sweep, of the trial
-arrays and the summary of `simulate_individual`, and of the block shapes
-and the failed `verify` checks of a rung.
+script prints the median B/A ratio with a 95% interval from a
+moving-block bootstrap (2000 resamples of runs of consecutive rounds,
+seeded; `block_bootstrap`), the median seconds per call on each side,
+and the `tracemalloc` peak of one call on each side. A ratio below 1
+means this tree is faster. The last column compares the answers of the
+two warm-up calls, `same` or `differs`: a digest of the `fidelities`
+bytes and `qubit_rate_used` of each sweep, of the trial arrays and the
+summary of `simulate_individual`, of the block shapes and the failed
+`verify` checks of a rung, and of a CLI call's exit code and output
+bytes.
 
 Both trees share one process, one allocator and one cache, so what
 differs between two processes (imports, page faults, a contended run)
@@ -28,8 +30,14 @@ The ops are the bench's. From `protocol_sim`, per plant: the timed
 set-up's warm-up sweep (N=4, delta 0, 10 trials, seed 1) and
 `simulate_individual` (10 000 trials, seed 1). From `decompose_ladder`,
 the rungs (`ki_decompose` then `verify`, plant seeds 1000 + rung, 3
-states, seed 1). Each `--op` picks one of them by the name that `--list`
-prints; with none, all run.
+states, seed 1). From `cli_corpus`, `cli COMMAND INPUT`: `cli.main` on
+`decompose`, `measures`, `verify --decomposition` and `remove-redundancy`
+with `-o`, for two inputs that each tree writes once into its own work
+directory: `commuting-d8` (three jointly diagonal states on C^8, the
+family of the corpus's op tail) and the planted `2x2,1x3`. A report
+echoes its input path, so the answer reads the work directory as a fixed
+token. Each `--op` picks one of them by the name that `--list` prints;
+with none, all run.
 """
 
 from __future__ import annotations
@@ -37,7 +45,9 @@ from __future__ import annotations
 import argparse
 import gc
 import hashlib
+import importlib
 import importlib.util
+import math
 import statistics
 import subprocess
 import sys
@@ -98,7 +108,7 @@ def _rung_answer(result) -> str:
 def _protocol(text: str, call, answer):
     """An op on the bench's `protocol_sim` plant `text`: `call(protocols, e, d)`."""
 
-    def build(k):
+    def build(k, workdir):
         e = k.oracles.planted_ensemble(k.oracles.PlantSpec(blocks=_blocks(text), num_states=3, seed=1))[0]
         d = k.decompose.ki_decompose(e)
         return lambda: call(k.protocols, e, d), answer
@@ -107,7 +117,7 @@ def _protocol(text: str, call, answer):
 
 
 def _rung(rung: int, text: str):
-    def build(k):
+    def build(k, workdir):
         e = k.oracles.planted_ensemble(k.oracles.PlantSpec(blocks=_blocks(text), num_states=3, seed=1000 + rung))[0]
 
         def run():
@@ -115,6 +125,56 @@ def _rung(rung: int, text: str):
             return d, k.decompose.verify(d, e, seed=1)
 
         return run, _rung_answer
+
+    return build
+
+
+def _commuting(k, dim: int = 8, m: int = 3, seed: int = 11):
+    """Jointly diagonal states in a random basis, as in the family of `cli_corpus`'s op tail."""
+    rng = np.random.default_rng(seed)
+    w = 0.05 + rng.random((m, dim))
+    w /= w.sum(axis=1, keepdims=True)
+    probs = 0.2 + rng.random(m)
+    probs /= probs.sum()
+    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    q, r = np.linalg.qr(z)
+    u = q * (np.diag(r) / np.abs(np.diag(r)))
+    return k.ensemble.Ensemble(probs=probs, states=[u @ np.diag(row) @ u.conj().T for row in w])
+
+
+def _planted(k, text: str = "2x2,1x3"):
+    return k.oracles.planted_ensemble(k.oracles.PlantSpec(blocks=_blocks(text), num_states=3, seed=1))[0]
+
+
+# the CLI ops' input ensembles, built and written once per tree
+CLI_INPUTS = {"commuting-d8": _commuting, "2x2,1x3": _planted}
+CLI_COMMANDS = ("decompose", "measures", "verify", "remove-redundancy")
+
+
+def _cli(command: str, label: str):
+    """`cli.main([command, input, -o output])` on the input file `label`, which this tree
+    wrote into its own work directory; `verify` reads a decomposition written there by
+    this tree's `decompose`. The answer digests the output bytes with the work directory
+    (which reports echo in their input paths) replaced by a fixed token."""
+
+    def build(k, workdir):
+        cli = importlib.import_module(f"{k.__name__}.cli")
+        workdir.mkdir(parents=True, exist_ok=True)
+        path = workdir / f"{label}.json"
+        if not path.exists():
+            k.ensemble.save_ensemble(path, CLI_INPUTS[label](k))
+        out = workdir / f"{command}-{label}.out"
+        argv = [command, str(path), "-o", str(out)]
+        if command == "verify":
+            dec = workdir / f"{label}.dec.json"
+            if cli.main(["decompose", str(path), "-o", str(dec)]):
+                raise RuntimeError(f"decompose {label} failed")
+            argv += ["--decomposition", str(dec)]
+
+        def answer(code):
+            return _digest(code, out.read_bytes().replace(str(workdir).encode(), b"WORKDIR"))
+
+        return lambda: cli.main(argv), answer
 
     return build
 
@@ -127,6 +187,7 @@ PROTOCOL_CALLS = {
 # each op builds, per tree, its call and the function that digests the call's answer
 OPS = {f"{kind} {t}": _protocol(t, *call) for t in SWEEP_PLANTS for kind, call in PROTOCOL_CALLS.items()}
 OPS.update({f"decompose+verify {t}": _rung(r, t) for r, t in enumerate(LADDER)})
+OPS.update({f"cli {c} {label}": _cli(c, label) for label in CLI_INPUTS for c in CLI_COMMANDS})
 
 
 def _timed(call) -> float:
@@ -145,6 +206,23 @@ def _peak(call) -> int:
         tracemalloc.stop()
 
 
+def block_bootstrap(ratios: np.ndarray) -> tuple[float, float]:
+    """95% interval of the median ratio by a moving-block bootstrap (BOOTSTRAP resamples, seeded).
+
+    The machine's load drifts from round to round, so neighbouring rounds
+    are alike; resampling single rounds as if independent gave intervals
+    that excluded 1 on unchanged code. Each resample instead strings
+    together runs of `block` consecutive rounds, `block` = ceil(R^(1/3))
+    for R rounds, started at uniformly drawn rounds, and is cut to R.
+    """
+    count = len(ratios)
+    block = min(count, math.ceil(count ** (1 / 3)))
+    starts = np.random.default_rng(0).integers(0, count - block + 1, size=(BOOTSTRAP, -(-count // block)))
+    draws = ratios[(starts[:, :, None] + np.arange(block)).reshape(BOOTSTRAP, -1)[:, :count]]
+    lo, hi = np.percentile(np.median(draws, axis=1), [2.5, 97.5])
+    return float(lo), float(hi)
+
+
 def paired(run_a, run_b, rounds: int) -> dict:
     """ABBA rounds of two calls, each already warmed by one call: the median B/A ratio,
     its bootstrap 95% interval, the median seconds per call and one traced peak per side."""
@@ -158,13 +236,11 @@ def paired(run_a, run_b, rounds: int) -> dict:
         ratios.append((b1 + b2) / (a1 + a2))
         times_a += [a1, a2]
         times_b += [b1, b2]
-    ratios = np.array(ratios)
-    draws = np.random.default_rng(0).choice(ratios, size=(BOOTSTRAP, len(ratios)))
-    lo, hi = np.percentile(np.median(draws, axis=1), [2.5, 97.5])
+    lo, hi = block_bootstrap(np.array(ratios))
     return {
         "ratio": float(np.median(ratios)),
-        "low": float(lo),
-        "high": float(hi),
+        "low": lo,
+        "high": hi,
         "a_s": statistics.median(times_a),
         "b_s": statistics.median(times_b),
         "a_peak_mb": _peak(run_a) / 2**20,
@@ -195,15 +271,17 @@ def main(argv: list[str]) -> int:
         try:
             k_a, k_b = load_package(Path(tmp) / "src", "kidecomp_a"), load_package(ROOT / "src", "kidecomp_b")
             print(
-                f"{'op':<32} {'B/A':>6} {'95% interval':>16} {'A s':>9} {'B s':>9} "
+                f"{'op':<36} {'B/A':>6} {'95% interval':>16} {'A s':>9} {'B s':>9} "
                 f"{'A peak MB':>10} {'B peak MB':>10} {'answer':>7}"
             )
             for name in names:
-                (run_a, answer), (run_b, _) = OPS[name](k_a), OPS[name](k_b)
-                same = answer(run_a()) == answer(run_b())  # the warm-up call of each side
+                (run_a, answer_a), (run_b, answer_b) = (
+                    OPS[name](k, Path(tmp) / "work" / k.__name__) for k in (k_a, k_b)
+                )
+                same = answer_a(run_a()) == answer_b(run_b())  # the warm-up call of each side
                 r = paired(run_a, run_b, args.rounds)
                 print(
-                    f"{name:<32} {r['ratio']:6.3f} [{r['low']:6.3f}, {r['high']:6.3f}] "
+                    f"{name:<36} {r['ratio']:6.3f} [{r['low']:6.3f}, {r['high']:6.3f}] "
                     f"{r['a_s']:9.4f} {r['b_s']:9.4f} {r['a_peak_mb']:10.2f} {r['b_peak_mb']:10.2f} "
                     f"{'same' if same else 'differs':>7}"
                 )

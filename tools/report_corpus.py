@@ -15,9 +15,16 @@ planted ensemble with Hermitian noise near the default tolerance. The
 multiplicity case and one planted case also run `verify` with channel
 counts that take several chunks of `oracles.random_form2_kraus`
 (`CHUNKED_VERIFY`), and one planted case with a mixed 2-dim J factor
-runs a longer `rate-sweep` (`LONG_SWEEP`). A few error paths come last,
-among them non-finite numbers in an ensemble and in a decomposition
-document.
+runs a longer `rate-sweep` (`LONG_SWEEP`). Three more inputs reach the
+codec: a commuting ensemble on C^8 (eight 1x1 blocks, so reports of
+dozens of small matrices), a plant padded into a larger space (a
+rank-deficient support), and a hand-written ensemble whose numbers are
+spelled as no writer spells them (`SPELLED`: -0.0, a subnormal, 17
+significant digits), which runs decompose, measures, verify and
+remove-redundancy. A few error paths come last, among them non-finite
+numbers in an ensemble and in a decomposition document, and then one
+document per rule of the reader (`ENSEMBLE_RULES`,
+`DECOMPOSITION_RULES`).
 OUTDIR/codes.txt lists each call's exit code and stderr.
 
 This is the byte-identity gate for refactors: run it once with the
@@ -179,6 +186,152 @@ def _noisy_case(out: Path, codes: list[str]) -> None:
     _report_cases(case, codes, str(ensemble), 1, {})
 
 
+def _write_pairs(path: Path, probs, states) -> None:
+    """An ensemble file of real or complex `states` (ndarrays) with probabilities `probs`."""
+    doc = {"dim": len(states[0]), "states": [
+        {"p": float(p), "matrix": np.stack([s.real, s.imag], axis=-1).tolist()} for p, s in zip(probs, states)
+    ]}
+    path.write_text(json.dumps(doc), encoding="utf-8")
+
+
+def _random_unitary(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
+    q, r = np.linalg.qr(rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _commuting_case(out: Path, codes: list[str]) -> None:
+    """Three jointly diagonal states on C^8 in a random basis (default_rng(11)), the family
+    of `cli_corpus`'s op tail: eight 1x1 blocks, so the reports are dozens of small matrices."""
+    case = out / "commuting_d8"
+    case.mkdir()
+    rng = np.random.default_rng(11)
+    w = 0.05 + rng.random((3, 8))
+    w /= w.sum(axis=1, keepdims=True)
+    probs = 0.2 + rng.random(3)
+    u = _random_unitary(rng, 8, 8)
+    ensemble = case / "ensemble.json"
+    _write_pairs(ensemble, probs / probs.sum(), [u @ np.diag(row) @ u.conj().T for row in w])
+    _report_cases(case, codes, str(ensemble), 1, {})
+
+
+def _padded_case(out: Path, codes: list[str]) -> None:
+    """The 2x1,1x2 plant (seed 2) carried into C^6 by a random isometry (default_rng(12)): a
+    rank-4 support inside a larger space, so the frame is not the identity."""
+    case = out / "padded"
+    case.mkdir()
+    plant = case / "plant.json"
+    _call(case, codes, "gen", ["gen", "--blocks", "2x1,1x2", "--seed", "2", "-o", str(plant)])
+    doc = json.loads(plant.read_text(encoding="utf-8"))
+    states = [np.array(s["matrix"])[..., 0] + 1j * np.array(s["matrix"])[..., 1] for s in doc["states"]]
+    v = _random_unitary(np.random.default_rng(12), doc["dim"] + 2, doc["dim"])
+    ensemble = case / "ensemble.json"
+    _write_pairs(ensemble, [s["p"] for s in doc["states"]], [v @ s @ v.conj().T for s in states])
+    _report_cases(case, codes, str(ensemble), 2, {"truth": str(case / "plant.truth.json")})
+
+
+# a hand-written ensemble on C^3 whose numbers are spelled as no writer spells them: -0.0
+# halves, the smallest subnormal, and 17 significant digits (0.69999999999999996 reads as 0.7)
+SPELLED = """{"dim": 3, "states": [
+ {"p": 0.29999999999999999, "matrix": [
+  [[0.30000000000000004, -0.0], [0.0, -0.0], [-0.0, -0.0]],
+  [[0.0, 0.0], [0.69999999999999996, -0.0], [0.0, 0.0]],
+  [[-0.0, 0.0], [0.0, -0.0], [-0.0, 0.0]]]},
+ {"p": 0.30000000000000004, "matrix": [
+  [[0.5, 0.0], [0.49999999999999994, -0.0], [0.0, 0.0]],
+  [[0.49999999999999994, 0.0], [0.5, 0.0], [-0.0, 0.0]],
+  [[0.0, -0.0], [-0.0, -0.0], [0.0, 0.0]]]},
+ {"p": 0.39999999999999997, "matrix": [
+  [[5e-324, 0.0], [0.0, 0.0], [0.0, 0.0]],
+  [[0.0, 0.0], [0.33333333333333331, 0.0], [0.10000000000000001, -0.050000000000000003]],
+  [[0.0, 0.0], [0.10000000000000001, 0.050000000000000003], [0.66666666666666674, 0.0]]]}
+]}
+"""
+SPELLED_COMMANDS = ("decompose", "measures", "verify", "remove-redundancy")
+
+
+def _spelled_case(out: Path, codes: list[str]) -> None:
+    case = out / "spelled"
+    case.mkdir()
+    ensemble = case / "ensemble.json"
+    ensemble.write_text(SPELLED, encoding="utf-8")
+    for command in SPELLED_COMMANDS:
+        _both_sinks(case, codes, command, [command, str(ensemble)])
+
+
+# one ensemble document per rule of the reader, each breaking only that rule
+_STATE = '{"p": 1.0, "matrix": [[[1.0, 0.0]]]}'
+ENSEMBLE_RULES = {
+    "not_utf8": b'{"dim": 1, "states": [{"p": 1.0, "matrix": [[[1.0, 0.0\xff]]]}]}',
+    "not_an_object": b"[1, 2]",
+    "unknown_key": ('{"dim": 1, "states": [%s], "note": 1}' % _STATE).encode(),
+    "missing_key": b'{"dim": 1}',
+    "dim_not_integer": ('{"dim": 1.5, "states": [%s]}' % _STATE).encode(),
+    "states_empty": b'{"dim": 1, "states": []}',
+    "state_not_object": b'{"dim": 1, "states": [[1.0]]}',
+    "state_unknown_key": b'{"dim": 1, "states": [{"p": 1.0, "matrix": [[[1.0, 0.0]]], "q": 1}]}',
+    "state_missing_key": b'{"dim": 1, "states": [{"p": 1.0}]}',
+    "p_bool": b'{"dim": 1, "states": [{"p": true, "matrix": [[[1.0, 0.0]]]}]}',
+    "p_out_of_range": b'{"dim": 1, "states": [{"p": 1%s, "matrix": [[[1.0, 0.0]]]}]}' % (b"0" * 400),
+    "rows": b'{"dim": 2, "states": [{"p": 1.0, "matrix": [[[1.0, 0.0], [0.0, 0.0]]]}]}',
+    "columns": b'{"dim": 2, "states": [{"p": 1.0, "matrix": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0]]]}]}',
+    "pair": b'{"dim": 2, "states": [{"p": 1.0, "matrix": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0]]]}]}',
+    "entry_string": b'{"dim": 1, "states": [{"p": 1.0, "matrix": [[["1.0", 0.0]]]}]}',
+    "entry_bool": b'{"dim": 1, "states": [{"p": 1.0, "matrix": [[[1.0, false]]]}]}',
+    "entry_null": b'{"dim": 1, "states": [{"p": 1.0, "matrix": [[[null, 0.0]]]}]}',
+    "entry_infinite": b'{"dim": 1, "states": [{"p": 1.0, "matrix": [[[-Infinity, 0.0]]]}]}',
+    "entry_overflow": b'{"dim": 1, "states": [{"p": 1.0, "matrix": [[[1e400, 0.0]]]}]}',
+    "entry_out_of_range": b'{"dim": 1, "states": [{"p": 1.0, "matrix": [[[-1%s, 0.0]]]}]}' % (b"0" * 400),
+}
+# decomposition rules: (path into the plant's truth document, the value put there);
+# a path ending in a [re, im] pair's index changes one half of that pair
+DECOMPOSITION_RULES = {
+    "missing_frame": (("frame",), None),
+    "ambient_dim": (("ambient_dim",), "3"),
+    "support_rank": (("support_rank",), -1),
+    "frame_rows": (("frame",), [[]]),
+    "frame_columns": (("frame", 0), []),
+    "frame_pair": (("frame", 0, 0), [1.0]),
+    "frame_string": (("frame", 0, 0, 1), "0"),
+    "block_n": (("blocks", 0, "n"), True),
+    "block_k": (("blocks", 0, "k"), 0),
+    "isometry_bool": (("blocks", 0, "isometry", 1, 0, 0), True),
+    "isometry_nan": (("blocks", 0, "isometry", 0, 0, 1), float("nan")),
+    "rho_K_pair": (("blocks", 0, "rho_K", 0, 0), [1.0, 0.0, 0.0]),
+    "q_string": (("blocks", 0, "q", 1), "0.5"),
+    "q_infinite": (("blocks", 1, "q", 0), float("inf")),
+    "p_null": (("blocks", 0, "p"), None),
+    "rho_J_avg_rows": (("blocks", 0, "rho_J_avg"), []),
+    "rho_J_columns": (("blocks", 0, "rho_J", 2, 1), [[0.0, 0.0]]),
+    "rho_J_out_of_range": (("blocks", 1, "rho_J", 0, 0, 0, 0), 10**400),
+}
+
+
+def _reader_rule_cases(out: Path, codes: list[str]) -> None:
+    """Each reader rule once: ensembles through `decompose`, decompositions through
+    `verify --decomposition` against the valid plant."""
+    case = out / "reader_rules"
+    case.mkdir()
+    for name, raw in ENSEMBLE_RULES.items():
+        path = case / f"ensemble_{name}.json"
+        path.write_bytes(raw)
+        _call(case, codes, f"ensemble_{name}", ["decompose", str(path)])
+    plant = case / "plant.json"
+    _call(case, codes, "gen", ["gen", "--blocks", "2x1,1x2", "-o", str(plant)])
+    truth = (case / "plant.truth.json").read_text(encoding="utf-8")
+    for name, (where, value) in DECOMPOSITION_RULES.items():
+        doc = json.loads(truth)
+        node = doc["result"]
+        for key in where[:-1]:
+            node = node[key]
+        if value is None and where == ("frame",):
+            del node[where[-1]]
+        else:
+            node[where[-1]] = value
+        path = case / f"decomposition_{name}.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        _call(case, codes, f"decomposition_{name}", ["verify", str(plant), "--decomposition", str(path)])
+
+
 def _error_cases(out: Path, codes: list[str]) -> None:
     case = out / "errors"
     case.mkdir()
@@ -246,7 +399,11 @@ def main(argv: list[str]) -> int:
     _zero_weight_case(out, codes)
     _multiplicity_case(out, codes)
     _noisy_case(out, codes)
+    _commuting_case(out, codes)
+    _padded_case(out, codes)
+    _spelled_case(out, codes)
     _error_cases(out, codes)
+    _reader_rule_cases(out, codes)
     (out / "codes.txt").write_text("\n".join(codes) + "\n", encoding="utf-8")
     return 0
 
