@@ -255,12 +255,12 @@ def _class_step(r: int, length: int) -> np.ndarray:
     binom = np.array([[math.comb(x, y) for y in range(k + 1)] for x in range(n + 1)], dtype=np.int64)
     bars = np.cumsum(cur[:, :-1], axis=1) + np.arange(k)  # c's bars, (classes, r - 1)
     column = k - np.arange(k)
+    src = np.zeros(cur.shape, dtype=np.int64)  # the terms of bars j < a, then of bars j >= a
     # a bar that would stay at position n only occurs where c[a] = 0: clipped to a zero term
-    stay = np.cumsum(binom[(n - 1 - bars).clip(0), column], axis=1)
-    move = np.cumsum(binom[n - bars, column][:, ::-1], axis=1)[:, ::-1]
-    zero = np.zeros((len(cur), 1), dtype=np.int64)
-    rank = math.comb(n, k) - 1 - np.hstack([zero, stay]) - np.hstack([move, zero])
-    src = np.where(cur > 0, rank, math.comb(n, k))
+    src[:, 1:] = np.cumsum(binom[(n - 1 - bars).clip(0), column], axis=1)
+    src[:, :-1] += np.cumsum(binom[n - bars, column][:, ::-1], axis=1)[:, ::-1]
+    np.subtract(math.comb(n, k) - 1, src, out=src)
+    src[cur == 0] = math.comb(n, k)
     src.flags.writeable = False
     return src
 
