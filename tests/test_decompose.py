@@ -107,8 +107,8 @@ def test_mergeable_rejects_different_support():
     tol=st.sampled_from([1e-12, 1e-9, 1e-4]),
 )
 def test_weight_screen_keeps_every_pair_mergeable_takes(seed, m, count, noise, tol):
-    # weight rows proportional up to relative noise near tol, some with a missed state
-    # or another n: the screen may pass pairs mergeable rejects, never the reverse
+    # weight rows proportional up to relative noise near tol, some with a missed state:
+    # the screen may pass pairs mergeable rejects, never the reverse
     rng = np.random.default_rng(seed)
     base = 0.05 + rng.random(m)
     base[rng.random(m) < 0.2] = 0.0
@@ -118,8 +118,6 @@ def test_weight_screen_keeps_every_pair_mergeable_takes(seed, m, count, noise, t
         if rng.random() < 0.2:
             q[rng.integers(m)] = 0.0
         blocks.append(_scalar_block(q))
-    if count > 1:
-        blocks[0] = dataclasses.replace(blocks[0], n=2)
     b = _scalar_block(base)
     screen = decompose._weight_screen(blocks, b, tol)
     taken = np.array([mergeable(a, b, tol) is not None for a in blocks])
@@ -131,7 +129,7 @@ def test_weight_screen_drops_what_is_far_from_proportional():
     b = _scalar_block([0.2, 0.4, 0.4])
     blocks = [_scalar_block([0.4, 0.8, 0.8]), _scalar_block([0.4, 0.5, 0.8]), _scalar_block([0.4, 0.8, 0.0])]
     assert decompose._weight_screen(blocks, b, 1e-9).tolist() == [True, False, False]
-    assert decompose._weight_screen([], b, 1e-9).shape == (0,)
+    assert decompose._weight_screen(blocks, _scalar_block([0.0, 0.0, 0.0]), 1e-9).tolist() == [False] * 3
 
 
 def test_merge_trace_single_qubit_state():
