@@ -177,6 +177,15 @@ def _matrix_to_pairs(m: np.ndarray) -> list:
     return np.ascontiguousarray(m, dtype=complex).view(float).reshape(*m.shape, 2).tolist()
 
 
+def _pair_halves(rows: list) -> list | None:
+    """The entries of rows of [re, im] pairs, flattened row-major with re before im, or None
+    when an entry is not a 2-element list. One type scan, shared by the reader and the writer."""
+    entries = list(itertools.chain.from_iterable(rows))
+    if set(map(type, entries)) <= {list} and set(map(len, entries)) <= {2}:
+        return list(itertools.chain.from_iterable(entries))
+    return None
+
+
 def _pairs_to_matrix(rows, nrows: int, ncols: int, locus: str) -> np.ndarray:
     """Parse rows of [re, im] number pairs; a ParseError names the first bad locus.
 
@@ -195,17 +204,15 @@ def _pairs_to_matrix(rows, nrows: int, ncols: int, locus: str) -> np.ndarray:
         for r, row in enumerate(rows):
             if not isinstance(row, list) or len(row) != ncols:
                 raise ParseError(f"{locus}[{r}]: expected {ncols} columns")
-    entries = list(itertools.chain.from_iterable(rows))
-    if set(map(type, entries)) <= {list} and set(map(len, entries)) <= {2}:
-        values = list(itertools.chain.from_iterable(entries))
-        if set(map(type, values)) <= {int, float}:
-            try:
-                halves = np.array(values, dtype=float)
-            except OverflowError:  # an integer beyond float range
-                pass
-            else:
-                if np.isfinite(halves).all():
-                    return halves.view(complex).reshape(nrows, ncols)
+    values = _pair_halves(rows)
+    if values is not None and set(map(type, values)) <= {int, float}:
+        try:
+            halves = np.array(values, dtype=float)
+        except OverflowError:  # an integer beyond float range
+            pass
+        else:
+            if np.isfinite(halves).all():
+                return halves.view(complex).reshape(nrows, ncols)
     out = np.empty((nrows, ncols), dtype=complex)
     for r, row in enumerate(rows):
         for c, entry in enumerate(row):
@@ -252,12 +259,9 @@ def _pair_matrix(rows: list) -> tuple[list[float], int] | None:
         return None
     if not (set(map(type, rows)) == {list} and len(ncols := set(map(len, rows))) == 1):
         return None
-    entries = list(itertools.chain.from_iterable(rows))
-    if not (set(map(type, entries)) == {list} and set(map(len, entries)) == {2}):
-        return None
-    values = list(itertools.chain.from_iterable(entries))
+    values = _pair_halves(rows)
     # a finite sum proves every value finite; one that overflows only costs the general path
-    if set(map(type, values)) != {float} or not math.isfinite(sum(values)):
+    if values is None or set(map(type, values)) != {float} or not math.isfinite(sum(values)):
         return None
     return values, ncols.pop()
 
