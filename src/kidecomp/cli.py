@@ -93,14 +93,9 @@ def _write(path: str | None, text: str) -> None:
 # sees every call.
 
 
-def _read_input(cfg: argparse.Namespace):
-    """The input ensemble, parsed but not validated: `ki_decompose` validates it."""
-    with open(cfg.input, "rb") as fh:
-        return _parse_ensemble(fh.read())
-
-
 def _decompose_input(cfg: argparse.Namespace):
-    e = _read_input(cfg)
+    with open(cfg.input, "rb") as fh:
+        e = _parse_ensemble(fh.read())  # not validated here: ki_decompose validates it
     return e, ki_decompose(e, seed=cfg.seed, tol=cfg.tol)
 
 
