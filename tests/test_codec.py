@@ -195,6 +195,13 @@ def test_reader_keeps_the_sign_of_zero_and_reads_zero_column_frames():
     # numbers of other types take the per-entry walk and read as before
     m = ensemble._pairs_to_matrix([[[np.float64(0.25), 1]]], 1, 1, "m")
     assert m.tobytes() == np.array([0.25 + 1j]).tobytes()
+    # a file round trip keeps -0.0, subnormals and 17-digit numbers bit for bit
+    raw = b'{"dim": 2, "states": [{"p": 1.0, "matrix": [[[0.30000000000000004, -0.0], [5e-324, -0.0]], ' \
+          b'[[5e-324, 0.0], [0.69999999999999996, -0.0]]]}]}'
+    e = _parse_ensemble(raw)
+    text = write_ensemble(e)
+    assert text.count(b"-0.0") == 3 and b"5e-324" in text and b"0.30000000000000004" in text
+    assert _parse_ensemble(text).states.tobytes() == e.states.tobytes()
 
 
 # -- the writer ------------------------------------------------------------------
