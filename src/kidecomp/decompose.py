@@ -222,37 +222,15 @@ def _block_key(block: KIBlock):
     return (-block.n, -block.k, *block.q)
 
 
-def _weight_screen(blocks: list[KIBlock], b: KIBlock, tol: float) -> np.ndarray:
-    """Mask of the `blocks` (of b's n) that pass the weight tests of `mergeable(block, b)`, all
-    at once: the same nonempty support, and weights proportional within tol. A screen, not the
-    decision: its stacked ratio may differ from `mergeable`'s by round-off, which the margin
-    1e-10 (1 + max c q_a / q_b) covers many times, so it never drops a pair `mergeable` takes."""
-    on = b.q > 0
-    if not on.any():
-        return np.zeros(len(blocks), dtype=bool)
-    qa = np.array([a.q for a in blocks])
-    same = ((qa > 0) == on).all(axis=1)
-    qa, qb = qa[:, on], b.q[on]
-    with np.errstate(divide="ignore", invalid="ignore"):  # rows off the support are dropped by `same`
-        scaled = ((qa @ qb) / (qa * qa).sum(axis=1))[:, None] * qa / qb
-    spread = np.abs(1.0 - scaled).max(axis=1)
-    return same & ~(spread > tol + 1e-10 * (1.0 + scaled.max(axis=1)))
-
-
 def _merge_to_fixpoint(blocks: list[KIBlock], tol: float) -> list[KIBlock]:
     """One pass in `_block_key` order: each block folds into the first kept block it is
     `mergeable` with, or is kept. Mergeability is transitive and a merged block keeps its
-    first block's J states (q scaled by 1 + c), so this is the fixpoint. The caller sorts.
-    Past two kept blocks of its n, `_weight_screen` picks which of them `mergeable` tries:
-    one stacked screen costs about two `mergeable` calls that fail on the weights."""
+    first block's J states (q scaled by 1 + c), so this is the fixpoint. The caller sorts."""
     kept: list[KIBlock] = []
     for b in sorted(blocks, key=_block_key):
-        tries = [ia for ia, a in enumerate(kept) if a.n == b.n]
-        if len(tries) > 2:
-            tries = [tries[i] for i in np.flatnonzero(_weight_screen([kept[ia] for ia in tries], b, tol))]
-        for ia in tries:
-            if (witness := mergeable(kept[ia], b, tol)) is not None:
-                kept[ia] = _merge(kept[ia], b, *witness)
+        for ia, a in enumerate(kept):
+            if (witness := mergeable(a, b, tol)) is not None:
+                kept[ia] = _merge(a, b, *witness)
                 break
         else:
             kept.append(b)

@@ -98,40 +98,6 @@ def test_mergeable_rejects_different_support():
     assert mergeable(a, b) is None
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    m=st.integers(1, 6),
-    count=st.integers(1, 5),
-    noise=st.sampled_from([0.0, 0.2, 0.5, 1.0, 2.0, 1e3]),
-    tol=st.sampled_from([1e-12, 1e-9, 1e-4]),
-)
-def test_weight_screen_keeps_every_pair_mergeable_takes(seed, m, count, noise, tol):
-    # weight rows proportional up to relative noise near tol, some with a missed state:
-    # the screen may pass pairs mergeable rejects, never the reverse
-    rng = np.random.default_rng(seed)
-    base = 0.05 + rng.random(m)
-    base[rng.random(m) < 0.2] = 0.0
-    blocks = []
-    for _ in range(count):
-        q = base * rng.uniform(0.01, 100) * (1.0 + noise * tol * rng.standard_normal(m))
-        if rng.random() < 0.2:
-            q[rng.integers(m)] = 0.0
-        blocks.append(_scalar_block(q))
-    b = _scalar_block(base)
-    screen = decompose._weight_screen(blocks, b, tol)
-    taken = np.array([mergeable(a, b, tol) is not None for a in blocks])
-    assert screen.dtype == bool and screen.shape == (count,)
-    assert not (taken & ~screen).any()
-
-
-def test_weight_screen_drops_what_is_far_from_proportional():
-    b = _scalar_block([0.2, 0.4, 0.4])
-    blocks = [_scalar_block([0.4, 0.8, 0.8]), _scalar_block([0.4, 0.5, 0.8]), _scalar_block([0.4, 0.8, 0.0])]
-    assert decompose._weight_screen(blocks, b, 1e-9).tolist() == [True, False, False]
-    assert decompose._weight_screen(blocks, _scalar_block([0.0, 0.0, 0.0]), 1e-9).tolist() == [False] * 3
-
-
 def test_merge_trace_single_qubit_state():
     # pre-merge the two eigenprojector blocks have weight ratio 3:1 for the
     # single source state; the pipeline must fold them into one k=2 block
