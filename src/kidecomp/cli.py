@@ -34,7 +34,7 @@ from .decompose import (
     remove_redundancy,
     verify,
 )
-from .ensemble import _parse_ensemble, _to_json, load_ensemble, save_ensemble, validate, write_ensemble
+from .ensemble import _parse_ensemble, _round_float, _to_json, load_ensemble, save_ensemble, validate, write_ensemble
 from .errors import (
     ConfigTooLarge,
     ConvergenceFailure,
@@ -65,7 +65,7 @@ def _flatten(prefix: str, obj, lines: list[str]) -> None:
         for i, v in enumerate(obj):
             _flatten(f"{prefix}[{i}]", v, lines)
     elif isinstance(obj, float):
-        lines.append(f"{prefix} = {float(f'{obj:.12g}') if math.isfinite(obj) else repr(obj)}")
+        lines.append(f"{prefix} = {_round_float(obj, '%.12g')}")
     else:
         lines.append(f"{prefix} = {obj}")
 

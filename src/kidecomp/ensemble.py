@@ -223,10 +223,16 @@ def _pairs_to_matrix(rows, nrows: int, ncols: int, locus: str) -> np.ndarray:
     return out
 
 
+def _round_float(x: float, fmt: str) -> float | str:
+    """A report's float: formatted with `fmt` (such as "%.12g") and read back, or, when not
+    finite, the string of its repr, as strict JSON has no NaN or Infinity. The one rounding
+    rule of reports, for the JSON writer and the CLI's text format alike."""
+    return float(fmt % x) if math.isfinite(x) else repr(x)
+
+
 def _scalar_text(obj, fmt: str | None) -> str:
     """The JSON text of a string, None, bool, int or float. Floats are written as `json.dumps`
-    writes them (NaN and +-Infinity as those tokens), or with `fmt` (such as "%.12g") read back
-    and a non-finite one written as the string of its repr, strict JSON."""
+    writes them (NaN and +-Infinity as those tokens), or rounded by `_round_float(obj, fmt)`."""
     if isinstance(obj, str):
         return encode_basestring_ascii(obj)
     if obj is None or isinstance(obj, bool):
@@ -234,10 +240,11 @@ def _scalar_text(obj, fmt: str | None) -> str:
     if isinstance(obj, int):
         return int.__repr__(obj)
     if isinstance(obj, float):
-        if math.isfinite(obj):
-            return float.__repr__(float(fmt % obj) if fmt else obj)
         if fmt:
-            return encode_basestring_ascii(repr(obj))
+            x = _round_float(obj, fmt)
+            return float.__repr__(x) if isinstance(x, float) else encode_basestring_ascii(x)
+        if math.isfinite(obj):
+            return float.__repr__(obj)
         return "NaN" if obj != obj else ("Infinity" if obj > 0 else "-Infinity")
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
@@ -291,7 +298,7 @@ def _json_parts(obj, level: int, fmt: str | None, out: list[str]) -> None:
         if type(obj) is list and (matrix := _pair_matrix(obj)) is not None:
             values, ncols = matrix
             if fmt:
-                values = [float(fmt % x) for x in values]
+                values = [_round_float(x, fmt) for x in values]
             out.append(_pairs_template(len(obj), ncols, level) % tuple(values))
             return
         inner = "\n" + " " * (level + 1)
