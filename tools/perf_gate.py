@@ -74,6 +74,14 @@ def load_package(src: Path, name: str):
     return module
 
 
+def _load_tool(name: str):
+    """Import `tools/NAME.py` by its path."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def unload_package(name: str) -> None:
     for key in [k for k in sys.modules if k == name or k.startswith(name + ".")]:
         del sys.modules[key]
@@ -129,21 +137,14 @@ def _rung(rung: int, text: str):
     return build
 
 
-def _commuting(k, dim: int = 8, m: int = 3, seed: int = 11):
-    """Jointly diagonal states in a random basis, as in the family of `cli_corpus`'s op tail."""
-    rng = np.random.default_rng(seed)
-    w = 0.05 + rng.random((m, dim))
-    w /= w.sum(axis=1, keepdims=True)
-    probs = 0.2 + rng.random(m)
-    probs /= probs.sum()
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(z)
-    u = q * (np.diag(r) / np.abs(np.diag(r)))
-    return k.ensemble.Ensemble(probs=probs, states=[u @ np.diag(row) @ u.conj().T for row in w])
+def _commuting(k):
+    """The corpus's commuting d=8 ensemble (`report_corpus.commuting_ensemble`)."""
+    probs, states = _load_tool("report_corpus").commuting_ensemble()
+    return k.ensemble.Ensemble(probs=probs, states=states)
 
 
-def _planted(k, text: str = "2x2,1x3"):
-    return k.oracles.planted_ensemble(k.oracles.PlantSpec(blocks=_blocks(text), num_states=3, seed=1))[0]
+def _planted(k):
+    return k.oracles.planted_ensemble(k.oracles.PlantSpec(blocks=_blocks("2x2,1x3"), num_states=3, seed=1))[0]
 
 
 # the CLI ops' input ensembles, built and written once per tree

@@ -47,8 +47,6 @@ from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-from kidecomp import cli  # noqa: E402
-
 SHAPES = ("1x2", "2x1", "1x1,1x1", "2x1,1x2", "1x2,1x1", "2x2,1x1", "4x1")
 SEEDS = (1, 2)
 # report command -> its options beyond input, format and output
@@ -74,6 +72,8 @@ LONG_SWEEP_CASE = ("2x1,1x2", 1)
 
 def _call(out: Path, codes: list[str], name: str, argv: list[str]) -> None:
     """Run one CLI call in-process; its stdout goes to OUT/NAME.stdout when non-empty."""
+    from kidecomp import cli  # imported here, so `tools/perf_gate.py` can load this module without it
+
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         try:
@@ -199,18 +199,24 @@ def _random_unitary(rng: np.random.Generator, rows: int, cols: int) -> np.ndarra
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-def _commuting_case(out: Path, codes: list[str]) -> None:
-    """Three jointly diagonal states on C^8 in a random basis (default_rng(11)), the family
-    of `cli_corpus`'s op tail: eight 1x1 blocks, so the reports are dozens of small matrices."""
-    case = out / "commuting_d8"
-    case.mkdir()
+def commuting_ensemble() -> tuple[np.ndarray, list[np.ndarray]]:
+    """The probabilities and states of three jointly diagonal states on C^8 in a random basis
+    (default_rng(11)), the family of `cli_corpus`'s op tail. `tools/perf_gate.py` times its
+    CLI ops on this ensemble too."""
     rng = np.random.default_rng(11)
     w = 0.05 + rng.random((3, 8))
     w /= w.sum(axis=1, keepdims=True)
     probs = 0.2 + rng.random(3)
     u = _random_unitary(rng, 8, 8)
+    return probs / probs.sum(), [u @ np.diag(row) @ u.conj().T for row in w]
+
+
+def _commuting_case(out: Path, codes: list[str]) -> None:
+    """`commuting_ensemble`: eight 1x1 blocks, so the reports are dozens of small matrices."""
+    case = out / "commuting_d8"
+    case.mkdir()
     ensemble = case / "ensemble.json"
-    _write_pairs(ensemble, probs / probs.sum(), [u @ np.diag(row) @ u.conj().T for row in w])
+    _write_pairs(ensemble, *commuting_ensemble())
     _report_cases(case, codes, str(ensemble), 1, {})
 
 
