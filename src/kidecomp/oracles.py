@@ -81,15 +81,9 @@ def _draw_weights(spec: PlantSpec, rng: np.random.Generator) -> np.ndarray:
     m, nblocks = spec.num_states, len(spec.blocks)
     for _ in range(MAX_RESAMPLES):
         q = np.stack([random_simplex(nblocks, rng) for _ in range(m)])
-        if nblocks == 1:
-            return q
-        ok = True
-        for a in range(nblocks):
-            for b in range(a + 1, nblocks):
-                ratios = q[:, b] / q[:, a]
-                if ratios.max() / ratios.min() - 1.0 <= Q_RATIO_SPREAD:
-                    ok = False
-        if ok:
+        ratios = q[:, None, :] / q[:, :, None]  # [i, a, b] = q[i, b] / q[i, a]
+        spread = ratios.max(0) / ratios.min(0) - 1.0
+        if (spread[np.triu_indices(nblocks, 1)] > Q_RATIO_SPREAD).all():
             return q
     raise RejectionExhausted(
         "could not draw non-proportional weight columns; "

@@ -60,7 +60,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -292,25 +292,24 @@ class _CompressionPlan:
     dim: int
     qubits: int
     full: bool
-    full_classes: list[tuple[int, ...]] = field(default_factory=list)
-    full_index: np.ndarray | None = None  # the full classes' rows of `_type_classes`
+    full_index: np.ndarray | None = None  # the full classes' rows of `_type_classes`, most probable first
     partial: tuple[tuple[int, ...], np.ndarray] | None = None
 
     def all_sequences(self) -> np.ndarray:
-        """The subspace's sequences, rebuilt on each call rather than cached:
-        a sweep keeps the plans of all its deltas alive at once, so cached
-        sequences would add to its peak memory. `rate_sweep` builds them once
-        per plan, for `_failure_geometry`, and drops them before the next plan."""
-        parts = [_lex_sequences(c, _multinomial(c)) for c in self.full_classes]
+        """The sequences of a plan that does not keep the whole space, rebuilt on
+        each call rather than cached: a sweep keeps the plans of all its deltas
+        alive at once, so cached sequences would add to its peak memory.
+        `rate_sweep` builds them once per plan, for `_FailureGeometry`, and
+        drops them before the next plan."""
+        full_classes = _compositions(self.alphabet, self.length)[self.full_index].tolist()
+        parts = [_lex_sequences(c, _multinomial(c)) for c in full_classes]
         if self.partial is not None:
             parts.append(self.partial[1])
-        if not parts:
-            return np.empty((0, self.length), dtype=np.int64)
         return np.concatenate(parts, axis=0)
 
 
 def _compression_plan(
-    spectrum: np.ndarray, entropy: float, length: int, delta: float, classes: dict | None = None
+    spectrum: np.ndarray, entropy: float, length: int, delta: float, classes: dict
 ) -> _CompressionPlan:
     """Most-probable-sequences subspace at rate (entropy + delta) qubits/message.
 
@@ -329,8 +328,6 @@ def _compression_plan(
             alphabet=r, length=length, dim=full_dim, qubits=full_qubits, full=True
         )
     dim = 2**budget
-    if classes is None:
-        classes = {}
     if length not in classes:
         classes[length] = _type_classes(log2lam, length)
     counts, sizes, log2p = classes[length]
@@ -344,7 +341,6 @@ def _compression_plan(
     partial = tuple(ranked[n_full])
     return _CompressionPlan(
         alphabet=r, length=length, dim=dim, qubits=budget, full=False,
-        full_classes=[tuple(c) for c in ranked[:n_full]],
         full_index=order[:n_full],
         partial=(partial, _lex_sequences(partial, room)) if room > 0 else None,
     )
@@ -430,10 +426,9 @@ def _block_data(d: KIDecomposition, rho_j_avg: list[np.ndarray], tol: float) -> 
     return out
 
 
-def _row_blocks(rows: int, row_bytes: int, limit: int | None = None) -> list[slice]:
-    """Slices over `rows` rows of `row_bytes` bytes each, `limit` (default _ROW_BLOCK_BYTES)
-    bytes at most (one row at least) per slice."""
-    step = max(1, (_ROW_BLOCK_BYTES if limit is None else limit) // max(row_bytes, 1))
+def _row_blocks(rows: int, row_bytes: int, limit: int = _ROW_BLOCK_BYTES) -> list[slice]:
+    """Slices over `rows` rows of `row_bytes` bytes each, `limit` bytes at most (one row at least) per slice."""
+    step = max(1, limit // max(row_bytes, 1))
     return [slice(i, i + step) for i in range(0, rows, step)]
 
 
@@ -443,15 +438,28 @@ def _swapped_codes(codes: np.ndarray, alphabet: int, a: int, b: int) -> np.ndarr
     return codes + (codes // wb % alphabet - codes // wa % alphabet) * (wa - wb)
 
 
-@dataclass
 class _FailureGeometry:
-    """What the failure branches of one plan share; see `_failure_geometry`."""
+    """The sequences and half-sequence codes of a plan, which its failure branches share.
 
-    halves: tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
-    seqs: np.ndarray  # the subspace's sequences, the partial class's last
-    alphabet: int
-    partial_rows: int  # the number of the partial class's sequences
-    closed: dict[tuple[int, int], bool] = field(default_factory=dict)
+    `halves` holds, for the first and for the second half of the sequence
+    positions, the distinct half-sequences (one row each, in the order of
+    their integer codes) and per subspace sequence the row of its
+    half-sequence. The whole sequences give the swaps that keep the
+    subspace (`swaps`), on the branches that split.
+    """
+
+    def __init__(self, plan: _CompressionPlan):
+        self.seqs = plan.all_sequences()  # the subspace's sequences, the partial class's last
+        self.alphabet = plan.alphabet
+        self.partial_rows = 0 if plan.partial is None else len(plan.partial[1])
+        self.closed: dict[tuple[int, int], bool] = {}
+        half = plan.length // 2
+        halves = []
+        for part in (self.seqs[:, :half], self.seqs[:, half:]):
+            codes = part @ plan.alphabet ** np.arange(part.shape[1])
+            _, first, inv = np.unique(codes, return_index=True, return_inverse=True)
+            halves.append((part[first], inv))
+        self.halves = tuple(halves)
 
     @functools.cached_property
     def codes(self) -> np.ndarray:
@@ -485,26 +493,6 @@ class _FailureGeometry:
                 out.append((a, b))
                 taken |= {a, b}
         return out
-
-
-def _failure_geometry(plan: _CompressionPlan) -> _FailureGeometry:
-    """The sequences and half-sequence codes of a plan, which its failure branches share.
-
-    `halves` holds, for the first and for the second half of the sequence
-    positions, the distinct half-sequences (one row each, in the order of
-    their integer codes) and per subspace sequence the row of its
-    half-sequence. The whole sequences give the swaps that keep the
-    subspace (`_FailureGeometry.swaps`), on the branches that split.
-    """
-    seqs = plan.all_sequences()
-    half = plan.length // 2
-    halves = []
-    for part in (seqs[:, :half], seqs[:, half:]):
-        codes = part @ plan.alphabet ** np.arange(part.shape[1])
-        _, first, inv = np.unique(codes, return_index=True, return_inverse=True)
-        halves.append((part[first], inv))
-    partial_rows = 0 if plan.partial is None else len(plan.partial[1])
-    return _FailureGeometry(halves=tuple(halves), seqs=seqs, alphabet=plan.alphabet, partial_rows=partial_rows)
 
 
 def _half_states(rotated: np.ndarray, heads: np.ndarray, members: np.ndarray) -> np.ndarray:
@@ -553,16 +541,11 @@ def _half_entries(data: _BlockData, members: np.ndarray, halves):
     return entries
 
 
-def _matrix_entries(m: np.ndarray):
-    """`entries(rows, cols)` of the matrix m."""
-    return lambda rows, cols: m[rows][:, cols]
-
-
 def _sector_split(entries, pi: np.ndarray, sign: np.ndarray, dtype) -> list[tuple[np.ndarray, np.ndarray]]:
     """The +1 and the -1 sector of a Hermitian m that commutes with a signed permutation.
 
     m is read through `entries(rows, cols)`, which returns m[rows[:, None], cols]
-    (`_matrix_entries`, or `_half_entries` for a group state never formed
+    (from m itself, or by `_half_entries` for a group state never formed
     whole). The permutation is an involution that sends basis vector b_i to
     sign[i] b_pi[i]. Sector e is spanned by each fixed b_i with sign[i] = e
     and by (b_i + e sign[i] b_pi[i]) / sqrt(2) for each pair i < pi[i].
@@ -598,10 +581,9 @@ def _parity(x: np.ndarray) -> np.ndarray:
     return x & 1
 
 
-def _sector_spectra(
-    data: _BlockData, members: np.ndarray, geometry: _FailureGeometry, swaps: list[tuple[int, int]]
-) -> np.ndarray:
-    """The eigenvalues of one group's state, joined over the sectors of its swaps.
+def _sector_spectra(data: _BlockData, members: np.ndarray, geometry: _FailureGeometry) -> np.ndarray:
+    """The eigenvalues of one group's state, joined over the sectors of its swaps
+    (`_FailureGeometry.swaps`).
 
     The swaps act on disjoint positions, so they commute and generate a
     group H of 2^k elements. After the first j of them, a sector is one
@@ -617,6 +599,7 @@ def _sector_spectra(
     below SECTOR_SPLIT_MIN, or with no swap left, goes to
     `eigvalsh`; a matrix is dropped as soon as its two sectors are built.
     """
+    swaps = geometry.swaps(members.tolist())
     if not swaps:
         return eigvalsh(_group_states(data, members[None], geometry.halves)[0])
     # per swap j: its permutation of the sequences, and after swaps 0..j-1 each
@@ -639,7 +622,7 @@ def _sector_spectra(
         t, label, elt = levels[j]
         image = t[labels]
         sign = 1 - 2 * _parity(elt[image] & minus)
-        entries = _half_entries(data, members, geometry.halves) if m is None else _matrix_entries(m)
+        entries = _half_entries(data, members, geometry.halves) if m is None else lambda rows, cols: m[rows][:, cols]
         split = _sector_split(entries, np.searchsorted(labels, label[image]), sign, data.rotated.dtype)
         del m, entries
         for bit, (reps, sector) in zip((0, 1 << j), split):
@@ -649,20 +632,14 @@ def _sector_spectra(
     return np.concatenate(lam)
 
 
-def _failure_fidelities(
-    plan: _CompressionPlan,
-    data: _BlockData,
-    members: np.ndarray,
-    w: np.ndarray,
-    geometry: _FailureGeometry | None = None,
-) -> np.ndarray:
+def _failure_fidelities(plan: _CompressionPlan, data: _BlockData, members: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Per group, fidelity (Tr sqrt(P sigma P))^2 / D of its state against the maximally mixed junk state.
 
     `members` holds one group per row (its J states in position order) and
     `w` their overlap weights, which give the answer for an all-pure block.
     The group state P sigma P on the compression subspace has the entries
     prod_j rho_j[s_j, s'_j] over pairs of the subspace's sequences s, s'.
-    `geometry` is `_failure_geometry(plan)`, built here when not given.
+    The plan's `_FailureGeometry` is built once per call, for a mixed block.
     Every factor is exactly Hermitian, and real for a 2-dim block (see
     `_BlockData.rotated`), so the product is too and a 2-dim block's goes
     to the real symmetric solver.
@@ -691,10 +668,9 @@ def _failure_fidelities(
     """
     if data.all_pure:
         return w / plan.dim
-    if geometry is None:
-        geometry = _failure_geometry(plan)
+    geometry = _FailureGeometry(plan)
     if plan.dim >= SECTOR_SPLIT_MIN:
-        spectra = (_sector_spectra(data, row, geometry, geometry.swaps(row.tolist())) for row in members)
+        spectra = (_sector_spectra(data, row, geometry) for row in members)
     else:
         matrix_bytes = plan.dim**2 * data.rotated.itemsize
         spectra = itertools.chain.from_iterable(
@@ -706,17 +682,6 @@ def _failure_fidelities(
         lam = lam[rank_cut(lam, plan.dim * np.finfo(float).eps)]
         out[i] = float(np.sum(np.sqrt(lam)) ** 2) / plan.dim
     return out
-
-
-def _failure_fidelity(
-    plan: _CompressionPlan,
-    data: _BlockData,
-    members: list[int],
-    w: float,
-    geometry: _FailureGeometry | None = None,
-) -> float:
-    """The failure-branch fidelity of one group: `_failure_fidelities` of a one-row stack."""
-    return float(_failure_fidelities(plan, data, np.array([members], dtype=np.int64), np.array([w]), geometry)[0])
 
 
 @dataclass(frozen=True)
@@ -789,11 +754,12 @@ def rate_sweep(
     decisions and the qubit charges are array operations over the slice;
     a partial type class adds one 1-D `np.sum` per group. A failure branch
     over MIXED_SUBSPACE_CAP raises ConfigTooLarge before any is
-    evaluated. Pass B evaluates the failure branches plan by plan, so
-    that a plan's sequences and half-sequence codes (`_failure_geometry`)
-    are built once, and its branches below the split floor go to one
-    stacked `eigvalsh` (`_failure_fidelities`). Each trial's fidelity is
-    then the product of its groups' fidelities in ascending label order.
+    evaluated. Pass B evaluates the failure branches plan by plan, one
+    `_failure_fidelities` call each, so that a plan's sequences and
+    half-sequence codes (`_FailureGeometry`) are built once, and its
+    branches below the split floor go to one stacked `eigvalsh`. Each
+    trial's fidelity is then the product of its groups' fidelities in
+    ascending label order.
     On Python 3.11 and earlier every answer is bit-identical to the
     per-trial loop this replaced. That loop added the full classes' sums
     with the builtin `sum`, which Python 3.12 compensates, so there the
@@ -870,18 +836,13 @@ def rate_sweep(
                             failures.setdefault(key, []).append((k, ts[fail], members[fail], w[fail]))
             next_u += sizes > 0
         start += len(u)
-    # pass B evaluates the failure branches plan by plan, each plan's geometry built once
-    # and dropped before the next, then multiplies the group fidelities in label order
+    # pass B evaluates the failure branches plan by plan, then multiplies the group
+    # fidelities in label order
     for key, parts in failures.items():
-        plan, block = plans[key], data[key[0]]
-        geometry = None if block.all_pure else _failure_geometry(plan)
         ks = np.concatenate([np.full(len(t), k) for k, t, _, _ in parts])
         ts, members, w = (np.concatenate(a) for a in list(zip(*parts))[1:])
-        values[key[0], ks, ts] = _failure_fidelities(plan, block, members, w, geometry)
-        del geometry
-    fidelities = np.ones((len(deltas), trials))
-    for v in values:
-        fidelities *= v
+        values[key[0], ks, ts] = _failure_fidelities(plans[key], data[key[0]], members, w)
+    fidelities = np.prod(values, axis=0)
 
     bit_rate = shannon_entropy(p_block, tol)
     return [

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from kidecomp.decompose import ki_decompose, verify
 from kidecomp.ensemble import Ensemble, validate
+from kidecomp import oracles
 from kidecomp.errors import RejectionExhausted
 from kidecomp.oracles import (
     PlantSpec,
@@ -79,6 +80,48 @@ def test_planted_rejects_proportional_scalar_blocks():
     # J states: the plant would be mergeable, so it must be refused
     with pytest.raises(RejectionExhausted):
         planted_ensemble(PlantSpec(blocks=((1, 1), (1, 1)), num_states=1, seed=0))
+
+
+def _reference_draw_weights(spec, rng):
+    """The pair-by-pair screen that the array test of `oracles._draw_weights` replaced."""
+    m, nblocks = spec.num_states, len(spec.blocks)
+    for _ in range(oracles.MAX_RESAMPLES):
+        q = np.stack([oracles.random_simplex(nblocks, rng) for _ in range(m)])
+        if nblocks == 1:
+            return q
+        ok = True
+        for a in range(nblocks):
+            for b in range(a + 1, nblocks):
+                ratios = q[:, b] / q[:, a]
+                if ratios.max() / ratios.min() - 1.0 <= oracles.Q_RATIO_SPREAD:
+                    ok = False
+        if ok:
+            return q
+    raise RejectionExhausted("no weights")
+
+
+@pytest.mark.parametrize("spread", [oracles.Q_RATIO_SPREAD, 0.5])
+def test_weight_screen_matches_the_pair_by_pair_reference(spread, monkeypatch):
+    # the same weights, the same refusals and the same next draw, over 1 to 5 blocks
+    # and states; one state refuses every draw of two or more blocks, and a spread of
+    # 0.5 rejects many draws before one passes or the resamples run out
+    monkeypatch.setattr(oracles, "Q_RATIO_SPREAD", spread)
+    outcomes = set()
+    for nblocks in range(1, 6):
+        for states in range(1, 6):
+            for seed in range(8):
+                spec = PlantSpec(blocks=((1, 1),) * nblocks, num_states=states, seed=seed)
+                rngs = np.random.default_rng(seed), np.random.default_rng(seed)
+                results = []
+                for draw, rng in zip((oracles._draw_weights, _reference_draw_weights), rngs):
+                    try:
+                        results.append(draw(spec, rng).tobytes())
+                    except RejectionExhausted:
+                        results.append(None)
+                assert results[0] == results[1], (nblocks, states, seed)
+                assert rngs[0].random() == rngs[1].random()
+                outcomes.add(results[0] is None)
+    assert outcomes == {True, False}
 
 
 def _trace_preservation_residual(kraus) -> float:

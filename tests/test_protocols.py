@@ -30,8 +30,6 @@ from kidecomp.protocols import (
     _class_sums,
     _compression_plan,
     _failure_fidelities,
-    _failure_fidelity,
-    _failure_geometry,
     _lex_sequences,
     _multinomial,
     _overlap_weights,
@@ -405,12 +403,19 @@ def reference_class_sums(diag_rows):
     return acc
 
 
+def full_classes_of(plan):
+    """The plan's full type classes as count tuples, most probable first."""
+    if plan.full_index is None:
+        return []
+    return [tuple(c) for c in protocols._compositions(plan.alphabet, plan.length)[plan.full_index].tolist()]
+
+
 def reference_overlap_weight(plan, diag_rows, sums):
     """The per-group weight that `protocols._overlap_weights` replaced. The full
     classes' sums are added one at a time in the plan's order, as the replaced code's
     builtin `sum` did up to Python 3.11 (3.12 compensates a `sum` of floats)."""
     w = 0.0
-    for c in plan.full_classes:
+    for c in full_classes_of(plan):
         w += sums.get(c, 0.0)
     if plan.partial is not None:
         _, seqs = plan.partial
@@ -441,7 +446,12 @@ def block_data(e, d):
     return _block_data(d, d.block_averages(e.probs)[1], DEFAULT_TOL)
 
 
-def reference_fidelities(e, d, n, delta, trials, seed, failure=_failure_fidelity):
+def failure_fidelity(plan, data, members, w):
+    """The failure-branch fidelity of one group: `_failure_fidelities` of a one-row stack."""
+    return float(_failure_fidelities(plan, data, np.array([members], dtype=np.int64), np.array([w]))[0])
+
+
+def reference_fidelities(e, d, n, delta, trials, seed, failure=failure_fidelity):
     data = block_data(e, d)
     fids, rates = np.empty(trials), np.empty(trials)
     for t in range(trials):
@@ -451,7 +461,7 @@ def reference_fidelities(e, d, n, delta, trials, seed, failure=_failure_fidelity
         f_trial, qubits = 1.0, 0
         for l, u in zip(occupied, uniforms):
             members = [int(i) for i in drawn[labels == l]]
-            plan = _compression_plan(data[l].spectrum, data[l].entropy, len(members), delta)
+            plan = _compression_plan(data[l].spectrum, data[l].entropy, len(members), delta, {})
             f_group = 1.0
             if not plan.full:
                 rows = reference_diag_rows(data[l], members)
@@ -557,9 +567,10 @@ def test_rate_sweep_matches_the_per_trial_reference_bit_for_bit(name, monkeypatc
     # keep one sequence, a partial class, whole classes and the whole space; N = 1
     # to 12; and stream blocks of 7 trials, so that 30 trials span five of them.
     # "one_row_slices" runs the three-block plant with every row-blocked step, pass
-    # A's batches among them, cut into slices of one row
+    # A's batches among them, cut into slices of one row: `_row_blocks` with its
+    # default limit of _ROW_BLOCK_BYTES lowered to one byte
     if name == "one_row_slices":
-        monkeypatch.setattr(protocols, "_ROW_BLOCK_BYTES", 1)
+        monkeypatch.setattr(protocols._row_blocks, "__defaults__", (1,))
     if name == "two_pure":
         e, d = two_pure()
     else:
@@ -594,7 +605,7 @@ def test_pass_a_memory_is_bounded_on_a_large_alphabet():
     (data,) = block_data(e, d)
     assert len(data.spectrum) == 16 and not data.all_pure
     delta = 6 / 5 - data.entropy + 0.01  # a 64-dim plan with a partial class
-    plan = _compression_plan(data.spectrum, data.entropy, 5, delta)
+    plan = _compression_plan(data.spectrum, data.entropy, 5, delta, {})
     assert plan.dim == 64 and plan.partial is not None
     rate_sweep(e, d, 5, [delta], trials=1)  # builds the cached class tables
     tracemalloc.start()
@@ -623,12 +634,12 @@ def exact_f_bar(e, d, n, delta):
 
     def group_fidelity(l, members):
         if (l, members) not in groups:
-            plan = _compression_plan(data[l].spectrum, data[l].entropy, len(members), delta)
+            plan = _compression_plan(data[l].spectrum, data[l].entropy, len(members), delta, {})
             f = 1.0
             if not plan.full:
                 rows = reference_diag_rows(data[l], members)
                 w = reference_overlap_weight(plan, rows, reference_class_sums(rows))
-                f = w * w + (1 - w) * _failure_fidelity(plan, data[l], list(members), w)
+                f = w * w + (1 - w) * failure_fidelity(plan, data[l], list(members), w)
             groups[(l, members)] = f
         return groups[(l, members)]
 
@@ -776,11 +787,11 @@ def test_failure_fidelity_matches_per_member_gather(blocks, lengths):
     seen = set()
     for length in lengths:
         for delta in (-0.6, -0.3, -0.1, 0.0, 0.2) if length < 9 else (-0.25, 0.0):
-            plan = _compression_plan(data.spectrum, data.entropy, length, delta)
+            plan = _compression_plan(data.spectrum, data.entropy, length, delta, {})
             if plan.full:
                 continue
             members = [int(i) for i in rng.choice(states, size=length)]
-            got = _failure_fidelity(plan, data, members, 0.5)
+            got = failure_fidelity(plan, data, members, 0.5)
             want = _reference_failure_fidelity(plan, data, members)
             assert got == pytest.approx(want, rel=1e-12, abs=0.0)
             seen.add((length, plan.partial is not None))
@@ -865,11 +876,11 @@ def test_real_gauge_keeps_the_failure_fidelity_of_2_dim_blocks(name, solver_dtyp
     seen = set()
     for length in range(1, 10):
         for delta in (-0.6, -0.3, -0.1, 0.0, 0.2):
-            plan = _compression_plan(data.spectrum, data.entropy, length, delta)
+            plan = _compression_plan(data.spectrum, data.entropy, length, delta, {})
             if plan.full:
                 continue
             members = [int(i) for i in rng.choice(states, size=length)]
-            got = _failure_fidelity(plan, data, members, 0.5)
+            got = failure_fidelity(plan, data, members, 0.5)
             # measures.fidelity drops the round-off eigenvalues of a group with a pure member
             want = fidelity(_reference_group_state(plan, complex_data, members), np.eye(plan.dim) / plan.dim)
             assert got == pytest.approx(want, rel=1e-12, abs=0.0), (length, delta, members)
@@ -884,9 +895,9 @@ def test_only_2_dim_blocks_take_the_real_solver(solver_dtypes):
     e, _ = planted_ensemble(PlantSpec(blocks=BENCH_PLANTS["3x1,2x2"], num_states=3, seed=1))
     by_dim = {}
     for data in block_data(e, ki_decompose(e)):
-        plan = _compression_plan(data.spectrum, data.entropy, 4, -0.3)
+        plan = _compression_plan(data.spectrum, data.entropy, 4, -0.3, {})
         assert not plan.full
-        _failure_fidelity(plan, data, [0, 1, 2, 0], 0.5)
+        failure_fidelity(plan, data, [0, 1, 2, 0], 0.5)
         (by_dim[len(data.spectrum)],) = solver_dtypes
         solver_dtypes.clear()
     assert by_dim == {3: np.dtype(np.complex128), 2: np.dtype(np.float64)}
@@ -901,9 +912,9 @@ def test_failure_branch_holds_one_group_state_at_its_eigvalsh(monkeypatch):
     # the traced peak stays near the two sectors (9.6 MiB together)
     e, _ = planted_ensemble(PlantSpec(blocks=BENCH_PLANTS["3x1,2x2"], num_states=3, seed=1))
     data = next(b for b in block_data(e, ki_decompose(e)) if len(b.spectrum) == 3)
-    plan = _compression_plan(data.spectrum, data.entropy, 9, 0.0)
+    plan = _compression_plan(data.spectrum, data.entropy, 9, 0.0, {})
     members = [0, 1, 2, 2, 1, 0, 0, 1, 2]
-    assert plan.dim == 1024 and _failure_geometry(plan).swaps(members) == [(5, 6)]
+    assert plan.dim == 1024 and protocols._FailureGeometry(plan).swaps(members) == [(5, 6)]
     calls = []
     real = protocols.eigvalsh
 
@@ -915,7 +926,7 @@ def test_failure_branch_holds_one_group_state_at_its_eigvalsh(monkeypatch):
     sectors = (739**2 + 285**2) * 16
     tracemalloc.start()
     try:
-        _failure_fidelity(plan, data, members, 0.5)
+        failure_fidelity(plan, data, members, 0.5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -929,7 +940,7 @@ def _plan_of_dim(data, dim):
     """The first plan of `dim` sequences over group lengths 2 to 12 and a grid of deltas."""
     for length in range(2, 13):
         for delta in np.linspace(-0.6, 0.3, 19):
-            plan = _compression_plan(data.spectrum, data.entropy, length, float(delta))
+            plan = _compression_plan(data.spectrum, data.entropy, length, float(delta), {})
             if not plan.full and plan.dim == dim:
                 return plan
     raise AssertionError(f"no plan of {dim} sequences")
@@ -958,7 +969,7 @@ def test_stacked_failure_branches_match_one_at_a_time(monkeypatch):
         shapes.clear()
         got = _failure_fidelities(plan, data, members, w)
         stacks[data.rotated.dtype.kind] = [s[0] for s in shapes]
-        want = [_failure_fidelity(plan, data, row.tolist(), float(wi)) for row, wi in zip(members, w)]
+        want = [failure_fidelity(plan, data, row.tolist(), float(wi)) for row, wi in zip(members, w)]
         assert got.tobytes() == np.array(want).tobytes()
     assert stacks == {"c": [16, 16, 8], "f": [32, 8]}
 
@@ -969,14 +980,14 @@ def test_direct_sectors_match_the_split_of_the_whole_group_state():
     # same bytes, on real and complex blocks
     seen = set()
     for plan, data, members in _swap_cases():
-        geometry = _failure_geometry(plan)
+        geometry = protocols._FailureGeometry(plan)
         swaps = geometry.swaps(members)
         if not swaps:
             continue
         members = np.array(members)
         pi, sign = geometry.swap(*swaps[0]), np.ones(plan.dim, dtype=np.int64)
         state = protocols._group_states(data, members[None], geometry.halves)[0]
-        want = protocols._sector_split(protocols._matrix_entries(state), pi, sign, state.dtype)
+        want = protocols._sector_split(lambda rows, cols: state[rows][:, cols], pi, sign, state.dtype)
         got = protocols._sector_split(protocols._half_entries(data, members, geometry.halves), pi, sign, state.dtype)
         for (reps, sector), (want_reps, want_sector) in zip(got, want, strict=True):
             assert np.array_equal(reps, want_reps)
@@ -996,7 +1007,7 @@ def _swap_cases():
     for data in block_data(e, ki_decompose(e)):
         for length in range(2, 10):
             for delta in (-0.5, -0.25, -0.1, 0.0, 0.15):
-                plan = _compression_plan(data.spectrum, data.entropy, length, delta)
+                plan = _compression_plan(data.spectrum, data.entropy, length, delta, {})
                 if plan.full or plan.dim > 512:
                     continue
                 for members in (rng.integers(0, 3, length).tolist(), [1] * length, rng.integers(0, 2, length).tolist()):
@@ -1008,7 +1019,7 @@ def test_sector_spectra_match_one_dense_solve(monkeypatch):
     monkeypatch.setattr(protocols, "SECTOR_SPLIT_MIN", 2)
     seen = set()
     for plan, data, members in _swap_cases():
-        geometry = _failure_geometry(plan)
+        geometry = protocols._FailureGeometry(plan)
         swaps = geometry.swaps(members)
         state = _reference_group_state(plan, data, members)
         for a, b in swaps:  # the symmetry each split relies on, checked on the state itself
@@ -1019,7 +1030,7 @@ def test_sector_spectra_match_one_dense_solve(monkeypatch):
         taken = [p for pair in swaps for p in pair]
         assert len(set(taken)) == len(taken) and swaps == sorted(swaps)
         want = eigvalsh(state)
-        got = np.sort(protocols._sector_spectra(data, np.array(members), geometry, swaps))
+        got = np.sort(protocols._sector_spectra(data, np.array(members), geometry))
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-12 * want.max()
         seen.add((data.rotated.dtype.kind, plan.partial is not None, min(len(swaps), 2)))
@@ -1037,12 +1048,12 @@ def test_a_partial_class_that_blocks_every_swap_takes_one_dense_solve(solver_dty
     # themselves; every member is state 0, so only the partial class can block a swap
     e, _ = planted_ensemble(PlantSpec(blocks=BENCH_PLANTS["3x1,2x2"], num_states=3, seed=1))
     data = next(b for b in block_data(e, ki_decompose(e)) if len(b.spectrum) == 3)
-    plan = _compression_plan(data.spectrum, data.entropy, 6, 0.14)
+    plan = _compression_plan(data.spectrum, data.entropy, 6, 0.14, {})
     assert plan.dim == 256 >= protocols.SECTOR_SPLIT_MIN
     assert plan.partial[0] == (3, 1, 2) and len(plan.partial[1]) == 21
-    geometry = _failure_geometry(plan)
+    geometry = protocols._FailureGeometry(plan)
     assert not any(geometry.swap_closed(a, b) for a, b in itertools.combinations(range(6), 2))
-    got = _failure_fidelity(plan, data, [0] * 6, 0.5, geometry)
+    got = failure_fidelity(plan, data, [0] * 6, 0.5)
     assert len(solver_dtypes) == 1
     assert got == pytest.approx(_reference_failure_fidelity(plan, data, [0] * 6), rel=1e-12, abs=0.0)
 
@@ -1068,6 +1079,38 @@ def test_rate_sweep_failure_branches_match_the_dense_reference(monkeypatch):
         )
         assert run.fidelities == pytest.approx(fids, rel=1e-12, abs=0.0)
         assert run.qubit_rate_used == rate
+
+
+def test_rate_sweep_builds_each_plan_geometry_once(monkeypatch):
+    # pass B makes one `_failure_fidelities` call per plan key with failure branches,
+    # and each call on a mixed block builds its plan's `_FailureGeometry` once: on the
+    # bench's 3x1,2x2 sweep, and on an all-pure sweep, which builds none. Stream blocks
+    # of 16 trials spread a plan's failure branches over many pass-A slices
+    monkeypatch.setattr(streams, "_STREAM_BLOCK", 16)
+    calls, built = [], []
+    real_fidelities = protocols._failure_fidelities
+
+    class Counted(protocols._FailureGeometry):
+        def __init__(self, plan):
+            built.append(plan)
+            super().__init__(plan)
+
+    def counted(plan, data, members, w):
+        calls.append((plan, data.all_pure))
+        return real_fidelities(plan, data, members, w)
+
+    monkeypatch.setattr(protocols, "_FailureGeometry", Counted)
+    monkeypatch.setattr(protocols, "_failure_fidelities", counted)
+    e, _ = planted_ensemble(PlantSpec(blocks=BENCH_PLANTS["3x1,2x2"], num_states=3, seed=1))
+    rate_sweep(e, ki_decompose(e), 12, [-0.25, 0.0, 0.25], trials=200, seed=0)
+    mixed = [plan for plan, pure in calls if not pure]
+    assert len(mixed) > 1 and len(built) == len(mixed)
+    assert all(a is b for a, b in zip(built, mixed))
+    assert len({id(plan) for plan, _ in calls}) == len(calls)  # no plan key solved twice
+    calls.clear()
+    e, d = two_pure()
+    rate_sweep(e, d, 8, [-0.3, 0.0], trials=40, seed=1)
+    assert calls and all(pure for _, pure in calls) and len(built) == len(mixed)
 
 
 def _reference_compositions(total, parts):
@@ -1143,9 +1186,9 @@ def test_compression_plan_matches_class_by_class_reference():
             if r**length > 2**14:
                 break
             for delta in (-0.3, 0.0, 0.2):
-                full, dim, full_classes, partial = _reference_compression_plan(spectrum, length, delta)
-                plan = _compression_plan(spectrum, entropy, length, delta)
-                assert (plan.full, plan.dim, plan.full_classes) == (full, dim, full_classes)
+                full, dim, want_classes, partial = _reference_compression_plan(spectrum, length, delta)
+                plan = _compression_plan(spectrum, entropy, length, delta, {})
+                assert (plan.full, plan.dim, full_classes_of(plan)) == (full, dim, want_classes)
                 assert (plan.partial is None) == (partial is None)
                 if partial is not None:
                     assert plan.partial[0] == partial[0]
@@ -1162,7 +1205,7 @@ def test_compression_budget_rounds_up_only_within_round_off_of_an_integer():
     for gap, qubits in ((1e-13, 3), (1e-10, 2)):
         delta = -0.25 - gap / 4
         assert 3 - 4 * (1 + delta) == pytest.approx(gap, rel=1e-2)
-        plan = _compression_plan(spectrum, 1.0, 4, delta)
+        plan = _compression_plan(spectrum, 1.0, 4, delta, {})
         assert (plan.full, plan.qubits, plan.dim) == (False, qubits, 2**qubits)
 
 
@@ -1228,7 +1271,7 @@ def test_plan_formulas_match_brute_force_subspace(blocks):
 
             ranked = sorted(itertools.product(range(r), repeat=length), key=rank)
             for delta in (-0.6, -0.4, -0.2, -0.1, 0.0, 0.1):
-                plan = _compression_plan(data.spectrum, data.entropy, length, delta)
+                plan = _compression_plan(data.spectrum, data.entropy, length, delta, {})
                 if plan.full:
                     continue
                 partial += plan.partial is not None
@@ -1243,5 +1286,5 @@ def test_plan_formulas_match_brute_force_subspace(blocks):
                     # r^N space the round-off of the null eigenvalues passes through
                     # the square roots and moves the fidelity by about 4e-9
                     want = fidelity(sigma[np.ix_(idx, idx)], np.eye(plan.dim) / plan.dim)
-                    assert _failure_fidelity(plan, data, list(members), w) == pytest.approx(want, abs=1e-12)
+                    assert failure_fidelity(plan, data, list(members), w) == pytest.approx(want, abs=1e-12)
     assert partial > 0
