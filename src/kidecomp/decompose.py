@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -181,20 +181,12 @@ def mergeable(a: KIBlock, b: KIBlock, tol: float = DEFAULT_TOL) -> tuple[np.ndar
 
 
 def _merge(a: KIBlock, b: KIBlock, v: np.ndarray, c: float) -> KIBlock:
-    """Fold block b into block a after rotating b's J factor by v."""
+    """Fold the split copy b (k = 1, as every block `_merge_to_fixpoint` folds in is)
+    into block a after rotating b's J factor by v: b becomes a's last K column."""
     r = a.isometry.shape[0]
-    rotated = b.isometry @ kron(v, np.eye(b.k, dtype=complex))
-    cols_a = a.isometry.reshape(r, a.n, a.k)
-    cols_b = rotated.reshape(r, b.n, b.k)
-    iso = np.concatenate([cols_a, cols_b], axis=2).reshape(r, a.n * (a.k + b.k))
-    return KIBlock(
-        n=a.n,
-        k=a.k + b.k,
-        isometry=iso,
-        rho_K=direct_sum([a.rho_K, c * b.rho_K]) / (1.0 + c),
-        q=a.q * (1.0 + c),
-        rho_J=a.rho_J,
-    )
+    cols = np.concatenate([a.isometry.reshape(r, a.n, a.k), (b.isometry @ v)[:, :, None]], axis=2)
+    rho_k = direct_sum([a.rho_K, c * b.rho_K]) / (1.0 + c)
+    return replace(a, k=a.k + 1, isometry=cols.reshape(r, -1), rho_K=rho_k, q=a.q * (1.0 + c))
 
 
 def _canonicalize_redundant_factor(block: KIBlock) -> KIBlock:
@@ -206,14 +198,8 @@ def _canonicalize_redundant_factor(block: KIBlock) -> KIBlock:
     w = block.rho_K.diagonal().real
     order = np.argsort(-w, kind="stable")
     perm = np.eye(block.k, dtype=complex)[:, order]
-    return KIBlock(
-        n=block.n,
-        k=block.k,
-        isometry=block.isometry @ kron(np.eye(block.n, dtype=complex), perm),
-        rho_K=np.diag(w[order]).astype(complex),
-        q=block.q,
-        rho_J=block.rho_J,
-    )
+    iso = block.isometry @ kron(np.eye(block.n, dtype=complex), perm)
+    return replace(block, isometry=iso, rho_K=np.diag(w[order]).astype(complex))
 
 
 def _block_key(block: KIBlock):
@@ -436,8 +422,6 @@ def decomposition_from_doc(doc: dict) -> KIDecomposition:
             _number(bdoc["p"], f"blocks[{bi}].p")
             blocks.append(KIBlock(n=n, k=k, isometry=iso, rho_K=rho_k, q=q, rho_J=rho_j))
         return KIDecomposition(frame=frame, blocks=blocks)
-    except ParseError:
-        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed decomposition document: {exc}") from exc
 

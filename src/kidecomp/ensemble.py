@@ -74,29 +74,41 @@ class Ensemble:
 def validate(e: Ensemble, tol: float = DEFAULT_TOL) -> ValidationReport:
     """Report every violated ensemble invariant (empty report means valid).
 
-    Probabilities must be positive and sum to 1 within tol. Each state
-    must be Hermitian (the Frobenius norm of rho - rho^dagger at most tol
-    times max(1, ||rho||)); a state that is not gets no eigenvalue or
-    trace check. It must be positive semidefinite (its lowest eigenvalue
-    at least -tol times max(1, its largest)) and have unit trace within
-    tol. All states are checked at once: stacked norms and traces and
-    one batched `eigvalsh`. Violations come in state order, each state's
-    in the order above.
+    Probabilities must be finite and positive and sum to 1 within tol. Each
+    state's entries must be finite. It must be Hermitian (the Frobenius
+    norm of rho - rho^dagger at most tol times max(1, ||rho||)); a state
+    that is not gets no eigenvalue or trace check. It must be positive
+    semidefinite (its lowest eigenvalue at least -tol times max(1, its
+    largest)) and have unit trace within tol. A non-finite number fails
+    every comparison, so it is reported before any arithmetic reads it: a
+    non-finite probability skips the sum check, and a non-finite state
+    all of its other checks (it enters the stacked arithmetic as zeros).
+    All states are checked at once: stacked norms and traces and one
+    batched `eigvalsh`. Violations come in state order, each state's in
+    the order above.
     """
+    finite_p = np.isfinite(e.probs)
     violations = [
-        Violation(f"states[{i}].p", "probability not positive", float(-e.probs[i])) for i in np.flatnonzero(e.probs <= 0)
+        Violation(f"states[{i}].p", "probability not positive", float(-e.probs[i]))
+        if finite_p[i]
+        else Violation(f"states[{i}].p", "probability not finite", math.inf)
+        for i in np.flatnonzero(~finite_p | (e.probs <= 0))
     ]
-    psum_res = abs(float(np.sum(e.probs)) - 1.0)
+    psum_res = abs(float(np.sum(e.probs)) - 1.0) if finite_p.all() else 0.0
     if psum_res > tol:
         violations.append(Violation("states[*].p", "probabilities do not sum to 1", psum_res))
-    states = e.states
+    finite = np.isfinite(e.states).all(axis=(1, 2))
+    states = e.states if finite.all() else np.where(finite[:, None, None], e.states, 0.0)
     scale = np.maximum(np.linalg.norm(states, axis=(1, 2)), 1.0)
     herm_res = np.linalg.norm(states - states.conj().swapaxes(1, 2), axis=(1, 2)) / scale
     lam = eigvalsh(hermitize(states))
     window = tol * np.maximum(1.0, lam[:, -1])
     tr_res = np.abs(np.trace(states, axis1=1, axis2=2).real - 1.0)
-    for i in np.flatnonzero((herm_res > tol) | (lam[:, 0] < -window) | (tr_res > tol)):
+    for i in np.flatnonzero(~finite | (herm_res > tol) | (lam[:, 0] < -window) | (tr_res > tol)):
         locus = f"states[{i}].matrix"
+        if not finite[i]:
+            violations.append(Violation(locus, "entries not finite", math.inf))
+            continue  # no check can read such a matrix
         if herm_res[i] > tol:
             violations.append(Violation(locus, "not Hermitian", float(herm_res[i])))
             continue  # eigenvalue checks are meaningless past this point

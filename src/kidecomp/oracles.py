@@ -21,10 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import commutant
+from . import algebra
 from .decompose import KIBlock, KIDecomposition, _block_key
 from .ensemble import Ensemble
-from .errors import RejectionExhausted
+from .errors import ConfigTooLarge, RejectionExhausted
 from .linalg import DEFAULT_TOL, direct_sum, eigh, hermitize, kron, qr
 
 MAX_RESAMPLES = 64
@@ -101,7 +101,7 @@ def _draw_block_states(n: int, num_states: int, rng: np.random.Generator, tol: f
         return np.ones((num_states, 1, 1), dtype=complex)
     for _ in range(MAX_RESAMPLES):
         sigmas = np.stack([random_density(n, rng) for _ in range(num_states)])
-        if commutant(sigmas, tol).size == 1:
+        if algebra.commutant(sigmas, tol).size == 1:
             return sigmas
     raise RejectionExhausted(
         f"could not realize an irreducible {n}-dimensional block with "
@@ -128,8 +128,13 @@ def planted_ensemble(spec: PlantSpec, tol: float = DEFAULT_TOL) -> tuple[Ensembl
     block data expressed in the rotated frame. Weight columns are
     rejection-sampled away from proportionality and the block states
     away from reducibility, so the plant is its own canonical
-    decomposition.
+    decomposition. A (num_states, D, D) complex state stack above
+    `algebra.MAX_STACK_BYTES` raises ConfigTooLarge before any draw.
     """
+    total = sum(int(n) * int(k) for n, k in spec.blocks)  # Python ints: the product below cannot wrap
+    if 16 * int(spec.num_states) * total**2 > algebra.MAX_STACK_BYTES:
+        size = f"{spec.num_states} x {total} x {total}"
+        raise ConfigTooLarge(f"planted state stack of {size} exceeds {algebra.MAX_STACK_BYTES} bytes")
     rng = np.random.default_rng(spec.seed)
     q = _draw_weights(spec, rng)
     sigmas = [_draw_block_states(n, spec.num_states, rng, tol) for n, _ in spec.blocks]
@@ -137,7 +142,6 @@ def planted_ensemble(spec: PlantSpec, tol: float = DEFAULT_TOL) -> tuple[Ensembl
     probs = random_simplex(spec.num_states, rng, floor=0.2)
 
     dims = [n * k for n, k in spec.blocks]
-    total = int(sum(dims))
     u = haar_unitary(total, rng)
 
     acc = direct_sum([q[:, l, None, None] * kron(sigmas[l], rho_ks[l]) for l in range(len(spec.blocks))])

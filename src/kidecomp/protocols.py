@@ -505,40 +505,33 @@ def _half_states(rotated: np.ndarray, heads: np.ndarray, members: np.ndarray) ->
     return part
 
 
-def _group_states(data: _BlockData, members: np.ndarray, halves) -> np.ndarray:
-    """The group states of a stack of groups (rows of `members`) on the compression
-    subspace, entries prod_j rho_j[s_j, s'_j]: (groups, D, D).
-
-    Each is built per half of the sequence positions: the half's product is
-    taken over its distinct half-sequences only (`_half_states`), and one
-    gather per half spreads it over the subspace. The first half's gather
-    is the stack; the second half's is multiplied into it a block of rows
-    at a time.
-    """
+def _half_entries(data: _BlockData, members: np.ndarray, halves):
+    """`entries(rows, cols)` of the states of a stack of groups (rows of `members`):
+    (groups, len(rows), len(cols)), gathered from each group's two half states
+    (`_half_states`), so that no D x D array is formed."""
     (heads_a, inv_a), (heads_b, inv_b) = halves
     half = members.shape[1] // 2
-    states = _half_states(data.rotated, heads_a, members[:, :half])[:, inv_a][:, :, inv_a]
+    part_a = _half_states(data.rotated, heads_a, members[:, :half])
     part_b = _half_states(data.rotated, heads_b, members[:, half:])
-    for rows in _row_blocks(len(inv_a), states[:, 0].nbytes):
-        states[:, rows] *= part_b[:, inv_b[rows]][:, :, inv_b]
-    return states
-
-
-def _half_entries(data: _BlockData, members: np.ndarray, halves):
-    """`entries(rows, cols)` of one group's state (`members` one group's J states),
-    gathered from its two half states as `_group_states` multiplies them, so
-    that no D x D array is formed."""
-    (heads_a, inv_a), (heads_b, inv_b) = halves
-    half = len(members) // 2
-    part_a = _half_states(data.rotated, heads_a, members[None, :half])[0]
-    part_b = _half_states(data.rotated, heads_b, members[None, half:])[0]
 
     def entries(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         # not in place: numpy multiplies a one-element complex array in place by
         # another kernel, whose last bit can differ from the stacked product's
-        return part_a[inv_a[rows]][:, inv_a[cols]] * part_b[inv_b[rows]][:, inv_b[cols]]
+        return part_a[:, inv_a[rows]][:, :, inv_a[cols]] * part_b[:, inv_b[rows]][:, :, inv_b[cols]]
 
     return entries
+
+
+def _group_states(data: _BlockData, members: np.ndarray, halves) -> np.ndarray:
+    """The group states of a stack of groups (rows of `members`) on the compression
+    subspace, entries prod_j rho_j[s_j, s'_j]: (groups, D, D), gathered by
+    `_half_entries` a block of rows at a time."""
+    entries = _half_entries(data, members, halves)
+    idx = np.arange(len(halves[0][1]))
+    states = np.empty((len(members), len(idx), len(idx)), dtype=data.rotated.dtype)
+    for rows in _row_blocks(len(idx), states[:, 0].nbytes):
+        states[:, rows] = entries(idx[rows], idx)
+    return states
 
 
 def _sector_split(entries, pi: np.ndarray, sign: np.ndarray, dtype) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -611,6 +604,7 @@ def _sector_spectra(data: _BlockData, members: np.ndarray, geometry: _FailureGeo
         levels.append((t, label, elt))
         elt = np.where(label[t] < label, elt[t] ^ (1 << j), elt)
         label = np.minimum(label, label[t])
+    group = _half_entries(data, members[None], geometry.halves)
     # matrix (None: the group state, read from its half states), its labels, minus, next swap
     pending = [(None, np.arange(len(label)), 0, 0)]
     lam = []
@@ -622,7 +616,7 @@ def _sector_spectra(data: _BlockData, members: np.ndarray, geometry: _FailureGeo
         t, label, elt = levels[j]
         image = t[labels]
         sign = 1 - 2 * _parity(elt[image] & minus)
-        entries = _half_entries(data, members, geometry.halves) if m is None else lambda rows, cols: m[rows][:, cols]
+        entries = (lambda rows, cols: group(rows, cols)[0]) if m is None else (lambda rows, cols: m[rows][:, cols])
         split = _sector_split(entries, np.searchsorted(labels, label[image]), sign, data.rotated.dtype)
         del m, entries
         for bit, (reps, sector) in zip((0, 1 << j), split):

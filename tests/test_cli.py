@@ -296,10 +296,24 @@ def test_exit_code_decomposition_with_unwitnessed_block_dimension(two_pure_file,
     assert "blocks[0].rho_J_avg" in capsys.readouterr().err
 
 
-def test_exit_code_allocation_failure(tmp_path, capsys):
-    # a 10**9-dimensional block needs exabytes; numpy refuses the allocation at once
+def test_exit_code_allocation_failure(tmp_path, capsys, monkeypatch):
+    # a 10**9-dimensional block needs exabytes; numpy refuses the allocation at once.
+    # The plant's stack cap would refuse it first, so the cap is lifted past it here
+    monkeypatch.setattr(algebra, "MAX_STACK_BYTES", 10**30)
     assert main(["gen", "-o", str(tmp_path / "g.json"), "--blocks", "1000000000x1"]) == 4
     assert capsys.readouterr().err.startswith("configuration error: Unable to allocate")
+
+
+def test_gen_refuses_a_plant_above_the_stack_cap(tmp_path, capsys, monkeypatch):
+    # 3 states of a 1x1,1x1 plant stack 192 bytes
+    monkeypatch.setattr(algebra, "MAX_STACK_BYTES", 191)
+    out = tmp_path / "x.json"
+    assert main(["gen", "-o", str(out), "--blocks", "1x1,1x1", "--num-states", "3"]) == 4
+    err = capsys.readouterr().err
+    assert err == "configuration error: planted state stack of 3 x 2 x 2 exceeds 191 bytes\n"
+    assert not out.exists()
+    monkeypatch.setattr(algebra, "MAX_STACK_BYTES", 192)
+    assert main(["gen", "-o", str(out), "--blocks", "1x1,1x1", "--num-states", "3"]) == 0
 
 
 def test_exit_code_bad_blocks(tmp_path):

@@ -22,6 +22,7 @@ from kidecomp.decompose import (
     write_decomposition,
 )
 from kidecomp.ensemble import Ensemble, validate
+from kidecomp.linalg import direct_sum
 from kidecomp.errors import DegenerateSample, FormViolation, ParseError, ValidationError
 from kidecomp.measures import info_measures, von_neumann_entropy
 from kidecomp.oracles import PlantSpec, haar_unitary, planted_ensemble
@@ -730,3 +731,81 @@ def test_a_product_ensemble_multiplies_shapes_and_adds_measures(first, second, s
     shapes, measures = _shapes_and_measures(product)
     assert shapes == sorted((n * n2, k * k2) for n, k in shapes_a for n2, k2 in shapes_b)
     assert np.abs(measures - measures_a - measures_b).max() <= 1e-12
+
+
+# -- structure identities: permuted states, classical direct sums, J rotations --
+
+
+def _match_blocks(d, d_ref, rows):
+    """Per block of `d_ref`, the one block of `d` with its (n, k) whose weight row,
+    read at `rows` (a row per state of d_ref's ensemble), equals its own within 1e-10."""
+    out = []
+    for ref in d_ref.blocks:
+        hits = [b for b in d.blocks if (b.n, b.k) == (ref.n, ref.k) and np.abs(b.q[rows] - ref.q).max() <= 1e-10]
+        assert len(hits) == 1
+        out.append(hits[0])
+    return out
+
+
+def _measures(d, e):
+    m = info_measures(d, e)
+    return np.array([m.info_classical, m.info_nonclassical, m.info_redundant])
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(blocks=st.sampled_from(_SMALL_PLANTS), seed=st.integers(0, 2**32 - 1), order=st.permutations(range(3)))
+def test_permuting_the_states_permutes_the_weight_rows(blocks, seed, order):
+    e, _ = planted_ensemble(PlantSpec(blocks=blocks, num_states=3, seed=seed))
+    order = np.array(order)
+    permuted = Ensemble(probs=e.probs[order], states=e.states[order])
+    d, d_perm = ki_decompose(e), ki_decompose(permuted)
+    assert len(d_perm.blocks) == len(d.blocks)
+    # state j of the permuted ensemble is state order[j] of e
+    inverse = np.argsort(order)
+    assert len({id(b) for b in _match_blocks(d_perm, d, inverse)}) == len(d.blocks)
+    assert np.abs(_measures(d_perm, permuted) - _measures(d, e)).max() <= 1e-10
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(
+    first=st.sampled_from(_SMALL_PLANTS),
+    second=st.sampled_from(_SMALL_PLANTS),
+    seeds=st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1)),
+)
+def test_a_classical_direct_sum_unites_the_blocks_and_halves_the_measures(first, second, seeds):
+    # A at weight 1/2 on the first summand, B at 1/2 on the second
+    a, _ = planted_ensemble(PlantSpec(blocks=first, num_states=3, seed=seeds[0]))
+    b, _ = planted_ensemble(PlantSpec(blocks=second, num_states=2, seed=seeds[1]))
+    zero_a, zero_b = np.zeros((a.dim, a.dim)), np.zeros((b.dim, b.dim))
+    both = Ensemble(
+        probs=np.concatenate([a.probs, b.probs]) / 2,
+        states=[direct_sum([s, zero_b]) for s in a.states] + [direct_sum([zero_a, s]) for s in b.states],
+    )
+    d, d_a, d_b = ki_decompose(both), ki_decompose(a), ki_decompose(b)
+    assert len(d.blocks) == len(d_a.blocks) + len(d_b.blocks)
+    # a block of A carries no weight on B's states, and one of B none on A's
+    from_a = _match_blocks(d, d_a, np.arange(len(a)))
+    from_b = _match_blocks(d, d_b, np.arange(len(a), len(both)))
+    assert len({id(x) for x in from_a + from_b}) == len(d.blocks)
+    assert all(not x.q[len(a):].any() for x in from_a) and all(not x.q[: len(a)].any() for x in from_b)
+    want = (_measures(d_a, a) + _measures(d_b, b)) / 2 + [1.0, 0.0, 0.0]
+    assert np.abs(_measures(d, both) - want).max() <= 1e-10
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(blocks=st.sampled_from(_SMALL_PLANTS), seed=st.integers(0, 2**32 - 1))
+def test_a_consistent_j_rotation_passes_verify_and_keeps_the_measures(blocks, seed):
+    # per block a Haar W: isometry (W^dagger tensor I_k) and W rho_J W^dagger
+    e, _ = planted_ensemble(PlantSpec(blocks=blocks, num_states=3, seed=seed))
+    d = ki_decompose(e)
+    rng = np.random.default_rng(seed)
+    rotated = []
+    for b in d.blocks:
+        w = haar_unitary(b.n, rng)
+        iso = b.isometry @ np.kron(w.conj().T, np.eye(b.k))
+        rotated.append(dataclasses.replace(b, isometry=iso, rho_J=w @ b.rho_J @ w.conj().T))
+    d_rot = KIDecomposition(frame=d.frame, blocks=rotated)
+    assert verify(d_rot, e, channels=3).ok
+    want, got = info_measures(d, e).to_dict(), info_measures(d_rot, e).to_dict()
+    assert want.keys() == got.keys()
+    assert max(abs(got[key] - want[key]) for key in want) <= 1e-10

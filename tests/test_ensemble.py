@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from kidecomp.decompose import ki_decompose
 from kidecomp.ensemble import (
     Ensemble,
     average_state,
@@ -34,6 +35,36 @@ def test_validate_non_hermitian():
     m = np.array([[1, 1], [0, 0]], dtype=complex)
     report = validate(Ensemble(probs=[1.0], states=[m]))
     assert any("Hermitian" in v.message for v in report.violations)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("where", ["p", "matrix"])
+def test_validate_reports_a_non_finite_number_at_its_state(bad, where):
+    # state 1 carries the non-finite number; states 0 and 2 are valid. The
+    # report names state 1 alone, and no arithmetic on it warns (tier-1 turns
+    # a RuntimeWarning into an error)
+    probs, states = [0.25, 0.5, 0.25], [KET0, PLUS.copy(), KET1]
+    if where == "p":
+        probs[1] = bad
+        message = "probability not finite"
+    else:
+        states[1][0, 1] = bad
+        message = "entries not finite"
+    e = Ensemble(probs=probs, states=states)
+    report = validate(e)
+    assert [(v.locus, v.message, v.residual) for v in report.violations] == [(f"states[1].{where}", message, np.inf)]
+    with pytest.raises(ValidationError, match=rf"^states\[1\]\.{where}: {message}"):
+        ki_decompose(e)
+
+
+def test_validate_skips_only_the_non_finite_state():
+    # state 0 has a NaN entry and state 1 a trace of 2: both are reported, in state order
+    e = Ensemble(probs=[0.5, 0.5], states=[np.full((2, 2), np.nan), 2 * KET0])
+    report = validate(e)
+    assert [(v.locus, v.message) for v in report.violations] == [
+        ("states[0].matrix", "entries not finite"),
+        ("states[1].matrix", "trace differs from 1"),
+    ]
 
 
 def test_average_state_single():

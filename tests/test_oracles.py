@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from kidecomp.decompose import ki_decompose, verify
 from kidecomp.ensemble import Ensemble, validate
-from kidecomp import oracles
-from kidecomp.errors import RejectionExhausted
+from kidecomp import algebra, oracles
+from kidecomp.errors import ConfigTooLarge, RejectionExhausted
 from kidecomp.oracles import (
     PlantSpec,
     apply_kraus,
@@ -80,6 +80,22 @@ def test_planted_rejects_proportional_scalar_blocks():
     # J states: the plant would be mergeable, so it must be refused
     with pytest.raises(RejectionExhausted):
         planted_ensemble(PlantSpec(blocks=((1, 1), (1, 1)), num_states=1, seed=0))
+
+
+def test_planted_stack_cap_is_checked_before_any_draw(monkeypatch):
+    # a 1x1,1x1 plant of 3 states stacks 3 x 2 x 2 complex entries, 192 bytes; the cap is inclusive
+    spec = PlantSpec(blocks=((1, 1), (1, 1)), num_states=3, seed=1)
+    monkeypatch.setattr(algebra, "MAX_STACK_BYTES", 192)
+    e, _ = planted_ensemble(spec)
+    assert e.states.nbytes == 192
+    monkeypatch.setattr(algebra, "MAX_STACK_BYTES", 191)
+
+    def no_draw(*args):
+        raise AssertionError("drew weights for a refused plant")
+
+    monkeypatch.setattr(oracles, "_draw_weights", no_draw)
+    with pytest.raises(ConfigTooLarge, match=r"^planted state stack of 3 x 2 x 2 exceeds 191 bytes$"):
+        planted_ensemble(spec)
 
 
 def _reference_draw_weights(spec, rng):

@@ -988,7 +988,8 @@ def test_direct_sectors_match_the_split_of_the_whole_group_state():
         pi, sign = geometry.swap(*swaps[0]), np.ones(plan.dim, dtype=np.int64)
         state = protocols._group_states(data, members[None], geometry.halves)[0]
         want = protocols._sector_split(lambda rows, cols: state[rows][:, cols], pi, sign, state.dtype)
-        got = protocols._sector_split(protocols._half_entries(data, members, geometry.halves), pi, sign, state.dtype)
+        group = protocols._half_entries(data, members[None], geometry.halves)
+        got = protocols._sector_split(lambda rows, cols: group(rows, cols)[0], pi, sign, state.dtype)
         for (reps, sector), (want_reps, want_sector) in zip(got, want, strict=True):
             assert np.array_equal(reps, want_reps)
             assert sector.dtype == want_sector.dtype and sector.tobytes() == want_sector.tobytes()
