@@ -22,8 +22,8 @@ from kidecomp.decompose import (
     write_decomposition,
 )
 from kidecomp.ensemble import Ensemble, validate
-from kidecomp.linalg import direct_sum
 from kidecomp.errors import DegenerateSample, FormViolation, ParseError, ValidationError
+from kidecomp.linalg import direct_sum
 from kidecomp.measures import info_measures, von_neumann_entropy
 from kidecomp.oracles import PlantSpec, haar_unitary, planted_ensemble
 from kidecomp.protocols import rate_sweep
@@ -694,10 +694,14 @@ _TAUS = {  # exact ties, so the merge glues equal-weight copies of one algebra b
 }
 
 
+def _measures(d, e):
+    m = info_measures(d, e)
+    return np.array([m.info_classical, m.info_nonclassical, m.info_redundant])
+
+
 def _shapes_and_measures(e):
     d = ki_decompose(e)
-    m = info_measures(d, e)
-    return sorted((b.n, b.k) for b in d.blocks), np.array([m.info_classical, m.info_nonclassical, m.info_redundant])
+    return sorted((b.n, b.k) for b in d.blocks), _measures(d, e)
 
 
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
@@ -745,11 +749,6 @@ def _match_blocks(d, d_ref, rows):
         assert len(hits) == 1
         out.append(hits[0])
     return out
-
-
-def _measures(d, e):
-    m = info_measures(d, e)
-    return np.array([m.info_classical, m.info_nonclassical, m.info_redundant])
 
 
 @settings(max_examples=10, deadline=None, derandomize=True, database=None)
