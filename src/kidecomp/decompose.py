@@ -295,7 +295,7 @@ def verify(
     once per call. It builds the channels a chunk at a time as one
     (c, env_dim, D, D) Kraus stack (`oracles.random_form2_kraus`) and
     applies the chunk to all m states with one stacked product per Kraus
-    term; a chunk's working set stays within `oracles.CHUNK_BYTES`, or is
+    term; a chunk's working set stays within `linalg.WORK_BYTES`, or is
     one channel's when a single channel needs more. Its residual is the
     largest Frobenius norm of Phi(rho_i) - rho_i.
     """

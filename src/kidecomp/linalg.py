@@ -3,8 +3,9 @@
 Everything here works on plain complex ndarrays. Rank and clamping
 decisions are relative to the largest singular value / eigenvalue, never
 absolute, so the routines are insensitive to the overall scale of their
-inputs. `rank_cut` is the one relative rank cut of the package, and every
-LAPACK call goes through the typed wrappers built by `_lapack`.
+inputs. `rank_cut` is the one relative rank cut of the package, every
+LAPACK call goes through the typed wrappers built by `_lapack`, and
+`row_blocks` cuts every bounded loop into slices of at most WORK_BYTES.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import numpy as np
 from .errors import ConvergenceFailure, NotHermitian, NotPSD
 
 DEFAULT_TOL = 1e-9
+WORK_BYTES = 2**18  # the working set of one slice of every bounded loop of the package (`row_blocks`)
 
 
 def as_complex_matrix(m, ndim: int = 2) -> np.ndarray:
@@ -70,6 +72,13 @@ def rank_cut(values: np.ndarray, tol: float, floor: float = 0.0) -> np.ndarray:
     """
     scale = max(float(values.max()) if values.size else 0.0, floor)
     return values > tol * scale
+
+
+def row_blocks(rows: int, row_bytes: int) -> list[slice]:
+    """Slices over `rows` rows of `row_bytes` bytes each, WORK_BYTES at most (one row at least) per
+    slice: the package's one slicer. WORK_BYTES is read on each call."""
+    step = max(1, WORK_BYTES // max(row_bytes, 1))
+    return [slice(i, i + step) for i in range(0, rows, step)]
 
 
 def psd_eigen(m, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:

@@ -25,7 +25,7 @@ from . import algebra
 from .decompose import KIBlock, KIDecomposition, _block_key
 from .ensemble import Ensemble
 from .errors import ConfigTooLarge, RejectionExhausted
-from .linalg import DEFAULT_TOL, direct_sum, eigh, hermitize, kron, qr
+from .linalg import DEFAULT_TOL, direct_sum, eigh, hermitize, kron, qr, row_blocks
 
 MAX_RESAMPLES = 64
 Q_RATIO_SPREAD = 1e-3
@@ -158,8 +158,6 @@ def planted_ensemble(spec: PlantSpec, tol: float = DEFAULT_TOL) -> tuple[Ensembl
 # ---------------------------------------------------------------------------
 # structure-respecting channels
 
-CHUNK_BYTES = 1 << 18  # working set of one chunk of `random_form2_kraus` channels applied to the states
-
 
 def apply_kraus(kraus: np.ndarray, rho) -> np.ndarray:
     """Sum of K_e rho K_e^dagger over the Kraus terms e.
@@ -194,11 +192,11 @@ def random_form2_kraus(
     1_n tensor B_le times the block's rows of C^dagger is written straight
     into one X_e C^dagger array; K_e = C X_e C^dagger, plus the complement
     projector on K_0. Each channel's products are one channel's, so a
-    chunk's stacks are bit for bit the single channels'. A chunk holds as
-    many channels as fit in CHUNK_BYTES with their X C^dagger factor and
-    the three (states, D, D) arrays per channel that applying it to
-    `states` states and taking the residual need; at least one, so a
-    large D * states falls back to one channel at a time.
+    chunk's stacks are bit for bit the single channels'. The chunks are
+    `linalg.row_blocks` slices of the seeds: a channel's row is its
+    Kraus stack, its X C^dagger factor and the three (states, D, D)
+    arrays that applying it to `states` states and taking the residual
+    need, so a large D * states falls back to one channel at a time.
     """
     if env_dim < 1:
         raise ValueError("env_dim must be at least 1")
@@ -209,10 +207,9 @@ def random_form2_kraus(
     c = np.concatenate(cols, axis=1)
     bases = [eigh(hermitize(b.rho_K))[1] for b in d.blocks]
     dim, support = c.shape
-    size = max(1, CHUNK_BYTES // (16 * dim * (env_dim * (support + dim) + 3 * states * dim)))
     seeds = list(seeds)
-    for top in range(0, len(seeds), size):
-        rngs = [np.random.default_rng(seed) for seed in seeds[top : top + size]]
+    for chunk in row_blocks(len(seeds), 16 * dim * (env_dim * (support + dim) + 3 * states * dim)):
+        rngs = [np.random.default_rng(seed) for seed in seeds[chunk]]
         xc = np.empty((len(rngs), env_dim, support, dim), dtype=complex)
         at = 0
         for vec, r in zip(bases, rows):

@@ -17,18 +17,18 @@ exactly on the occupied group spaces, never materializing dim^N
 operators outside the chosen subspace.
 
 `rate_sweep` works an array at a time. Its first pass takes the trials
-of a stream block by (label, group length), a slice of at most
-_ROW_BLOCK_BYTES of DP temporaries at a time: the type-class sums of the
-slice come from one DP over count vectors (`_class_sums`), and the
-overlap weights, the branch decisions and the qubit charges are array
+of a stream block by (label, group length), one `linalg.row_blocks`
+slice of DP temporaries at a time: the type-class sums of the slice
+come from one DP over count vectors (`_class_sums`), and the overlap
+weights, the branch decisions and the qubit charges are array
 operations. The one Python step per trial is a 1-D `np.sum` per group
 over the partial type class, where a plan has one. Its second pass
 scores the failure branches plan by plan.
 
 A failure branch scores (Tr sqrt(P sigma P))^2 / D from the spectrum of
 the D-dim group state. Below SECTOR_SPLIT_MIN dimensions a plan's
-branches are built as one stack of group states and solved by one
-batched `eigvalsh`. From that size on, swapping two positions that
+branches are built as stacks of group states and solved by one batched
+`eigvalsh` per slice. From that size on, swapping two positions that
 carry the same J state commutes with sigma, and with P when the swap
 maps the subspace's sequences onto themselves, which only the partial
 type class can prevent. Such a swap splits the group state exactly into
@@ -67,7 +67,7 @@ import numpy as np
 from .decompose import KIDecomposition
 from .ensemble import Ensemble
 from .errors import ConfigTooLarge, ValidationError
-from .linalg import DEFAULT_TOL, eigh, eigvalsh, hermitize, kron, rank_cut
+from .linalg import DEFAULT_TOL, eigh, eigvalsh, hermitize, kron, rank_cut, row_blocks
 from .measures import fidelity, shannon_entropy, von_neumann_entropy
 from .streams import _trial_stream
 
@@ -81,8 +81,6 @@ MIXED_SUBSPACE_CAP = 4096
 # complex split moves the last bits of answers that a dense solve gives today,
 # for 3% on the bench sweep.
 SECTOR_SPLIT_MIN = 256
-_ROW_BLOCK_BYTES = 2**18  # the temporaries of the row-blocked gathers and of `_class_sums`
-_STACK_BYTES = 2**22  # the group states of one stacked eigvalsh below the split floor
 _BOUNDARY_GUARD = 1e-12
 
 
@@ -295,18 +293,6 @@ class _CompressionPlan:
     full_index: np.ndarray | None = None  # the full classes' rows of `_type_classes`, most probable first
     partial: tuple[tuple[int, ...], np.ndarray] | None = None
 
-    def all_sequences(self) -> np.ndarray:
-        """The sequences of a plan that does not keep the whole space, rebuilt on
-        each call rather than cached: a sweep keeps the plans of all its deltas
-        alive at once, so cached sequences would add to its peak memory.
-        `rate_sweep` builds them once per plan, for `_FailureGeometry`, and
-        drops them before the next plan."""
-        full_classes = _compositions(self.alphabet, self.length)[self.full_index].tolist()
-        parts = [_lex_sequences(c, _multinomial(c)) for c in full_classes]
-        if self.partial is not None:
-            parts.append(self.partial[1])
-        return np.concatenate(parts, axis=0)
-
 
 def _compression_plan(
     spectrum: np.ndarray, entropy: float, length: int, delta: float, classes: dict
@@ -386,7 +372,7 @@ def _overlap_weights(plan: _CompressionPlan, diag: np.ndarray, sums: np.ndarray)
     if plan.partial is not None:
         _, seqs = plan.partial
         cols = np.arange(plan.length)
-        for rows in _row_blocks(len(diag), seqs.nbytes):
+        for rows in row_blocks(len(diag), seqs.nbytes):
             prods = np.prod(diag[rows][:, cols[None, :], seqs], axis=2)
             w[rows] += [float(np.sum(p)) for p in prods]
     return np.minimum(np.maximum(w, 0.0), 1.0)
@@ -426,12 +412,6 @@ def _block_data(d: KIDecomposition, rho_j_avg: list[np.ndarray], tol: float) -> 
     return out
 
 
-def _row_blocks(rows: int, row_bytes: int, limit: int = _ROW_BLOCK_BYTES) -> list[slice]:
-    """Slices over `rows` rows of `row_bytes` bytes each, `limit` bytes at most (one row at least) per slice."""
-    step = max(1, limit // max(row_bytes, 1))
-    return [slice(i, i + step) for i in range(0, rows, step)]
-
-
 def _swapped_codes(codes: np.ndarray, alphabet: int, a: int, b: int) -> np.ndarray:
     """The codes sum_j s_j alphabet^j of the sequences of `codes` with positions a and b swapped."""
     wa, wb = alphabet**a, alphabet**b
@@ -449,7 +429,13 @@ class _FailureGeometry:
     """
 
     def __init__(self, plan: _CompressionPlan):
-        self.seqs = plan.all_sequences()  # the subspace's sequences, the partial class's last
+        # built here, not kept on the plan: a sweep holds the plans of all its
+        # deltas at once, so sequences kept there would add to its peak memory
+        full_classes = _compositions(plan.alphabet, plan.length)[plan.full_index].tolist()
+        parts = [_lex_sequences(c, _multinomial(c)) for c in full_classes]
+        if plan.partial is not None:
+            parts.append(plan.partial[1])
+        self.seqs = np.concatenate(parts, axis=0)  # the subspace's sequences, the partial class's last
         self.alphabet = plan.alphabet
         self.partial_rows = 0 if plan.partial is None else len(plan.partial[1])
         self.closed: dict[tuple[int, int], bool] = {}
@@ -525,11 +511,11 @@ def _half_entries(data: _BlockData, members: np.ndarray, halves):
 def _group_states(data: _BlockData, members: np.ndarray, halves) -> np.ndarray:
     """The group states of a stack of groups (rows of `members`) on the compression
     subspace, entries prod_j rho_j[s_j, s'_j]: (groups, D, D), gathered by
-    `_half_entries` a block of rows at a time."""
+    `_half_entries` one `row_blocks` slice of rows at a time."""
     entries = _half_entries(data, members, halves)
     idx = np.arange(len(halves[0][1]))
     states = np.empty((len(members), len(idx), len(idx)), dtype=data.rotated.dtype)
-    for rows in _row_blocks(len(idx), states[:, 0].nbytes):
+    for rows in row_blocks(len(idx), states[:, 0].nbytes):
         states[:, rows] = entries(idx[rows], idx)
     return states
 
@@ -557,7 +543,7 @@ def _sector_split(entries, pi: np.ndarray, sign: np.ndarray, dtype) -> list[tupl
         partners, coef = pi[reps], e * sign[reps]
         scale = np.where(fixed[reps], math.sqrt(0.5), 1.0)
         sector = np.empty((len(reps), len(reps)), dtype=dtype)
-        for rows in _row_blocks(len(reps), sector[:1].nbytes):
+        for rows in row_blocks(len(reps), sector[:1].nbytes):
             block = sector[rows]
             block[...] = entries(reps[rows], partners)
             block *= coef
@@ -639,8 +625,8 @@ def _failure_fidelities(plan: _CompressionPlan, data: _BlockData, members: np.nd
     to the real symmetric solver.
 
     Below SECTOR_SPLIT_MIN dimensions the groups' states are built as one
-    stack (`_group_states`) and solved by one batched `eigvalsh`, in chunks
-    of at most _STACK_BYTES; a stacked solve gives each matrix the
+    stack (`_group_states`) and solved by one batched `eigvalsh` per
+    `row_blocks` slice of groups; a stacked solve gives each matrix the
     eigenvalues of its own call. From that size on, each group is solved on
     its own, split by symmetry:
 
@@ -669,7 +655,7 @@ def _failure_fidelities(plan: _CompressionPlan, data: _BlockData, members: np.nd
         matrix_bytes = plan.dim**2 * data.rotated.itemsize
         spectra = itertools.chain.from_iterable(
             eigvalsh(_group_states(data, members[rows], geometry.halves))
-            for rows in _row_blocks(len(members), matrix_bytes, _STACK_BYTES)
+            for rows in row_blocks(len(members), matrix_bytes)
         )
     out = np.empty(len(members))
     for i, lam in enumerate(spectra):
@@ -741,7 +727,7 @@ def rate_sweep(
     Pass A runs once per stream block of trials. It takes the block's
     groups by label, in ascending order, and by group length, in slices
     whose `_class_sums` temporaries (groups x classes x letters floats)
-    stay within _ROW_BLOCK_BYTES, gathers each slice's members in
+    stay within `linalg.WORK_BYTES`, gathers each slice's members in
     position order and computes the slice's type-class sums once, for
     every delta. Each (block, length) pair's type classes are built once
     and shared by the deltas' plans. The overlap weights, the branch
@@ -751,9 +737,9 @@ def rate_sweep(
     evaluated. Pass B evaluates the failure branches plan by plan, one
     `_failure_fidelities` call each, so that a plan's sequences and
     half-sequence codes (`_FailureGeometry`) are built once, and its
-    branches below the split floor go to one stacked `eigvalsh`. Each
-    trial's fidelity is then the product of its groups' fidelities in
-    ascending label order.
+    branches below the split floor go to one stacked `eigvalsh` per
+    slice. Each trial's fidelity is then the product of its groups'
+    fidelities in ascending label order.
     On Python 3.11 and earlier every answer is bit-identical to the
     per-trial loop this replaced. That loop added the full classes' sums
     with the builtin `sum`, which Python 3.12 compensates, so there the
@@ -801,7 +787,7 @@ def rate_sweep(
                 batch = by_size[ends[length - 1] : ends[length]]
                 # a slice at a time bounds `_class_sums`' (groups, classes, r) temporaries
                 class_bytes = math.comb(length + r - 1, r - 1) * r * diags[l].itemsize
-                for rows in (batch[s] for s in _row_blocks(len(batch), class_bytes)):
+                for rows in (batch[s] for s in row_blocks(len(batch), class_bytes)):
                     members = drawn[rows][in_l[rows]].reshape(len(rows), length)  # in position order
                     branch_u = u[rows, next_u[rows]]
                     ts = start + rows

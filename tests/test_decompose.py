@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kidecomp import decompose
+from kidecomp.algebra import intertwiner_basis
 from kidecomp.decompose import (
     KIBlock,
     KIDecomposition,
@@ -23,9 +24,9 @@ from kidecomp.decompose import (
 )
 from kidecomp.ensemble import Ensemble, validate
 from kidecomp.errors import DegenerateSample, FormViolation, ParseError, ValidationError
-from kidecomp.linalg import direct_sum
+from kidecomp.linalg import DEFAULT_TOL, direct_sum
 from kidecomp.measures import info_measures, von_neumann_entropy
-from kidecomp.oracles import PlantSpec, haar_unitary, planted_ensemble
+from kidecomp.oracles import PlantSpec, haar_unitary, planted_ensemble, random_density
 from kidecomp.protocols import rate_sweep
 
 KET0 = np.array([[1, 0], [0, 0]], dtype=complex)
@@ -97,6 +98,73 @@ def test_mergeable_rejects_different_support():
     a = _scalar_block([0.2, 0.0])
     b = _scalar_block([0.4, 0.8])
     assert mergeable(a, b) is None
+
+
+# -- the decisions at their cuts: inputs a known distance on each side ------------
+
+
+@pytest.mark.parametrize("scale,kept", [(0.5, False), (2.0, True)])
+def test_a_block_weight_at_or_below_tol_is_cut_to_zero(scale, kept):
+    # the copy e_0 of C^2 and the states diag(1, 0) and diag(w, 1 - w): state 1's weight
+    # on the copy is w, cut to 0 with a zero J row at or below tol, kept as is above it
+    w = scale * DEFAULT_TOL
+    copy = np.array([[1.0], [0.0]], dtype=complex)
+    states = np.array([np.diag([1.0, 0.0]), np.diag([w, 1.0 - w])], dtype=complex)
+    b = decompose._extract_block_data(copy, states, DEFAULT_TOL)
+    assert b.q[0] == 1.0 and b.rho_J[0].tolist() == [[1.0]]
+    if kept:
+        assert b.q[1] == w and abs(b.rho_J[1] - 1.0).max() <= 1e-15  # w / w, hermitized
+    else:
+        assert b.q[1] == 0.0 and not b.rho_J[1].any()
+
+
+def _j_block(q, rho_j):
+    n = rho_j.shape[-1]
+    return KIBlock(
+        n=n,
+        k=1,
+        isometry=np.eye(n, dtype=complex),
+        rho_K=np.ones((1, 1), dtype=complex),
+        q=np.asarray(q, dtype=float),
+        rho_J=rho_j,
+    )
+
+
+def _j_states(n, seed=3):
+    """Three J states of dimension n, and the same states conjugated by one Haar unitary."""
+    rng = np.random.default_rng(seed)
+    states = np.stack([random_density(n, rng) for _ in range(3)])
+    u = haar_unitary(n, 7)
+    return states, u @ states @ u.conj().T
+
+
+@pytest.mark.parametrize("eps,merges", [(1e-10, True), (1e-6, False)])
+def test_weight_columns_merge_only_when_proportional_within_tol(eps, merges):
+    # q_b = 0.7 q_a (1 + eps [1, -1, 0.5]) with unitarily equal J states: the ratio
+    # test alone decides, at relative deviations of about eps against tol = 1e-9
+    qa = np.array([0.5, 0.3, 0.2])
+    states, moved = _j_states(2)
+    qb = 0.7 * qa * (1 + eps * np.array([1.0, -1.0, 0.5]))
+    witness = mergeable(_j_block(qa, states), _j_block(qb, moved))
+    assert (witness is not None) == merges
+    if merges:
+        assert witness[1] == pytest.approx(0.7, rel=1e-9)
+
+
+@pytest.mark.parametrize("delta,merges", [(3e-10, True), (1.6e-9, False)])
+def test_j_states_merge_only_when_equal_up_to_a_unitary_within_tol(delta, merges):
+    # one of three 8-dim J states moved by delta times a unit traceless Hermitian
+    # matrix: at both deltas the intertwiner solve still finds a tie, so the residual
+    # test decides. Over a grid of deltas the tie's residual first exceeded tol at
+    # 1.0e-9, and from 2.8e-9 on no tie was found at all.
+    states, moved = _j_states(8)
+    g = np.random.default_rng(3).standard_normal((8, 8, 2)) @ [1.0, 1j]
+    h = g + g.conj().T
+    h -= np.trace(h) / 8 * np.eye(8)
+    moved[0] += delta * h / np.linalg.norm(h)
+    assert len(intertwiner_basis(states, moved))
+    qa = np.array([0.5, 0.3, 0.2])
+    assert (mergeable(_j_block(qa, states), _j_block(0.7 * qa, moved)) is not None) == merges
 
 
 def test_merge_trace_single_qubit_state():
@@ -808,3 +876,71 @@ def test_a_consistent_j_rotation_passes_verify_and_keeps_the_measures(blocks, se
     want, got = info_measures(d, e).to_dict(), info_measures(d_rot, e).to_dict()
     assert want.keys() == got.keys()
     assert max(abs(got[key] - want[key]) for key in want) <= 1e-10
+
+
+# -- closed-form reference: commuting ensembles -----------------------------------
+
+
+def _entropy_bits(p):
+    p = p[p > 0]
+    return float(-np.sum(p * np.log2(p)))
+
+
+@pytest.mark.parametrize("dim", [4, 8, 16, 32])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_a_commuting_ensemble_has_one_classical_block_per_proportional_column_group(dim, seed):
+    # three states diagonal in one Haar frame; the columns of their 3 x dim eigenvalue
+    # matrix fall into groups, proportional within a group (lam[i, j] = P[i, g] r_g[j])
+    # and not across groups. By the block form, each group is one block with n = 1
+    # and k = its size, I_NC = 0, I_C is the Shannon entropy of the group weights
+    # and I_R the group-weighted entropy of the average spectrum within each group.
+    rng = np.random.default_rng(100 + seed)
+    cuts = np.sort(rng.choice(np.arange(1, dim), size=3, replace=False))  # four groups
+    groups = np.split(rng.permutation(dim), cuts)
+    weights = rng.random((3, len(groups))) + 0.1
+    weights /= weights.sum(axis=1, keepdims=True)
+    lam = np.zeros((3, dim))
+    for g, cols in enumerate(groups):
+        r = rng.random(len(cols)) + 0.1
+        lam[:, cols] = weights[:, g, None] * r / r.sum()
+    u = haar_unitary(dim, rng)
+    probs = rng.random(3) + 0.2
+    e = Ensemble(probs=probs / probs.sum(), states=[(u * row) @ u.conj().T for row in lam])
+    d = ki_decompose(e)
+    assert sorted((b.n, b.k) for b in d.blocks) == sorted((1, len(cols)) for cols in groups)
+    avg = e.probs @ lam
+    p = np.array([avg[cols].sum() for cols in groups])
+    want = [_entropy_bits(p), 0.0, sum(pg * _entropy_bits(avg[cols] / pg) for pg, cols in zip(p, groups))]
+    assert np.abs(_measures(d, e) - want).max() <= 1e-10
+
+
+# -- structure identities: a split state and a state from the convex hull -----------
+
+_HULL_PLANTS = [((2, 1), (1, 2)), ((3, 1), (2, 2)), ((2, 2), (1, 1)), ((3, 2), (2, 1), (1, 3))]
+
+
+@pytest.mark.parametrize("blocks", _HULL_PLANTS, ids=["2x1,1x2", "3x1,2x2", "2x2,1x1", "3x2,2x1,1x3"])
+def test_splitting_a_state_over_two_copies_keeps_the_shapes_and_measures(blocks):
+    e, _ = planted_ensemble(PlantSpec(blocks=blocks, num_states=3, seed=1))
+    split = Ensemble(
+        probs=np.concatenate([[0.4 * e.probs[0], 0.6 * e.probs[0]], e.probs[1:]]),
+        states=np.concatenate([e.states[:1], e.states]),
+    )
+    shapes, measures = _shapes_and_measures(e)
+    split_shapes, split_measures = _shapes_and_measures(split)
+    assert split_shapes == shapes
+    assert np.abs(split_measures - measures).max() <= 1e-10
+
+
+@pytest.mark.parametrize("blocks", _HULL_PLANTS, ids=["2x1,1x2", "3x1,2x2", "2x2,1x1", "3x2,2x1,1x3"])
+def test_a_state_from_the_convex_hull_keeps_the_shapes_and_mixes_the_weight_rows(blocks):
+    # (rho_0 + rho_2) / 2 added at probability 0.1, the other probabilities scaled by 0.9
+    e, _ = planted_ensemble(PlantSpec(blocks=blocks, num_states=3, seed=1))
+    hull = Ensemble(
+        probs=np.append(0.9 * e.probs, 0.1),
+        states=np.concatenate([e.states, [(e.states[0] + e.states[2]) / 2]]),
+    )
+    d = ki_decompose(hull)
+    assert sorted((b.n, b.k) for b in d.blocks) == _shapes_and_measures(e)[0]
+    for b in d.blocks:
+        assert abs(b.q[3] - (b.q[0] + b.q[2]) / 2) <= 1e-12

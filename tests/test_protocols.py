@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kidecomp import protocols, streams
+from kidecomp import linalg, protocols, streams
 from kidecomp.decompose import (
     KIBlock,
     KIDecomposition,
@@ -567,10 +567,11 @@ def test_rate_sweep_matches_the_per_trial_reference_bit_for_bit(name, monkeypatc
     # keep one sequence, a partial class, whole classes and the whole space; N = 1
     # to 12; and stream blocks of 7 trials, so that 30 trials span five of them.
     # "one_row_slices" runs the three-block plant with every row-blocked step, pass
-    # A's batches among them, cut into slices of one row: `_row_blocks` with its
-    # default limit of _ROW_BLOCK_BYTES lowered to one byte
+    # A's batches and the stacked failure-branch solves among them, cut into slices
+    # of one row: `linalg.row_blocks` with the budget `linalg.WORK_BYTES` lowered to
+    # one byte
     if name == "one_row_slices":
-        monkeypatch.setattr(protocols._row_blocks, "__defaults__", (1,))
+        monkeypatch.setattr(linalg, "WORK_BYTES", 1)
     if name == "two_pure":
         e, d = two_pure()
     else:
@@ -760,7 +761,7 @@ def test_block_stream_memory_is_bounded_by_the_block():
 
 def _reference_group_state(plan, data, members):
     """The group state built with one full-size gather per member, hermitized."""
-    seqs = plan.all_sequences()
+    seqs = protocols._FailureGeometry(plan).seqs
     compressed = np.ones((len(seqs), len(seqs)), dtype=complex)
     for j, i in enumerate(members):
         s = seqs[:, j]
@@ -947,9 +948,9 @@ def _plan_of_dim(data, dim):
 
 
 def test_stacked_failure_branches_match_one_at_a_time(monkeypatch):
-    # 40 branches of a 128-dim plan of each bench 3x1,2x2 block, below the split floor:
-    # complex matrices of 256 KiB (16 to a stacked call) and real ones of 128 KiB (32
-    # to a call), so the stack spans more than one chunk of _STACK_BYTES
+    # 40 branches of a 64-dim plan of each bench 3x1,2x2 block, below the split floor:
+    # complex matrices of 64 KiB (4 to a stacked call) and real ones of 32 KiB (8 to a
+    # call), so the stack spans more than one `linalg.row_blocks` slice of WORK_BYTES
     e, _ = planted_ensemble(PlantSpec(blocks=BENCH_PLANTS["3x1,2x2"], num_states=3, seed=1))
     rng = np.random.default_rng(5)
     shapes = []
@@ -962,7 +963,7 @@ def test_stacked_failure_branches_match_one_at_a_time(monkeypatch):
     monkeypatch.setattr(protocols, "eigvalsh", recording)
     stacks = {}
     for data in block_data(e, ki_decompose(e)):
-        plan = _plan_of_dim(data, 128)
+        plan = _plan_of_dim(data, 64)
         assert plan.dim < protocols.SECTOR_SPLIT_MIN
         members = rng.integers(0, len(data.rotated), (40, plan.length))
         w = rng.random(40)
@@ -971,7 +972,7 @@ def test_stacked_failure_branches_match_one_at_a_time(monkeypatch):
         stacks[data.rotated.dtype.kind] = [s[0] for s in shapes]
         want = [failure_fidelity(plan, data, row.tolist(), float(wi)) for row, wi in zip(members, w)]
         assert got.tobytes() == np.array(want).tobytes()
-    assert stacks == {"c": [16, 16, 8], "f": [32, 8]}
+    assert stacks == {"c": [4] * 10, "f": [8] * 5}
 
 
 def test_direct_sectors_match_the_split_of_the_whole_group_state():

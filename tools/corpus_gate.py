@@ -25,6 +25,19 @@ ROOT = Path(__file__).resolve().parents[1]
 TOOLS = ROOT / "tools"
 
 
+def extract_src(rev: str, dest: Path) -> bool:
+    """Extract REV's `src/` into the directory `dest` (`git archive REV src | tar -x`).
+
+    On an unknown revision, print git's message to stderr and return False.
+    """
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev, "src"], capture_output=True)
+    if archive.returncode:
+        print(archive.stderr.decode(errors="replace"), end="", file=sys.stderr)
+        return False
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive.stdout, check=True)
+    return True
+
+
 def _report(src: Path, outdir: Path, dest: Path) -> None:
     """Write the corpus with `src` on PYTHONPATH into `outdir`, then move it to `dest`."""
     env = {**os.environ, "PYTHONPATH": str(src)}
@@ -39,11 +52,8 @@ def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory(prefix="corpus_gate_") as tmp:
         tmp = Path(tmp)
         (tmp / "rev").mkdir()
-        archive = subprocess.run(["git", "-C", str(ROOT), "archive", argv[0], "src"], capture_output=True)
-        if archive.returncode:
-            print(archive.stderr.decode(errors="replace"), end="", file=sys.stderr)
+        if not extract_src(argv[0], tmp / "rev"):
             return 2
-        subprocess.run(["tar", "-x", "-C", str(tmp / "rev")], input=archive.stdout, check=True)
         outdir = tmp / "corpus"
         _report(tmp / "rev" / "src", outdir, tmp / "a")
         _report(ROOT / "src", outdir, tmp / "b")

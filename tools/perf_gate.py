@@ -49,7 +49,6 @@ import importlib
 import importlib.util
 import math
 import statistics
-import subprocess
 import sys
 import tempfile
 import time
@@ -264,11 +263,8 @@ def main(argv: list[str]) -> int:
         parser.print_usage(sys.stderr)
         return 2
     with tempfile.TemporaryDirectory(prefix="perf_gate_") as tmp:
-        archive = subprocess.run(["git", "-C", str(ROOT), "archive", args.rev, "src"], capture_output=True)
-        if archive.returncode:
-            print(archive.stderr.decode(errors="replace"), end="", file=sys.stderr)
+        if not _load_tool("corpus_gate").extract_src(args.rev, Path(tmp)):
             return 2
-        subprocess.run(["tar", "-x", "-C", tmp], input=archive.stdout, check=True)
         try:
             k_a, k_b = load_package(Path(tmp) / "src", "kidecomp_a"), load_package(ROOT / "src", "kidecomp_b")
             print(
