@@ -152,10 +152,6 @@ def center_basis(comm: OperatorBasis, tol: float = DEFAULT_TOL) -> list[np.ndarr
     return orthonormalize_hs(elems, tol)
 
 
-class _ProbeRetry(Exception):
-    """Internal: the random probe failed to separate spectra cleanly."""
-
-
 def _random_hermitian_from(mats: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     coeff = rng.standard_normal(len(mats)) + 1j * rng.standard_normal(len(mats))
     return hermitize(np.tensordot(coeff, mats, axes=1))
@@ -179,7 +175,8 @@ def intertwiner(ties: np.ndarray) -> np.ndarray:
     return t * pivot_phase(t[:, 0])
 
 
-def _attempt_copies(comm: OperatorBasis, rng: np.random.Generator, tol: float) -> list[np.ndarray]:
+def _attempt_copies(comm: OperatorBasis, rng: np.random.Generator, tol: float) -> list[np.ndarray] | None:
+    """The copies one probe draw splits off, or None when a copy link is not 0 or 1."""
     d = comm.dim
     lam, vec = eigh(_random_hermitian_from(comm.mats, rng))
     copies = _cluster_ascending(lam, tol)
@@ -192,7 +189,7 @@ def _attempt_copies(comm: OperatorBasis, rng: np.random.Generator, tol: float) -
     link = member @ np.sum(np.abs(z) ** 2, axis=0) @ member.T
     links = np.rint(link)
     if np.max(np.abs(link - links)) > np.sqrt(tol) or links.max() > 1:
-        raise _ProbeRetry("copy links are not 0 or 1")
+        return None
     return [vec[:, idx] for idx in copies]
 
 
@@ -215,10 +212,7 @@ def irrep_decompose(states, seed: int, tol: float = DEFAULT_TOL) -> list[np.ndar
     """
     comm = commutant(states, tol)
     rng = np.random.default_rng(seed)
-    last = "no attempt"
     for _ in range(PROBE_RETRIES):
-        try:
-            return _attempt_copies(comm, rng, tol)
-        except _ProbeRetry as exc:
-            last = str(exc)
-    raise DegenerateSample(f"probes failed {PROBE_RETRIES} times; last failure: {last}")
+        if (copies := _attempt_copies(comm, rng, tol)) is not None:
+            return copies
+    raise DegenerateSample(f"probes failed {PROBE_RETRIES} times; last failure: copy links are not 0 or 1")

@@ -90,33 +90,29 @@ class KIDecomposition:
         """C_l = F V_l for each block l: the isometry from C^n tensor C^k into the ambient space."""
         return [self.frame @ b.isometry for b in self.blocks]
 
-    def reconstruct(self, i: int) -> np.ndarray:
-        """Ambient-space state assembled from the block data of state i."""
-        dim = len(self.frame)
-        acc = np.zeros((dim, dim), dtype=complex)
+    def _reconstructions(self, rows: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+        """The `shape` stack of states `rows` rebuilt: per block, one product over the rows it reaches."""
+        acc = np.zeros(shape, dtype=complex)
         for b, c in zip(self.blocks, self.ambient_isometries()):
-            if b.q[i] > 0:
-                acc += c @ (b.q[i] * kron(b.rho_J[i], b.rho_K)) @ c.conj().T
-        return acc
-
-    def reconstruction_residual(self, e: Ensemble) -> float:
-        """Largest Frobenius distance between a state of `e` and its reconstruction.
-
-        All states are reconstructed at once, with one stacked product per
-        block over the states that reach it, summed in block order: the same
-        sums as `reconstruct`, state by state.
-        """
-        m = len(e)
-        acc = np.zeros(e.states.shape, dtype=complex)
-        for b, c in zip(self.blocks, self.ambient_isometries()):
-            q = b.q[np.arange(m)]
+            q = b.q[rows]
             idx = np.flatnonzero(q > 0)
-            part = c @ (q[idx, None, None] * kron(np.asarray(b.rho_J)[idx], b.rho_K)) @ c.conj().T
-            if len(idx) == m:
+            part = c @ (q[idx, None, None] * kron(np.asarray(b.rho_J)[rows[idx]], b.rho_K)) @ c.conj().T
+            if len(idx) == len(rows):
                 acc += part
             else:
                 np.add.at(acc, idx, part)  # in place; `acc[idx] += part` would copy the rows first
             del part  # before the next block's product
+        return acc
+
+    def reconstruct(self, i: int) -> np.ndarray:
+        """Ambient-space state assembled from the block data of state i."""
+        dim = len(self.frame)
+        return self._reconstructions(np.array([i]), (1, dim, dim))[0]
+
+    def reconstruction_residual(self, e: Ensemble) -> float:
+        """Largest Frobenius distance between a state of `e` and its reconstruction, all states
+        rebuilt at once by the sum that `reconstruct` makes."""
+        acc = self._reconstructions(np.arange(len(e)), e.states.shape)
         acc -= e.states
         return float(np.max([frob(x) for x in acc]))  # a NaN residual stays NaN
 

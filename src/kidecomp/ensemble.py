@@ -350,6 +350,16 @@ def write_ensemble(e: Ensemble) -> bytes:
     return (_to_json(doc) + "\n").encode("utf-8")
 
 
+def _object(obj, keys: tuple[str, str], locus: str) -> None:
+    """ParseError at `locus` unless `obj` is an object with both `keys` and no other."""
+    if not isinstance(obj, dict):
+        raise ParseError(f"{locus}: expected an object")
+    if unknown := set(obj) - set(keys):
+        raise ParseError(f"{locus}: unknown key {sorted(unknown)[0]!r}")
+    if keys[0] not in obj or keys[1] not in obj:
+        raise ParseError(f"{locus}: keys {keys[0]!r} and {keys[1]!r} are required")
+
+
 def _parse_ensemble(data: bytes) -> Ensemble:
     """Parse the JSON ensemble format without validating the ensemble.
 
@@ -363,26 +373,14 @@ def _parse_ensemble(data: bytes) -> Ensemble:
         raise ParseError(f"not UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
-    if not isinstance(doc, dict):
-        raise ParseError("top level: expected an object")
-    unknown = set(doc) - {"dim", "states"}
-    if unknown:
-        raise ParseError(f"top level: unknown key {sorted(unknown)[0]!r}")
-    if "dim" not in doc or "states" not in doc:
-        raise ParseError("top level: keys 'dim' and 'states' are required")
+    _object(doc, ("dim", "states"), "top level")
     dim = _integer(doc["dim"], "dim", 1)
     if not isinstance(doc["states"], list) or not doc["states"]:
         raise ParseError("states: expected a non-empty list")
     probs, states = [], []
     for i, entry in enumerate(doc["states"]):
         locus = f"states[{i}]"
-        if not isinstance(entry, dict):
-            raise ParseError(f"{locus}: expected an object")
-        unknown = set(entry) - {"p", "matrix"}
-        if unknown:
-            raise ParseError(f"{locus}: unknown key {sorted(unknown)[0]!r}")
-        if "p" not in entry or "matrix" not in entry:
-            raise ParseError(f"{locus}: keys 'p' and 'matrix' are required")
+        _object(entry, ("p", "matrix"), locus)
         probs.append(_number(entry["p"], f"{locus}.p"))
         states.append(_pairs_to_matrix(entry["matrix"], dim, dim, f"{locus}.matrix"))
     return Ensemble(probs=np.asarray(probs), states=np.stack(states))

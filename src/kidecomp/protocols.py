@@ -250,15 +250,16 @@ def _class_step(r: int, length: int) -> np.ndarray:
     """
     cur = _compositions(r, length)
     n, k = length + r - 2, r - 1
-    binom = np.array([[math.comb(x, y) for y in range(k + 1)] for x in range(n + 1)], dtype=np.int64)
+    top = math.comb(n, k)  # no term a rank reads exceeds it: capped there, the table stays exact in int64
+    binom = np.array([[min(math.comb(x, y), top) for y in range(k + 1)] for x in range(n + 1)], dtype=np.int64)
     bars = np.cumsum(cur[:, :-1], axis=1) + np.arange(k)  # c's bars, (classes, r - 1)
     column = k - np.arange(k)
     src = np.zeros(cur.shape, dtype=np.int64)  # the terms of bars j < a, then of bars j >= a
     # a bar that would stay at position n only occurs where c[a] = 0: clipped to a zero term
     src[:, 1:] = np.cumsum(binom[(n - 1 - bars).clip(0), column], axis=1)
     src[:, :-1] += np.cumsum(binom[n - bars, column][:, ::-1], axis=1)[:, ::-1]
-    np.subtract(math.comb(n, k) - 1, src, out=src)
-    src[cur == 0] = math.comb(n, k)
+    np.subtract(top - 1, src, out=src)
+    src[cur == 0] = top
     src.flags.writeable = False
     return src
 

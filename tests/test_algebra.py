@@ -575,3 +575,14 @@ def test_commutant_dim_of_a_non_hermitian_stack_takes_the_adjoints():
     with_adjoint = np.concatenate([e12, e12.conj().swapaxes(1, 2)])
     assert commutant(e12).size == _reference_commutant(with_adjoint).size == 1
     assert _reference_commutant(e12).size == 2  # E_12 alone commutes with I and E_12
+
+
+# ---------------------------------------------------------------------------
+# the probe's cluster gap
+
+
+@pytest.mark.parametrize("f,groups", [(0.5, [[0, 1], [2]]), (2.0, [[0], [1], [2]])])
+def test_eigenvalues_cluster_below_a_gap_of_sqrt_tol(f, groups):
+    # on [0, 1] the gap is sqrt(tol): a spacing of f sqrt(tol) joins below it and splits above
+    values = np.array([0.0, f * np.sqrt(DEFAULT_TOL), 1.0])
+    assert [idx.tolist() for idx in algebra._cluster_ascending(values, DEFAULT_TOL)] == groups

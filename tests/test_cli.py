@@ -505,3 +505,11 @@ def test_huge_rate_slacks_run(plant_file, tmp_path):
     assert [row["delta"] for row in _report(out)["result"]["table"]] == [-1e308, 0.0, 1e308]
     assert main(["simulate-asymptotic", plant_file, "--delta", "1e307", *common]) == 0
     assert _report(out)["result"]["f_bar"] == 1.0
+
+
+def test_rate_sweep_runs_on_a_j_block_past_the_int64_binomials(tmp_path):
+    # the 68 letters of a 68x1 plant need C(67, 33) > 2**63 in an uncapped class-step table
+    plant, out = tmp_path / "p.json", tmp_path / "t.json"
+    assert main(["gen", "--blocks", "68x1", "--seed", "1", "-o", str(plant)]) == 0
+    assert main(["rate-sweep", str(plant), "-N", "1", "--trials", "5", "--deltas", "0", "-o", str(out)]) == 0
+    assert [row["delta"] for row in _report(out)["result"]["table"]] == [0.0]

@@ -24,7 +24,7 @@ from kidecomp.decompose import (
 )
 from kidecomp.ensemble import Ensemble, validate
 from kidecomp.errors import DegenerateSample, FormViolation, ParseError, ValidationError
-from kidecomp.linalg import DEFAULT_TOL, direct_sum
+from kidecomp.linalg import DEFAULT_TOL, direct_sum, kron
 from kidecomp.measures import info_measures, von_neumann_entropy
 from kidecomp.oracles import PlantSpec, haar_unitary, planted_ensemble, random_density
 from kidecomp.protocols import rate_sweep
@@ -165,6 +165,36 @@ def test_j_states_merge_only_when_equal_up_to_a_unitary_within_tol(delta, merges
     assert len(intertwiner_basis(states, moved))
     qa = np.array([0.5, 0.3, 0.2])
     assert (mergeable(_j_block(qa, states), _j_block(0.7 * qa, moved)) is not None) == merges
+
+
+@pytest.mark.parametrize("delta,ok", [(3e-9, True), (1e-7, False)])
+def test_verify_reconstruction_passes_only_within_its_threshold(delta, ok):
+    # the plant's own decomposition with one J state moved by delta along the unit
+    # traceless diag(1, -1) / sqrt(2): the residual is about delta times that state's
+    # weight, against verify's threshold max(tol, 1e-8)
+    e, truth = planted_ensemble(PlantSpec(blocks=((2, 1), (1, 2)), num_states=3, seed=1))
+    (ib, b), = ((ib, b) for ib, b in enumerate(truth.blocks) if b.n == 2)
+    rho_j = b.rho_J.copy()
+    rho_j[0] += delta * np.diag([1.0, -1.0]) / np.sqrt(2)
+    blocks = [*truth.blocks[:ib], dataclasses.replace(b, rho_J=rho_j), *truth.blocks[ib + 1 :]]
+    report = verify(KIDecomposition(frame=truth.frame, blocks=blocks), e, channels=1)
+    (recon,) = (c for c in report.checks if c.name == "reconstruction")
+    assert recon.ok == ok
+
+
+def test_a_form_off_by_a_millionth_is_refused(monkeypatch):
+    # every rho_K scaled by 1 + 1e-6 after the merge: the reconstruction residual of
+    # about 1e-6 lies far above the guard's max(tol, 1e4 eps)
+    canonical = decompose._canonicalize_redundant_factor
+
+    def scaled(block):
+        block = canonical(block)
+        return dataclasses.replace(block, rho_K=block.rho_K * (1 + 1e-6))
+
+    monkeypatch.setattr(decompose, "_canonicalize_redundant_factor", scaled)
+    e, _ = planted_ensemble(PlantSpec(blocks=((2, 1), (1, 2)), num_states=3, seed=1))
+    with pytest.raises(FormViolation, match="reconstruction residual"):
+        ki_decompose(e)
 
 
 def test_merge_trace_single_qubit_state():
@@ -362,6 +392,17 @@ def _zero_weight_ensemble():
     return Ensemble(probs=[0.3, 0.3, 0.2, 0.2], states=states)
 
 
+def _reference_reconstruct(d, i):
+    """State i rebuilt one block at a time from 2-D products, as `reconstruct` did before it
+    shared the stacked sum of `reconstruction_residual`."""
+    dim = len(d.frame)
+    acc = np.zeros((dim, dim), dtype=complex)
+    for b, c in zip(d.blocks, d.ambient_isometries()):
+        if b.q[i] > 0:
+            acc += c @ (b.q[i] * kron(b.rho_J[i], b.rho_K)) @ c.conj().T
+    return acc
+
+
 @pytest.mark.parametrize("case", ["planted", "zero_weight", "perturbed"])
 def test_stacked_reconstruction_residual_equals_a_per_state_loop(case):
     if case == "zero_weight":
@@ -375,8 +416,9 @@ def test_stacked_reconstruction_residual_equals_a_per_state_loop(case):
         rng = np.random.default_rng(0)
         noise = rng.random((4, e.dim, e.dim))
         e = Ensemble(probs=e.probs, states=e.states + 1e-3 * (noise + noise.swapaxes(1, 2)))
-    want = max(float(np.linalg.norm(d.reconstruct(i) - e.states[i])) for i in range(len(e)))
+    want = max(float(np.linalg.norm(_reference_reconstruct(d, i) - e.states[i])) for i in range(len(e)))
     assert d.reconstruction_residual(e) == want
+    assert all(np.array_equal(d.reconstruct(i), _reference_reconstruct(d, i)) for i in range(len(e)))
 
 
 def test_reconstruction_residual_of_a_short_document_names_the_missing_state():
@@ -911,6 +953,40 @@ def test_a_commuting_ensemble_has_one_classical_block_per_proportional_column_gr
     avg = e.probs @ lam
     p = np.array([avg[cols].sum() for cols in groups])
     want = [_entropy_bits(p), 0.0, sum(pg * _entropy_bits(avg[cols] / pg) for pg, cols in zip(p, groups))]
+    assert np.abs(_measures(d, e) - want).max() <= 1e-10
+
+
+# -- closed-form reference: pure states on orthogonal components ----------------------
+
+
+@pytest.mark.parametrize("dim", [4, 8, 16, 32])
+def test_pure_states_on_orthogonal_components_give_one_block_per_component(dim):
+    # C^dim split into orthogonal components, one to four generic pure states in each,
+    # all under one Haar frame. Generic pure states generate the full matrix algebra on
+    # their span, so each component is one block with n = the rank of its span and
+    # k = 1: I_C is the entropy of the component weights, I_NC the weighted entropy of
+    # each component's average state, and I_R = 0.
+    rng = np.random.default_rng(200 + dim)
+    cuts = 2 * np.sort(rng.choice(np.arange(1, dim // 2), size=min(3, dim // 2 - 1), replace=False))
+    comps = np.split(np.arange(dim), cuts)  # two to four components of even size
+    counts = rng.integers(1, 5, size=len(comps))
+    kets = []
+    for comp, count in zip(comps, counts):
+        for _ in range(count):
+            ket = np.zeros(dim, dtype=complex)
+            ket[comp] = rng.standard_normal((len(comp), 2)) @ [1.0, 1j]
+            kets.append(ket / np.linalg.norm(ket))
+    u = haar_unitary(dim, rng)
+    kets = np.array(kets) @ u.T
+    probs = rng.random(len(kets)) + 0.2
+    e = Ensemble(probs=probs / probs.sum(), states=kets[:, :, None] * kets[:, None, :].conj())
+    d = ki_decompose(e)
+    ranks = [min(len(comp), count) for comp, count in zip(comps, counts)]
+    assert sorted((b.n, b.k) for b in d.blocks) == sorted((n, 1) for n in ranks)
+    owner = np.repeat(np.arange(len(comps)), counts)
+    p = np.array([e.probs[owner == c].sum() for c in range(len(comps))])
+    avg = [np.einsum("i,ijk->jk", e.probs[owner == c], e.states[owner == c]) / p[c] for c in range(len(comps))]
+    want = [_entropy_bits(p), sum(pc * _entropy_bits(np.linalg.eigvalsh(a).clip(0)) for pc, a in zip(p, avg)), 0.0]
     assert np.abs(_measures(d, e) - want).max() <= 1e-10
 
 

@@ -92,6 +92,15 @@ def test_support_restrict_full_rank_gives_identity_frame():
     assert np.allclose(er.states, e.states)
 
 
+@pytest.mark.parametrize("eps,rank", [(1.4e-9, 3), (0.6e-9, 2)])
+def test_support_cut_is_relative_to_the_largest_eigenvalue(eps, rank):
+    # diag(1, 0, 0) and diag(0, 1 - eps, eps) at 1/2 each: the average's smallest
+    # eigenvalue eps / 2 is kept above tol times its largest, 0.5, and dropped below it
+    states = np.array([np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 1.0 - eps, eps])], dtype=complex)
+    frame, _ = support_restrict(Ensemble(probs=[0.5, 0.5], states=states))
+    assert frame.shape[1] == rank
+
+
 def test_support_restrict_single_pure_in_dim_3():
     rho = np.zeros((3, 3), dtype=complex)
     rho[0, 0] = 1.0

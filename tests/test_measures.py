@@ -147,3 +147,18 @@ def test_cost_ordering():
         assert m.info_passive == pytest.approx(m.info_classical + m.info_nonclassical)
         assert m.hybrid_qubit_rate == m.info_nonclassical
         assert m.hybrid_bit_rate == m.info_classical
+
+
+def test_a_redundant_weight_far_below_the_largest_still_counts_in_i_r():
+    # three random 2-dim J states tensor diag(1 - w, w), w = 1e-6, under a Haar frame:
+    # one 2x2 block whose I_R is the binary entropy h(w), with w kept by the relative cut
+    w = 1e-6
+    rng = np.random.default_rng(5)
+    rho_k = np.diag([1.0 - w, w]).astype(complex)
+    u = haar_unitary(4, rng)
+    states = np.array([u @ np.kron(random_density(2, rng), rho_k) @ u.conj().T for _ in range(3)])
+    e = Ensemble(probs=[0.2, 0.3, 0.5], states=states)
+    d = ki_decompose(e)
+    assert [(b.n, b.k) for b in d.blocks] == [(2, 2)]
+    h = -(1 - w) * np.log2(1 - w) - w * np.log2(w)
+    assert abs(info_measures(d, e).info_redundant - h) <= 1e-10

@@ -1134,7 +1134,10 @@ def _reference_class_step(r, length):
     ).reshape(len(cur), r)
 
 
-@pytest.mark.parametrize("r, lengths", [*((r, range(1, 13)) for r in range(2, 7)), (16, range(1, 6))])
+# from r = 67 on, C(n, y) passes int64 for some y <= r - 1 that no rank reads
+@pytest.mark.parametrize(
+    "r, lengths", [*((r, range(1, 13)) for r in range(2, 7)), (16, range(1, 6)), (67, range(1, 3)), (68, range(1, 2))]
+)
 def test_class_step_matches_the_dict_build_byte_for_byte(r, lengths):
     for length in lengths:
         got, want = protocols._class_step(r, length), _reference_class_step(r, length)
