@@ -76,6 +76,12 @@ def _coefficients(g: int) -> np.ndarray:
     return coeff
 
 
+def _eigen_frame(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenvalues and eigenvectors V of H = hermitize(sum_g c_g M_g), c = `_coefficients`, and V^dagger M V."""
+    lam, vec = eigh(hermitize(np.tensordot(_coefficients(len(mats)), mats, axes=1)))
+    return lam, vec, vec.conj().T @ mats @ vec
+
+
 def intertwiner_basis(a_mats, b_mats, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Basis (count, d_b, d_a) of all X with B_g X = X A_g for every pair (A_g, B_g).
 
@@ -87,13 +93,14 @@ def intertwiner_basis(a_mats, b_mats, tol: float = DEFAULT_TOL) -> np.ndarray:
     share a cluster of the joint spectrum (merged clusters only enlarge the
     search). The maps Y -> B~Y - YA~ (B~ = V_b^dagger B V_b, A~ likewise)
     are stacked over those unknowns only; when no entry qualifies the basis
-    is empty. A stack above MAX_STACK_BYTES raises ConfigTooLarge unbuilt.
+    is empty. One stack passed as both sides (`commutant`) gets one frame
+    V, H. A stack above MAX_STACK_BYTES raises ConfigTooLarge unbuilt.
     """
-    a_mats, b_mats = np.asarray(a_mats, dtype=complex), np.asarray(b_mats, dtype=complex)
-    g, da, db = len(a_mats), a_mats.shape[-1], b_mats.shape[-1]
-    coeff = _coefficients(g)
-    lam_a, vec_a = eigh(hermitize(np.tensordot(coeff, a_mats, axes=1)))
-    lam_b, vec_b = eigh(hermitize(np.tensordot(coeff, b_mats, axes=1)))
+    same = b_mats is a_mats
+    a_mats = np.asarray(a_mats, dtype=complex)
+    lam_a, vec_a, at = frame = _eigen_frame(a_mats)
+    lam_b, vec_b, bt = frame if same else _eigen_frame(np.asarray(b_mats, dtype=complex))
+    g, da, db = len(a_mats), len(lam_a), len(lam_b)
     joint = np.sort(np.concatenate([lam_b, lam_a]))
     tops = [joint[idx[-1]] for idx in _cluster_ascending(joint, tol)]  # each cluster's largest eigenvalue
     # unknown u is entry (rows[u], cols[u]) of Y: eigenvalues in one cluster, found by its top
@@ -101,13 +108,11 @@ def intertwiner_basis(a_mats, b_mats, tol: float = DEFAULT_TOL) -> np.ndarray:
     u = np.arange(len(rows))
     if 16 * g * db * da * len(u) > MAX_STACK_BYTES:
         raise ConfigTooLarge(f"commutant stack of {g * db * da} x {len(u)} exceeds {MAX_STACK_BYTES} bytes")
-    at = vec_a.conj().T @ a_mats @ vec_a
-    bt = vec_b.conj().T @ b_mats @ vec_b
     # column u is B~ E_rc - E_rc A~ for E_rc = e_r e_c^T, (r, c) = (rows[u], cols[u])
     stack = np.zeros((g, db, da, len(u)), dtype=complex)
     stack[:, :, cols, u] = bt[:, :, rows]
     stack[:, rows, :, u] -= at[:, cols, :].transpose(1, 0, 2)
-    null = nullspace(stack.reshape(g * db * da, len(u)), tol, floor=1.0)
+    null = nullspace(stack.reshape(g * db * da, len(u)), tol)
     y = np.zeros((null.shape[1], db, da), dtype=complex)
     y[:, rows, cols] = null.T
     return vec_b @ y @ vec_a.conj().T
@@ -147,7 +152,7 @@ def center_basis(comm: OperatorBasis, tol: float = DEFAULT_TOL) -> list[np.ndarr
         "cij,ajk->caik", comm.mats, comm.mats
     )  # bracket[c, a] = [C_a, C_c]
     stack = bracket.reshape(c, c, -1).transpose(0, 2, 1).reshape(-1, c)
-    coeffs = nullspace(stack, tol, floor=1.0)
+    coeffs = nullspace(stack, tol)
     elems = [np.einsum("i,ijk->jk", coeffs[:, z], comm.mats) for z in range(coeffs.shape[1])]
     return orthonormalize_hs(elems, tol)
 

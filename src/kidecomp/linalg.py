@@ -119,23 +119,18 @@ def orthonormalize_hs(mats, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
     return [vh[i].reshape(d, d) for i in np.flatnonzero(rank_cut(s, tol))]
 
 
-def nullspace(a: np.ndarray, tol: float = DEFAULT_TOL, floor: float = 0.0) -> np.ndarray:
-    """Orthonormal columns spanning the right nullspace of `a`.
+def nullspace(a: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Orthonormal columns spanning the right nullspace of a tall `a` (rows >= cols).
 
-    Solved from the right singular vectors of a thin SVD: for a tall
-    stack (rows >= cols) `vh` is already square, so the rows x rows U
-    factor is never formed; only a wide stack needs the full `vh` to
-    reach its null rows, and there U is the small side. The rank cut is
-    tol relative to the top singular value; `floor` guards stacks whose
-    top singular value is itself round-off (rows built from normalized
-    operators pass floor=1).
+    Read from `vh` of a thin SVD, so no rows x rows U factor is formed. The
+    cut is `rank_cut(s, tol, 1.0)`: the rows come from operators of order
+    one, and the unit floor leaves a stack of round-off at full nullity.
     """
     if a.size == 0:
         return np.eye(a.shape[1], dtype=complex)
-    _, s, vh = svd(a, full_matrices=a.shape[0] < a.shape[1])
-    n = a.shape[1]
-    rank = int(np.count_nonzero(rank_cut(s, tol, floor)))
-    return vh[rank:].conj().T.reshape(n, n - rank)
+    _, s, vh = svd(a, full_matrices=False)
+    rank = np.count_nonzero(rank_cut(s, tol, 1.0))
+    return vh[rank:].conj().T
 
 
 def polar_unitary(t: np.ndarray) -> np.ndarray:

@@ -44,7 +44,7 @@ def _reference_commutant(stack, tol: float = DEFAULT_TOL) -> OperatorBasis:
     d = np.shape(stack)[-1]
     eye = np.eye(d, dtype=complex)
     rows = [np.kron(eye, g.T) - np.kron(g, eye) for g in stack]
-    null = nullspace(np.concatenate(rows, axis=0), tol, floor=1.0)
+    null = nullspace(np.concatenate(rows, axis=0), tol)
     mats = [null[:, i].reshape(d, d) for i in range(null.shape[1])]
     return OperatorBasis(dim=d, mats=np.stack(orthonormalize_hs(mats, tol)))
 
@@ -323,7 +323,7 @@ def intertwiner_space(a_mats, b_mats, tol: float) -> np.ndarray:
         return np.ones((1, 1, 1), dtype=complex)
     eye = np.eye(n, dtype=complex)
     rows = [np.kron(eye, a.T) - np.kron(b, eye) for a, b in zip(a_mats, b_mats)]
-    null = nullspace(np.concatenate(rows, axis=0), np.sqrt(tol), floor=1.0)
+    null = nullspace(np.concatenate(rows, axis=0), np.sqrt(tol))
     return null.T.reshape(-1, n, n)
 
 
@@ -544,6 +544,28 @@ def test_intertwiner_basis_on_clifford_tuples(count):
     assert np.linalg.norm(_span_projector(got) - _span_projector(want)) <= 1e-8
     same = intertwiner_basis(sigmas, sigmas)
     assert np.linalg.norm(_span_projector(same) - _projector(_reference_commutant(sigmas))) <= 1e-8
+
+
+def test_a_stack_solved_with_itself_takes_one_eigen_frame(monkeypatch):
+    # commutant solves the stack against itself with one eigh of its generic element;
+    # two different stacks, as in mergeable, take one each, and a copy of the stack
+    # (a different object) gives the commutant again from two equal frames
+    calls, real = [], algebra.eigh
+
+    def counted(m):
+        calls.append(m.shape)
+        return real(m)
+
+    monkeypatch.setattr(algebra, "eigh", counted)
+    rng = np.random.default_rng(8)
+    sigmas = np.stack([random_density(3, rng) for _ in range(2)])
+    comm = commutant(sigmas)
+    assert comm.size == 1 and calls == [(3, 3)]
+    del calls[:]
+    u = haar_unitary(3, rng)
+    assert len(intertwiner_basis(sigmas, u @ sigmas @ u.conj().T)) == 1
+    assert calls == [(3, 3), (3, 3)]
+    assert np.linalg.norm(_span_projector(intertwiner_basis(sigmas, sigmas.copy())) - _projector(comm)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

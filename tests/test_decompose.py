@@ -182,6 +182,23 @@ def test_verify_reconstruction_passes_only_within_its_threshold(delta, ok):
     assert recon.ok == ok
 
 
+@pytest.mark.parametrize("factor,ok", [(0.5, True), (2.0, False)])
+def test_verify_weight_rows_pass_only_within_its_threshold(factor, ok):
+    # the plant's own decomposition with state 0's weight on block 0 raised by
+    # delta = factor * thr: that state's weight row sums to 1 + delta
+    thr = max(DEFAULT_TOL, 1e-8)
+    delta = factor * thr
+    e, truth = planted_ensemble(PlantSpec(blocks=((2, 1), (1, 2)), num_states=3, seed=1))
+    b = truth.blocks[0]
+    q = b.q.copy()
+    q[0] += delta
+    blocks = [dataclasses.replace(b, q=q), *truth.blocks[1:]]
+    report = verify(KIDecomposition(frame=truth.frame, blocks=blocks), e, channels=1)
+    (rows,) = (c for c in report.checks if c.name == "weight_rows_sum_to_1")
+    assert rows.ok == ok
+    assert abs(rows.residual - delta) <= 1e-14
+
+
 def test_a_form_off_by_a_millionth_is_refused(monkeypatch):
     # every rho_K scaled by 1 + 1e-6 after the merge: the reconstruction residual of
     # about 1e-6 lies far above the guard's max(tol, 1e4 eps)

@@ -101,6 +101,22 @@ def test_support_cut_is_relative_to_the_largest_eigenvalue(eps, rank):
     assert frame.shape[1] == rank
 
 
+@pytest.mark.parametrize("eps", [1e-10, 1e-8])
+def test_a_state_whose_trace_on_the_support_is_at_most_tol_is_rejected(eps):
+    # |0><0|, |1><1| and (1 - eps)|2><2| + eps|0><0| at p = (.5, .5 - 1e-12, 1e-12): the
+    # average state's eigenvalue 1e-12 on |2> lies below the support cut, so the third
+    # state keeps the trace eps on the support, against the cut tol = 1e-9
+    states = np.array([np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 1.0, 0.0]), np.diag([eps, 0.0, 1.0 - eps])])
+    e = Ensemble(probs=[0.5, 0.5 - 1e-12, 1e-12], states=states.astype(complex))
+    if eps < 1e-9:
+        with pytest.raises(ValidationError, match=r"states\[2\]: outside the support"):
+            support_restrict(e)
+    else:
+        frame, er = support_restrict(e)
+        assert frame.shape == (3, 2)
+        assert np.allclose(er.states[2], np.diag([1.0, 0.0]), atol=1e-12)
+
+
 def test_support_restrict_single_pure_in_dim_3():
     rho = np.zeros((3, 3), dtype=complex)
     rho[0, 0] = 1.0

@@ -99,17 +99,23 @@ def test_orthonormalize_gram_identity_random():
     assert np.linalg.norm(gram - np.eye(len(out))) <= 1e-10
 
 
-@pytest.mark.parametrize("shape, null_dim", [((6, 3), 1), ((1, 3), 2)])
-def test_nullspace_tall_and_wide(shape, null_dim):
-    # rank-2 tall stack, and a wide row whose null rows exist only in the full vh
+def test_nullspace_of_a_rank_deficient_tall_stack():
     rng = np.random.default_rng(4)
-    a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    if shape[0] > shape[1]:
-        a[:, 2] = a[:, 0] - 2j * a[:, 1]
+    a = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
+    a[:, 2] = a[:, 0] - 2j * a[:, 1]
     null = nullspace(a)
-    assert null.shape == (shape[1], null_dim)
+    assert null.shape == (3, 1)
     assert np.linalg.norm(a @ null) <= 1e-12
-    assert np.allclose(null.conj().T @ null, np.eye(null_dim), atol=1e-12)
+    assert np.allclose(null.conj().T @ null, np.eye(1), atol=1e-12)
+
+
+def test_nullspace_cut_has_a_unit_floor():
+    # a stack whose top singular value is round-off is all null; the floor 1 sets the
+    # scale of the cut, so an order-one stack cuts at tol itself
+    eye = np.eye(3, dtype=complex)
+    assert nullspace(1e-12 * eye).shape == (3, 3)
+    assert nullspace(np.diag([1.0, 2e-9, 5e-10]).astype(complex)).shape == (3, 1)
+    assert nullspace(np.diag([3.0, 2e-9, 5e-10]).astype(complex)).shape == (3, 2)
 
 
 def test_nullspace_tall_stack_forms_no_square_u():
@@ -119,7 +125,7 @@ def test_nullspace_tall_stack_forms_no_square_u():
     a = rng.standard_normal((4961, 121)) + 1j * rng.standard_normal((4961, 121))
     tracemalloc.start()
     try:
-        null = nullspace(a, floor=1.0)
+        null = nullspace(a)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

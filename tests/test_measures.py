@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from kidecomp.decompose import ki_decompose
 from kidecomp.ensemble import Ensemble
-from kidecomp.measures import fidelity, info_measures, von_neumann_entropy
+from kidecomp.measures import fidelity, info_measures, shannon_entropy, von_neumann_entropy
 from kidecomp.oracles import PlantSpec, haar_unitary, planted_ensemble, random_density
 
 KET0 = np.array([[1, 0], [0, 0]], dtype=complex)
@@ -26,6 +28,14 @@ def test_entropy_two_level():
     got = von_neumann_entropy(np.diag([0.75, 0.25]).astype(complex))
     assert got == pytest.approx(expected, abs=1e-12)
     assert got == pytest.approx(0.811278, abs=1e-6)
+
+
+@pytest.mark.parametrize("small,kept", [(5e-10, 2), (2e-9, 3)])
+def test_shannon_entropy_drops_entries_at_or_below_tol(small, kept):
+    # at tol = 1e-9 an entry of 5e-10 is dropped and one of 2e-9 counts
+    p = (0.6, 0.4 - small, small)
+    want = -sum(x * math.log2(x) for x in p[:kept])
+    assert abs(shannon_entropy(p, 1e-9) - want) <= 1e-13
 
 
 def test_fidelity_identical():

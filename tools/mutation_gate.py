@@ -74,6 +74,19 @@ MUTANTS = (
     Mutant("resid_1e-4", "src/kidecomp/decompose.py", "if resid > tol *", "if resid > 1e-4 *"),
     # I_R from log2 k in place of the entropy of rho_K
     Mutant("i_r_log2_k", "src/kidecomp/measures.py", "von_neumann_entropy(b.rho_K, tol)", "np.log2(b.k)"),
+    # verify's weight-row check reads a hundredth of its residual
+    Mutant(
+        "weight_rows_loose",
+        "src/kidecomp/decompose.py",
+        "within_thr(weight_rows())",
+        "within_thr(weight_rows() / 100)",
+    ),
+    # the support refuses only a state with no trace on it at all
+    Mutant("support_trace_zero", "src/kidecomp/ensemble.py", "traces <= tol", "traces <= 0"),
+    # the Shannon entropy keeps every positive entry
+    Mutant("shannon_cut_zero", "src/kidecomp/measures.py", "keep = p[p > tol]", "keep = p[p > 0]"),
+    # two different stacks share the first stack's eigen-frame
+    Mutant("shared_frame_always", "src/kidecomp/algebra.py", "same = b_mats is a_mats", "same = True"),
 )
 
 
