@@ -292,7 +292,7 @@ class _CompressionPlan:
     qubits: int
     full: bool
     full_index: np.ndarray | None = None  # the full classes' rows of `_type_classes`, most probable first
-    partial: tuple[tuple[int, ...], np.ndarray] | None = None
+    partial: np.ndarray | None = None  # the partial class's first sequences in lexicographic order
 
 
 def _compression_plan(
@@ -321,15 +321,13 @@ def _compression_plan(
     # most probable class first; the classes come in lexicographic order
     # of their counts, so the stable sort breaks ties in that order
     order = np.argsort(-np.array(log2p), kind="stable")
-    ranked = counts[order].tolist()
     filled = np.cumsum(np.array(sizes, dtype=object)[order])  # Python ints: sizes may pass 2**63
     n_full = int(np.searchsorted(filled, dim, side="right"))
     room = dim - (filled[n_full - 1] if n_full else 0)
-    partial = tuple(ranked[n_full])
     return _CompressionPlan(
         alphabet=r, length=length, dim=dim, qubits=budget, full=False,
         full_index=order[:n_full],
-        partial=(partial, _lex_sequences(partial, room)) if room > 0 else None,
+        partial=_lex_sequences(tuple(counts[order[n_full]].tolist()), room) if room > 0 else None,
     )
 
 
@@ -371,10 +369,9 @@ def _overlap_weights(plan: _CompressionPlan, diag: np.ndarray, sums: np.ndarray)
     if len(plan.full_index):
         w += np.cumsum(sums[:, plan.full_index], axis=1)[:, -1]
     if plan.partial is not None:
-        _, seqs = plan.partial
         cols = np.arange(plan.length)
-        for rows in row_blocks(len(diag), seqs.nbytes):
-            prods = np.prod(diag[rows][:, cols[None, :], seqs], axis=2)
+        for rows in row_blocks(len(diag), plan.partial.nbytes):
+            prods = np.prod(diag[rows][:, cols[None, :], plan.partial], axis=2)
             w[rows] += [float(np.sum(p)) for p in prods]
     return np.minimum(np.maximum(w, 0.0), 1.0)
 
@@ -413,73 +410,59 @@ def _block_data(d: KIDecomposition, rho_j_avg: list[np.ndarray], tol: float) -> 
     return out
 
 
-def _swapped_codes(codes: np.ndarray, alphabet: int, a: int, b: int) -> np.ndarray:
-    """The codes sum_j s_j alphabet^j of the sequences of `codes` with positions a and b swapped."""
+def _swapped_codes(codes: np.ndarray, alphabet: int, a, b) -> np.ndarray:
+    """The codes sum_j s_j alphabet^j of the sequences of `codes` with positions a and b
+    swapped; a and b may be arrays of positions that broadcast against `codes`."""
     wa, wb = alphabet**a, alphabet**b
     return codes + (codes // wb % alphabet - codes // wa % alphabet) * (wa - wb)
 
 
-class _FailureGeometry:
-    """The sequences and half-sequence codes of a plan, which its failure branches share.
+def _subspace(plan: _CompressionPlan) -> tuple[np.ndarray, tuple]:
+    """The subspace's sequences, one row each and the partial class's last, and
+    their `halves`, which the plan's failure branches share.
 
     `halves` holds, for the first and for the second half of the sequence
     positions, the distinct half-sequences (one row each, in the order of
     their integer codes) and per subspace sequence the row of its
-    half-sequence. The whole sequences give the swaps that keep the
-    subspace (`swaps`), on the branches that split.
+    half-sequence. The sequences are built here, not kept on the plan: a
+    sweep holds the plans of all its deltas at once, so sequences kept
+    there would add to its peak memory.
     """
+    full_classes = _compositions(plan.alphabet, plan.length)[plan.full_index].tolist()
+    parts = [_lex_sequences(c, _multinomial(c)) for c in full_classes]
+    seqs = np.concatenate(parts if plan.partial is None else [*parts, plan.partial], axis=0)
+    half = plan.length // 2
+    halves = []
+    for part in (seqs[:, :half], seqs[:, half:]):
+        codes = part @ plan.alphabet ** np.arange(part.shape[1])
+        _, first, inv = np.unique(codes, return_index=True, return_inverse=True)
+        halves.append((part[first], inv))
+    return seqs, tuple(halves)
 
-    def __init__(self, plan: _CompressionPlan):
-        # built here, not kept on the plan: a sweep holds the plans of all its
-        # deltas at once, so sequences kept there would add to its peak memory
-        full_classes = _compositions(plan.alphabet, plan.length)[plan.full_index].tolist()
-        parts = [_lex_sequences(c, _multinomial(c)) for c in full_classes]
-        if plan.partial is not None:
-            parts.append(plan.partial[1])
-        self.seqs = np.concatenate(parts, axis=0)  # the subspace's sequences, the partial class's last
-        self.alphabet = plan.alphabet
-        self.partial_rows = 0 if plan.partial is None else len(plan.partial[1])
-        self.closed: dict[tuple[int, int], bool] = {}
-        half = plan.length // 2
-        halves = []
-        for part in (self.seqs[:, :half], self.seqs[:, half:]):
-            codes = part @ plan.alphabet ** np.arange(part.shape[1])
-            _, first, inv = np.unique(codes, return_index=True, return_inverse=True)
-            halves.append((part[first], inv))
-        self.halves = tuple(halves)
 
-    @functools.cached_property
-    def codes(self) -> np.ndarray:
-        """Per subspace sequence s, its code sum_j s_j alphabet^j."""
-        return self.seqs @ self.alphabet ** np.arange(self.seqs.shape[1])
+def _swaps(seqs: np.ndarray, alphabet: int, partial_rows: int, members: list[int]) -> list[np.ndarray]:
+    """The disjoint position pairs that carry the same J state and keep the subspace,
+    taken greedily in position order: per pair, its permutation of the sequences
+    `seqs` (the index of each one's image with the pair's positions swapped).
 
-    @functools.cached_property
-    def rank(self) -> np.ndarray:
-        return np.argsort(self.codes)
-
-    def swap_closed(self, a: int, b: int) -> bool:
-        """Whether swapping positions a and b maps the subspace's sequences onto
-        themselves. A full type class always does, so only the partial class's
-        sequences are checked, once per pair."""
-        if (a, b) not in self.closed:
-            partial = self.codes[len(self.codes) - self.partial_rows :]
-            self.closed[a, b] = bool(np.isin(_swapped_codes(partial, self.alphabet, a, b), partial).all())
-        return self.closed[a, b]
-
-    def swap(self, a: int, b: int) -> np.ndarray:
-        """Per subspace sequence, the index of the sequence with positions a and b
-        swapped, for a pair that `swap_closed` accepts."""
-        return self.rank[np.searchsorted(self.codes[self.rank], _swapped_codes(self.codes, self.alphabet, a, b))]
-
-    def swaps(self, members: list[int]) -> list[tuple[int, int]]:
-        """Disjoint position pairs that carry the same J state and keep the subspace,
-        taken greedily in position order."""
-        out, taken = [], set()
-        for a, b in itertools.combinations(range(len(members)), 2):
-            if members[a] == members[b] and not taken & {a, b} and self.swap_closed(a, b):
-                out.append((a, b))
-                taken |= {a, b}
-        return out
+    A full type class always maps onto itself, so a pair keeps the subspace
+    when it maps the last `partial_rows` sequences, the partial class's, onto
+    themselves. That is decided for every equal-state pair of the group at
+    once, by one `np.isin` over their swapped partial-class codes.
+    """
+    pairs = [(a, b) for a, b in itertools.combinations(range(len(members)), 2) if members[a] == members[b]]
+    if not pairs:
+        return []
+    codes = seqs @ alphabet ** np.arange(seqs.shape[1])  # sum_j s_j alphabet^j
+    partial = codes[len(codes) - partial_rows :]
+    firsts, seconds = np.array(pairs).T[:, :, None]
+    closed = np.isin(_swapped_codes(partial, alphabet, firsts, seconds), partial).all(axis=1)
+    rank, out, taken = np.argsort(codes), [], set()
+    for (a, b), ok in zip(pairs, closed.tolist()):
+        if ok and not taken & {a, b}:
+            out.append(rank[np.searchsorted(codes[rank], _swapped_codes(codes, alphabet, a, b))])
+            taken |= {a, b}
+    return out
 
 
 def _half_states(rotated: np.ndarray, heads: np.ndarray, members: np.ndarray) -> np.ndarray:
@@ -561,9 +544,9 @@ def _parity(x: np.ndarray) -> np.ndarray:
     return x & 1
 
 
-def _sector_spectra(data: _BlockData, members: np.ndarray, geometry: _FailureGeometry) -> np.ndarray:
+def _sector_spectra(data: _BlockData, members: np.ndarray, halves, swaps: list[np.ndarray]) -> np.ndarray:
     """The eigenvalues of one group's state, joined over the sectors of its swaps
-    (`_FailureGeometry.swaps`).
+    (the permutations of `_swaps`).
 
     The swaps act on disjoint positions, so they commute and generate a
     group H of 2^k elements. After the first j of them, a sector is one
@@ -579,19 +562,17 @@ def _sector_spectra(data: _BlockData, members: np.ndarray, geometry: _FailureGeo
     below SECTOR_SPLIT_MIN, or with no swap left, goes to
     `eigvalsh`; a matrix is dropped as soon as its two sectors are built.
     """
-    swaps = geometry.swaps(members.tolist())
     if not swaps:
-        return eigvalsh(_group_states(data, members[None], geometry.halves)[0])
+        return eigvalsh(_group_states(data, members[None], halves)[0])
     # per swap j: its permutation of the sequences, and after swaps 0..j-1 each
     # sequence's orbit label and one element (a bit per swap) that reaches it from there
     levels = []
-    label, elt = np.arange(len(geometry.seqs)), np.zeros(len(geometry.seqs), dtype=np.int64)
-    for j, (a, b) in enumerate(swaps):
-        t = geometry.swap(a, b)
+    label, elt = np.arange(len(swaps[0])), np.zeros(len(swaps[0]), dtype=np.int64)
+    for j, t in enumerate(swaps):
         levels.append((t, label, elt))
         elt = np.where(label[t] < label, elt[t] ^ (1 << j), elt)
         label = np.minimum(label, label[t])
-    group = _half_entries(data, members[None], geometry.halves)
+    group = _half_entries(data, members[None], halves)
     # matrix (None: the group state, read from its half states), its labels, minus, next swap
     pending = [(None, np.arange(len(label)), 0, 0)]
     lam = []
@@ -620,7 +601,8 @@ def _failure_fidelities(plan: _CompressionPlan, data: _BlockData, members: np.nd
     `w` their overlap weights, which give the answer for an all-pure block.
     The group state P sigma P on the compression subspace has the entries
     prod_j rho_j[s_j, s'_j] over pairs of the subspace's sequences s, s'.
-    The plan's `_FailureGeometry` is built once per call, for a mixed block.
+    The plan's sequences and `halves` (`_subspace`) are built once per call,
+    for a mixed block.
     Every factor is exactly Hermitian, and real for a 2-dim block (see
     `_BlockData.rotated`), so the product is too and a 2-dim block's goes
     to the real symmetric solver.
@@ -634,7 +616,7 @@ def _failure_fidelities(plan: _CompressionPlan, data: _BlockData, members: np.nd
     If positions a and b carry the same J state
     (members[a] == members[b]), swapping them commutes with
     sigma = tensor_j rho_j, and with P when the swap maps the subspace's
-    sequences onto themselves (`_FailureGeometry.swap_closed`). Then
+    sequences onto themselves (`_swaps`). Then
     P sigma P is block diagonal in the swap's +1 and -1 sectors, exactly,
     and its spectrum is the union of theirs. The valid pairs are taken
     greedily in position order, disjoint, and the state is split by one
@@ -649,13 +631,17 @@ def _failure_fidelities(plan: _CompressionPlan, data: _BlockData, members: np.nd
     """
     if data.all_pure:
         return w / plan.dim
-    geometry = _FailureGeometry(plan)
+    seqs, halves = _subspace(plan)
     if plan.dim >= SECTOR_SPLIT_MIN:
-        spectra = (_sector_spectra(data, row, geometry) for row in members)
+        partial_rows = 0 if plan.partial is None else len(plan.partial)
+        spectra = (
+            _sector_spectra(data, row, halves, _swaps(seqs, plan.alphabet, partial_rows, row.tolist()))
+            for row in members
+        )
     else:
         matrix_bytes = plan.dim**2 * data.rotated.itemsize
         spectra = itertools.chain.from_iterable(
-            eigvalsh(_group_states(data, members[rows], geometry.halves))
+            eigvalsh(_group_states(data, members[rows], halves))
             for rows in row_blocks(len(members), matrix_bytes)
         )
     out = np.empty(len(members))
@@ -737,7 +723,7 @@ def rate_sweep(
     over MIXED_SUBSPACE_CAP raises ConfigTooLarge before any is
     evaluated. Pass B evaluates the failure branches plan by plan, one
     `_failure_fidelities` call each, so that a plan's sequences and
-    half-sequence codes (`_FailureGeometry`) are built once, and its
+    half-sequence codes (`_subspace`) are built once, and its
     branches below the split floor go to one stacked `eigvalsh` per
     slice. Each trial's fidelity is then the product of its groups'
     fidelities in ascending label order.

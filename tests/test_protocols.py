@@ -343,6 +343,42 @@ def test_rate_sweep_refuses_an_over_cap_failure_branch_before_any_eigvalsh(monke
     assert calls == []
 
 
+def test_mixed_subspace_cap_admits_a_branch_of_its_own_dimension(monkeypatch):
+    # the bench's 3x1,2x2 plant at N = 6: the largest failure branch has D = 16
+    # dimensions. A cap of D runs the sweep unchanged; a cap of D - 1 refuses it in
+    # pass A, before any eigvalsh
+    e, _ = planted_ensemble(PlantSpec(blocks=((3, 1), (2, 2)), num_states=3, seed=1))
+    d = ki_decompose(e)
+    calls = []
+    real = protocols.eigvalsh
+
+    def counting(a):
+        calls.append(a.shape[-1])
+        return real(a)
+
+    monkeypatch.setattr(protocols, "eigvalsh", counting)
+    want = rate_sweep(e, d, 6, [-0.3, 0.0], trials=40, seed=2)
+    dim = max(calls)
+    assert dim == 16
+    monkeypatch.setattr(protocols, "MIXED_SUBSPACE_CAP", dim)
+    got = rate_sweep(e, d, 6, [-0.3, 0.0], trials=40, seed=2)
+    assert all(a.fidelities.tobytes() == b.fidelities.tobytes() for a, b in zip(got, want, strict=True))
+    calls.clear()
+    monkeypatch.setattr(protocols, "MIXED_SUBSPACE_CAP", dim - 1)
+    with pytest.raises(ConfigTooLarge, match=f"subspace dimension <= {dim - 1}"):
+        rate_sweep(e, d, 6, [-0.3, 0.0], trials=40, seed=2)
+    assert calls == []
+
+
+@pytest.mark.parametrize("n_messages, trials", [(4, 0), (0, 10)])
+def test_block_protocol_refuses_zero_trials_or_messages(n_messages, trials):
+    e, d = two_pure()
+    with pytest.raises(ValueError, match="at least 1"):
+        rate_sweep(e, d, n_messages, [0.0], trials=trials)
+    with pytest.raises(ValueError, match="at least 1"):
+        simulate_asymptotic(e, d, n_messages=n_messages, delta=0.0, trials=trials)
+
+
 # -- paired streams against the one-choice-per-draw reference ---------------
 #
 # The simulators draw each trial's uniforms in bulk and pick by searchsorted.
@@ -418,9 +454,8 @@ def reference_overlap_weight(plan, diag_rows, sums):
     for c in full_classes_of(plan):
         w += sums.get(c, 0.0)
     if plan.partial is not None:
-        _, seqs = plan.partial
         cols = np.arange(plan.length)
-        w += float(np.sum(np.prod(diag_rows[cols[None, :], seqs], axis=1)))
+        w += float(np.sum(np.prod(diag_rows[cols[None, :], plan.partial], axis=1)))
     return min(max(w, 0.0), 1.0)
 
 
@@ -761,7 +796,7 @@ def test_block_stream_memory_is_bounded_by_the_block():
 
 def _reference_group_state(plan, data, members):
     """The group state built with one full-size gather per member, hermitized."""
-    seqs = protocols._FailureGeometry(plan).seqs
+    seqs, _ = protocols._subspace(plan)
     compressed = np.ones((len(seqs), len(seqs)), dtype=complex)
     for j, i in enumerate(members):
         s = seqs[:, j]
@@ -915,7 +950,9 @@ def test_failure_branch_holds_one_group_state_at_its_eigvalsh(monkeypatch):
     data = next(b for b in block_data(e, ki_decompose(e)) if len(b.spectrum) == 3)
     plan = _compression_plan(data.spectrum, data.entropy, 9, 0.0, {})
     members = [0, 1, 2, 2, 1, 0, 0, 1, 2]
-    assert plan.dim == 1024 and protocols._FailureGeometry(plan).swaps(members) == [(5, 6)]
+    seqs, _, swaps = _subspace_swaps(plan, members)
+    assert plan.dim == 1024 and _reference_swap_pairs(seqs, members) == [(5, 6)]
+    assert len(swaps) == 1 and np.array_equal(seqs[swaps[0]], seqs[:, _swapped_positions(9, 5, 6)])
     calls = []
     real = protocols.eigvalsh
 
@@ -981,15 +1018,14 @@ def test_direct_sectors_match_the_split_of_the_whole_group_state():
     # same bytes, on real and complex blocks
     seen = set()
     for plan, data, members in _swap_cases():
-        geometry = protocols._FailureGeometry(plan)
-        swaps = geometry.swaps(members)
+        _, halves, swaps = _subspace_swaps(plan, members)
         if not swaps:
             continue
         members = np.array(members)
-        pi, sign = geometry.swap(*swaps[0]), np.ones(plan.dim, dtype=np.int64)
-        state = protocols._group_states(data, members[None], geometry.halves)[0]
+        pi, sign = swaps[0], np.ones(plan.dim, dtype=np.int64)
+        state = protocols._group_states(data, members[None], halves)[0]
         want = protocols._sector_split(lambda rows, cols: state[rows][:, cols], pi, sign, state.dtype)
-        group = protocols._half_entries(data, members[None], geometry.halves)
+        group = protocols._half_entries(data, members[None], halves)
         got = protocols._sector_split(lambda rows, cols: group(rows, cols)[0], pi, sign, state.dtype)
         for (reps, sector), (want_reps, want_sector) in zip(got, want, strict=True):
             assert np.array_equal(reps, want_reps)
@@ -999,6 +1035,36 @@ def test_direct_sectors_match_the_split_of_the_whole_group_state():
 
 
 # -- the swap sectors against one dense solve -------------------------------------
+
+
+def _subspace_swaps(plan, members):
+    """The plan's sequences and `halves` (`protocols._subspace`) and the permutations
+    of one group's swaps (`protocols._swaps`)."""
+    seqs, halves = protocols._subspace(plan)
+    partial_rows = 0 if plan.partial is None else len(plan.partial)
+    return seqs, halves, protocols._swaps(seqs, plan.alphabet, partial_rows, list(members))
+
+
+def _swapped_positions(length, a, b):
+    """The positions 0..length-1 with a and b exchanged."""
+    order = list(range(length))
+    order[a], order[b] = b, a
+    return order
+
+
+def _reference_swap_pairs(seqs, members):
+    """The disjoint pairs of equal-state positions whose swap maps the set of all
+    sequences onto itself, taken greedily in position order, each checked on the
+    whole set one pair at a time."""
+    whole = set(map(tuple, seqs.tolist()))
+    out, taken = [], set()
+    for a, b in itertools.combinations(range(len(members)), 2):
+        if members[a] != members[b] or taken & {a, b}:
+            continue
+        if set(map(tuple, seqs[:, _swapped_positions(len(members), a, b)].tolist())) == whole:
+            out.append((a, b))
+            taken |= {a, b}
+    return out
 
 
 def _swap_cases():
@@ -1021,18 +1087,19 @@ def test_sector_spectra_match_one_dense_solve(monkeypatch):
     monkeypatch.setattr(protocols, "SECTOR_SPLIT_MIN", 2)
     seen = set()
     for plan, data, members in _swap_cases():
-        geometry = protocols._FailureGeometry(plan)
-        swaps = geometry.swaps(members)
+        seqs, halves, swaps = _subspace_swaps(plan, members)
+        pairs = _reference_swap_pairs(seqs, members)
+        assert len(swaps) == len(pairs)
         state = _reference_group_state(plan, data, members)
-        for a, b in swaps:  # the symmetry each split relies on, checked on the state itself
+        for t, (a, b) in zip(swaps, pairs):  # the symmetry each split relies on, checked on the state itself
             assert members[a] == members[b]
-            t = geometry.swap(a, b)
+            assert np.array_equal(seqs[t], seqs[:, _swapped_positions(plan.length, a, b)])
             assert sorted(t) == list(range(plan.dim))
             assert np.abs(state[np.ix_(t, t)] - state).max() <= 1e-15
-        taken = [p for pair in swaps for p in pair]
-        assert len(set(taken)) == len(taken) and swaps == sorted(swaps)
+        taken = [p for pair in pairs for p in pair]
+        assert len(set(taken)) == len(taken) and pairs == sorted(pairs)
         want = eigvalsh(state)
-        got = np.sort(protocols._sector_spectra(data, np.array(members), geometry))
+        got = np.sort(protocols._sector_spectra(data, np.array(members), halves, swaps))
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-12 * want.max()
         seen.add((data.rotated.dtype.kind, plan.partial is not None, min(len(swaps), 2)))
@@ -1052,9 +1119,10 @@ def test_a_partial_class_that_blocks_every_swap_takes_one_dense_solve(solver_dty
     data = next(b for b in block_data(e, ki_decompose(e)) if len(b.spectrum) == 3)
     plan = _compression_plan(data.spectrum, data.entropy, 6, 0.14, {})
     assert plan.dim == 256 >= protocols.SECTOR_SPLIT_MIN
-    assert plan.partial[0] == (3, 1, 2) and len(plan.partial[1]) == 21
-    geometry = protocols._FailureGeometry(plan)
-    assert not any(geometry.swap_closed(a, b) for a, b in itertools.combinations(range(6), 2))
+    assert np.bincount(plan.partial[0], minlength=3).tolist() == [3, 1, 2] and len(plan.partial) == 21
+    # every pair carries state 0, so any pair that kept the subspace would be taken
+    seqs, _, swaps = _subspace_swaps(plan, [0] * 6)
+    assert swaps == [] and _reference_swap_pairs(seqs, [0] * 6) == []
     got = failure_fidelity(plan, data, [0] * 6, 0.5)
     assert len(solver_dtypes) == 1
     assert got == pytest.approx(_reference_failure_fidelity(plan, data, [0] * 6), rel=1e-12, abs=0.0)
@@ -1085,23 +1153,22 @@ def test_rate_sweep_failure_branches_match_the_dense_reference(monkeypatch):
 
 def test_rate_sweep_builds_each_plan_geometry_once(monkeypatch):
     # pass B makes one `_failure_fidelities` call per plan key with failure branches,
-    # and each call on a mixed block builds its plan's `_FailureGeometry` once: on the
+    # and each call on a mixed block builds its plan's `_subspace` once: on the
     # bench's 3x1,2x2 sweep, and on an all-pure sweep, which builds none. Stream blocks
     # of 16 trials spread a plan's failure branches over many pass-A slices
     monkeypatch.setattr(streams, "_STREAM_BLOCK", 16)
     calls, built = [], []
-    real_fidelities = protocols._failure_fidelities
+    real_fidelities, real_subspace = protocols._failure_fidelities, protocols._subspace
 
-    class Counted(protocols._FailureGeometry):
-        def __init__(self, plan):
-            built.append(plan)
-            super().__init__(plan)
+    def counted_subspace(plan):
+        built.append(plan)
+        return real_subspace(plan)
 
     def counted(plan, data, members, w):
         calls.append((plan, data.all_pure))
         return real_fidelities(plan, data, members, w)
 
-    monkeypatch.setattr(protocols, "_FailureGeometry", Counted)
+    monkeypatch.setattr(protocols, "_subspace", counted_subspace)
     monkeypatch.setattr(protocols, "_failure_fidelities", counted)
     e, _ = planted_ensemble(PlantSpec(blocks=BENCH_PLANTS["3x1,2x2"], num_states=3, seed=1))
     rate_sweep(e, ki_decompose(e), 12, [-0.25, 0.0, 0.25], trials=200, seed=0)
@@ -1195,9 +1262,9 @@ def test_compression_plan_matches_class_by_class_reference():
                 plan = _compression_plan(spectrum, entropy, length, delta, {})
                 assert (plan.full, plan.dim, full_classes_of(plan)) == (full, dim, want_classes)
                 assert (plan.partial is None) == (partial is None)
-                if partial is not None:
-                    assert plan.partial[0] == partial[0]
-                    assert np.array_equal(plan.partial[1], partial[1])
+                if partial is not None:  # the sequences carry their class's counts
+                    assert np.bincount(plan.partial[0], minlength=r).tolist() == list(partial[0])
+                    assert np.array_equal(plan.partial, partial[1])
                 cases += not full
     assert cases > 100
 

@@ -39,6 +39,7 @@ ROOT = Path(__file__).resolve().parents[1]
 TREE = ("src", "tests", "bench", "tools", "README.md", "pyproject.toml")
 SELF_TEST = "tests/test_mutation_gate.py"  # fails on any mutant, so no run collects it
 ONE_THREAD = {name: "1" for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+PROTOCOLS = "src/kidecomp/protocols.py"
 
 
 class Mutant(NamedTuple):
@@ -87,6 +88,25 @@ MUTANTS = (
     Mutant("shannon_cut_zero", "src/kidecomp/measures.py", "keep = p[p > tol]", "keep = p[p > 0]"),
     # two different stacks share the first stack's eigen-frame
     Mutant("shared_frame_always", "src/kidecomp/algebra.py", "same = b_mats is a_mats", "same = True"),
+    # a mixed block's failure branch of exactly MIXED_SUBSPACE_CAP dimensions is refused
+    Mutant("mixed_cap_inclusive", PROTOCOLS, "plan.dim > MIXED_SUBSPACE_CAP:", "plan.dim >= MIXED_SUBSPACE_CAP:"),
+    # the block protocol runs zero trials
+    Mutant("sweep_trials_zero", PROTOCOLS, "if trials < 1 or n_messages < 1:", "if trials < 0 or n_messages < 1:"),
+    # the failure branch keeps every positive eigenvalue, round-off ones too
+    Mutant(
+        "failure_cut_zero",
+        PROTOCOLS,
+        "lam[rank_cut(lam, plan.dim * np.finfo(float).eps)]",
+        "lam[lam > 0]",
+    ),
+    # a block counts as pure at purity 1 - 1e-3, whatever tol is
+    Mutant("purity_loose", PROTOCOLS, "purity >= 1.0 - tol", "purity >= 1.0 - 1e-3"),
+    # the compression budget rounds down a rate that falls short of an integer by round-off
+    Mutant("budget_guard_zero", PROTOCOLS, "(entropy + delta) + _BOUNDARY_GUARD", "(entropy + delta)"),
+    # the desk-scale guard refuses a configuration of exactly DESK_SCALE_QUBITS
+    Mutant("desk_guard_inclusive", PROTOCOLS, "> DESK_SCALE_QUBITS:", ">= DESK_SCALE_QUBITS:"),
+    # a swap counts as keeping the subspace when it keeps any one partial-class sequence
+    Mutant("swap_closure_any", PROTOCOLS, ".all(axis=1)", ".any(axis=1)"),
 )
 
 

@@ -57,8 +57,10 @@ class ScaleInput(NamedTuple):
 INPUTS = (
     ScaleInput("d=52 8x4,6x2,4x2, 50 states", ((8, 4), (6, 2), (4, 2)), 50),
     ScaleInput("d=52 8x4,6x2,4x2, 200 states", ((8, 4), (6, 2), (4, 2)), 200),
+    ScaleInput("d=116 16x4,12x2,8x2,4x2,4x1, 3 states", ((16, 4), (12, 2), (8, 2), (4, 2), (4, 1)), 3),
     ScaleInput("d=128 32x4, 3 states", ((32, 4),), 3),
     ScaleInput("d=128 classical (128 1x1), 4 states", ((1, 1),) * 128, 4),
+    ScaleInput("d=134 20x4,16x2,11x2, 3 states", ((20, 4), (16, 2), (11, 2)), 3),
     ScaleInput("d=256 64x4, 3 states", ((64, 4),), 3, runs=1),
     ScaleInput("d=256 classical (256 1x1), 4 states", ((1, 1),) * 256, 4, runs=1),
 )
