@@ -54,10 +54,11 @@ from .protocols import rate_sweep, simulate_asymptotic, simulate_individual
 
 _NUMERICAL = (DegenerateSample, FormViolation, ConvergenceFailure, NotHermitian, NotPSD)
 _CONFIG = (ConfigTooLarge, RejectionExhausted, MemoryError)  # MemoryError: a refused allocation
+_DIGITS = 12  # significant digits of a report's floats, in the JSON and the text format alike
 
 
 def _flatten(prefix: str, obj, lines: list[str]) -> None:
-    """The text format: one `path = value` line per leaf, floats at 12 significant digits."""
+    """The text format: one `path = value` line per leaf, floats at `_DIGITS` significant digits."""
     if isinstance(obj, dict):
         for k, v in obj.items():
             _flatten(f"{prefix}.{k}" if prefix else str(k), v, lines)
@@ -65,7 +66,7 @@ def _flatten(prefix: str, obj, lines: list[str]) -> None:
         for i, v in enumerate(obj):
             _flatten(f"{prefix}[{i}]", v, lines)
     elif isinstance(obj, float):
-        lines.append(f"{prefix} = {_round_float(obj, '%.12g')}")
+        lines.append(f"{prefix} = {_round_float(obj, f'%.{_DIGITS}g')}")
     else:
         lines.append(f"{prefix} = {obj}")
 
@@ -73,7 +74,7 @@ def _flatten(prefix: str, obj, lines: list[str]) -> None:
 def _report_text(cfg: argparse.Namespace, result, residuals, fmt: str) -> str:
     report = {"version": __version__, "config": _echo(cfg), "result": result, "residuals": residuals}
     if fmt == "json":
-        return _to_json(report, digits=12) + "\n"
+        return _to_json(report, digits=_DIGITS) + "\n"
     lines: list[str] = []
     _flatten("", report, lines)
     return "\n".join(lines) + "\n"
@@ -155,7 +156,7 @@ def _gen(cfg):
     save_ensemble(cfg.output, e)
     # the sidecar is JSON whatever --format says: it is read back as a decomposition
     sidecar = _report_text(cfg, decomposition_to_doc(truth, e.probs), {"ensemble_valid": valid}, "json")
-    _write(_truth_path(cfg.output), sidecar)
+    _write(cfg.output.removesuffix(".json") + ".truth.json", sidecar)
 
 
 def run(cfg: argparse.Namespace) -> int:
@@ -164,12 +165,6 @@ def run(cfg: argparse.Namespace) -> int:
     if report is not None:
         _write(cfg.output, _report_text(cfg, *report, cfg.format))
     return 0
-
-
-def _truth_path(output_path: str) -> str:
-    if output_path.endswith(".json"):
-        return output_path[: -len(".json")] + ".truth.json"
-    return output_path + ".truth.json"
 
 
 def _parse_blocks(text: str) -> tuple[tuple[int, int], ...]:

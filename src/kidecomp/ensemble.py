@@ -286,45 +286,35 @@ def _pair_matrix(rows: list) -> tuple[list[float], int] | None:
 
 
 def _json_parts(obj, level: int, fmt: str | None, out: list[str]) -> None:
-    """Append the `indent=1` JSON text of `obj`, opened at indent `level`, to `out`."""
+    """Append the `indent=1` JSON text of `obj`, opened at indent `level`, to `out`. A dict,
+    list or tuple is one item loop: each item follows its head, its key and ": " in a dict
+    (a non-str key raises TypeError in `encode_basestring_ascii`), nothing in a list."""
     if isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        inner = "\n" + " " * (level + 1)
-        sep = "{" + inner
-        for key, item in obj.items():
-            if not isinstance(key, str):
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
-            if isinstance(item, (dict, list, tuple)):
-                out.append(sep + encode_basestring_ascii(key) + ": ")
-                _json_parts(item, level + 1, fmt, out)
-            else:
-                out.append(sep + encode_basestring_ascii(key) + ": " + _scalar_text(item, fmt))
-            sep = "," + inner
-        out.append("\n" + " " * level + "}")
+        brackets, heads, items = "{}", (encode_basestring_ascii(key) + ": " for key in obj), obj.values()
+    elif type(obj) is list and obj and (matrix := _pair_matrix(obj)) is not None:
+        values, ncols = matrix
+        if fmt:
+            values = [_round_float(x, fmt) for x in values]
+        out.append(_pairs_template(len(obj), ncols, level) % tuple(values))
+        return
     elif isinstance(obj, (list, tuple)):
-        if not obj:
-            out.append("[]")
-            return
-        if type(obj) is list and (matrix := _pair_matrix(obj)) is not None:
-            values, ncols = matrix
-            if fmt:
-                values = [_round_float(x, fmt) for x in values]
-            out.append(_pairs_template(len(obj), ncols, level) % tuple(values))
-            return
-        inner = "\n" + " " * (level + 1)
-        sep = "[" + inner
-        for item in obj:
-            if isinstance(item, (dict, list, tuple)):
-                out.append(sep)
-                _json_parts(item, level + 1, fmt, out)
-            else:
-                out.append(sep + _scalar_text(item, fmt))
-            sep = "," + inner
-        out.append("\n" + " " * level + "]")
+        brackets, heads, items = "[]", itertools.repeat(""), obj
     else:
         out.append(_scalar_text(obj, fmt))
+        return
+    if not items:
+        out.append(brackets)
+        return
+    inner = "\n" + " " * (level + 1)
+    sep = brackets[0] + inner
+    for head, item in zip(heads, items):
+        if isinstance(item, (dict, list, tuple)):
+            out.append(sep + head)
+            _json_parts(item, level + 1, fmt, out)
+        else:
+            out.append(sep + head + _scalar_text(item, fmt))
+        sep = "," + inner
+    out.append("\n" + " " * level + brackets[1])
 
 
 def _to_json(doc, digits: int | None = None) -> str:

@@ -22,7 +22,8 @@ class DegenerateSample(KidecompError):
 
 
 class FormViolation(KidecompError):
-    """A compressed state failed the (state on J) x (identity on K) form test."""
+    """`ki_decompose`'s own block form fails to rebuild a state: its worst reconstruction
+    residual exceeds the guard's tolerance."""
 
 
 class ParseError(KidecompError):
@@ -34,7 +35,10 @@ class ValidationError(KidecompError):
 
 
 class ConfigTooLarge(KidecompError):
-    """Requested simulation or commutant solve exceeds the desk-scale guard."""
+    """A request passes a desk-scale guard, checked before the work is allocated: the
+    protocols' qubit count or mixed failure subspace, a commutant stack, a planted
+    ensemble's draws, or one verify channel's working set (the last three against
+    `algebra.MAX_STACK_BYTES`)."""
 
 
 class RejectionExhausted(KidecompError):

@@ -5,7 +5,9 @@ decisions are relative to the largest singular value / eigenvalue, never
 absolute, so the routines are insensitive to the overall scale of their
 inputs. `rank_cut` is the one relative rank cut of the package, every
 LAPACK call goes through the typed wrappers built by `_lapack`, and
-`row_blocks` cuts every bounded loop into slices of at most WORK_BYTES.
+`row_blocks` cuts every bounded loop into slices of at most WORK_BYTES,
+but for the trial streams, which are cut at 4096 trials a block
+(`streams._STREAM_BLOCK`).
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import numpy as np
 from .errors import ConvergenceFailure, NotHermitian, NotPSD
 
 DEFAULT_TOL = 1e-9
-WORK_BYTES = 2**18  # the working set of one slice of every bounded loop of the package (`row_blocks`)
+WORK_BYTES = 2**18  # one slice's working set of every bounded loop (`row_blocks`) but the trial streams
 
 
 def as_complex_matrix(m, ndim: int = 2) -> np.ndarray:

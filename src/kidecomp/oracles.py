@@ -120,6 +120,24 @@ def _draw_redundant_state(k: int, rng: np.random.Generator) -> np.ndarray:
     raise RejectionExhausted(f"could not draw {k} well separated redundant eigenvalues")
 
 
+def _plant_bytes(spec: PlantSpec) -> int:
+    """The bytes `planted_ensemble` holds at its peak, num_states times the largest per-state
+    count of its three phases (each from the arrays it keeps, checked with tracemalloc):
+    - `_draw_weights`: a simplex array per state and its view in `np.stack`, then the
+      (blocks, blocks) ratio cube, within 320 + 16 blocks^2 bytes;
+    - the irreducibility check of an n x n block (n > 1): `commutant`'s (n^2, n) stack, the
+      U factor of its thin SVD and LAPACK's two copies of them, 64 n^3 bytes, plus the three
+      (n, n) arrays of its eigen-frame;
+    - the assembly: four (D, D) stacks, the block sum, its rotation and `hermitize`'s two.
+    The last two also hold every block state, the weights and the probabilities.
+    """
+    ns = [int(n) for n, _ in spec.blocks]  # Python ints: the products below cannot wrap
+    total = sum(int(n) * int(k) for n, k in spec.blocks)
+    held = 16 * sum(n * n for n in ns) + 16 * len(ns)
+    check = max([64 * n**3 + 48 * n * n for n in ns if n > 1], default=0)
+    return int(spec.num_states) * max(320 + 16 * len(ns) ** 2, held + max(check, 64 * total**2))
+
+
 def planted_ensemble(spec: PlantSpec, tol: float = DEFAULT_TOL) -> tuple[Ensemble, KIDecomposition]:
     """Random ensemble with a known decomposition, plus that ground truth.
 
@@ -128,13 +146,14 @@ def planted_ensemble(spec: PlantSpec, tol: float = DEFAULT_TOL) -> tuple[Ensembl
     block data expressed in the rotated frame. Weight columns are
     rejection-sampled away from proportionality and the block states
     away from reducibility, so the plant is its own canonical
-    decomposition. A (num_states, D, D) complex state stack above
-    `algebra.MAX_STACK_BYTES` raises ConfigTooLarge before any draw.
+    decomposition. A plant whose draws and assembly hold more than
+    `algebra.MAX_STACK_BYTES` (`_plant_bytes`) raises ConfigTooLarge
+    before any draw.
     """
-    total = sum(int(n) * int(k) for n, k in spec.blocks)  # Python ints: the product below cannot wrap
-    if 16 * int(spec.num_states) * total**2 > algebra.MAX_STACK_BYTES:
-        size = f"{spec.num_states} x {total} x {total}"
-        raise ConfigTooLarge(f"planted state stack of {size} exceeds {algebra.MAX_STACK_BYTES} bytes")
+    total = sum(int(n) * int(k) for n, k in spec.blocks)
+    if (need := _plant_bytes(spec)) > algebra.MAX_STACK_BYTES:
+        what = f"{spec.num_states} states of dimension {total}"
+        raise ConfigTooLarge(f"a plant of {what} holds {need} bytes, above {algebra.MAX_STACK_BYTES}")
     rng = np.random.default_rng(spec.seed)
     q = _draw_weights(spec, rng)
     sigmas = [_draw_block_states(n, spec.num_states, rng, tol) for n, _ in spec.blocks]
@@ -196,7 +215,9 @@ def random_form2_kraus(
     `linalg.row_blocks` slices of the seeds: a channel's row is its
     Kraus stack, its X C^dagger factor and the three (states, D, D)
     arrays that applying it to `states` states and taking the residual
-    need, so a large D * states falls back to one channel at a time.
+    need, so a large D * states falls back to one channel at a time. A
+    row above `algebra.MAX_STACK_BYTES` raises ConfigTooLarge before any
+    channel is built.
     """
     if env_dim < 1:
         raise ValueError("env_dim must be at least 1")
@@ -208,7 +229,10 @@ def random_form2_kraus(
     bases = [eigh(hermitize(b.rho_K))[1] for b in d.blocks]
     dim, support = c.shape
     seeds = list(seeds)
-    for chunk in row_blocks(len(seeds), 16 * dim * (env_dim * (support + dim) + 3 * states * dim)):
+    row = 16 * dim * (env_dim * (support + dim) + 3 * states * dim)
+    if row > algebra.MAX_STACK_BYTES:
+        raise ConfigTooLarge(f"one channel's working set of {row} bytes exceeds {algebra.MAX_STACK_BYTES} bytes")
+    for chunk in row_blocks(len(seeds), row):
         rngs = [np.random.default_rng(seed) for seed in seeds[chunk]]
         xc = np.empty((len(rngs), env_dim, support, dim), dtype=complex)
         at = 0

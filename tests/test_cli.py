@@ -305,15 +305,39 @@ def test_exit_code_allocation_failure(tmp_path, capsys, monkeypatch):
 
 
 def test_gen_refuses_a_plant_above_the_stack_cap(tmp_path, capsys, monkeypatch):
-    # 3 states of a 1x1,1x1 plant stack 192 bytes
-    monkeypatch.setattr(algebra, "MAX_STACK_BYTES", 191)
+    # the draws of 3 states of a 1x1,1x1 plant hold 3 x 384 bytes
+    monkeypatch.setattr(algebra, "MAX_STACK_BYTES", 1151)
     out = tmp_path / "x.json"
     assert main(["gen", "-o", str(out), "--blocks", "1x1,1x1", "--num-states", "3"]) == 4
     err = capsys.readouterr().err
-    assert err == "configuration error: planted state stack of 3 x 2 x 2 exceeds 191 bytes\n"
+    assert err == "configuration error: a plant of 3 states of dimension 2 holds 1152 bytes, above 1151\n"
     assert not out.exists()
-    monkeypatch.setattr(algebra, "MAX_STACK_BYTES", 192)
+    monkeypatch.setattr(algebra, "MAX_STACK_BYTES", 1152)
     assert main(["gen", "-o", str(out), "--blocks", "1x1,1x1", "--num-states", "3"]) == 0
+
+
+@pytest.mark.parametrize(
+    "output, sidecar",
+    [("plant", "plant.truth.json"), ("plant.txt", "plant.txt.truth.json"), ("a.json.json", "a.json.truth.json")],
+)
+def test_gen_names_the_sidecar_after_its_output(tmp_path, output, sidecar):
+    # only one trailing ".json" is replaced; any other name gets ".truth.json" appended
+    assert main(["gen", "-o", str(tmp_path / output), "--blocks", "2x1", "--num-states", "2"]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([output, sidecar])
+    assert json.loads((tmp_path / sidecar).read_text())["residuals"] == {"ensemble_valid": True}
+
+
+def test_verify_reports_a_channel_above_the_stack_cap_and_exits_0(tmp_path, monkeypatch):
+    plant = tmp_path / "p.json"
+    assert main(["gen", "-o", str(plant), "--blocks", "2x1,1x2", "--num-states", "3", "--seed", "1"]) == 0
+    out = tmp_path / "v.json"
+    # D = 4 and 3 states: one channel's working set at env 10**4 is 16 * 4 * (8 * 10**4 + 36) bytes
+    monkeypatch.setattr(algebra, "MAX_STACK_BYTES", 16 * 4 * (8 * 10**4 + 36) - 1)
+    argv = ["verify", str(plant), "--decomposition", str(tmp_path / "p.truth.json"), "--env-dim", "10000"]
+    assert main(argv + ["-o", str(out)]) == 0
+    rep = _report(out)
+    assert [c["name"] for c in rep["result"]["checks"] if not c["ok"]] == ["channel_preservation"]
+    assert rep["residuals"]["worst_residual"] == "inf"
 
 
 def test_exit_code_bad_blocks(tmp_path):

@@ -83,19 +83,78 @@ def test_planted_rejects_proportional_scalar_blocks():
 
 
 def test_planted_stack_cap_is_checked_before_any_draw(monkeypatch):
-    # a 1x1,1x1 plant of 3 states stacks 3 x 2 x 2 complex entries, 192 bytes; the cap is inclusive
+    # a 1x1,1x1 plant holds 384 bytes per state, its weight draws' count; the cap is inclusive
     spec = PlantSpec(blocks=((1, 1), (1, 1)), num_states=3, seed=1)
-    monkeypatch.setattr(algebra, "MAX_STACK_BYTES", 192)
+    monkeypatch.setattr(algebra, "MAX_STACK_BYTES", 1152)
     e, _ = planted_ensemble(spec)
-    assert e.states.nbytes == 192
-    monkeypatch.setattr(algebra, "MAX_STACK_BYTES", 191)
+    assert e.states.shape == (3, 2, 2)
+    monkeypatch.setattr(algebra, "MAX_STACK_BYTES", 1151)
 
     def no_draw(*args):
         raise AssertionError("drew weights for a refused plant")
 
     monkeypatch.setattr(oracles, "_draw_weights", no_draw)
-    with pytest.raises(ConfigTooLarge, match=r"^planted state stack of 3 x 2 x 2 exceeds 191 bytes$"):
+    with pytest.raises(ConfigTooLarge, match=r"^a plant of 3 states of dimension 2 holds 1152 bytes, above 1151$"):
         planted_ensemble(spec)
+
+
+class _Drew(Exception):
+    pass
+
+
+def _largest_admitted(blocks, monkeypatch) -> int:
+    """The most states of `blocks` that `planted_ensemble` admits under the current cap,
+    found by bisection with the draws stubbed out: an admitted plant reaches them."""
+
+    def drew(*args):
+        raise _Drew
+
+    def admitted(m):
+        try:
+            planted_ensemble(PlantSpec(blocks=blocks, num_states=m, seed=1))
+        except _Drew:
+            return True
+        except ConfigTooLarge:
+            return False
+        raise AssertionError("a plant passed the guard without drawing")
+
+    with monkeypatch.context() as stub:
+        stub.setattr(oracles, "_draw_weights", drew)
+        lo, hi = 1, algebra.MAX_STACK_BYTES  # at least 16 bytes a state: hi states never fit
+        assert admitted(lo) and not admitted(hi)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if admitted(mid) else (lo, mid)
+    return lo
+
+
+CAP = 2 * 2**20
+# what a plant of one state holds whatever the count: the interpreter's and
+# numpy's caches, the Haar rotation and the block data (at most 142 kB traced)
+PLANT_FLOOR = 256 * 2**10
+
+
+@pytest.mark.parametrize("blocks", [((4, 2),), ((2, 1),), ((1, 1),)])
+def test_every_admitted_plant_peaks_within_the_cap(blocks, monkeypatch):
+    # the draws hold far more per state than the (m, D, D) stack they return: 313
+    # bytes at 1x1 against 16, so a cap on the stack alone admits 20 times too much
+    monkeypatch.setattr(algebra, "MAX_STACK_BYTES", CAP)
+    m = _largest_admitted(blocks, monkeypatch)
+    planted_ensemble(PlantSpec(blocks=blocks, num_states=2, seed=1))  # warm caches and lazy imports
+    tracemalloc.start()
+    try:
+        e, _ = planted_ensemble(PlantSpec(blocks=blocks, num_states=m, seed=1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(e) == m and peak <= CAP + PLANT_FLOOR
+
+    def no_draw(*args):
+        raise AssertionError("drew weights for a refused plant")
+
+    monkeypatch.setattr(oracles, "_draw_weights", no_draw)
+    with pytest.raises(ConfigTooLarge, match=f"^a plant of {m + 1} states "):
+        planted_ensemble(PlantSpec(blocks=blocks, num_states=m + 1, seed=1))
 
 
 def _reference_draw_weights(spec, rng):
@@ -334,6 +393,21 @@ def test_channel_check_memory_does_not_grow_with_kraus_terms():
     # held every (channel, Kraus term, state) product would need
     # channels * env * m * D^2 * 16 = 3 * 64 * 3 * 121 * 16 bytes = 1.1 MB.
     assert peak <= 450_000
+
+
+def test_a_channel_above_the_stack_cap_fails_the_channel_check(monkeypatch):
+    # D = 4, support 4, 3 states at env 2: one channel's row is 16 * 4 * (2 * 8 + 3 * 3 * 4) bytes
+    e, truth = planted_ensemble(PlantSpec(blocks=((2, 1), (1, 2)), num_states=3, seed=1))
+    row = 16 * 4 * (2 * 8 + 36)
+    monkeypatch.setattr(algebra, "MAX_STACK_BYTES", row)
+    assert verify(truth, e, channels=3, env_dim=2, seed=0).ok
+    monkeypatch.setattr(algebra, "MAX_STACK_BYTES", row - 1)
+    with pytest.raises(ConfigTooLarge, match=f"^one channel's working set of {row} bytes exceeds {row - 1} bytes$"):
+        next(random_form2_kraus(truth, 2, range(3), len(e)))
+    checks = {c.name: c for c in verify(truth, e, channels=3, env_dim=2, seed=0).checks}
+    assert [name for name, c in checks.items() if not c.ok] == ["channel_preservation"]
+    assert checks["channel_preservation"].residual == float("inf")
+    assert "one channel's working set" in checks["channel_preservation"].detail
 
 
 def test_apply_on_a_stack_equals_per_state_application():

@@ -12,6 +12,19 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "perf_gate.py"
+# the bench's values that the tool's ops copy, under the bench's names
+BENCH_NAMES = (
+    "PROTOCOL_PLANTS",
+    "PROTOCOL_PLANT_SEED",
+    "SWEEP_MESSAGES",
+    "SWEEP_DELTAS",
+    "SWEEP_TRIALS",
+    "SWEEP_SEED",
+    "INDIVIDUAL_TRIALS",
+    "LADDER",
+    "LADDER_PLANT_SEED",
+    "LADDER_STATES",
+)
 _spec = importlib.util.spec_from_file_location("perf_gate", TOOL)
 perf_gate = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(perf_gate)
@@ -34,6 +47,16 @@ def test_one_tiny_op_against_head(capsys):
         assert row.split()[-1] == "same"
     # both trees were imported under their own names and unloaded again
     assert not any(name.split(".")[0] in ("kidecomp_a", "kidecomp_b") for name in sys.modules)
+
+
+def test_the_ops_copy_the_bench_values(monkeypatch):
+    # bench/workloads.py is loaded from its path and only read
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look themselves up there
+    spec.loader.exec_module(workloads)
+    for name in BENCH_NAMES:
+        assert getattr(perf_gate, name) == getattr(workloads, name), name
 
 
 def test_unknown_revision_exits_2(capsys):

@@ -25,8 +25,8 @@ def test_a_d4_plant_decomposes_with_its_shapes_and_the_split_stack():
 
 
 def test_a_refused_input_records_its_error_and_stage(monkeypatch):
-    # a cap that admits the plant's 2 x 2 block draws but not the 4 x 4 split
-    monkeypatch.setattr(algebra, "MAX_STACK_BYTES", 1024)
-    row = scale_run.run_input(scale_run.ScaleInput("d=4 2x1,1x2", ((2, 1), (1, 2)), 3, runs=1))
+    # a cap that admits the plant's draws (5136 bytes) but not the split's 75 x 5 stack (6000 bytes)
+    monkeypatch.setattr(algebra, "MAX_STACK_BYTES", 5500)
+    row = scale_run.run_input(scale_run.ScaleInput("d=5 2x1,1x3", ((2, 1), (1, 3)), 3, runs=1))
     assert (row["outcome"], row["stage"]) == ("ConfigTooLarge", "ki_decompose")
-    assert "exceeds 1024 bytes" in row["error"] and "ki_decompose_s" not in row
+    assert "exceeds 5500 bytes" in row["error"] and "ki_decompose_s" not in row

@@ -40,6 +40,7 @@ TREE = ("src", "tests", "bench", "tools", "README.md", "pyproject.toml")
 SELF_TEST = "tests/test_mutation_gate.py"  # fails on any mutant, so no run collects it
 ONE_THREAD = {name: "1" for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
 PROTOCOLS = "src/kidecomp/protocols.py"
+ORACLES = "src/kidecomp/oracles.py"
 
 
 class Mutant(NamedTuple):
@@ -107,6 +108,15 @@ MUTANTS = (
     Mutant("desk_guard_inclusive", PROTOCOLS, "> DESK_SCALE_QUBITS:", ">= DESK_SCALE_QUBITS:"),
     # a swap counts as keeping the subspace when it keeps any one partial-class sequence
     Mutant("swap_closure_any", PROTOCOLS, ".all(axis=1)", ".any(axis=1)"),
+    # the plant guard counts the returned state stack only, not what the draws hold
+    Mutant(
+        "plant_count_stack_only",
+        ORACLES,
+        "max(320 + 16 * len(ns) ** 2, held + max(check, 64 * total**2))",
+        "16 * total**2",
+    ),
+    # one channel's Kraus stack is built however large its working set
+    Mutant("channel_cap_dropped", ORACLES, "if row > algebra.MAX_STACK_BYTES:", "if False:"),
 )
 
 

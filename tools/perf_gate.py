@@ -58,9 +58,19 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
-SWEEP_PLANTS = ("2x1,1x2", "3x1,2x2")
-LADDER = ("2x1,1x2", "3x1,2x2", "3x2,2x1,1x3", "4x2,3x1")
 BOOTSTRAP = 2000
+# copies of `bench/workloads.py` values, under the bench's names (tests/test_perf_gate.py
+# checks that they still equal the bench's)
+PROTOCOL_PLANTS = ("2x1,1x2", "3x1,2x2")
+PROTOCOL_PLANT_SEED = 1
+SWEEP_MESSAGES = 12
+SWEEP_DELTAS = (-0.25, 0.0, 0.25)
+SWEEP_TRIALS = 200
+SWEEP_SEED = 0
+INDIVIDUAL_TRIALS = 10_000
+LADDER = ("2x1,1x2", "3x1,2x2", "3x2,2x1,1x3", "4x2,3x1")
+LADDER_PLANT_SEED = 1
+LADDER_STATES = 3
 
 
 def load_package(src: Path, name: str):
@@ -116,7 +126,8 @@ def _protocol(text: str, call, answer):
     """An op on the bench's `protocol_sim` plant `text`: `call(protocols, e, d)`."""
 
     def build(k, workdir):
-        e = k.oracles.planted_ensemble(k.oracles.PlantSpec(blocks=_blocks(text), num_states=3, seed=1))[0]
+        spec = k.oracles.PlantSpec(blocks=_blocks(text), num_states=3, seed=PROTOCOL_PLANT_SEED)
+        e = k.oracles.planted_ensemble(spec)[0]
         d = k.decompose.ki_decompose(e)
         return lambda: call(k.protocols, e, d), answer
 
@@ -125,7 +136,8 @@ def _protocol(text: str, call, answer):
 
 def _rung(rung: int, text: str):
     def build(k, workdir):
-        e = k.oracles.planted_ensemble(k.oracles.PlantSpec(blocks=_blocks(text), num_states=3, seed=1000 + rung))[0]
+        spec = k.oracles.PlantSpec(blocks=_blocks(text), num_states=LADDER_STATES, seed=1000 * LADDER_PLANT_SEED + rung)
+        e = k.oracles.planted_ensemble(spec)[0]
 
         def run():
             d = k.decompose.ki_decompose(e, seed=1)
@@ -180,12 +192,15 @@ def _cli(command: str, label: str):
 
 
 PROTOCOL_CALLS = {
-    "rate_sweep": (lambda p, e, d: p.rate_sweep(e, d, 12, (-0.25, 0.0, 0.25), trials=200, seed=0), _sweep_answer),
+    "rate_sweep": (
+        lambda p, e, d: p.rate_sweep(e, d, SWEEP_MESSAGES, SWEEP_DELTAS, trials=SWEEP_TRIALS, seed=SWEEP_SEED),
+        _sweep_answer,
+    ),
     "rate_sweep warm-up": (lambda p, e, d: p.rate_sweep(e, d, 4, (0.0,), trials=10, seed=1), _sweep_answer),
-    "simulate_individual": (lambda p, e, d: p.simulate_individual(e, d, trials=10_000, seed=1), _individual_answer),
+    "simulate_individual": (lambda p, e, d: p.simulate_individual(e, d, trials=INDIVIDUAL_TRIALS, seed=1), _individual_answer),
 }
 # each op builds, per tree, its call and the function that digests the call's answer
-OPS = {f"{kind} {t}": _protocol(t, *call) for t in SWEEP_PLANTS for kind, call in PROTOCOL_CALLS.items()}
+OPS = {f"{kind} {t}": _protocol(t, *call) for t in PROTOCOL_PLANTS for kind, call in PROTOCOL_CALLS.items()}
 OPS.update({f"decompose+verify {t}": _rung(r, t) for r, t in enumerate(LADDER)})
 OPS.update({f"cli {c} {label}": _cli(c, label) for label in CLI_INPUTS for c in CLI_COMMANDS})
 
